@@ -14,6 +14,7 @@ Flags override a key=value config file; exit codes: 0 pass, 1 fail,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -44,7 +45,6 @@ DEFAULTS = {
     "ext": "split",
     "hecke": "0:1",
     "val_window": "-4:4",
-    "precision": 40,
     "tolerance": 1e-8,
     "seed": 7,
     "jobs": 1,
@@ -56,24 +56,22 @@ DEFAULTS = {
 
 @dataclass
 class RunConfig:
-    p: int = 3
-    ext: str = "split"
-    hecke: str = "0:1"
-    val_window: tuple[int, int] = (-4, 4)
-    precision: int = 40
-    tolerance: float = 1e-8
-    seed: int = 7
-    jobs: int = 1
-    format: str = "json"
-    out: str = ""
-    samples: int = 20
+    p: int
+    ext: str
+    hecke: str
+    val_window: tuple[int, int]
+    tolerance: float
+    seed: int
+    jobs: int
+    format: str
+    out: str
+    samples: int
 
     def header(self) -> dict:
         return {
-            "p": self.p, "ext": self.ext, "hecke": self.hecke,
-            "valWindow": list(self.val_window), "precision": self.precision,
-            "tolerance": self.tolerance, "seed": self.seed, "jobs": self.jobs,
-            "format": self.format, "samples": self.samples,
+            "p": self.p, "ext": self.ext, "hecke": self.hecke, "seed": self.seed,
+            "valWindow": list(self.val_window), "tolerance": self.tolerance,
+            "jobs": self.jobs, "format": self.format, "samples": self.samples,
         }
 
 
@@ -107,6 +105,8 @@ def parse_hecke_list(spec: str) -> list[HeckeElt]:
                 c = complex(c_str)
             except ValueError as exc:
                 raise UsageError(f"bad hecke term {term!r}: {exc}") from exc
+            if not cmath.isfinite(c):
+                raise UsageError(f"hecke coefficient in {term!r} is not finite")
             if n < 0:
                 raise UsageError("hecke indices must be >= 0")
             data[n] = data.get(n, 0j) + c
@@ -142,7 +142,11 @@ def read_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = dict(DEFAULTS)
     if getattr(args, "config", None):
-        merged.update(read_config_file(args.config))
+        from_file = read_config_file(args.config)
+        unknown = sorted(set(from_file) - set(DEFAULTS))
+        if unknown:
+            raise UsageError(f"unknown config keys {unknown}")
+        merged.update(from_file)
     for key in DEFAULTS:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
@@ -163,7 +167,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg = RunConfig(
             p=p, ext=ext, hecke=str(merged["hecke"]),
             val_window=parse_window(str(merged["val_window"])),
-            precision=int(merged["precision"]),
             tolerance=float(merged["tolerance"]),
             seed=int(merged["seed"]), jobs=int(merged["jobs"]),
             format=fmt, out=str(merged["out"]),
@@ -171,8 +174,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad configuration value: {exc}") from exc
-    if cfg.precision < 8:
-        raise UsageError("--precision must be at least 8")
+    if not (cmath.isfinite(cfg.tolerance) and cfg.tolerance > 0):
+        raise UsageError("--tolerance must be a finite number > 0")
     if cfg.jobs < 1:
         raise UsageError("--jobs must be >= 1")
     if cfg.samples < 1:
@@ -197,16 +200,15 @@ def _write_report(cfg: RunConfig, doc: dict, csv_rows: list[dict], name: str) ->
 
 
 def _fl_single(task):
-    p, kind, hdict, window, tol, prec = task
-    ctx = LocalFieldCtx(p, prec)
+    p, kind, hdict, window, tol = task
+    ctx = LocalFieldCtx(p)
     rep = verify_fl(ctx, kind, HeckeElt.of(hdict), window=window, tolerance=tol)
     return rep
 
 
 def cmd_verify_fl(cfg: RunConfig) -> int:
     hs = parse_hecke_list(cfg.hecke)
-    tasks = [(cfg.p, cfg.ext, h.as_dict(), cfg.val_window, cfg.tolerance,
-              cfg.precision) for h in hs]
+    tasks = [(cfg.p, cfg.ext, h.as_dict(), cfg.val_window, cfg.tolerance) for h in hs]
     start = time.time()
     if cfg.jobs > 1 and len(tasks) > 1:
         with get_context("fork").Pool(min(cfg.jobs, len(tasks))) as pool:
@@ -244,7 +246,7 @@ def cmd_verify_fl(cfg: RunConfig) -> int:
 
 def cmd_verify_matching(cfg: RunConfig) -> int:
     start = time.time()
-    ctx = LocalFieldCtx(cfg.p, cfg.precision)
+    ctx = LocalFieldCtx(cfg.p)
     rep = verify_matching(ctx, cfg.ext, samples=cfg.samples, seed=cfg.seed,
                           tolerance=cfg.tolerance)
     doc = {
@@ -270,7 +272,7 @@ def cmd_verify_matching(cfg: RunConfig) -> int:
 
 def cmd_tables(cfg: RunConfig) -> int:
     start = time.time()
-    ctx = LocalFieldCtx(cfg.p, cfg.precision)
+    ctx = LocalFieldCtx(cfg.p)
     lo, hi = cfg.val_window
     rows = []
     max_delta = 0.0
@@ -334,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "empty means h0)")
         sp.add_argument("--val-window", dest="val_window", type=str, default=None,
                         help="valuation window a:b (default -4:4)")
-        sp.add_argument("--precision", type=int, default=None)
         sp.add_argument("--tolerance", type=float, default=None)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--jobs", type=int, default=None)

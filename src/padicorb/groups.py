@@ -143,8 +143,11 @@ def recompose(ctx: LocalFieldCtx, x: Fraction, aval: int, k: GroupElt) -> GroupE
     return n.mul(t).mul(k)
 
 
-def double_coset_reps(ctx: LocalFieldCtx, m: int) -> list[GroupElt]:
-    """Left-coset representatives of K diag(pi^m,1) K / K.
+_reps_cache: dict[tuple[int, int], tuple[GroupElt, ...]] = {}
+
+
+def double_coset_reps(ctx: LocalFieldCtx, m: int) -> tuple[GroupElt, ...]:
+    """Left-coset representatives of K diag(pi^m,1) K / K, memoized per (p, m).
 
     Lattice normal forms [[p^a, c],[0, p^d]] with a+d = m, c mod p^a and unit
     content; cardinality q^m + q^(m-1) for m >= 1, confirmed by enumeration in
@@ -152,17 +155,18 @@ def double_coset_reps(ctx: LocalFieldCtx, m: int) -> list[GroupElt]:
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    if m == 0:
-        return [GroupElt.identity(ctx)]
-    p = ctx.p
-    reps = []
-    for a in range(m + 1):
-        d = m - a
-        for c in range(p ** a):
-            if a > 0 and d > 0 and c % p == 0:
-                continue  # content would be positive
-            reps.append(GroupElt.of(ctx, p ** a, c, 0, p ** d))
-    return reps
+    key = (ctx.p, m)
+    if key not in _reps_cache:
+        p = ctx.p
+        reps = []
+        for a in range(m + 1):
+            d = m - a
+            for c in range(p ** a):
+                if a > 0 and d > 0 and c % p == 0:
+                    continue  # content would be positive
+                reps.append(GroupElt.of(ctx, p ** a, c, 0, p ** d))
+        _reps_cache[key] = tuple(reps)
+    return _reps_cache[key]
 
 
 # --- Hecke algebra on the Satake basis --------------------------------------------
@@ -217,10 +221,6 @@ class HeckeElt:
 
     def max_degree(self) -> int:
         return max((n for n, _ in self.coeffs), default=0)
-
-
-def hecke_mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
-    return h1.mul(h2)
 
 
 # --- Satake transform --------------------------------------------------------------
@@ -298,9 +298,6 @@ def tr_Vn(n: int) -> SymLaurent:
     return SymLaurent.of({k: 1.0 for k in range(n % 2, n + 1, 2)})
 
 
-_reps_cache: dict[tuple[int, int], list[GroupElt]] = {}
-
-
 def satake_transform(ctx: LocalFieldCtx, coset_coeffs: dict[int, complex]) -> SymLaurent:
     """S(f) for f = sum_m coeffs[m] 1_{K diag(pi^m,1) K}.
 
@@ -313,10 +310,7 @@ def satake_transform(ctx: LocalFieldCtx, coset_coeffs: dict[int, complex]) -> Sy
     for m, cm in coset_coeffs.items():
         if cm == 0:
             continue
-        key = (ctx.p, m)
-        if key not in _reps_cache:
-            _reps_cache[key] = double_coset_reps(ctx, m)
-        for rep in _reps_cache[key]:
+        for rep in double_coset_reps(ctx, m):
             _, aval, _ = iwasawa_decompose(rep)
             signed[aval] = signed.get(aval, 0j) + cm * qh ** (-aval)
     return _fold_signed(signed)

@@ -112,14 +112,6 @@ class LocalFieldCtx:
         """Multiplicative volume of o^x: 1 - q^-1."""
         return Fraction(self.q - 1, self.q)
 
-    def vol_T0(self, kind: str) -> float:
-        """Vol(T(F)_0): includes the (ln q)^-1 factor in the split case."""
-        if kind == "split":
-            return float(self.vol_Ox) / math.log(self.q)
-        if kind == "inert":
-            return float(Fraction(self.q + 1, self.q))
-        raise KindError(f"unknown kind {kind!r}")
-
     def vol_T_inert(self) -> Fraction:
         return Fraction(self.q + 1, self.q)
 
@@ -368,15 +360,16 @@ def psi_eval_frac(ctx: LocalFieldCtx, x: Fraction | int) -> complex:
 # --- quadratic extension ----------------------------------------------------------
 
 
+def unit_reps(p: int, m: int) -> list[int]:
+    """Representatives of the units of o/p^m, in increasing order."""
+    return [u for u in range(1, p ** m) if u % p != 0]
+
+
 def smallest_nonresidue(p: int) -> int:
     for u in range(2, p):
         if pow(u, (p - 1) // 2, p) == p - 1:
             return u
     raise DomainError("no quadratic nonresidue found (p=2?)")
-
-
-def is_square_unit(ctx: LocalFieldCtx, u: int) -> bool:
-    return pow(u % ctx.p, (ctx.p - 1) // 2, ctx.p) == 1
 
 
 class QuadExt:
@@ -431,9 +424,6 @@ class EElem:
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.u * self.b * self.b
-
-    def trace(self) -> Fraction:
-        return 2 * self.a
 
     def add(self, other: "EElem") -> "EElem":
         return EElem(self.ext, self.a + other.a, self.b + other.b)

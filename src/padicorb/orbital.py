@@ -41,23 +41,24 @@ from .localfield import (
     is_rational_square,
     padic_sqrt,
     rational_valuation,
+    unit_reps,
 )
 from .spaces import (
     Germ,
     KLTail,
     SWElem,
     SZElem,
+    _fit_germ,
     g_value_Z_to_W,
     g_transform_Z_to_W,
+    ip_kuz as ip_kuz_elem,  # re-exported: perfbench/worker.py calls both
+    ip_torus as ip_torus_elem,
     kloosterman_germ,
+    kloosterman_germ as kloosterman,  # re-exported in padicorb.__all__
     oscillatory_shell_integral,
 )
 
 # --- baby-case orbital integrals ---------------------------------------------------
-
-
-def _units_mod(p: int, m: int) -> list[int]:
-    return [u for u in range(1, p ** m) if u % p != 0]
 
 
 _evaluator_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -100,7 +101,7 @@ def o_baby_split(phi: BruhatFn, xi) -> complex:
         m = max(1, lvl - (vxi + n), lvl + n)
         pn = Fraction(ctx.p) ** n
         mass = float(ctx.q) ** (-m)
-        for u in _units_mod(ctx.p, m):
+        for u in unit_reps(ctx.p, m):
             a = u * pn
             total += ev((a * xi, 1 / a)) * mass
     return total
@@ -354,7 +355,7 @@ def baby_support_floor(kind: str, data) -> int:
     return min(floors)
 
 
-def sx_from_baby(data, kind: str, lo: int = -6, level: int = 2) -> "SXElem":
+def sx_from_baby(data, kind: str) -> "SXElem":
     """S(X) element (window + exact germ at 0) of the baby orbital of `data`."""
     from .spaces import SXElem
 
@@ -369,7 +370,8 @@ def sx_from_baby(data, kind: str, lo: int = -6, level: int = 2) -> "SXElem":
         return baby_orbital(kind, data, xi)
 
     p = ctx.p
-    lo = max(lo, baby_support_floor(kind, data))
+    level = 2  # first unit level tried on each shell
+    lo = max(-6, baby_support_floor(kind, data))
     atoms = []
     for v in range(lo, germ.level):
         start = max(level, baby_xi_level(kind, data, v))
@@ -411,36 +413,30 @@ def fourier_baby(data, kind: str):
 
 
 def _shell_values(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
-                  start_level: int, cap: int = 9, skip=None, verify_all: bool = True):
+                  start_level: int, skip=None):
     """Values of raw on the shell center + (units)*p^v at a stabilized level.
 
     Every kept coset is verified against a proper child; the level escalates
-    on any disagreement (RepresentationError past the cap).  Cosets for which
+    on any disagreement (RepresentationError past level 9).  Cosets for which
     `skip(point, level)` is true are left out (singular neighborhoods).
     """
     p = ctx.p
-    level = start_level
-    while level <= cap:
-        units = _units_mod(p, level)
+    for level in range(start_level, 10):
         vals = {}
-        for u in units:
+        for u in unit_reps(p, level):
             x = center + Fraction(u) * Fraction(p) ** v
             if skip is not None and skip(x, level):
                 continue
             vals[u] = raw(x)
-        kept = sorted(vals)
-        probes = kept if verify_all else ([kept[0], kept[-1], kept[len(kept) // 2]]
-                                          if kept else [])
         ok = True
-        for u in probes:
+        for u in sorted(vals):
             child = center + Fraction(u + p ** level) * Fraction(p) ** v
             if abs(raw(child) - vals[u]) > 1e-10 * max(1.0, abs(vals[u])):
                 ok = False
                 break
         if ok:
             return vals, level
-        level += 1
-    raise RepresentationError(f"shell at val {v} did not stabilize below level {cap}")
+    raise RepresentationError(f"shell at val {v} did not stabilize below level 9")
 
 
 def baby_xi_level(kind: str, data, v: int) -> int:
@@ -502,8 +498,7 @@ def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
     return out
 
 
-def sz_from_charts(phi1, phi2, kind: str, window: tuple[int, int] = (-6, 8),
-                   level: int = 2) -> SZElem:
+def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
     """f(xi) = O^baby(phi2)(xi) + O^baby(phi1)(-1-xi), window plus exact germs.
 
     phi1 carries the germ at -1 (the diagonal chart), phi2 the germ at 0.
@@ -516,8 +511,8 @@ def sz_from_charts(phi1, phi2, kind: str, window: tuple[int, int] = (-6, 8),
         ctx = phi1.ext.ctx
         g0, _ = nonsplit_germ_data(phi2)
         g1, _ = nonsplit_germ_data(phi1)
-    lo, hi = window
-    lo = max(lo, min(baby_support_floor(kind, phi2),
+    level = 2  # first unit level tried on each shell
+    lo = max(-6, min(baby_support_floor(kind, phi2),
                      baby_support_floor(kind, phi1)) - 1)
     depth0 = g0.level
     depth1 = g1.level
@@ -589,10 +584,6 @@ def torus_pair_invariant(g: GroupElt, ext: QuadExt) -> Fraction:
     return val
 
 
-def _invariant_is_regular(ctx: LocalFieldCtx, xi: Fraction) -> bool:
-    return xi != 0 and xi != -1
-
-
 def split_rep_for(ctx: LocalFieldCtx, xi: Fraction) -> GroupElt:
     """F-rational g with invariant xi: the chart matrix iota(-1-xi, 1)."""
     x = -1 - xi
@@ -654,23 +645,6 @@ def _in_AK(ctx: LocalFieldCtx, g: GroupElt) -> bool:
     return g.det_val() <= m1 + m2
 
 
-def _in_AK_scan(ctx: LocalFieldCtx, g: GroupElt) -> bool:
-    """Reference membership test by scanning torus shifts (used to validate
-    the closed form at small precision before trusting it)."""
-    vals = [rational_valuation(x, ctx.p) for x in g.m if x != 0]
-    span = max(vals) - min(vals) + abs(g.det_val()) + 2
-    for s in range(-span, span + 1):
-        a, b, c, d = g.m
-        ps = Fraction(ctx.p) ** (-s)
-        try:
-            cand = GroupElt.of(ctx, a * ps, b * ps, c, d)
-        except DomainError:
-            continue
-        if cand.in_K():
-            return True
-    return False
-
-
 def x1_membership(ctx: LocalFieldCtx, ext: QuadExt, g: GroupElt) -> bool:
     """g in T(F)K, i.e. the point T g lies in X_1(o)."""
     if ext.kind == "split":
@@ -694,7 +668,7 @@ def o_torus_group(ctx: LocalFieldCtx, desc: TorusPairDescriptor, xi,
     inert: vol(K) * (h*Phi1)(T g_xi), zero on nontrivial-torsor fibers.
     """
     xi = exact_fraction(xi)
-    if not _invariant_is_regular(ctx, xi):
+    if xi == 0 or xi == -1:
         raise IrregularPointError(f"xi = {xi} is irregular")
     ext = QuadExt(ctx, desc.kind)
     if desc.hecke.is_zero():
@@ -738,11 +712,6 @@ def o_torus_group(ctx: LocalFieldCtx, desc: TorusPairDescriptor, xi,
 # --- Kuznetsov side ----------------------------------------------------------------
 
 
-def kloosterman(ctx: LocalFieldCtx, xi) -> complex:
-    """KL(xi) = int_{|x|^2=|xi|} psi(xi/x - x) dx for |xi| > 1; 0 on odd shells."""
-    return kloosterman_germ(ctx, xi)
-
-
 def o_kuz_closed(ctx: LocalFieldCtx, m: int, xi) -> complex:
     """Closed form of O_xi(1_{x_mK} x 1_{y_0K}^-) per the case table.
 
@@ -761,7 +730,7 @@ def o_kuz_closed(ctx: LocalFieldCtx, m: int, xi) -> complex:
     if m >= 1 and v == m - 2:
         return -volX + 0j
     if m == 0 and v < 0:
-        return volX * kloosterman(ctx, xi)
+        return volX * kloosterman_germ(ctx, xi)
     return 0j
 
 
@@ -828,7 +797,7 @@ def basic_fW0(ctx: LocalFieldCtx, kind: str, s: complex = 0.0):
         if v == -2:
             core += 1.0
         if v < 0:
-            core += kloosterman(ctx, xi)
+            core += kloosterman_germ(ctx, xi)
         return volX * L_eta * core
 
     return value
@@ -867,23 +836,13 @@ def _hs_expansion_coeff(ctx: LocalFieldCtx, kind: str, h: HeckeElt, s: complex,
     h_j * 1_{x_nK} contributes q^{(n-k)/2} 1_{x_kK} exactly when
     |j - n| <= k <= j + n with k = j + n (mod 2).
     """
-    eps = 1 if kind == "split" else -1
     q = ctx.q
-    denom = 1 - eps * q ** (-2 * s - 1)
-    if abs(denom) < 1e-12:
-        raise PoleError("pole of the H_s prefactor")
-
-    def c_of(n: int) -> complex:
-        base = q ** (-n * (s + 1)) / denom
-        if eps == 1:
-            return base * (n + 1)
-        return base if n % 2 == 0 else 0j
-
+    cs = h_s_coeffs(ctx, s, 1 if kind == "split" else -1, k + h.max_degree())
     total = 0j
     for j, ej in h.as_dict().items():
         n = abs(k - j)
         while n <= k + j:
-            total += ej * c_of(n) * q ** ((n - k) / 2)
+            total += ej * cs[n] * q ** ((n - k) / 2)
             n += 2
     return total
 
@@ -919,8 +878,7 @@ def hecke_apply_W_tail(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
 
 
 def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
-                       s: complex = 0.0,
-                       window: tuple[int, int] = (-6, 4)) -> SWElem:
+                       s: complex = 0.0) -> SWElem:
     """h * f_W^s packaged as an SWElem: window atoms at certified levels,
     the |xi|^{s+1}-weighted zero germ fitted with residuals, and the
     Kloosterman tail from the x_0-expansion coefficient."""
@@ -930,7 +888,7 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     weighted = {}
     for v in range(depth, depth + 4):
         weighted[v] = value(Fraction(ctx.p) ** v) * q ** (v * (s + 1))
-    germ = _fit_germ_values(ctx, kind, weighted)
+    germ = _fit_germ(ctx, kind, weighted)
     if kind == "split":
         zero_germ = (germ.b, germ.a, depth)
     else:
@@ -945,12 +903,12 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
             got = value(xi)
             if abs(got - want) > 1e-9 * max(1.0, abs(want)):
                 raise RepresentationError("Kloosterman tail fit failed")
-    lo = max(window[0], tail_val + 1)
-    hi = min(window[1], depth - 1)
+    lo = max(-6, tail_val + 1)
+    hi = min(4, depth - 1)
     atoms = []
     for v in range(lo, hi + 1):
         level = max(1, (-v + 1) // 2 + 1)  # KL unit-dependence depth on the shell
-        for u in _units_mod(ctx.p, level):
+        for u in unit_reps(ctx.p, level):
             xi = Fraction(u) * Fraction(ctx.p) ** v
             w = value(xi)
             if abs(w) > 1e-12:
@@ -965,31 +923,29 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     return out
 
 
-def basic_fW0_elem(ctx: LocalFieldCtx, kind: str, s: complex = 0.0,
-                   window: tuple[int, int] = (-6, 4)) -> SWElem:
+def basic_fW0_elem(ctx: LocalFieldCtx, kind: str, s: complex = 0.0) -> SWElem:
     """The basic vector f_s^0 packaged as an SWElem."""
-    return hecke_apply_W_elem(ctx, kind, HeckeElt.basis(0), s, window)
+    return hecke_apply_W_elem(ctx, kind, HeckeElt.basis(0), s)
 
 
 # --- basic vectors and Hecke application on the torus side -------------------------
 
 
-def basic_fZ0(ctx: LocalFieldCtx, kind: str, window: tuple[int, int] = (-3, 10),
-              level: int = 2) -> SZElem:
+def basic_fZ0(ctx: LocalFieldCtx, kind: str) -> SZElem:
     """The basic vector of S(Z) assembled from group-level orbital integrals."""
-    return hecke_apply_Z(ctx, kind, HeckeElt.basis(0), window=window, level=level)
+    return hecke_apply_Z(ctx, kind, HeckeElt.basis(0), lo=-3)
 
 
 def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
-                  window: tuple[int, int] | None = None, level: int = 2) -> SZElem:
+                  lo: int | None = None) -> SZElem:
     """SZ element of orbital integrals of (h * 1_{X1(o)}) x 1_{X1(o)}.
 
-    Window values come from o_torus_group; the germs at 0 and -1 are fitted on
-    deep shells with residual certificates.
+    Window values on val(xi) >= lo come from o_torus_group; the germs at 0 and
+    -1 are fitted on deep shells with residual certificates.
     """
     desc = TorusPairDescriptor(h, kind)
     depth = 2 * h.max_degree() + 3
-    lo = window[0] if window is not None else -(2 * h.max_degree() + 1)
+    lo = lo if lo is not None else -(2 * h.max_degree() + 1)
 
     def raw(xi) -> complex:
         return o_torus_group(ctx, desc, xi)
@@ -999,8 +955,8 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     for j in range(depth, depth + 4):
         probes0[j] = raw(Fraction(ctx.p) ** j)
         probes1[j] = raw(Fraction(-1) + Fraction(ctx.p) ** j)
-    germ0 = _fit_germ_values(ctx, kind, probes0)
-    germ_m1 = _fit_germ_values(ctx, kind, probes1)
+    germ0 = _fit_germ(ctx, kind, probes0)
+    germ_m1 = _fit_germ(ctx, kind, probes1)
     # unit-independence certificates at the germ depth
     chk0 = raw(2 * Fraction(ctx.p) ** depth)
     chk1 = raw(Fraction(-1) + 2 * Fraction(ctx.p) ** depth)
@@ -1008,26 +964,7 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
         raise RepresentationError("germ at 0 not unit-independent at fitted depth")
     if abs(chk1 - germ_m1.eval(kind, depth)) > 1e-9 * max(1.0, abs(chk1)):
         raise RepresentationError("germ at -1 not unit-independent at fitted depth")
-    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, level)
-
-
-def _fit_germ_values(ctx: LocalFieldCtx, kind: str, values: dict[int, complex],
-                     tol: float = 1e-9) -> Germ:
-    vs = sorted(values)
-    v0, v1 = vs[0], vs[1]
-    if kind == "split":
-        b = (values[v1] - values[v0]) / (v1 - v0)
-        a = values[v0] - b * v0
-    else:
-        e0, e1 = (-1) ** v0, (-1) ** v1
-        b = (values[v0] - values[v1]) / (e0 - e1)
-        a = values[v0] - b * e0
-    g = Germ(a, b, v0)
-    scale = max(1.0, max(abs(x) for x in values.values()))
-    for v in vs[2:]:
-        if abs(g.eval(kind, v) - values[v]) > tol * scale:
-            raise RepresentationError("germ fit residual too large")
-    return g
+    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, level=2)
 
 
 # --- inner products and gamma-star ------------------------------------------------
@@ -1096,8 +1033,7 @@ class FLReport:
 
 
 def verify_fl(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
-              window: tuple[int, int] = (-4, 4), tolerance: float = 1e-8,
-              units_per_shell: int = 2) -> FLReport:
+              window: tuple[int, int] = (-4, 4), tolerance: float = 1e-8) -> FLReport:
     """|.|G(h * f_Z0) vs h * f_W0 pointwise on the window, with the fitted
     global constant required to be 1."""
     start = time.time()
@@ -1105,7 +1041,7 @@ def verify_fl(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     rhs_eval = hecke_apply_W(ctx, kind, h, 0.0)
     lo, hi = window
     pts: list[FLPoint] = []
-    units = _units_mod(ctx.p, 1)[:units_per_shell]
+    units = unit_reps(ctx.p, 1)[:2]
     fitted = None
     for v in range(lo, hi + 1):
         for u in units:
@@ -1170,9 +1106,11 @@ class MatchingReport:
         }
 
 
-def random_baby_data(ctx: LocalFieldCtx, kind: str, rng, n_atoms: int = 3,
-                     domain_split: str = "F2"):
-    """Seeded random compactly supported data (levels <= 2, Gaussian weights)."""
+def random_baby_data(ctx: LocalFieldCtx, kind: str, rng):
+    """Seeded random compactly supported data (three atoms per function,
+    levels <= 2, Gaussian weights)."""
+    n_atoms = 3
+
     def rnd_coef():
         return complex(rng.gauss(0, 1), rng.gauss(0, 1))
 
@@ -1184,7 +1122,7 @@ def random_baby_data(ctx: LocalFieldCtx, kind: str, rng, n_atoms: int = 3,
     if kind == "split":
         atoms = [((rnd_center(), rnd_center()), rng.randrange(0, 3), rnd_coef())
                  for _ in range(n_atoms)]
-        return BruhatFn.from_atoms(ctx, domain_split, atoms)
+        return BruhatFn.from_atoms(ctx, "F2", atoms)
     ext = QuadExt(ctx, kind)
     e_atoms = [((rnd_center(), rnd_center()), rng.randrange(0, 3), rnd_coef())
                for _ in range(n_atoms)]
@@ -1196,8 +1134,7 @@ def random_baby_data(ctx: LocalFieldCtx, kind: str, rng, n_atoms: int = 3,
 
 
 def verify_matching(ctx: LocalFieldCtx, kind: str, samples: int = 10,
-                    seed: int = 7, tolerance: float = 1e-8,
-                    window: tuple[int, int] = (-4, 6)) -> MatchingReport:
+                    seed: int = 7, tolerance: float = 1e-8) -> MatchingReport:
     """Random S(Z) elements through the charts: output shape and the
     inner-product identity <|.|G f> = gamma*(eta,0,psi) <f>."""
     import random
@@ -1213,7 +1150,7 @@ def verify_matching(ctx: LocalFieldCtx, kind: str, samples: int = 10,
         w = g_transform_Z_to_W(f)
         # shape residual: window+germ+tail representation against the engine
         resid = 0.0
-        for v in (window[0], 0, 1, w.zero_germ[2] + 1, -w.inf_tail.M - 2):
+        for v in (-4, 0, 1, w.zero_germ[2] + 1, -w.inf_tail.M - 2):
             for u in (1, max(2, ctx.p - 1)):
                 xi = Fraction(u) * Fraction(ctx.p) ** v
                 got = w.eval(xi)
@@ -1224,18 +1161,6 @@ def verify_matching(ctx: LocalFieldCtx, kind: str, samples: int = 10,
         cases.append(MatchingCase(i, resid, lhs, rhs))
     return MatchingReport(ctx.p, kind, samples, seed, cases, tolerance,
                           time.time() - start)
-
-
-def ip_torus_elem(f: SZElem) -> complex:
-    from .spaces import ip_torus
-
-    return ip_torus(f)
-
-
-def ip_kuz_elem(w: SWElem) -> complex:
-    from .spaces import ip_kuz
-
-    return ip_kuz(w)
 
 
 def whittaker_unfolding_check(ctx: LocalFieldCtx, alpha: complex, s: complex,

@@ -6,7 +6,6 @@ terms at a point are extracted by numerically certified deflation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PoleError
@@ -91,15 +90,6 @@ class Poly:
             r += 1
         return poly, r
 
-    def reverse_into_den(self, n: int) -> "Poly":
-        """t^n * p(1/t) for n >= degree."""
-        if n < self.degree():
-            raise DomainError("reverse needs n >= degree")
-        out = [0j] * (n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[n - i] = c
-        return Poly(_trim(out))
-
 
 @dataclass(frozen=True)
 class RationalFnT:
@@ -107,10 +97,6 @@ class RationalFnT:
 
     num: Poly
     den: Poly
-
-    @staticmethod
-    def of_poly(p: Poly) -> "RationalFnT":
-        return RationalFnT(p, Poly.of(1))
 
     @staticmethod
     def const(c) -> "RationalFnT":
@@ -145,9 +131,6 @@ class RationalFnT:
         if abs(d) < 1e-300:
             raise PoleError(f"evaluation at a pole t={t}")
         return self.num.eval(t) / d
-
-    def eval_s(self, q: int, s: complex) -> complex:
-        return self.eval(q ** (-s))
 
     def subs_recip_scaled(self, c: complex) -> "RationalFnT":
         """R(c/t) as a rational function of t."""
@@ -205,13 +188,8 @@ def weighted_geometric_tail(ratio: complex, first_power: int) -> RationalFnT:
     if first_power < 0:
         raise DomainError("weighted tail needs a nonnegative starting power")
     L = first_power
-    x_l = Poly.monomial(L, ratio ** L)
     one_minus = Poly.of(1, -ratio)
     # sum k x^k from L: x^L (L + (1-L) x... ) / (1-x)^2 with x = ratio*t:
     # closed form: [L x^L - (L-1) x^(L+1)] / (1-x)^2
     num = Poly.monomial(L, L * ratio ** L) - Poly.monomial(L + 1, (L - 1) * ratio ** (L + 1))
     return RationalFnT(num, one_minus * one_minus)
-
-
-def log_q(q: int) -> float:
-    return math.log(q)

@@ -36,6 +36,7 @@ from .localfield import (
     QuadExt,
     exact_fraction,
     rational_valuation,
+    unit_reps,
 )
 from .rational import RationalFnT
 
@@ -88,7 +89,7 @@ def _units(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     key = (p, m)
     if key not in _units_cache:
         mod = p ** m
-        u = np.array([x for x in range(1, mod) if x % p != 0], dtype=np.int64)
+        u = np.array(unit_reps(p, m), dtype=np.int64)
         uinv = np.array([pow(int(x), -1, mod) for x in u], dtype=np.int64)
         _units_cache[key] = (u, uinv)
     return _units_cache[key]
@@ -439,14 +440,16 @@ def _g_value(ctx: LocalFieldCtx, kind: str, fd: _FData, xi: Fraction,
     return total
 
 
+def _atom_support_bound(c: Fraction, vc: int, n: int) -> int:
+    """G of the window atom 1_{c + p^n o} vanishes on val(xi) < this bound."""
+    if c == 0:
+        return -n - 1
+    return min(max(-n, -vc - 1) - 1, vc - 2 * n)
+
+
 def _support_bound(fd: _FData) -> int:
     """All of G f vanishes on val(xi) < this bound."""
-    bounds = []
-    for (c, vc, n, w) in fd.atoms:
-        if c == 0:
-            bounds.append(-n - 1)
-        else:
-            bounds.append(min(max(-n, -vc - 1) - 1, vc - 2 * n))
+    bounds = [_atom_support_bound(c, vc, n) for (c, vc, n, w) in fd.atoms]
     if fd.g0 is not None:
         bounds.append(-(fd.g0.L + 1))
     if fd.g1 is not None:
@@ -493,12 +496,27 @@ def _fit_germ(ctx: LocalFieldCtx, kind: str, values: dict[int, complex],
     return g
 
 
-def _unit_reps(ctx: LocalFieldCtx, level: int) -> list[int]:
-    """Unit representatives mod p^level (level >= 1)."""
-    return [u for u in range(1, ctx.p ** level) if u % ctx.p != 0]
+def _window(ctx: LocalFieldCtx, kind: str, fd: _FData, shells: range,
+            weighted: bool) -> BruhatFn:
+    """Window of G f, or of |.|G f when `weighted`, on the given shells: one atom
+    per unit coset at the level the engine certifies at the shell's first point."""
+    p = ctx.p
+    atoms = []
+    for v in shells:
+        stats: dict = {}
+        first = _g_value(ctx, kind, fd, Fraction(p) ** v, stats)
+        level = max(1, stats.get("xi_level", 1))
+        for u in unit_reps(p, level):
+            x = Fraction(u) * Fraction(p) ** v
+            w = first if u == 1 else _g_value(ctx, kind, fd, x)
+            if weighted:
+                w = float(ctx.q) ** (-v) * w
+            if abs(w) > 1e-12:
+                atoms.append((x, v + level, w))
+    return BruhatFn.from_atoms(ctx, "F", atoms)
 
 
-def g_transform_SX(f: SXElem, out_level: int | None = None) -> SXElem:
+def g_transform_SX(f: SXElem) -> SXElem:
     """G f for f in S(X); output is again an S(X) element (shape closure)."""
     ctx, kind = f.ctx, f.kind
     fd = _fdata(ctx, kind, f.atom_triples(), f.germ0, None)
@@ -509,24 +527,13 @@ def g_transform_SX(f: SXElem, out_level: int | None = None) -> SXElem:
     vals = {}
     for v in range(depth, depth + 4):
         x1 = _g_value(ctx, kind, fd, Fraction(ctx.p) ** v)
-        x2 = _g_value(ctx, kind, fd, 2 * Fraction(ctx.p) ** v) if ctx.p > 2 else x1
+        x2 = _g_value(ctx, kind, fd, 2 * Fraction(ctx.p) ** v)
         if abs(x1 - x2) > 1e-9 * max(1.0, abs(x1)):
             raise RepresentationError("germ region not unit-independent; depth bug")
         vals[v] = x1
     germ = _fit_germ(ctx, kind, vals)
 
-    # window atoms by exact evaluation on unit cosets at the certified level
-    atoms = []
-    for v in range(vmin, depth):
-        stats: dict = {}
-        first = _g_value(ctx, kind, fd, Fraction(ctx.p) ** v, stats)
-        level = out_level if out_level is not None else max(1, stats.get("xi_level", 1))
-        for u in _unit_reps(ctx, level):
-            x = Fraction(u) * Fraction(ctx.p) ** v
-            w = first if u == 1 else _g_value(ctx, kind, fd, x)
-            if abs(w) > 1e-12:
-                atoms.append((x, v + level, w))
-    window = BruhatFn.from_atoms(ctx, "F", atoms)
+    window = _window(ctx, kind, fd, range(vmin, depth), weighted=False)
     out = SXElem(ctx, kind, window, Germ(germ.a, germ.b, depth))
     # representation guard: window+germ reproduces the engine at sample points
     for v in (vmin, depth - 1, depth + 1):
@@ -544,8 +551,7 @@ def g_value_SX(f: SXElem, xi) -> complex:
     return _g_value(f.ctx, f.kind, fd, Fraction(xi))
 
 
-def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None,
-                       out_level: int | None = None) -> SWElem:
+def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None) -> SWElem:
     """|.|G f in S(W) with s = 0: the matching transform S(Z) -> S(W)."""
     ctx, kind = f.ctx, f.kind
     fd = _fdata(ctx, kind, f.atom_triples(), f.germ0, f.germ_m1)
@@ -561,16 +567,11 @@ def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None,
     else:
         zero_germ = (germ.a, germ.b, depth)
 
-    # Kloosterman tail: closed form from the -1 germ, certified on deep shells
-    if kind == "split":
-        C = f.germ_m1.b / float(ctx.vol_Ox)
-    else:
-        C = 2 * f.germ_m1.b / (1 + 1 / q)
-    atom_bound = min(
-        (min(max(-n, -vc - 1) - 1, vc - 2 * n) if c != 0 else -n - 1
-         for (c, vc, n, w) in fd.atoms),
-        default=0,
-    )
+    # Kloosterman tail: the pure-tail constant of the -1 germ's transform,
+    # certified on deep shells
+    C = fd.g1.c_tail if fd.g1 is not None else 0j
+    atom_bound = min((_atom_support_bound(c, vc, n) for (c, vc, n, w) in fd.atoms),
+                     default=0)
     g0_bound = -(fd.g0.L + 2) if fd.g0 is not None else 0
     tail_val = min(atom_bound - 1, g0_bound, -2 * (fd.g1.L + 1) if fd.g1 else -4, -4)
     for v in (tail_val, tail_val - 2):
@@ -587,17 +588,7 @@ def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None,
         raise WindowError(
             f"certified window is ({tail_val}, {depth}); requested [{lo}, {hi}]"
         )
-    atoms = []
-    for v in range(lo, hi + 1):
-        stats: dict = {}
-        first = float(q) ** (-v) * _g_value(ctx, kind, fd, Fraction(ctx.p) ** v, stats)
-        level = out_level if out_level is not None else max(1, stats.get("xi_level", 1))
-        for u in _unit_reps(ctx, level):
-            x = Fraction(u) * Fraction(ctx.p) ** v
-            w = first if u == 1 else float(q) ** (-v) * _g_value(ctx, kind, fd, x)
-            if abs(w) > 1e-12:
-                atoms.append((x, v + level, w))
-    window = BruhatFn.from_atoms(ctx, "F", atoms)
+    window = _window(ctx, kind, fd, range(lo, hi + 1), weighted=True)
     return SWElem(ctx, kind, 0.0, window, zero_germ, tail)
 
 

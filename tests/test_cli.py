@@ -16,6 +16,13 @@ def test_usage_errors(tmp_path):
     assert run(["verify-fl", "--p", "3", "--ext", "weird"]) == 2
     assert run(["verify-fl", "--p", "3", "--val-window", "nope"]) == 2
     assert run(["verify-fl", "--p", "3", "--hecke", "x:y"]) == 2
+    assert run(["verify-fl", "--p", "3", "--hecke", "0:nan"]) == 2
+    assert run(["verify-fl", "--p", "3", "--hecke", "0:1,1:inf"]) == 2
+    for tol in ("nan", "inf", "-1", "0"):
+        assert run(["tables", "--p", "3", "--tolerance", tol]) == 2
+    # a tiny finite tolerance is valid: the run completes and its checks fail
+    assert run(["tables", "--p", "3", "--val-window", "0:0", "--tolerance", "1e-30",
+                "--out", str(tmp_path / "t.json")]) == 1
     assert run(["nonsense"]) == 2
 
 
@@ -70,6 +77,16 @@ def test_config_file_and_precedence(tmp_path):
     assert doc["config"]["ext"] == "inert"  # flag wins
     assert doc["config"]["samples"] == 2    # file value survives
     assert doc["config"]["seed"] == 4
+
+
+def test_config_file_unknown_keys(tmp_path):
+    """A misspelt or retired key is a usage error, not a silent default."""
+    for text in ("sampels=2\nval-windw=-1:1\n", "precision=40\n", "tolerance=nan\n"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run(["verify-matching", "--config", str(cfg),
+                    "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_fl_cli_smoke(tmp_path):
