@@ -18,6 +18,7 @@ import cmath
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -126,16 +127,20 @@ def parse_window(spec: str) -> tuple[int, int]:
 
 
 def read_config_file(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line {line!r}; expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line {line!r}; expected key=value")
+        key, val = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
@@ -180,6 +185,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--jobs must be >= 1")
     if cfg.samples < 1:
         raise UsageError("--samples must be >= 1")
+    # the report is written after the run: reject an unwritable path before it
+    if cfg.out and (os.path.isdir(cfg.out)
+                    or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
+        raise UsageError(f"--out {cfg.out!r}: not a file path in an existing directory")
     return cfg
 
 

@@ -47,8 +47,12 @@ from .spaces import (
     Germ,
     KLTail,
     SWElem,
+    SXElem,
     SZElem,
-    _fit_germ,
+    _certify,
+    _certify_kl_tail,
+    _deep_germ,
+    _sw_zero_germ,
     g_value_Z_to_W,
     g_transform_Z_to_W,
     ip_kuz as ip_kuz_elem,  # re-exported: perfbench/worker.py calls both
@@ -315,8 +319,8 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
     return total
 
 
-def nonsplit_germ_data(inp: BabyInput) -> tuple[Germ, int]:
-    """Germ C1 + C2*eta at 0 per the half-volume formulas, plus its level."""
+def nonsplit_germ_data(inp: BabyInput) -> Germ:
+    """Germ C1 + C2*eta at 0 per the half-volume formulas."""
     ctx = inp.ext.ctx
     volT = float(ctx.vol_T_inert())
     phi_at_0X = inp.phi0.eval((0, 0))
@@ -325,14 +329,19 @@ def nonsplit_germ_data(inp: BabyInput) -> tuple[Germ, int]:
     c2 = 0.5 * volT * (phi_at_0X - phi_at_0Xa)
     lvl = max(inp.phi0.canonicalize().max_level(),
               inp.phi_alpha.canonicalize().max_level(), 0)
-    onset = 2 * lvl + 2
-    return Germ(c1, c2, onset), onset
+    return Germ(c1, c2, 2 * lvl + 2)
 
 
 def baby_orbital(kind: str, data, xi) -> complex:
     if kind == "split":
         return o_baby_split(data, xi)
     return o_baby_nonsplit(data, xi)
+
+
+def _baby_germ(kind: str, data) -> Germ:
+    if kind == "split":
+        return split_germ_data(data)
+    return nonsplit_germ_data(data)
 
 
 def baby_support_floor(kind: str, data) -> int:
@@ -355,40 +364,26 @@ def baby_support_floor(kind: str, data) -> int:
     return min(floors)
 
 
-def sx_from_baby(data, kind: str) -> "SXElem":
+def sx_from_baby(data, kind: str) -> SXElem:
     """S(X) element (window + exact germ at 0) of the baby orbital of `data`."""
-    from .spaces import SXElem
-
-    if kind == "split":
-        ctx = data.ctx
-        germ = split_germ_data(data)
-    else:
-        ctx = data.ext.ctx
-        germ, _ = nonsplit_germ_data(data)
+    ctx = data.ctx if kind == "split" else data.ext.ctx
+    germ = _baby_germ(kind, data)
 
     def raw(xi):
         return baby_orbital(kind, data, xi)
 
     p = ctx.p
-    level = 2  # first unit level tried on each shell
+    level = _FIRST_LEVEL
     lo = max(-6, baby_support_floor(kind, data))
     atoms = []
     for v in range(lo, germ.level):
         start = max(level, baby_xi_level(kind, data, v))
-        vals, lvl = _shell_values(ctx, raw, Fraction(0), v, start)
-        for u, w in vals.items():
-            if abs(w) > 1e-12:
-                atoms.append((Fraction(u) * Fraction(p) ** v, v + lvl, w))
+        atoms += _shell_atoms(ctx, raw, Fraction(0), v, start)[0]
     out = SXElem(ctx, kind, BruhatFn.from_atoms(ctx, "F", atoms), germ)
     for x in (Fraction(1 + p ** level), Fraction(p) ** (germ.level + 1),
               2 * Fraction(p) ** germ.level, Fraction(1 + p ** level, p)):
-        got, want = out.eval(x), raw(x)
-        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-            raise RepresentationError(f"S(X) representation mismatch at {x}")
-    # support floor
-    for u in (1, p - 1):
-        if abs(raw(Fraction(u) * Fraction(p) ** (lo - 1))) > 1e-12:
-            raise RepresentationError("S(X) window floor too high")
+        _certify(out.eval(x), raw(x), 1e-9, f"S(X) representation mismatch at {x}")
+    _certify_floor(ctx, raw, lo)
     return out
 
 
@@ -410,6 +405,9 @@ def fourier_baby(data, kind: str):
 
 
 # --- S(Z) from the two charts ------------------------------------------------------
+
+
+_FIRST_LEVEL = 2  # first unit level tried on each shell of a baby or torus window
 
 
 def _shell_values(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
@@ -439,6 +437,24 @@ def _shell_values(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
     raise RepresentationError(f"shell at val {v} did not stabilize below level 9")
 
 
+def _shell_atoms(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
+                 start_level: int, skip=None):
+    """Window atoms of raw on the shell center + (units)*p^v, one per nonzero
+    coset at the level `_shell_values` certifies, and that level."""
+    vals, level = _shell_values(ctx, raw, center, v, start_level, skip)
+    unit = Fraction(ctx.p) ** v
+    atoms = [(center + Fraction(u) * unit, v + level, w)
+             for u, w in vals.items() if abs(w) > 1e-12]
+    return atoms, level
+
+
+def _certify_floor(ctx: LocalFieldCtx, raw, lo: int):
+    """Support certificate: raw vanishes on the shell below the window floor."""
+    for u in (1, ctx.p - 1):
+        if abs(raw(Fraction(u) * Fraction(ctx.p) ** (lo - 1))) > 1e-12:
+            raise RepresentationError("window floor too high; support leaked")
+
+
 def baby_xi_level(kind: str, data, v: int) -> int:
     """Exact local-constancy level in xi of the baby orbital at shell val = v.
 
@@ -461,7 +477,7 @@ def baby_xi_level(kind: str, data, v: int) -> int:
 
 
 def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
-                 lo: int, level: int, level_at=None) -> SZElem:
+                 lo: int, level_at=None) -> SZElem:
     """Window atoms on regions disjoint from both germ neighborhoods.
 
     Shell atoms at valuation v live at a per-shell certified level; the coset
@@ -478,23 +494,16 @@ def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
             # covered by the zeta-side atoms and the germ at -1 instead
             def skip(x, lvl):
                 return rational_valuation(x + 1, p) >= min(lvl, germ_m1.level)
-        start = level if level_at is None else level_at(v)
-        vals, lvl = _shell_values(ctx, raw, Fraction(0), v, start, skip=skip)
+        start = _FIRST_LEVEL if level_at is None else level_at(v)
+        shell, lvl = _shell_atoms(ctx, raw, Fraction(0), v, start, skip)
+        atoms += shell
         if v == 0:
             zeta_cut = min(lvl, germ_m1.level)
-        for u, w in vals.items():
-            x = Fraction(u) * Fraction(p) ** v
-            if abs(w) > 1e-12:
-                atoms.append((x, v + lvl, w))
     for vz in range(zeta_cut, germ_m1.level):
-        start = level if level_at is None else level_at(0)
-        vals, lvl = _shell_values(ctx, raw, Fraction(-1), vz, start)
-        for u, w in vals.items():
-            if abs(w) > 1e-12:
-                atoms.append((Fraction(-1) + Fraction(u) * Fraction(p) ** vz,
-                              vz + lvl, w))
+        start = _FIRST_LEVEL if level_at is None else level_at(0)
+        atoms += _shell_atoms(ctx, raw, Fraction(-1), vz, start)[0]
     out = SZElem(ctx, kind, BruhatFn.from_atoms(ctx, "F", atoms), germ0, germ_m1)
-    _certify_sz(out, raw, level, lo)
+    _certify_sz(out, raw, lo)
     return out
 
 
@@ -503,15 +512,9 @@ def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
 
     phi1 carries the germ at -1 (the diagonal chart), phi2 the germ at 0.
     """
-    if kind == "split":
-        ctx = phi1.ctx
-        g0 = split_germ_data(phi2)
-        g1 = split_germ_data(phi1)
-    else:
-        ctx = phi1.ext.ctx
-        g0, _ = nonsplit_germ_data(phi2)
-        g1, _ = nonsplit_germ_data(phi1)
-    level = 2  # first unit level tried on each shell
+    ctx = phi1.ctx if kind == "split" else phi1.ext.ctx
+    g0 = _baby_germ(kind, phi2)
+    g1 = _baby_germ(kind, phi1)
     lo = max(-6, min(baby_support_floor(kind, phi2),
                      baby_support_floor(kind, phi1)) - 1)
     depth0 = g0.level
@@ -535,15 +538,15 @@ def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
     def level_at(v: int) -> int:
         # both chart terms contribute structure: valuations vξ = v, v(1+ξ)
         vz = min(v, 0) if v != 0 else 0
-        return max(level, baby_xi_level(kind, phi2, v), baby_xi_level(kind, phi1, vz))
+        return max(_FIRST_LEVEL, baby_xi_level(kind, phi2, v),
+                   baby_xi_level(kind, phi1, vz))
 
-    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, level,
-                        level_at=level_at)
+    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, level_at)
 
 
-def _certify_sz(f: SZElem, raw, level: int, lo: int):
-    ctx = f.ctx
-    p = ctx.p
+def _certify_sz(f: SZElem, raw, lo: int):
+    p = f.ctx.p
+    level = _FIRST_LEVEL
     z0, g0 = f.germ_m1.level, f.germ0.level
     probes = [Fraction(1 + p ** level) * Fraction(p) ** v for v in (-1, 0, 1)]
     probes += [Fraction(p) ** (g0 + 1), 2 * Fraction(p) ** g0,
@@ -554,17 +557,9 @@ def _certify_sz(f: SZElem, raw, level: int, lo: int):
                Fraction(-1) + Fraction(p) ** level,
                Fraction(2 * p ** level - 1)]
     for x in probes:
-        if x == 0 or x == -1:
-            continue
-        got, want = f.eval(x), raw(x)
-        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-            raise RepresentationError(
-                f"S(Z) representation mismatch at {x}: {got} vs {want}")
-    # support floor certificate
-    for u in (1, p - 1):
-        x = Fraction(u) * Fraction(p) ** (lo - 1)
-        if abs(raw(x)) > 1e-12:
-            raise RepresentationError("window floor too high; support leaked")
+        if x != 0 and x != -1:
+            _certify(f.eval(x), raw(x), 1e-9, f"S(Z) representation mismatch at {x}")
+    _certify_floor(f.ctx, raw, lo)
 
 
 # --- torus-quotient invariant and group-level orbitals -----------------------------
@@ -597,7 +592,10 @@ def inert_fiber_is_trivial(ext: QuadExt, xi: Fraction) -> bool:
     return (rational_valuation(xi, p) + rational_valuation(1 + xi, p)) % 2 == 0
 
 
-def inert_rep_for(ext: QuadExt, xi: Fraction, prec: int = 28) -> GroupElt:
+_INERT_REP_PREC = 28  # p-adic digits of the Hensel square roots in inert_rep_for
+
+
+def inert_rep_for(ext: QuadExt, xi: Fraction) -> GroupElt:
     """F-rational g = [[1,0],[gam,del]] with inert invariant xi (trivial fiber).
 
     Solves (del-1)^2 - u gam^2 = -4 del (1+xi) by a certified square search
@@ -620,14 +618,14 @@ def inert_rep_for(ext: QuadExt, xi: Fraction, prec: int = 28) -> GroupElt:
         if disc == 0:
             continue
         if is_rational_square(ctx, disc):
-            root = padic_sqrt(ctx, disc, prec).to_fraction_approx()
+            root = padic_sqrt(ctx, disc, _INERT_REP_PREC).to_fraction_approx()
             for sgn in (1, -1):
                 dl = -(1 + 2 * xi) + sgn * root
                 if dl == 0:
                     continue
                 g = GroupElt.of(ctx, 1, 0, gam, dl)
                 got = torus_pair_invariant(g, ext)
-                if rational_valuation(got - xi, ctx.p) >= prec - 8:
+                if rational_valuation(got - xi, ctx.p) >= _INERT_REP_PREC - 8:
                     return g
     raise RepresentationError(f"no representative found for xi={xi}")
 
@@ -803,8 +801,10 @@ def basic_fW0(ctx: LocalFieldCtx, kind: str, s: complex = 0.0):
     return value
 
 
-def fW_series_value(ctx: LocalFieldCtx, kind: str, s: complex, xi,
-                    tol: float = 1e-14) -> complex:
+_SERIES_TOL = 1e-14  # stabilization tolerance of fW_series_value
+
+
+def fW_series_value(ctx: LocalFieldCtx, kind: str, s: complex, xi) -> complex:
     """Truncated-series oracle: sum_m c(m,s) O_closed(m, xi), stabilized.
 
     Per the case table at most the terms m = val(xi), val(xi)+2 and m = 0
@@ -823,7 +823,7 @@ def fW_series_value(ctx: LocalFieldCtx, kind: str, s: complex, xi,
     for m in range(n_max + 1):
         total += cs[m] * o_kuz_closed(ctx, m, xi)
         if m >= max(v + 2, 0):
-            if prev is not None and abs(total - prev) > tol:
+            if prev is not None and abs(total - prev) > _SERIES_TOL:
                 raise RepresentationError("series failed to stabilize")
             prev = total
     return total
@@ -885,41 +885,24 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     value = hecke_apply_W(ctx, kind, h, s)
     q = ctx.q
     depth = h.max_degree() + 3
-    weighted = {}
-    for v in range(depth, depth + 4):
-        weighted[v] = value(Fraction(ctx.p) ** v) * q ** (v * (s + 1))
-    germ = _fit_germ(ctx, kind, weighted)
-    if kind == "split":
-        zero_germ = (germ.b, germ.a, depth)
-    else:
-        zero_germ = (germ.a, germ.b, depth)
+    germ = _deep_germ(kind, lambda v: value(Fraction(ctx.p) ** v) * q ** (v * (s + 1)),
+                      depth)
     C = hecke_apply_W_tail(ctx, kind, h, s)
     tail_val = -(h.max_degree() + 3)
     tail_val -= tail_val % 2  # start the certified tail on an even shell
-    for v in (tail_val, tail_val - 2):
-        for u in (1, 2):
-            xi = Fraction(u) * Fraction(ctx.p) ** v
-            want = C * kloosterman_germ(ctx, xi)
-            got = value(xi)
-            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-                raise RepresentationError("Kloosterman tail fit failed")
+    _certify_kl_tail(ctx, value, C, (tail_val, tail_val - 2), (1, 2), 1e-9)
     lo = max(-6, tail_val + 1)
     hi = min(4, depth - 1)
     atoms = []
     for v in range(lo, hi + 1):
         level = max(1, (-v + 1) // 2 + 1)  # KL unit-dependence depth on the shell
-        for u in unit_reps(ctx.p, level):
-            xi = Fraction(u) * Fraction(ctx.p) ** v
-            w = value(xi)
-            if abs(w) > 1e-12:
-                atoms.append((xi, v + level, w))
+        atoms += _shell_atoms(ctx, value, Fraction(0), v, level)[0]
     out = SWElem(ctx, kind, s, BruhatFn.from_atoms(ctx, "F", atoms),
-                 zero_germ, KLTail(C, -tail_val))
+                 _sw_zero_germ(kind, germ), KLTail(C, -tail_val))
     for xi in (Fraction(1 + ctx.p), Fraction(ctx.p) ** (depth + 1),
                Fraction(2) * Fraction(ctx.p) ** (tail_val - 4)):
-        got, want = out.eval(xi), value(xi)
-        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-            raise RepresentationError("assembled SWElem disagrees with the evaluator")
+        _certify(out.eval(xi), value(xi), 1e-9,
+                 f"assembled SWElem disagrees with the evaluator at {xi}")
     return out
 
 
@@ -950,21 +933,14 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     def raw(xi) -> complex:
         return o_torus_group(ctx, desc, xi)
 
-    probes0 = {}
-    probes1 = {}
-    for j in range(depth, depth + 4):
-        probes0[j] = raw(Fraction(ctx.p) ** j)
-        probes1[j] = raw(Fraction(-1) + Fraction(ctx.p) ** j)
-    germ0 = _fit_germ(ctx, kind, probes0)
-    germ_m1 = _fit_germ(ctx, kind, probes1)
+    germ0 = _deep_germ(kind, lambda j: raw(Fraction(ctx.p) ** j), depth)
+    germ_m1 = _deep_germ(kind, lambda j: raw(Fraction(-1) + Fraction(ctx.p) ** j), depth)
     # unit-independence certificates at the germ depth
-    chk0 = raw(2 * Fraction(ctx.p) ** depth)
-    chk1 = raw(Fraction(-1) + 2 * Fraction(ctx.p) ** depth)
-    if abs(chk0 - germ0.eval(kind, depth)) > 1e-9 * max(1.0, abs(chk0)):
-        raise RepresentationError("germ at 0 not unit-independent at fitted depth")
-    if abs(chk1 - germ_m1.eval(kind, depth)) > 1e-9 * max(1.0, abs(chk1)):
-        raise RepresentationError("germ at -1 not unit-independent at fitted depth")
-    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, level=2)
+    _certify(germ0.eval(kind, depth), raw(2 * Fraction(ctx.p) ** depth), 1e-9,
+             "germ at 0 not unit-independent at fitted depth")
+    _certify(germ_m1.eval(kind, depth), raw(Fraction(-1) + 2 * Fraction(ctx.p) ** depth),
+             1e-9, "germ at -1 not unit-independent at fitted depth")
+    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo)
 
 
 # --- inner products and gamma-star ------------------------------------------------

@@ -32,7 +32,6 @@ from .bruhat import Atom, BruhatFn, MellinCharacter, mellin_component
 from .localfield import (
     INF,
     LocalFieldCtx,
-    PadicScalar,
     QuadExt,
     exact_fraction,
     rational_valuation,
@@ -54,9 +53,7 @@ def _frac_unit_key(x: Fraction, p: int, v: int, m: int) -> int:
 
 
 def _val_and_unit_key(ctx: LocalFieldCtx, x, m: int) -> tuple[int, int]:
-    """(valuation, unit residue mod p^m) of a nonzero exact scalar."""
-    if isinstance(x, PadicScalar):
-        return x.valuation(), x.unit_residue(m) if m > 0 else 0
+    """(valuation, unit residue mod p^m) of a nonzero rational."""
     xf = Fraction(x)
     v = rational_valuation(xf, ctx.p)
     if v >= INF:
@@ -68,10 +65,7 @@ def _val_and_unit_key(ctx: LocalFieldCtx, x, m: int) -> tuple[int, int]:
 
 def shell_psi_integral(ctx: LocalFieldCtx, a, k: int) -> float:
     """S(a, k) = int_{|y|=q^k} psi(a y) dy; depends on a through val(a) only."""
-    if isinstance(a, PadicScalar):
-        va = a.valuation() if not a.is_exact_zero() else INF
-    else:
-        va = rational_valuation(Fraction(a), ctx.p)
+    va = rational_valuation(a, ctx.p)
     q = ctx.q
     out = 0.0
     if va >= k:
@@ -105,16 +99,8 @@ def oscillatory_shell_integral(ctx: LocalFieldCtx, a, b, k: int,
     A = a pi^{-k}, B = b pi^{k} are the scaled parameters on the unit shell.
     """
     p, q = ctx.p, ctx.q
-    if isinstance(a, PadicScalar) and a.is_exact_zero():
-        va = INF
-    else:
-        va = (a.valuation() if isinstance(a, PadicScalar)
-              else rational_valuation(Fraction(a), p))
-    if isinstance(b, PadicScalar) and b.is_exact_zero():
-        vb = INF
-    else:
-        vb = (b.valuation() if isinstance(b, PadicScalar)
-              else rational_valuation(Fraction(b), p))
+    va = rational_valuation(a, p)
+    vb = rational_valuation(b, p)
     tw = -1.0 if (twist == "eta" and k % 2) else 1.0
     vA = (va - k) if va < INF else INF
     vB = (vb + k) if vb < INF else INF
@@ -200,6 +186,12 @@ def _germ_transform(ctx: LocalFieldCtx, kind: str, g: Germ) -> _GermTransform:
 def _check_kind(kind: str):
     if kind not in ("split", "inert"):
         raise KindError(f"kind must be split or inert, got {kind!r}")
+
+
+def _certify(got: complex, want: complex, tol: float, what: str):
+    """The probe certificate |got - want| <= tol * max(1, |want|)."""
+    if abs(got - want) > tol * max(1.0, abs(want)):
+        raise RepresentationError(f"{what}: {got} vs {want}")
 
 
 @dataclass(frozen=True)
@@ -300,6 +292,23 @@ class SWElem:
         if v <= -self.inf_tail.M:
             out += self.inf_tail.C * kloosterman_germ(self.ctx, xi)
         return out
+
+
+def _sw_zero_germ(kind: str, germ: Germ) -> tuple[complex, complex, int]:
+    """SWElem.zero_germ (c1, c2, level) of the fitted germ of |.|^{-s-1} f."""
+    if kind == "split":
+        return germ.b, germ.a, germ.level
+    return germ.a, germ.b, germ.level
+
+
+def _certify_kl_tail(ctx: LocalFieldCtx, value, C: complex, shells, units,
+                     tol: float):
+    """value(xi) == C * KL(xi) on the given tail shells and units."""
+    for v in shells:
+        for u in units:
+            xi = Fraction(u) * Fraction(ctx.p) ** v
+            _certify(value(xi), C * kloosterman_germ(ctx, xi), tol,
+                     f"Kloosterman tail mismatch at {xi}")
 
 
 def kloosterman_germ(ctx: LocalFieldCtx, xi) -> complex:
@@ -469,8 +478,7 @@ def _germ_depth(fd: _FData) -> int:
     return depth
 
 
-def _fit_germ(ctx: LocalFieldCtx, kind: str, values: dict[int, complex],
-              tol: float = 1e-9) -> Germ:
+def _fit_germ(kind: str, values: dict[int, complex]) -> Germ:
     """Fit a + b*val (split) or a + b*eta (inert) to exact deep-shell values."""
     vs = sorted(values)
     if len(vs) < 4:
@@ -489,11 +497,16 @@ def _fit_germ(ctx: LocalFieldCtx, kind: str, values: dict[int, complex],
     scale = max(1.0, max(abs(x) for x in values.values()))
     for v in vs[2:]:
         pred = g.eval(kind, v)
-        if abs(pred - values[v]) > tol * scale:
+        if abs(pred - values[v]) > 1e-9 * scale:
             raise RepresentationError(
                 f"germ fit residual {abs(pred - values[v]):.2e} at val={v}"
             )
     return g
+
+
+def _deep_germ(kind: str, shell_value, depth: int) -> Germ:
+    """Germ on val >= depth fitted to shell_value(v) on the shells depth..depth+3."""
+    return _fit_germ(kind, {v: shell_value(v) for v in range(depth, depth + 4)})
 
 
 def _window(ctx: LocalFieldCtx, kind: str, fd: _FData, shells: range,
@@ -523,25 +536,21 @@ def g_transform_SX(f: SXElem) -> SXElem:
     vmin = _support_bound(fd)
     depth = _germ_depth(fd)
 
-    # germ fit on four deep shells at two different units (constancy check)
-    vals = {}
-    for v in range(depth, depth + 4):
+    def shell_value(v: int) -> complex:
+        # the germ region is unit-independent: units 1 and 2 agree on each shell
         x1 = _g_value(ctx, kind, fd, Fraction(ctx.p) ** v)
-        x2 = _g_value(ctx, kind, fd, 2 * Fraction(ctx.p) ** v)
-        if abs(x1 - x2) > 1e-9 * max(1.0, abs(x1)):
-            raise RepresentationError("germ region not unit-independent; depth bug")
-        vals[v] = x1
-    germ = _fit_germ(ctx, kind, vals)
+        _certify(_g_value(ctx, kind, fd, 2 * Fraction(ctx.p) ** v), x1, 1e-9,
+                 "germ region not unit-independent; depth bug")
+        return x1
 
+    germ = _deep_germ(kind, shell_value, depth)
     window = _window(ctx, kind, fd, range(vmin, depth), weighted=False)
-    out = SXElem(ctx, kind, window, Germ(germ.a, germ.b, depth))
+    out = SXElem(ctx, kind, window, germ)
     # representation guard: window+germ reproduces the engine at sample points
     for v in (vmin, depth - 1, depth + 1):
         x = Fraction(ctx.p) ** v
-        got = out.eval(x)
-        want = _g_value(ctx, kind, fd, x)
-        if abs(got - want) > 1e-8 * max(1.0, abs(want)):
-            raise RepresentationError("assembled S(X) element disagrees with the engine")
+        _certify(out.eval(x), _g_value(ctx, kind, fd, x), 1e-8,
+                 f"assembled S(X) element disagrees with the engine at {x}")
     return out
 
 
@@ -558,14 +567,11 @@ def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None) ->
     q = ctx.q
 
     depth = _germ_depth(fd)
-    vals = {}
-    for v in range(depth, depth + 4):
-        vals[v] = _g_value(ctx, kind, fd, Fraction(ctx.p) ** v)
-    germ = _fit_germ(ctx, kind, vals)  # germ of G f (before the |xi| factor)
-    if kind == "split":
-        zero_germ = (germ.b, germ.a, depth)
-    else:
-        zero_germ = (germ.a, germ.b, depth)
+    # germ of G f (before the |xi| factor)
+    germ = _deep_germ(kind, lambda v: _g_value(ctx, kind, fd, Fraction(ctx.p) ** v), depth)
+
+    def abs_g_value(xi: Fraction) -> complex:  # (|.|G f)(xi)
+        return float(q) ** (-rational_valuation(xi, ctx.p)) * _g_value(ctx, kind, fd, xi)
 
     # Kloosterman tail: the pure-tail constant of the -1 germ's transform,
     # certified on deep shells
@@ -574,12 +580,7 @@ def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None) ->
                      default=0)
     g0_bound = -(fd.g0.L + 2) if fd.g0 is not None else 0
     tail_val = min(atom_bound - 1, g0_bound, -2 * (fd.g1.L + 1) if fd.g1 else -4, -4)
-    for v in (tail_val, tail_val - 2):
-        xi = Fraction(1, ctx.p ** (-v))
-        got = float(q) ** (-v) * _g_value(ctx, kind, fd, xi)
-        want = C * kloosterman_germ(ctx, xi) if v % 2 == 0 else 0j
-        if abs(got - want) > 1e-8 * max(1.0, abs(want)):
-            raise RepresentationError("Kloosterman tail mismatch; normalization bug")
+    _certify_kl_tail(ctx, abs_g_value, C, (tail_val, tail_val - 2), (1,), 1e-8)
     tail = KLTail(C, -tail_val)
 
     # window on the requested valuation range
@@ -589,7 +590,7 @@ def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None) ->
             f"certified window is ({tail_val}, {depth}); requested [{lo}, {hi}]"
         )
     window = _window(ctx, kind, fd, range(lo, hi + 1), weighted=True)
-    return SWElem(ctx, kind, 0.0, window, zero_germ, tail)
+    return SWElem(ctx, kind, 0.0, window, _sw_zero_germ(kind, germ), tail)
 
 
 def g_value_Z_to_W(f: SZElem, xi) -> complex:

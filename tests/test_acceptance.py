@@ -123,7 +123,7 @@ def test_criterion_3_baby_germs():
         worst = max(worst, abs(b_fit - germ.b), abs(a_fit - germ.a))
     for _ in range(50):
         inp = random_baby_data(ctx, "inert", rng)
-        germ, _ = nonsplit_germ_data(inp)
+        germ = nonsplit_germ_data(inp)
         j = germ.level + 2 - germ.level % 2  # even probe
         ve = o_baby_nonsplit(inp, Fraction(3) ** j)
         vo = o_baby_nonsplit(inp, Fraction(3) ** (j + 1))

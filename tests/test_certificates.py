@@ -1,0 +1,65 @@
+"""Each certificate shared by the S(X), S(Z) and S(W) builders fails on a wrong input.
+
+The builders in padicorb.orbital and padicorb.spaces assemble every window+germ
+representation through the same sampler, germ fit and checks; a certificate
+that cannot fail certifies nothing, so each one is fed a deliberately wrong
+input here, next to one it accepts.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from padicorb.errors import RepresentationError
+from padicorb.localfield import rational_valuation
+from padicorb.orbital import _certify_floor, _shell_atoms
+from padicorb.spaces import Germ, _certify, _certify_kl_tail, _deep_germ, kloosterman_germ
+
+
+def test_germ_fit_rejects_an_off_line_shell():
+    assert _deep_germ("split", lambda v: 1.0 + 2.0 * v, 5) == Germ(1.0, 2.0, 5)
+    assert _deep_germ("inert", lambda v: 3.0 + (-1.0) ** v, 5) == Germ(3.0, 1.0, 5)
+    # the first two shells fix the line; the third (val 7) lies off it
+    with pytest.raises(RepresentationError, match="germ fit residual"):
+        _deep_germ("split", lambda v: 1.0 + 2.0 * v + (1e-3 if v == 7 else 0.0), 5)
+    with pytest.raises(RepresentationError, match="germ fit residual"):
+        _deep_germ("inert", lambda v: 3.0 + (-1.0) ** v + (1e-3 if v == 7 else 0.0), 5)
+
+
+def test_sampler_rejects_a_function_constant_at_no_level(ctx3):
+    # constant on the cosets u + 27Z: certified at level 3, one atom per unit
+    atoms, level = _shell_atoms(ctx3, lambda x: float(x.numerator % 27), Fraction(0), 0, 1)
+    assert level == 3 and len(atoms) == 18
+    # depends on the unit mod 3^10: no level up to 9 passes the child check
+    with pytest.raises(RepresentationError, match="did not stabilize"):
+        _shell_atoms(ctx3, lambda x: float(x.numerator % 3 ** 10), Fraction(0), 0, 1)
+
+
+def test_kloosterman_tail_rejects_a_wrong_constant(ctx3):
+    C = 0.75 + 0.25j
+
+    def value(xi):
+        return C * kloosterman_germ(ctx3, xi)
+
+    assert abs(kloosterman_germ(ctx3, Fraction(2, 81))) > 1  # the unit-2 probe
+    _certify_kl_tail(ctx3, value, C, (-4, -6), (1, 2), 1e-9)
+    with pytest.raises(RepresentationError, match="Kloosterman tail mismatch"):
+        _certify_kl_tail(ctx3, value, 1.01 * C, (-4, -6), (1, 2), 1e-9)
+
+
+def test_probe_certificate_is_relative():
+    _certify(1e6 + 1e-4, 1e6, 1e-9, "probe")  # 1e-4 <= 1e-9 * 1e6
+    _certify(1e-10, 0.0, 1e-9, "probe")  # absolute below |want| = 1
+    with pytest.raises(RepresentationError, match="probe"):
+        _certify(1e6 + 1e-2, 1e6, 1e-9, "probe")
+    with pytest.raises(RepresentationError, match="probe"):
+        _certify(1.0 + 1e-8, 1.0, 1e-9, "probe")
+
+
+def test_support_floor_rejects_leaked_support(ctx3):
+    def raw(xi):
+        return 1.0 if rational_valuation(xi, 3) >= -3 else 0.0
+
+    _certify_floor(ctx3, raw, -3)  # the shell below, val -4, is empty
+    with pytest.raises(RepresentationError, match="support leaked"):
+        _certify_floor(ctx3, raw, -2)  # val -3 still carries support

@@ -89,6 +89,29 @@ def test_config_file_unknown_keys(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_config_file_unreadable(tmp_path):
+    """A config path that cannot be read as text is a usage error."""
+    garbled = tmp_path / "garbled.cfg"
+    garbled.write_bytes(b"\xff\xfe\n")
+    for path in (tmp_path / "missing.cfg", garbled, tmp_path):
+        assert run(["tables", "--p", "3", "--config", str(path),
+                    "--out", str(tmp_path / "t.json")]) == 2
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_out_path_checked_before_any_run(tmp_path, monkeypatch):
+    """An --out path whose directory is missing, or that is a directory, is
+    rejected before the verification starts."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("verify_fl ran before --out was checked")
+
+    monkeypatch.setattr("padicorb.cli.verify_fl", no_run)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert run(["verify-fl", "--p", "3", "--out", str(out)]) == 2
+    assert run(["tables", "--p", "3", "--out", str(tmp_path / "nodir" / "x.json")]) == 2
+    assert not (tmp_path / "missing").exists()
+
+
 def test_verify_fl_cli_smoke(tmp_path):
     out = tmp_path / "fl.json"
     code = run(["verify-fl", "--p", "3", "--ext", "inert", "--hecke", "1:1",

@@ -97,11 +97,11 @@ def test_nonsplit_germ_signs(ctx3, ext3i):
     q = 3
     one = BruhatFn.indicator_ball(ctx3, "E", (0, 0), 0)
     zero = BruhatFn.zero(ctx3, "E")
-    g_triv, _ = nonsplit_germ_data(BabyInput(ext3i, one, zero))
+    g_triv = nonsplit_germ_data(BabyInput(ext3i, one, zero))
     volT = 1 + 1 / q
     assert abs(g_triv.a - volT / 2) < 1e-12
     assert abs(g_triv.b - volT / 2) < 1e-12
-    g_alpha, _ = nonsplit_germ_data(BabyInput(ext3i, zero, one))
+    g_alpha = nonsplit_germ_data(BabyInput(ext3i, zero, one))
     assert abs(g_alpha.a - volT / 2) < 1e-12
     assert abs(g_alpha.b + volT / 2) < 1e-12  # kappa_0 component flips sign
 
