@@ -11,10 +11,18 @@ function rather than from a hard-coded formula.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import DomainError, KindError, PrecisionError, UnsupportedAtomError
+from .errors import (
+    DomainError,
+    KindError,
+    PrecisionError,
+    RepresentationError,
+    UnsupportedAtomError,
+)
 from .localfield import (
     LocalFieldCtx,
     PadicScalar,
@@ -27,6 +35,10 @@ Point = tuple[Fraction, ...]
 
 _DOMAIN_DIM = {"F": 1, "F2": 2, "E": 2, "Ealpha": 2}
 
+# Most cosets a canonical form may be refined into, counted before any is built:
+# about 100 times the 98,414 that the test suite reaches.
+_MAX_REFINEMENT = 10 ** 7
+
 
 def _as_point(x, dim: int) -> Point:
     if isinstance(x, (tuple, list)):
@@ -36,6 +48,13 @@ def _as_point(x, dim: int) -> Point:
     if dim != 1:
         raise DomainError("scalar point given for a 2-dimensional domain")
     return (Fraction(x),)
+
+
+def _as_level(n) -> int:
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"atom level {n!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -71,7 +90,8 @@ class BruhatFn:
     def from_atoms(ctx, domain, triples, torsor_scale=None) -> "BruhatFn":
         dim = _DOMAIN_DIM[domain]
         atoms = tuple(
-            Atom(_as_point(c, dim), int(n), complex(w)) for (c, n, w) in triples if complex(w) != 0
+            Atom(_as_point(c, dim), _as_level(n), complex(w))
+            for (c, n, w) in triples if complex(w) != 0
         )
         return BruhatFn(ctx, domain, atoms,
                         torsor_scale=Fraction(torsor_scale) if torsor_scale is not None else None)
@@ -132,73 +152,93 @@ class BruhatFn:
         return _as_point(x, self.dim)
 
     def canonicalize(self) -> "BruhatFn":
-        if self.canonical or not self.atoms:
-            return BruhatFn(self.ctx, self.domain, self.atoms, True, self.torsor_scale)
+        return self._canonical_form
+
+    @cached_property
+    def _canonical_form(self) -> "BruhatFn":
+        if self.canonical:
+            return self
         p = self.ctx.p
-        level = max(a.level for a in self.atoms)
+        level = max((a.level for a in self.atoms), default=0)
+        cosets = sum(p ** (self.dim * (level - a.level)) for a in self.atoms)
+        if cosets > _MAX_REFINEMENT:
+            raise RepresentationError(
+                f"canonical form needs {cosets} cosets at level {level}, "
+                f"past the limit {_MAX_REFINEMENT}")
         acc: dict[tuple, complex] = {}
         for a in self.atoms:
-            split = level - a.level
-            shifts = range(p ** split)
-            for combo in itertools.product(shifts, repeat=self.dim):
-                center = tuple(
-                    c + Fraction(s * p ** a.level) for c, s in zip(a.center, combo)
-                )
-                key = tuple(_coset_key(c, level, p) for c in center)
+            step = Fraction(p) ** a.level
+            for combo in itertools.product(range(p ** (level - a.level)), repeat=self.dim):
+                key = tuple(_coset_key(c + s * step, level, p)
+                            for c, s in zip(a.center, combo))
                 acc[key] = acc.get(key, 0j) + a.coef
-        atoms = tuple(
-            Atom(tuple(Fraction(n, d) for (n, d) in key), level, w)
-            for key, w in sorted(acc.items(), key=lambda kv: str(kv[0]))
-            if abs(w) > 1e-14
-        )
-        return BruhatFn(self.ctx, self.domain, atoms, True, self.torsor_scale)
+        kept = sorted(((tuple(_key_center(k, p) for k in key), key, w)
+                       for key, w in acc.items() if abs(w) > 1e-14),
+                      key=lambda t: str(tuple((c.numerator, c.denominator) for c in t[0])))
+        out = BruhatFn(self.ctx, self.domain,
+                       tuple(Atom(center, level, w) for center, _, w in kept),
+                       True, self.torsor_scale)
+        out.__dict__["coset_table"] = {key: w for _, key, w in kept}  # seeds the memo
+        return out
 
-    def support_radius(self) -> int:
-        """Smallest R with supp f inside p^-R * o^d (valuation >= -R)."""
-        r = 0
-        for a in self.atoms:
-            for c in a.center:
-                v = rational_valuation(c, self.ctx.p)
-                r = max(r, -min(v, a.level))
-        return r
+    @cached_property
+    def level(self) -> int:
+        """Common level of the canonical form (0 for the zero function)."""
+        return max((a.level for a in self.canonicalize().atoms), default=0)
 
-    def max_level(self) -> int:
-        return max((a.level for a in self.atoms), default=0)
+    @cached_property
+    def coset_table(self) -> dict[tuple[tuple[int, int], ...], complex]:
+        """Canonical coefficients keyed by the `_coset_key` of each coset at
+        `level`, in the order of the canonical atoms."""
+        fc = self.canonicalize()
+        if fc is not self:
+            return fc.coset_table
+        p, level = self.ctx.p, self.level
+        return {tuple(_coset_key(c, level, p) for c in a.center): a.coef for a in self.atoms}
+
+    @cached_property
+    def axis_radii(self) -> tuple[int, ...]:
+        """Per coordinate, the smallest R_i >= 0 with supp f inside the product
+        of the p^-R_i * o, read off the coset keys; the largest is the support
+        radius."""
+        return tuple(max([0] + [-key[i][0] for key in self.coset_table])
+                     for i in range(self.dim))
 
     def make_evaluator(self):
-        """O(1)-per-point evaluator: canonical coset-key dictionary lookup."""
-        fc = self.canonicalize()
-        if fc.is_zero():
+        """O(1)-per-point evaluator: lookup in the coset table."""
+        table = self.coset_table
+        if not table:
             return lambda x: 0j
-        level = fc.max_level()
-        p = self.ctx.p
-        table = {tuple(_coset_key(c, level, p) for c in a.center): a.coef
-                 for a in fc.atoms}
-        dim = self.dim
+        level, p, dim = self.level, self.ctx.p, self.dim
 
         def ev(x) -> complex:
             pt = x if isinstance(x, tuple) else (x,)
             if len(pt) != dim:
                 raise DomainError("point dimension mismatch")
-            key = tuple(_coset_key(Fraction(c), level, p) for c in pt)
-            return table.get(key, 0j)
+            return table.get(tuple(_coset_key(Fraction(c), level, p) for c in pt), 0j)
 
         return ev
 
 
 def _coset_key(c: Fraction, level: int, p: int) -> tuple[int, int]:
-    """Canonical representative of c + p^level*o as a reduced fraction pair."""
+    """Key of the coset c + p^level*o: (val c, unit of c mod p^(level - val c))
+    when val c < level, else (level, 0)."""
     v = rational_valuation(c, p)
     if v >= level:
-        return (0, 1)
-    # write c = m / p^k with m int, k >= 0 (prime-to-p denominator inverted)
-    k = max(0, -v)
-    scaled = c * p ** k
-    den = scaled.denominator  # coprime to p
-    m_mod = p ** (level + k)
-    m = scaled.numerator * pow(den, -1, m_mod) % m_mod
-    red = Fraction(m, p ** k)
-    return (red.numerator, red.denominator)
+        return (level, 0)
+    num, den = c.numerator, c.denominator
+    if v > 0:
+        num //= p ** v
+    elif v < 0:
+        den //= p ** -v
+    mod = p ** (level - v)
+    return (v, num * pow(den, -1, mod) % mod)
+
+
+def _key_center(key: tuple[int, int], p: int) -> Fraction:
+    """The center res * p^v of the coset with `_coset_key` (v, res)."""
+    v, res = key
+    return Fraction(res * p ** v) if v >= 0 else Fraction(res, p ** -v)
 
 
 # --- Fourier transforms -----------------------------------------------------------
@@ -258,7 +298,7 @@ def _fourier_nd(f: BruhatFn, scales: tuple[Fraction, ...]) -> BruhatFn:
     p = ctx.p
     if f.is_zero():
         return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
-    n = f.max_level()
+    n = f.level
     out_level = -n
     for a in f.atoms:
         for c, s in zip(a.center, scales):
@@ -313,39 +353,35 @@ def negate_argument(f: BruhatFn) -> BruhatFn:
 
 
 def inner_product(f: BruhatFn, g: BruhatFn) -> complex:
-    """Bilinear int f*g dx (no conjugation), both canonicalized to a common level."""
+    """Bilinear int f*g dx (no conjugation), both refined to a common level."""
     if f.domain != g.domain:
         raise DomainError("inner product needs a common domain")
-    fc, gc = f.canonicalize(), g.canonicalize()
-    if fc.is_zero() or gc.is_zero():
+    if not f.coset_table or not g.coset_table:
         return 0j
-    level = max(fc.max_level(), gc.max_level())
-    p = f.ctx.p
+    level = max(f.level, g.level)
+    gmap = _table_at(g, level)
+    vol = float(Fraction(f.ctx.q) ** (-level * f.dim))
     total = 0j
-    # brute but exact: refine both to the common level
-    fb = _refine_to_level(fc, level)
-    gb = _refine_to_level(gc, level)
-    gmap = {tuple(_coset_key(c, level, p) for c in b.center): b.coef for b in gb.atoms}
-    vol = float(Fraction(f.ctx.q) ** (-level * fc.dim))
-    for a in fb.atoms:
-        key = tuple(_coset_key(c, level, p) for c in a.center)
+    for key, coef in _table_at(f, level).items():
         if key in gmap:
-            total += a.coef * gmap[key] * vol
+            total += coef * gmap[key] * vol
     return total
 
 
 def integral(f: BruhatFn) -> complex:
     fc = f.canonicalize()
-    vol = float(Fraction(f.ctx.q) ** (-fc.max_level() * fc.dim)) if fc.atoms else 0.0
+    vol = float(Fraction(f.ctx.q) ** (-f.level * fc.dim)) if fc.atoms else 0.0
     return sum((a.coef for a in fc.atoms), 0j) * vol
 
 
-def _refine_to_level(f: BruhatFn, level: int) -> BruhatFn:
-    if f.max_level() == level or f.is_zero():
-        return f
-    forced = BruhatFn(f.ctx, f.domain, f.atoms + (Atom(tuple([Fraction(0)] * f.dim), level, 0j),),
+def _table_at(f: BruhatFn, level: int) -> dict:
+    """Coset table of f refined to `level` >= f.level."""
+    if f.level == level:
+        return f.coset_table
+    forced = BruhatFn(f.ctx, f.domain, f.canonicalize().atoms +
+                      (Atom(tuple([Fraction(0)] * f.dim), level, 0j),),
                       torsor_scale=f.torsor_scale)
-    return forced.canonicalize()
+    return forced.coset_table
 
 
 # --- Mellin characters and Tate integrals ----------------------------------------

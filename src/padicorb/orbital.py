@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,27 +64,6 @@ from .spaces import (
 # --- baby-case orbital integrals ---------------------------------------------------
 
 
-_evaluator_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_meta_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _cached_evaluator(f: BruhatFn):
-    ev = _evaluator_cache.get(f)
-    if ev is None:
-        ev = f.make_evaluator()
-        _evaluator_cache[f] = ev
-    return ev
-
-
-def _cached_meta(f: BruhatFn) -> tuple[int, int]:
-    meta = _meta_cache.get(f)
-    if meta is None:
-        fc = f.canonicalize()
-        meta = (fc.max_level(), f.support_radius())
-        _meta_cache[f] = meta
-    return meta
-
-
 def o_baby_split(phi: BruhatFn, xi) -> complex:
     """O_xi(Phi) = int_{F^x} Phi(a*xi, 1/a) d^x a for Phi on F^2, exact."""
     if phi.domain != "F2":
@@ -97,8 +75,8 @@ def o_baby_split(phi: BruhatFn, xi) -> complex:
         raise IrregularPointError("xi = 0 is the irregular point")
     if phi.is_zero():
         return 0j
-    ev = _cached_evaluator(phi)
-    lvl, rad = _cached_meta(phi)
+    ev = phi.make_evaluator()
+    lvl, rad = phi.level, max(phi.axis_radii)
     total = 0j
     # contributing valuations: |a xi| <= q^rad and |1/a| <= q^rad
     for n in range(-rad - vxi, rad + 1):
@@ -130,16 +108,14 @@ def split_germ_data(phi: BruhatFn) -> Germ:
     if order < 0:
         raise RepresentationError("axis zeta sum kept a pole; germ data invalid")
     Ou = lead if order == 0 else 0j
-    lvl, _ = _cached_meta(phi)
     b = O0  # multiplies val(xi); O~_0 = b / ln q
-    return Germ(Ou, b, max(2 * lvl + 1, 1))
+    return Germ(Ou, b, max(2 * phi.level + 1, 1))
 
 
 def _axis_restriction(phi: BruhatFn, axis: int) -> BruhatFn:
     """Phi(x, 0) or Phi(0, y) as a one-variable BruhatFn."""
-    pc = phi.canonicalize()
     atoms = []
-    for a in pc.atoms:
+    for a in phi.canonicalize().atoms:
         other = a.center[1 - axis]
         if rational_valuation(other, phi.ctx.p) >= a.level:
             atoms.append((a.center[axis], a.level, a.coef))
@@ -246,32 +222,6 @@ def _int_key(ctx: LocalFieldCtx, w: int, a_res: int, mod_pow: int, level: int):
     return (v, x % p ** (level - v))
 
 
-def _int_table(ctx: LocalFieldCtx, data: BruhatFn):
-    """Canonical integer-keyed atom table ((key1, key2) -> coef) at the data level."""
-    fc = data.canonicalize()
-    level = fc.max_level()
-    p = ctx.p
-    table = {}
-    for a in fc.atoms:
-        keys = []
-        for c in a.center:
-            if c == 0:
-                keys.append((level, 0))
-                continue
-            v = rational_valuation(c, p)
-            if v >= level:
-                keys.append((level, 0))
-                continue
-            red = c / Fraction(p) ** v
-            mod = p ** (level - v)
-            keys.append((v, red.numerator * pow(red.denominator, -1, mod) % mod))
-        table[tuple(keys)] = table.get(tuple(keys), 0j) + a.coef
-    return table, level
-
-
-_int_table_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
     """O_xi over T(F) on the copy whose norm class contains xi; 0 on the other."""
     ext = inp.ext
@@ -287,16 +237,11 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
         data, target = inp.phi_alpha, xi / a0
     if data.is_zero():
         return 0j
-    cached = _int_table_cache.get(data)
-    if cached is None:
-        cached = _int_table(ctx, data)
-        _int_table_cache[data] = cached
-    table, level = cached
-    lvl, _ = _cached_meta(data)
+    table, level = data.coset_table, data.level
     vt = rational_valuation(target, ctx.p)
     if vt % 2:
         raise RepresentationError("norm bookkeeping is off")
-    m = max(1, lvl - vt // 2 + 1)
+    m = max(1, level - vt // 2 + 1)
     w = vt // 2
     mod_pow = max(level - w, 1) + m + 4
     mod = ctx.p ** mod_pow
@@ -327,8 +272,7 @@ def nonsplit_germ_data(inp: BabyInput) -> Germ:
     phi_at_0Xa = inp.phi_alpha.eval((0, 0))
     c1 = 0.5 * volT * (phi_at_0X + phi_at_0Xa)
     c2 = 0.5 * volT * (phi_at_0X - phi_at_0Xa)
-    lvl = max(inp.phi0.canonicalize().max_level(),
-              inp.phi_alpha.canonicalize().max_level(), 0)
+    lvl = max(inp.phi0.level, inp.phi_alpha.level, 0)
     return Germ(c1, c2, 2 * lvl + 2)
 
 
@@ -347,20 +291,12 @@ def _baby_germ(kind: str, data) -> Germ:
 def baby_support_floor(kind: str, data) -> int:
     """Sharp lower bound on val(xi) over the support of the baby orbital."""
     if kind == "split":
-        pc = data.canonicalize()
-        if pc.is_zero():
-            return 0
-        p = data.ctx.p
-        r = [0, 0]
-        for a in pc.atoms:
-            for i in (0, 1):
-                r[i] = max(r[i], -min(rational_valuation(a.center[i], p), a.level))
-        return -(r[0] + r[1])
+        return -sum(data.axis_radii)
     floors = [0]
     if not data.phi0.is_zero():
-        floors.append(-2 * data.phi0.support_radius())
+        floors.append(-2 * max(data.phi0.axis_radii))
     if not data.phi_alpha.is_zero():
-        floors.append(1 - 2 * data.phi_alpha.support_radius())
+        floors.append(1 - 2 * max(data.phi_alpha.axis_radii))
     return min(floors)
 
 
@@ -464,14 +400,8 @@ def baby_xi_level(kind: str, data, v: int) -> int:
     the unit of the target mod p^(l - vt//2).
     """
     if kind == "split":
-        pc = data.canonicalize()
-        r1 = 0
-        lvl = pc.max_level()
-        for a in pc.atoms:
-            r1 = max(r1, -min(rational_valuation(a.center[0], data.ctx.p), a.level))
-        return max(1, lvl + r1)
-    lvl = max(data.phi0.canonicalize().max_level(),
-              data.phi_alpha.canonicalize().max_level())
+        return max(1, data.level + data.axis_radii[0])
+    lvl = max(data.phi0.level, data.phi_alpha.level)
     vt = v if v % 2 == 0 else v - 1
     return max(1, lvl - vt // 2)
 

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedAtomError,
     WindowError,
 )
-from .bruhat import Atom, BruhatFn, MellinCharacter, mellin_component
+from .bruhat import BruhatFn, MellinCharacter, _key_center, mellin_component
 from .localfield import (
     INF,
     LocalFieldCtx,
@@ -666,17 +666,13 @@ def sx_mellin(f: SXElem, chi: MellinCharacter) -> RationalFnT:
 # --- serialization -----------------------------------------------------------------
 
 
-def _atom_json(ctx: LocalFieldCtx, a: Atom) -> list:
-    c = a.center[0]
-    if c == 0:
-        num, cv = 0, 0
-    else:
-        cv = rational_valuation(c, ctx.p)
-        red = c / Fraction(ctx.p) ** cv
-        # canonical integer numerator modulo the coset depth
-        mod = ctx.p ** max(a.level - cv, 1)
-        num = red.numerator * pow(red.denominator, -1, mod) % mod
-    return [num, cv, a.level, a.coef.real, a.coef.imag]
+def _atom_json(key: tuple[tuple[int, int]], level: int, coef: complex) -> list:
+    """[unit residue, valuation, level, re, im] of a canonical window coset;
+    the ball around 0 is [0, 0, level, re, im]."""
+    v, res = key[0]
+    if v == level:
+        v = 0
+    return [res, v, level, coef.real, coef.imag]
 
 
 def _germ_json(g: Germ) -> dict:
@@ -688,7 +684,8 @@ def element_to_json(elem) -> str:
     """JSON document for SX/SZ/SW elements (atoms as arrays, germs tagged)."""
     ctx = elem.ctx
     base = {"p": ctx.p, "kind": elem.kind,
-            "atoms": [_atom_json(ctx, a) for a in elem.window.canonicalize().atoms]}
+            "atoms": [_atom_json(key, elem.window.level, w)
+                      for key, w in elem.window.coset_table.items()]}
     if isinstance(elem, SXElem):
         base["type"] = "SX"
         base["germ0"] = _germ_json(elem.germ0)
@@ -710,26 +707,45 @@ def element_to_json(elem) -> str:
     return json.dumps(base, sort_keys=True)
 
 
+def _json_int(x) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
+def _json_complex(x) -> complex:
+    re, im = x
+    if type(re) not in (int, float) or type(im) not in (int, float):
+        raise ValueError(f"{x!r} is not a [re, im] pair of numbers")
+    return complex(re, im)
+
+
 def element_from_json(ctx: LocalFieldCtx, doc: str):
-    d = json.loads(doc)
-    if d["p"] != ctx.p:
-        raise DomainError("context prime mismatch")
-    atoms = [(Fraction(num) * Fraction(ctx.p) ** cv, lev, complex(re, im))
-             for (num, cv, lev, re, im) in d["atoms"]]
-    window = BruhatFn.from_atoms(ctx, "F", atoms)
+    """Inverse of element_to_json; a malformed document raises DomainError."""
+    try:
+        d = json.loads(doc)
+        if _json_int(d["p"]) != ctx.p:
+            raise DomainError("context prime mismatch")
+        kind = d["kind"]
+        if kind not in ("split", "inert"):
+            raise ValueError(f"unknown kind {kind!r}")
+        atoms = [(_key_center((_json_int(cv), _json_int(num)), ctx.p), _json_int(lev),
+                  _json_complex((re, im))) for (num, cv, lev, re, im) in d["atoms"]]
+        window = BruhatFn.from_atoms(ctx, "F", atoms)
 
-    def germ_of(g):
-        return Germ(complex(*g["a"]), complex(*g["b"]), g["level"])
+        def germ_of(g):
+            return Germ(_json_complex(g["a"]), _json_complex(g["b"]), _json_int(g["level"]))
 
-    if d["type"] == "SX":
-        return SXElem(ctx, d["kind"], window, germ_of(d["germ0"]))
-    if d["type"] == "SZ":
-        return SZElem(ctx, d["kind"], window, germ_of(d["germ0"]),
-                      germ_of(d["germAtMinus1"]))
-    if d["type"] == "SW":
-        zg = d["zeroGerm"]
-        tail = d["infTail"]
-        return SWElem(ctx, d["kind"], complex(*d["s"]), window,
-                      (complex(*zg["c1"]), complex(*zg["c2"]), zg["level"]),
-                      KLTail(complex(*tail["C"]), tail["M"]))
+        if d["type"] == "SX":
+            return SXElem(ctx, kind, window, germ_of(d["germ0"]))
+        if d["type"] == "SZ":
+            return SZElem(ctx, kind, window, germ_of(d["germ0"]), germ_of(d["germAtMinus1"]))
+        if d["type"] == "SW":
+            zg, tail = d["zeroGerm"], d["infTail"]
+            return SWElem(ctx, kind, _json_complex(d["s"]), window,
+                          (_json_complex(zg["c1"]), _json_complex(zg["c2"]),
+                           _json_int(zg["level"])),
+                          KLTail(_json_complex(tail["C"]), _json_int(tail["M"])))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed element document: {exc!r}") from None
     raise DomainError("unknown element type tag")

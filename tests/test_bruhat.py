@@ -53,6 +53,51 @@ def test_canonicalize_refinement_preserves_values(ctx3):
         assert abs(f.eval(x) - fc.eval(x)) < 1e-12
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_coset_key_properties(p):
+    """Keys agree iff the points share the coset; a key's center lies in it."""
+    from padicorb.bruhat import _coset_key, _key_center
+    from padicorb.localfield import rational_valuation
+
+    rng = random.Random(100 + p)
+
+    def point():
+        if rng.random() < 0.1:
+            return Fraction(0)
+        den = p ** rng.randrange(0, 4) * rng.choice((1, 2, 7))
+        return Fraction(rng.randrange(-3 * p ** 4, 3 * p ** 4), den)
+
+    for _ in range(1500):
+        level = rng.randrange(-3, 6)
+        x = point()
+        # a near neighbour half the time, so equal keys are well represented
+        y = (x + Fraction(p) ** rng.randrange(-4, 7) * rng.randrange(p * p)
+             if rng.random() < 0.5 else point())
+        kx, ky = _coset_key(x, level, p), _coset_key(y, level, p)
+        assert (kx == ky) == (rational_valuation(x - y, p) >= level), (x, y, level)
+        center = _key_center(kx, p)
+        assert rational_valuation(center - x, p) >= level
+        assert _coset_key(center, level, p) == kx
+
+
+def test_canonical_form_memoized(ctx3):
+    f = random_fn(ctx3, random.Random(5), domain="F2")
+    fc = f.canonicalize()
+    assert fc is f.canonicalize() and fc.canonicalize() is fc
+    assert f.coset_table is fc.coset_table and f.level == fc.level
+    assert list(f.coset_table.values()) == [a.coef for a in fc.atoms]
+
+
+def test_refinement_limit(ctx3):
+    from padicorb.errors import DomainError, RepresentationError
+
+    deep = BruhatFn.from_atoms(ctx3, "F2", [((0, 0), -6, 1.0), ((1, 1), 9, 1.0)])
+    with pytest.raises(RepresentationError):
+        deep.canonicalize()
+    with pytest.raises(DomainError):
+        BruhatFn.from_atoms(ctx3, "F", [(0, 2.5, 1.0)])
+
+
 def test_fourier_self_dual_ball(ctx3):
     one_o = BruhatFn.indicator_ball(ctx3, "F", 0, 0)
     hat = fourier(one_o)

@@ -8,6 +8,7 @@ renames any of them breaks the benchmark, not the rest of the test suite.
 
 import ast
 import importlib
+import inspect
 from functools import reduce
 from pathlib import Path
 
@@ -41,6 +42,35 @@ def _tuple_constants(path: Path, names: tuple[str, ...]) -> list[str]:
                 and getattr(node.targets[0], "id", None) in names):
             out.extend(ast.literal_eval(node.value))
     return out
+
+
+def _frozenset_constants(path: Path, names: tuple[str, ...]) -> list[str]:
+    """The string items of the module-level `frozenset({...})` calls bound to
+    `names` in `path`, read without importing it."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) in names):
+            call = node.value
+            assert isinstance(call, ast.Call) and call.func.id == "frozenset", ast.dump(call)
+            out.extend(ast.literal_eval(call.args[0]))
+    return out
+
+
+def test_special_cased_trace_names_are_functions():
+    """COUNT_ONLY and RETURNS_EVALUATOR in perfbench/layers.py name plain
+    functions or methods, so the trace still gives them their special wrapper:
+    a renamed hot leaf would otherwise get a timed wrapper, and a property or
+    other descriptor is not wrapped at all."""
+    names = _frozenset_constants(PERFBENCH / "layers.py", ("COUNT_ONLY", "RETURNS_EVALUATOR"))
+    assert len(names) >= 6
+    for name in names:
+        module, *attrs = name.split(".")
+        owner = reduce(getattr, attrs[:-1], importlib.import_module(f"padicorb.{module}"))
+        raw = vars(owner)[attrs[-1]]
+        if isinstance(raw, (staticmethod, classmethod)):
+            raw = raw.__func__
+        assert inspect.isfunction(raw), name
 
 
 def test_names_used_by_perfbench_exist():

@@ -279,6 +279,86 @@ def test_serialization_golden(ctx3):
     assert element_to_json(z) == golden
 
 
+_DELETE = object()
+
+
+def _malformed(doc: dict, path, value):
+    """`doc` with the entry at `path` replaced by `value` (deleted if value is
+    _DELETE), as a JSON string."""
+    import copy
+    import json
+
+    d = copy.deepcopy(doc)
+    obj = d
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is _DELETE:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+    return json.dumps(d)
+
+
+def test_element_from_json_rejects_malformed_documents(ctx3):
+    import json
+
+    sx = SXElem(ctx3, "split",
+                BruhatFn.from_atoms(ctx3, "F", [(Fraction(2, 3), 2, 1 + 2j)]),
+                Germ(0.5, -0.25, 2))
+    sw = SWElem(ctx3, "inert", 0.0, BruhatFn.from_atoms(ctx3, "F", [(1, 1, 2.0)]),
+                (0.5, 0.6, 3), KLTail(1.25, 4))
+    sx_doc, sw_doc = json.loads(element_to_json(sx)), json.loads(element_to_json(sw))
+    bad = ["", "{", "not json", "[]", "3", b"\xff", None]
+    bad += [_malformed(sx_doc, (key,), _DELETE) for key in sx_doc]
+    bad += [_malformed(sx_doc, ("germ0", key), _DELETE) for key in ("a", "b", "level")]
+    bad += [_malformed(sw_doc, path, _DELETE) for path in
+            (("s",), ("zeroGerm",), ("zeroGerm", "level"), ("infTail", "M"), ("infTail", "C"))]
+    bad += [
+        _malformed(sx_doc, ("atoms",), [[2, -1, 2, 1.0]]),           # atom arity 4
+        _malformed(sx_doc, ("atoms",), [[2, -1, 2, 1.0, 2.0, 0]]),   # atom arity 6
+        _malformed(sx_doc, ("atoms",), [{"num": 2}]),
+        _malformed(sx_doc, ("atoms",), "atoms"),
+        _malformed(sx_doc, ("atoms", 0, 2), 2.5),                    # atom level
+        _malformed(sx_doc, ("atoms", 0, 2), "x"),
+        _malformed(sx_doc, ("atoms", 0, 1), 1.5),                    # valuation
+        _malformed(sx_doc, ("atoms", 0, 1), "-1"),
+        _malformed(sx_doc, ("atoms", 0, 0), 2.0),                    # residue
+        _malformed(sx_doc, ("atoms", 0, 3), "1"),                    # coefficient
+        _malformed(sx_doc, ("germ0", "level"), "x"),
+        _malformed(sx_doc, ("germ0", "level"), 2.5),
+        _malformed(sx_doc, ("germ0", "a"), [1.0]),
+        _malformed(sx_doc, ("germ0",), [0.5, -0.25, 2]),
+        _malformed(sx_doc, ("p",), "3"),
+        _malformed(sx_doc, ("p",), 5),
+        _malformed(sx_doc, ("kind",), "ramified"),
+        _malformed(sx_doc, ("type",), "SY"),
+        _malformed(sw_doc, ("s",), [0.0, 0.0, 0.0]),
+        _malformed(sw_doc, ("zeroGerm", "level"), "3"),
+        _malformed(sw_doc, ("infTail", "M"), 4.5),
+        _malformed(sw_doc, ("infTail",), 1.25),
+    ]
+    for doc in bad:
+        with pytest.raises(DomainError):
+            element_from_json(ctx3, doc)
+    assert element_to_json(element_from_json(ctx3, element_to_json(sw))) == element_to_json(sw)
+
+
+def test_element_json_of_deep_window_raises_fast(ctx3):
+    """A g_transform_SX window with levels -1..20 would need 3^21 cosets per
+    shallow atom in its canonical form: serializing it raises at once."""
+    import time
+
+    from padicorb.errors import RepresentationError
+    from padicorb.orbital import random_baby_data, sx_from_baby
+
+    data = random_baby_data(ctx3, "split", random.Random(11))
+    g = g_transform_SX(sx_from_baby(data, "split"))
+    start = time.perf_counter()
+    with pytest.raises(RepresentationError):
+        element_to_json(g)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_window_error_on_uncertified_range(ctx3):
     from padicorb.orbital import hecke_apply_Z
     from padicorb.groups import HeckeElt
