@@ -28,6 +28,7 @@ from .localfield import (
     PadicScalar,
     QuadExt,
     rational_valuation,
+    unit_mod,
 )
 from .rational import Poly, RationalFnT, geometric_tail, weighted_geometric_tail
 
@@ -36,8 +37,9 @@ Point = tuple[Fraction, ...]
 _DOMAIN_DIM = {"F": 1, "F2": 2, "E": 2, "Ealpha": 2}
 
 # Most cosets a canonical form may be refined into, counted before any is built:
-# about 100 times the 98,414 that the test suite reaches.
-_MAX_REFINEMENT = 10 ** 7
+# about 10 times the 98,414 that the test suite reaches, or some 0.7 GB at the
+# measured 680 bytes per coset.
+_MAX_REFINEMENT = 10 ** 6
 
 
 def _as_point(x, dim: int) -> Point:
@@ -226,13 +228,18 @@ def _coset_key(c: Fraction, level: int, p: int) -> tuple[int, int]:
     v = rational_valuation(c, p)
     if v >= level:
         return (level, 0)
-    num, den = c.numerator, c.denominator
-    if v > 0:
-        num //= p ** v
-    elif v < 0:
-        den //= p ** -v
-    mod = p ** (level - v)
-    return (v, num * pow(den, -1, mod) % mod)
+    return (v, unit_mod(c, v, p, level - v))
+
+
+def _residue_key(v: int, res: int, level: int, p: int) -> tuple[int, int]:
+    """`_coset_key` of the point res * p^v, for an integer res known mod
+    p^(level - v) or finer (res = 0 when those digits all vanish)."""
+    while res and v < level and res % p == 0:
+        res //= p
+        v += 1
+    if v >= level or not res:
+        return (level, 0)
+    return (v, res % p ** (level - v))
 
 
 def _key_center(key: tuple[int, int], p: int) -> Fraction:
@@ -318,9 +325,7 @@ def _fourier_nd(f: BruhatFn, scales: tuple[Fraction, ...]) -> BruhatFn:
         if m <= 0:
             return np.full(span, vol1, dtype=np.complex128)
         mod = p ** m
-        unit = sc * Fraction(p) ** (-v)
-        a_int = unit.numerator * pow(unit.denominator, -1, mod) % mod
-        t = (a_int * (r_idx % mod)) % mod
+        t = (unit_mod(sc, v, p, m) * (r_idx % mod)) % mod
         return vol1 * np.exp(-2j * np.pi * t / mod)
 
     if f.dim == 1:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PoleError, PrecisionError
-from .localfield import LocalFieldCtx, rational_valuation
+from .errors import DomainError, PoleError
+from .localfield import LocalFieldCtx, rational_valuation, unit_mod
 
 Mat = tuple[Fraction, Fraction, Fraction, Fraction]  # row major a,b,c,d
 
@@ -85,19 +85,10 @@ class GroupElt:
 
     def key_mod(self, N: int) -> tuple:
         """Canonical residue key mod p^N for equality mod scalars."""
-        p, m = self.ctx.p, self.m
-        pk = p ** N
+        p = self.ctx.p
         # divide by the unit of the first minimal-valuation entry
-        lead = next(x for x in m if x != 0 and rational_valuation(x, self.ctx.p) == 0)
-        inv = Fraction(lead.denominator, lead.numerator)
-        ent = []
-        for x in m:
-            y = x * inv
-            num, den = y.numerator, y.denominator
-            if den % p == 0:
-                raise PrecisionError("entry left the integral model")
-            ent.append(num * pow(den, -1, pk) % pk)
-        return tuple(ent)
+        lead = next(x for x in self.m if x != 0 and rational_valuation(x, p) == 0)
+        return tuple(unit_mod(x / lead, 0, p, N) for x in self.m)
 
     def __repr__(self) -> str:
         return f"[[{self.m[0]}, {self.m[1]}], [{self.m[2]}, {self.m[3]}]]"

@@ -53,6 +53,21 @@ def rational_valuation(x: Fraction | int, p: int) -> int:
     return _rational_valuation_cached(Fraction(x), p)
 
 
+def unit_mod(x: Fraction, v: int, p: int, m: int) -> int:
+    """x * p^-v mod p^m for any v <= val x: with v = val x the unit of x
+    mod p^m, with v = 0 the residue of an x whose denominator is prime to p."""
+    num, den, rest = x.numerator, x.denominator, 0
+    if v > 0:
+        num, rest = divmod(num, p ** v)
+    elif v < 0:
+        g = math.gcd(den, p ** -v)
+        num, den = num * (p ** -v // g), den // g
+    if rest or den % p == 0:
+        raise DomainError(f"{x} * p^{-v} is not a p-adic integer")
+    mod = p ** m
+    return num * pow(den, -1, mod) % mod
+
+
 def exact_fraction(x) -> Fraction:
     """Exact rational representative of an argument point.
 
@@ -166,15 +181,8 @@ class PadicScalar:
             prec = ctx.precision_cap
         if x == 0:
             return ctx.zero()
-        p = ctx.p
-        vn = _val_int(x.numerator, p)
-        vd = _val_int(x.denominator, p)
-        v = vn - vd
-        num = x.numerator // p ** vn
-        den = x.denominator // p ** vd
-        m = p ** prec
-        u = num * pow(den, -1, m) % m
-        return PadicScalar(ctx, v, u, prec)
+        v = rational_valuation(x, ctx.p)
+        return PadicScalar(ctx, v, unit_mod(x, v, ctx.p, prec), prec)
 
     # --- predicates / accessors ---
 
@@ -348,9 +356,7 @@ def psi_frac_of_rational(ctx: LocalFieldCtx, x: Fraction | int) -> Fraction:
     dp = _val_int(x.denominator, ctx.p)
     if dp == 0:
         return Fraction(0)
-    m = ctx.p ** dp
-    d0 = x.denominator // m
-    return Fraction(x.numerator * pow(d0, -1, m) % m, m)
+    return Fraction(unit_mod(x, -dp, ctx.p, dp), ctx.p ** dp)
 
 
 def psi_eval_frac(ctx: LocalFieldCtx, x: Fraction | int) -> complex:
@@ -483,10 +489,7 @@ def padic_sqrt(ctx: LocalFieldCtx, x: Fraction, prec: int) -> PadicScalar:
         return ctx.zero()
     if v % 2:
         raise DomainError("odd valuation: not a square")
-    unit = x / Fraction(ctx.p) ** v
-    m = ctx.p ** prec
-    a = unit.numerator * pow(unit.denominator, -1, m) % m
-    r = sqrt_unit_mod(ctx, a, prec)
+    r = sqrt_unit_mod(ctx, unit_mod(x, v, ctx.p, prec), prec)
     return PadicScalar(ctx, v // 2, r, prec)
 
 
@@ -496,6 +499,4 @@ def is_rational_square(ctx: LocalFieldCtx, x: Fraction) -> bool:
         return True
     if v % 2:
         return False
-    unit = x / Fraction(ctx.p) ** v
-    a = unit.numerator * pow(unit.denominator, -1, ctx.p) % ctx.p
-    return pow(a, (ctx.p - 1) // 2, ctx.p) == 1
+    return pow(unit_mod(x, v, ctx.p, 1), (ctx.p - 1) // 2, ctx.p) == 1

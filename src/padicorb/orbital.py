@@ -21,7 +21,7 @@ from .errors import (
     RepresentationError,
     UnsupportedSectionError,
 )
-from .bruhat import BruhatFn, tate_zeta, MellinCharacter
+from .bruhat import BruhatFn, _residue_key, tate_zeta, MellinCharacter
 from .groups import (
     GroupElt,
     HeckeElt,
@@ -40,6 +40,8 @@ from .localfield import (
     is_rational_square,
     padic_sqrt,
     rational_valuation,
+    sqrt_unit_mod,
+    unit_mod,
     unit_reps,
 )
 from .spaces import (
@@ -75,17 +77,21 @@ def o_baby_split(phi: BruhatFn, xi) -> complex:
         raise IrregularPointError("xi = 0 is the irregular point")
     if phi.is_zero():
         return 0j
-    ev = phi.make_evaluator()
+    p, table = ctx.p, phi.coset_table
     lvl, rad = phi.level, max(phi.axis_radii)
+    # a = u p^n: a*xi has valuation n + vxi and unit u*xu, 1/a has -n and 1/u
+    xu = unit_mod(xi, vxi, p, max(1, lvl + rad))
     total = 0j
     # contributing valuations: |a xi| <= q^rad and |1/a| <= q^rad
     for n in range(-rad - vxi, rad + 1):
         m = max(1, lvl - (vxi + n), lvl + n)
-        pn = Fraction(ctx.p) ** n
+        mod = p ** m
         mass = float(ctx.q) ** (-m)
-        for u in unit_reps(ctx.p, m):
-            a = u * pn
-            total += ev((a * xi, 1 / a)) * mass
+        for u in unit_reps(p, m):
+            hit = table.get((_residue_key(n + vxi, u * xu % mod, lvl, p),
+                             _residue_key(-n, pow(u, -1, mod), lvl, p)))
+            if hit is not None:
+                total += hit * mass
     return total
 
 
@@ -179,47 +185,24 @@ def _norm_one(ext: QuadExt, m: int) -> list[tuple[int, int]]:
     return _norm_one_cache[key]
 
 
-def norm_lift(ext: QuadExt, target: Fraction, m: int) -> tuple[Fraction, Fraction]:
-    """Some z = (a, b) in E with N(z) = target exactly, target of even valuation.
+def norm_lift(ext: QuadExt, target: Fraction, prec: int) -> tuple[int, int]:
+    """Integer residues (a, b) mod p^prec of some z in E with N(z) = target,
+    target of even valuation, scaled to a unit by p^(-val(target)/2):
+    a^2 - u b^2 = unit of target mod p^prec.
 
-    The lift is found by a Hensel-certified residue search and then corrected
-    to an exact rational solution of a^2 - u b^2 = target with b fixed.
+    b is the least residue with unit + u b^2 a unit square (the test reads b
+    mod p only), and a is the Hensel square root of that unit.
     """
-    ctx, u = ext.ctx, ext.u
-    v = rational_valuation(target, ctx.p)
+    p, u = ext.ctx.p, ext.u
+    v = rational_valuation(target, p)
     if v % 2:
         raise DomainError("target is not a norm (odd valuation)")
-    unit = target / Fraction(ctx.p) ** v
-    # find b (rational, small) with unit + u b^2 a unit square
-    for bden in (1, ctx.p):
-        for bnum in range(0, 4 * ctx.p):
-            b = Fraction(bnum, bden)
-            cand = unit + u * b * b
-            if cand != 0 and rational_valuation(cand, ctx.p) == 0 and \
-                    is_rational_square(ctx, cand):
-                a_sc = padic_sqrt(ctx, cand, max(m + 2, 6))
-                a = a_sc.to_fraction_approx()  # exact mod p^(m+2)
-                scale = Fraction(ctx.p) ** (v // 2)
-                return a * scale, b * scale
+    t = unit_mod(target, v, p, prec)
+    for b in range(p):
+        cand = (t + u * b * b) % p ** prec
+        if cand % p and pow(cand, (p - 1) // 2, p) == 1:
+            return sqrt_unit_mod(ext.ctx, cand, prec), b
     raise RepresentationError("norm lift search failed")
-
-
-def _int_key(ctx: LocalFieldCtx, w: int, a_res: int, mod_pow: int, level: int):
-    """Coset key of the point p^w * a_res (a_res known mod p^mod_pow) at `level`."""
-    p = ctx.p
-    if a_res == 0:
-        return (level, 0)
-    tz = 0
-    x = a_res
-    while x % p == 0:
-        x //= p
-        tz += 1
-    v = w + tz
-    if v >= level:
-        return (level, 0)
-    if tz + (level - v) > mod_pow:
-        raise RepresentationError("integer residue too short for the coset key")
-    return (v, x % p ** (level - v))
 
 
 def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
@@ -237,28 +220,19 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
         data, target = inp.phi_alpha, xi / a0
     if data.is_zero():
         return 0j
-    table, level = data.coset_table, data.level
-    vt = rational_valuation(target, ctx.p)
-    if vt % 2:
-        raise RepresentationError("norm bookkeeping is off")
-    m = max(1, level - vt // 2 + 1)
-    w = vt // 2
-    mod_pow = max(level - w, 1) + m + 4
-    mod = ctx.p ** mod_pow
-    za, zb = norm_lift(ext, target, mod_pow + 2)
-    pw = Fraction(ctx.p) ** w
-    ia = za / pw
-    ib = zb / pw
-    ia = ia.numerator * pow(ia.denominator, -1, mod) % mod
-    ib = ib.numerator * pow(ib.denominator, -1, mod) % mod
+    p, table, level = ctx.p, data.coset_table, data.level
+    w = rational_valuation(target, p) // 2
+    m = max(1, level - w + 1)
+    # z = p^w (ia + ib sqrt(u)); the keys of z*t need ia, ib mod p^(level - w)
+    mod_pow = max(level - w, 1)
+    mod = p ** mod_pow
+    ia, ib = norm_lift(ext, target, mod_pow)
     total = 0j
     mass = float(ctx.q) ** (-m)
-    u_ext = ext.u
-    ub = u_ext * ib % mod
+    ub = ext.u * ib % mod
     for (ta, tb) in _norm_one(ext, m):
-        ka = _int_key(ctx, w, (ia * ta + ub * tb) % mod, mod_pow, level)
-        kb = _int_key(ctx, w, (ia * tb + ib * ta) % mod, mod_pow, level)
-        hit = table.get((ka, kb))
+        hit = table.get((_residue_key(w, (ia * ta + ub * tb) % mod, level, p),
+                         _residue_key(w, (ia * tb + ib * ta) % mod, level, p)))
         if hit is not None:
             total += hit * mass
     return total
@@ -276,7 +250,18 @@ def nonsplit_germ_data(inp: BabyInput) -> Germ:
     return Germ(c1, c2, 2 * lvl + 2)
 
 
+def _baby_ctx(kind: str, data) -> LocalFieldCtx:
+    """The field of baby data of `kind`: a BruhatFn when split, a BabyInput
+    when inert, else KindError."""
+    if kind == "split" and isinstance(data, BruhatFn):
+        return data.ctx
+    if kind == "inert" and isinstance(data, BabyInput):
+        return data.ext.ctx
+    raise KindError(f"{type(data).__name__} is not baby data of kind {kind!r}")
+
+
 def baby_orbital(kind: str, data, xi) -> complex:
+    _baby_ctx(kind, data)
     if kind == "split":
         return o_baby_split(data, xi)
     return o_baby_nonsplit(data, xi)
@@ -302,7 +287,7 @@ def baby_support_floor(kind: str, data) -> int:
 
 def sx_from_baby(data, kind: str) -> SXElem:
     """S(X) element (window + exact germ at 0) of the baby orbital of `data`."""
-    ctx = data.ctx if kind == "split" else data.ext.ctx
+    ctx = _baby_ctx(kind, data)
     germ = _baby_germ(kind, data)
 
     def raw(xi):
@@ -328,6 +313,7 @@ def fourier_baby(data, kind: str):
     (E, E^alpha) with the hermitian kernels and the torsor scale."""
     from .bruhat import fourier_F2, fourier_E
 
+    _baby_ctx(kind, data)
     if kind == "split":
         return fourier_F2(data)
     ext = data.ext
@@ -442,7 +428,8 @@ def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
 
     phi1 carries the germ at -1 (the diagonal chart), phi2 the germ at 0.
     """
-    ctx = phi1.ctx if kind == "split" else phi1.ext.ctx
+    ctx = _baby_ctx(kind, phi1)
+    _baby_ctx(kind, phi2)
     g0 = _baby_germ(kind, phi2)
     g1 = _baby_germ(kind, phi1)
     lo = max(-6, min(baby_support_floor(kind, phi2),
@@ -588,8 +575,10 @@ class TorusPairDescriptor:
     kind: str
 
 
-def o_torus_group(ctx: LocalFieldCtx, desc: TorusPairDescriptor, xi,
-                  n_margin: int = 3) -> complex:
+_TORUS_MARGIN = 3  # shells of T(F)/T(o) summed past the support estimate
+
+
+def o_torus_group(ctx: LocalFieldCtx, desc: TorusPairDescriptor, xi) -> complex:
     """Brute-force O_xi((h*Phi1) x Phi2) with Weil measures (vol K = 1-q^-2).
 
     Split: vol(K) * sum over T(F)/T(o) of (h*Phi1)(T g_xi diag(pi^n,1));
@@ -624,7 +613,7 @@ def o_torus_group(ctx: LocalFieldCtx, desc: TorusPairDescriptor, xi,
     vxi = rational_valuation(xi, ctx.p)
     vz = rational_valuation(1 + xi, ctx.p)
     depth = desc.hecke.max_degree()
-    span = abs(vxi) + abs(vz) + 2 * depth + n_margin
+    span = abs(vxi) + abs(vz) + 2 * depth + _TORUS_MARGIN
     total = 0j
     for n in range(-span, span + 1):
         an = GroupElt.diag(ctx, Fraction(ctx.p) ** n)
@@ -942,10 +931,12 @@ def verify_fl(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
               window: tuple[int, int] = (-4, 4), tolerance: float = 1e-8) -> FLReport:
     """|.|G(h * f_Z0) vs h * f_W0 pointwise on the window, with the fitted
     global constant required to be 1."""
+    lo, hi = window
+    if lo > hi:
+        raise DomainError(f"empty valuation window {window}")
     start = time.time()
     fz = hecke_apply_Z(ctx, kind, h)
     rhs_eval = hecke_apply_W(ctx, kind, h, 0.0)
-    lo, hi = window
     pts: list[FLPoint] = []
     units = unit_reps(ctx.p, 1)[:2]
     fitted = None
@@ -1045,6 +1036,8 @@ def verify_matching(ctx: LocalFieldCtx, kind: str, samples: int = 10,
     inner-product identity <|.|G f> = gamma*(eta,0,psi) <f>."""
     import random
 
+    if samples < 1:
+        raise DomainError(f"verify_matching needs at least one sample, got {samples}")
     start = time.time()
     rng = random.Random(seed)
     gstar = gamma_star(ctx, kind)

@@ -35,6 +35,7 @@ from .localfield import (
     QuadExt,
     exact_fraction,
     rational_valuation,
+    unit_mod,
     unit_reps,
 )
 from .rational import RationalFnT
@@ -47,9 +48,7 @@ from functools import lru_cache
 
 @lru_cache(maxsize=1 << 18)
 def _frac_unit_key(x: Fraction, p: int, v: int, m: int) -> int:
-    mod = p ** m
-    unit = x / Fraction(p) ** v
-    return unit.numerator * pow(unit.denominator, -1, mod) % mod
+    return unit_mod(x, v, p, m)
 
 
 def _val_and_unit_key(ctx: LocalFieldCtx, x, m: int) -> tuple[int, int]:

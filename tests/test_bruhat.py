@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,12 @@ def test_refinement_limit(ctx3):
     deep = BruhatFn.from_atoms(ctx3, "F2", [((0, 0), -6, 1.0), ((1, 1), 9, 1.0)])
     with pytest.raises(RepresentationError):
         deep.canonicalize()
+    # one variable, 3^13 + 1 (about 1.6M) cosets: refused before any is built
+    wide = BruhatFn.from_atoms(ctx3, "F", [(0, -6, 1.0), (1, 7, 1.0)])
+    start = time.perf_counter()
+    with pytest.raises(RepresentationError):
+        wide.canonicalize()
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(DomainError):
         BruhatFn.from_atoms(ctx3, "F", [(0, 2.5, 1.0)])
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicorb.errors import DomainError, PrecisionError
+from padicorb.errors import DomainError, PadicOrbError, PrecisionError
 from padicorb.localfield import (
     EElem,
     LocalFieldCtx,
@@ -16,6 +16,7 @@ from padicorb.localfield import (
     psi_eval_frac,
     rational_valuation,
     smallest_nonresidue,
+    unit_mod,
 )
 
 
@@ -208,3 +209,14 @@ def test_inverse_and_zero(ctx5):
         z.inverse()
     a = ctx5.scalar(Fraction(7, 5))
     assert (a * a.inverse()).unit_residue(5) == 1
+
+
+def test_unit_mod():
+    assert unit_mod(Fraction(18, 7), 2, 3, 3) == 2 * pow(7, -1, 27) % 27
+    assert unit_mod(Fraction(-5, 9), -2, 3, 2) == -5 % 9
+    assert unit_mod(Fraction(4, 5), 0, 3, 4) == 4 * pow(5, -1, 81) % 81
+    assert unit_mod(Fraction(2, 3), -2, 3, 3) == 6  # any v <= val x
+    for x, v in ((Fraction(2, 3), 0), (Fraction(1, 27), -2), (Fraction(5), 1)):
+        with pytest.raises(DomainError) as err:
+            unit_mod(x, v, 3, 4)
+        assert isinstance(err.value, PadicOrbError)

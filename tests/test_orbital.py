@@ -7,11 +7,18 @@ import pytest
 from padicorb.errors import (
     DomainError,
     IrregularPointError,
+    KindError,
     UnsupportedSectionError,
 )
 from padicorb.bruhat import BruhatFn
 from padicorb.groups import GroupElt, HeckeElt, KSection
-from padicorb.localfield import psi_eval_frac, rational_valuation
+from padicorb.localfield import (
+    LocalFieldCtx,
+    QuadExt,
+    psi_eval_frac,
+    rational_valuation,
+    unit_mod,
+)
 from padicorb.orbital import (
     BabyInput,
     TorusPairDescriptor,
@@ -28,6 +35,7 @@ from padicorb.orbital import (
     inert_rep_for,
     kloosterman,
     nonsplit_germ_data,
+    norm_lift,
     norm_one_reps,
     o_baby_nonsplit,
     o_baby_split,
@@ -109,6 +117,64 @@ def test_nonsplit_germ_signs(ctx3, ext3i):
 def test_norm_one_count(ctx3, ext3i):
     for m in (1, 2, 3):
         assert len(norm_one_reps(ext3i, m)) == 3 ** (m - 1) * 4
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_o_baby_split_matches_atom_scan(p):
+    """The integer-keyed split orbital against the same finite sum taken with
+    the atom scan `BruhatFn.eval`, which uses no coset key."""
+    ctx = LocalFieldCtx(p)
+    for seed in range(12):  # 576 points per prime
+        phi = random_baby_data(ctx, "split", random.Random(40 + seed))
+        level = max(a.level for a in phi.atoms)
+        rad = max(max(0, -min(rational_valuation(c, p), a.level))
+                  for a in phi.atoms for c in a.center)
+        for vxi in range(-6, 6):
+            for u in (1, 2, p - 1, p + 1):
+                xi = Fraction(u) * Fraction(p) ** vxi
+                want = 0j
+                for n in range(-rad - vxi, rad + 1):
+                    m = max(1, level - (vxi + n), level + n)
+                    for w in range(1, p ** m):
+                        if w % p:
+                            a = w * Fraction(p) ** n
+                            want += phi.eval((a * xi, 1 / a)) * float(p) ** (-m)
+                got = o_baby_split(phi, xi)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (seed, xi)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_norm_lift_residues(p):
+    """norm_lift gives integer residues with a^2 - u b^2 = unit(target) mod p^prec."""
+    ext = QuadExt(LocalFieldCtx(p), "inert")
+    rng = random.Random(60 + p)
+    for _ in range(200):
+        num = rng.choice((1, -1)) * rng.randrange(1, 10 ** 6)
+        target = Fraction(num, rng.randrange(1, 10 ** 4)) * Fraction(p) ** (2 * rng.randrange(-4, 5))
+        v = rational_valuation(target, p)
+        if v % 2:
+            continue
+        prec = rng.randrange(1, 12)
+        a, b = norm_lift(ext, target, prec)
+        assert 0 <= a < p ** prec and 0 <= b < p
+        assert (a * a - ext.u * b * b - unit_mod(target, v, p, prec)) % p ** prec == 0
+    with pytest.raises(DomainError):
+        norm_lift(ext, Fraction(p), 4)
+
+
+def test_baby_kind_mismatch_raises_kind_error(ctx3):
+    split = random_baby_data(ctx3, "split", random.Random(1))
+    inert = random_baby_data(ctx3, "inert", random.Random(1))
+    for kind, data in (("Split", split), ("nonsplit", inert), ("split", inert),
+                       ("inert", split)):
+        with pytest.raises(KindError):
+            baby_orbital(kind, data, Fraction(2))
+        with pytest.raises(KindError):
+            sx_from_baby(data, kind)
+        with pytest.raises(KindError):
+            sz_from_charts(data, data, kind)
+        with pytest.raises(KindError):
+            fourier_baby(data, kind)
 
 
 # --- charts ------------------------------------------------------------------------
@@ -424,6 +490,14 @@ def test_verify_fl_smoke_and_zero(ctx3):
     assert d["pass"] and "points" in d and d["points"]
 
 
+def test_empty_verifications_raise(ctx3):
+    """An empty window or zero samples would pass having checked nothing."""
+    with pytest.raises(DomainError):
+        verify_fl(ctx3, "split", HeckeElt.basis(0), window=(4, -4))
+    with pytest.raises(DomainError):
+        verify_matching(ctx3, "split", samples=0)
+
+
 def test_verify_fl_split_h1(ctx3):
     rep = verify_fl(ctx3, "split", HeckeElt.basis(1), window=(-3, 3))
     assert rep.passed
@@ -501,9 +575,13 @@ def test_padic_scalar_entry_points(ctx3):
         o_kuz_closed(ctx3, 0, PadicScalar(ctx3, -2, 2, 3))
 
 
-def test_stabilization_idempotence(ctx3):
+def test_stabilization_idempotence(ctx3, monkeypatch):
+    import padicorb.orbital as orbital
+
     desc = TorusPairDescriptor(HeckeElt.basis(1), "split")
     xi = Fraction(2)
-    a = o_torus_group(ctx3, desc, xi, n_margin=3)
-    b = o_torus_group(ctx3, desc, xi, n_margin=6)
+    monkeypatch.setattr(orbital, "_TORUS_MARGIN", 3)
+    a = o_torus_group(ctx3, desc, xi)
+    monkeypatch.setattr(orbital, "_TORUS_MARGIN", 6)
+    b = o_torus_group(ctx3, desc, xi)
     assert abs(a - b) < 1e-14
