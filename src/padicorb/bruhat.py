@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import (
     DomainError,
     KindError,
@@ -298,8 +300,6 @@ def _fourier_nd(f: BruhatFn, scales: tuple[Fraction, ...]) -> BruhatFn:
     r (centers r p^-n), so the whole transform is a sum of outer products of
     vectorized one-dimensional character sums.
     """
-    import numpy as np
-
     f = f.canonicalize()
     ctx = f.ctx
     p = ctx.p

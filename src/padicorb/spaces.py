@@ -14,12 +14,12 @@ by residual fits; values outside a certified window raise WindowError.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import lru_cache
 
 from .errors import (
     DomainError,
@@ -35,7 +35,7 @@ from .localfield import (
     QuadExt,
     exact_fraction,
     rational_valuation,
-    unit_mod,
+    sqrt_unit_mod,
     unit_reps,
 )
 from .rational import RationalFnT
@@ -43,23 +43,24 @@ from .rational import RationalFnT
 # --- exact shell integrals ---------------------------------------------------------
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=1 << 18)
-def _frac_unit_key(x: Fraction, p: int, v: int, m: int) -> int:
-    return unit_mod(x, v, p, m)
-
-
-def _val_and_unit_key(ctx: LocalFieldCtx, x, m: int) -> tuple[int, int]:
-    """(valuation, unit residue mod p^m) of a nonzero rational."""
-    xf = Fraction(x)
-    v = rational_valuation(xf, ctx.p)
+def _frac_unit_key(x: Fraction, p: int) -> tuple[int, int, int]:
+    """(val x, numerator, denominator) of the unit x p^-val(x); (INF, 0, 1) for 0."""
+    v = rational_valuation(x, p)
     if v >= INF:
-        return INF, 0
-    if m == 0:
-        return v, 0
-    return v, _frac_unit_key(xf, ctx.p, v, m)
+        return INF, 0, 1
+    num, den = x.numerator, x.denominator
+    if v > 0:
+        num //= p ** v
+    elif v < 0:
+        den //= p ** -v
+    return v, num, den
+
+
+def _val_and_unit_key(ctx: LocalFieldCtx, x) -> tuple[int, int, int]:
+    """(valuation, unit numerator, unit denominator) of a rational: the integer
+    form in which the shell integrals take their arguments."""
+    return _frac_unit_key(Fraction(x), ctx.p)
 
 
 def shell_psi_integral(ctx: LocalFieldCtx, a, k: int) -> float:
@@ -74,55 +75,71 @@ def shell_psi_integral(ctx: LocalFieldCtx, a, k: int) -> float:
     return out
 
 
-_units_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 _osc_cache: dict[tuple, complex] = {}
 
 
-def _units(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (p, m)
-    if key not in _units_cache:
-        mod = p ** m
-        u = np.array(unit_reps(p, m), dtype=np.int64)
-        uinv = np.array([pow(int(x), -1, mod) for x in u], dtype=np.int64)
-        _units_cache[key] = (u, uinv)
-    return _units_cache[key]
+def _unit_shell_integral(ctx: LocalFieldCtx, m: int, vA: int, au: int, vB: int,
+                         bu: int) -> complex:
+    """(1/p^m) sum over units u mod p^m of e((A u + B/u) / p^m), where
+    A = au p^(vA+m) and B = bu p^(vB+m), with au, bu units mod p^m (vA or vB is
+    INF for a zero argument).
+
+    For m >= 2 only vA = vB = -m reaches here: p^-m times the Kloosterman sum
+    S(au, bu; p^m), which for p odd is Salie's closed form (Iwaniec-Kowalski,
+    Analytic Number Theory, Lemma 12.3): 0 unless au bu is a square mod p, else
+    p^(m/2) eps sum_{y^2 = au bu} (y/p)^m e(2y/p^m), eps = 1 or i as
+    p^m = 1 or 3 mod 4.  For m = 1 it is the direct sum over the p - 1 units.
+    """
+    p = ctx.p
+    mod = p ** m
+    if m >= 2:
+        n = au * bu % mod
+        if pow(n, (p - 1) // 2, p) != 1:
+            return 0j
+        y = sqrt_unit_mod(ctx, n, m)
+        eps = 1 if mod % 4 == 1 else 1j
+        s = sum((1 if pow(r, (p - 1) // 2, p) == 1 else -1) ** m
+                * cmath.exp(4j * math.pi * r / mod) for r in (y, mod - y))
+        return eps * s / math.sqrt(mod)
+    A = au if vA == -1 else 0
+    B = bu if vB == -1 else 0
+    return sum(cmath.exp(2j * math.pi * ((A * u + B * pow(u, -1, p)) % p) / p)
+               for u in range(1, p)) / p
 
 
-def oscillatory_shell_integral(ctx: LocalFieldCtx, a, b, k: int,
-                               twist: str = "trivial") -> complex:
-    """K(a,b,k) = int_{|y|=q^k} twist(y) psi(a y + b/y) dy, exactly.
+def _shell_integral(ctx: LocalFieldCtx, a: tuple[int, int, int],
+                    b: tuple[int, int, int], k: int) -> complex:
+    """K(a, b, k) for a, b in the integer form of `_val_and_unit_key`.
 
     The integrand is constant on cosets of 1 + p^m o^x for the minimal
-    sufficient m; the integral is the corresponding finite exponential sum.
-    Vanishing bound: zero when max(|A|, |B|) >= q^2 with |A| != |B|, where
-    A = a pi^{-k}, B = b pi^{k} are the scaled parameters on the unit shell.
+    sufficient m; the unit-shell integral is memoized per (m, A, B) in
+    `_osc_cache`.  Vanishing bound: zero when max(|A|, |B|) >= q^2 with
+    |A| != |B|, where A = a pi^{-k}, B = b pi^{k} are the scaled parameters on
+    the unit shell.
     """
-    p, q = ctx.p, ctx.q
-    va = rational_valuation(a, p)
-    vb = rational_valuation(b, p)
-    tw = -1.0 if (twist == "eta" and k % 2) else 1.0
-    vA = (va - k) if va < INF else INF
-    vB = (vb + k) if vb < INF else INF
-    m = max(0, -vA if vA < INF else 0, -vB if vB < INF else 0)
+    p = ctx.p
+    va, an, ad = a
+    vb, bn, bd = b
+    vA = va - k if va < INF else INF
+    vB = vb + k if vb < INF else INF
+    m = max(0, -vA, -vB)
     if m == 0:
-        return tw * float(q) ** k * float(ctx.vol_Ox)
+        return float(p) ** k * ((p - 1) / p)
     if vA != vB and min(vA, vB) <= -2:
         return 0j
     mod = p ** m
-    _, au = _val_and_unit_key(ctx, a, m) if vA < INF else (INF, 0)
-    _, bu = _val_and_unit_key(ctx, b, m) if vB < INF else (INF, 0)
-    key = (p, m, vA if vA < INF else "z", au, vB if vB < INF else "z", bu)
+    au = (an if ad == 1 else an * pow(ad, -1, mod)) % mod if vA < INF else 0
+    bu = (bn if bd == 1 else bn * pow(bd, -1, mod)) % mod if vB < INF else 0
+    key = (p, m, vA, au, vB, bu)
     unit_integral = _osc_cache.get(key)
     if unit_integral is None:
-        u, uinv = _units(p, m)
-        t = np.zeros_like(u)
-        if vA < INF:
-            t = (t + (au * p ** (vA + m) % mod) * u) % mod
-        if vB < INF:
-            t = (t + (bu * p ** (vB + m) % mod) * uinv) % mod
-        unit_integral = complex(np.exp(2j * np.pi * t / mod).sum()) / mod
-        _osc_cache[key] = unit_integral
-    return tw * float(q) ** k * unit_integral
+        unit_integral = _osc_cache[key] = _unit_shell_integral(ctx, m, vA, au, vB, bu)
+    return float(p) ** k * unit_integral
+
+
+def oscillatory_shell_integral(ctx: LocalFieldCtx, a, b, k: int) -> complex:
+    """K(a,b,k) = int_{|y|=q^k} psi(a y + b/y) dy, exactly, for rational a, b."""
+    return _shell_integral(ctx, _val_and_unit_key(ctx, a), _val_and_unit_key(ctx, b), k)
 
 
 # --- germ data and their Fourier transforms ---------------------------------------
@@ -356,7 +373,9 @@ def iota_eval(ext: QuadExt, f_eval, xi) -> complex:
 class _FData:
     """Closed-form description of F = fourier(f) used by the G engine."""
 
-    atoms: tuple[tuple[Fraction, int, int, complex], ...]  # (center, val c, level, coef)
+    # (val c, level, coef, -c in the integer form of _val_and_unit_key) per atom
+    # 1_{c + p^level o}; val c is INF for the ball around 0
+    atoms: tuple[tuple[int, int, complex, tuple[int, int, int]], ...]
     g0: _GermTransform | None
     g1: _GermTransform | None  # modulated by psi(z): the germ at -1
 
@@ -365,12 +384,14 @@ def _fdata(ctx: LocalFieldCtx, kind: str, atoms, germ0: Germ | None,
            germ_m1: Germ | None) -> _FData:
     packed = []
     for (c, n, w) in atoms:
-        c = Fraction(c)
-        vc = rational_valuation(c, ctx.p)
-        packed.append((c, vc, int(n), complex(w)))
+        vc, num, den = _val_and_unit_key(ctx, c)
+        packed.append((vc, int(n), complex(w), (vc, -num, den)))
     g0 = _germ_transform(ctx, kind, germ0) if germ0 and not germ0.is_zero() else None
     g1 = _germ_transform(ctx, kind, germ_m1) if germ_m1 and not germ_m1.is_zero() else None
     return _FData(tuple(packed), g0, g1)
+
+
+_ONE = (0, 1, 1)  # the rational 1 in the integer form of _val_and_unit_key
 
 
 def _g_value(ctx: LocalFieldCtx, kind: str, fd: _FData, xi: Fraction,
@@ -382,9 +403,10 @@ def _g_value(ctx: LocalFieldCtx, kind: str, fd: _FData, xi: Fraction,
     """
     xi = exact_fraction(xi)
     q = ctx.q
-    vxi = rational_valuation(xi, ctx.p)
+    vxi, num, den = _val_and_unit_key(ctx, xi)
     if vxi >= INF:
         raise DomainError("G is evaluated on F^x")
+    minus_xi = (vxi, -num, den)
     sigma = -1 if kind == "inert" else 1
     total = 0j
 
@@ -397,22 +419,20 @@ def _g_value(ctx: LocalFieldCtx, kind: str, fd: _FData, xi: Fraction,
             vA = vxi - k
             if vA < 0:
                 stats["xi_level"] = max(stats.get("xi_level", 1), -vA)
-        return oscillatory_shell_integral(ctx, -xi, b, k, twist="trivial")
+        return _shell_integral(ctx, minus_xi, b, k)
 
     # window atoms: contributions q^{-n} K(-xi, -c, k) on shells k >= -n
-    for (c, vc, n, w) in fd.atoms:
-        ks = set()
-        if c == 0:
-            ks.update(range(-n, vxi + 2))
+    for (vc, n, w, minus_c) in fd.atoms:
+        if vc >= INF:  # c = 0
+            ks = range(-n, vxi + 2)
         else:
-            ks.update(range(max(-n, -vc - 1), vxi + 2))
-            if (vxi - vc) % 2 == 0:
-                k0 = (vxi - vc) // 2
-                if k0 >= -n:
-                    ks.add(k0)
+            ks = range(max(-n, -vc - 1), vxi + 2)
+            k0 = (vxi - vc) // 2
+            if (vxi - vc) % 2 == 0 and k0 >= -n and k0 not in ks:
+                ks = sorted([*ks, k0])
         piece = 0j
-        for k in sorted(ks):
-            kk = K_eval(-c, k)
+        for k in ks:
+            kk = K_eval(minus_c, k)
             if kk != 0:
                 piece += shell_sign(k) * float(q) ** (-k) * kk
         total += w * float(q) ** (-n) * piece
@@ -431,13 +451,13 @@ def _g_value(ctx: LocalFieldCtx, kind: str, fd: _FData, xi: Fraction,
     if fd.g1 is not None:
         for k in range(-1, vxi + 2):
             g1k = fd.g1.at(k, sigma, q)
-            kk = K_eval(1, k)
+            kk = K_eval(_ONE, k)
             if kk != 0:
                 total += shell_sign(k) * float(q) ** (-k) * g1k * kk
         if vxi % 2 == 0 and vxi // 2 <= -2:
             k0 = vxi // 2
             g1k = fd.g1.at(k0, sigma, q)
-            kk = K_eval(1, k0)
+            kk = K_eval(_ONE, k0)
             total += shell_sign(k0) * float(q) ** (-k0) * g1k * kk
     if kind == "inert" and vxi % 2:
         # G carries the eta(xi) twist in the inert case: with the plain
@@ -448,16 +468,16 @@ def _g_value(ctx: LocalFieldCtx, kind: str, fd: _FData, xi: Fraction,
     return total
 
 
-def _atom_support_bound(c: Fraction, vc: int, n: int) -> int:
-    """G of the window atom 1_{c + p^n o} vanishes on val(xi) < this bound."""
-    if c == 0:
+def _atom_support_bound(vc: int, n: int) -> int:
+    """G of the window atom 1_{c + p^n o}, val c = vc, vanishes on val(xi) < this bound."""
+    if vc >= INF:  # c = 0
         return -n - 1
     return min(max(-n, -vc - 1) - 1, vc - 2 * n)
 
 
 def _support_bound(fd: _FData) -> int:
     """All of G f vanishes on val(xi) < this bound."""
-    bounds = [_atom_support_bound(c, vc, n) for (c, vc, n, w) in fd.atoms]
+    bounds = [_atom_support_bound(vc, n) for (vc, n, _, _) in fd.atoms]
     if fd.g0 is not None:
         bounds.append(-(fd.g0.L + 1))
     if fd.g1 is not None:
@@ -468,7 +488,7 @@ def _support_bound(fd: _FData) -> int:
 def _germ_depth(fd: _FData) -> int:
     """val(xi) >= this depth puts G f exactly in germ form (a' + b' val/eta)."""
     depth = 2
-    for (c, vc, n, w) in fd.atoms:
+    for (vc, n, _, _) in fd.atoms:
         depth = max(depth, vc + 2 * n + 2, -vc + 2, n + 2)
     if fd.g0 is not None:
         depth = max(depth, -fd.g0.L + 1)
@@ -575,7 +595,7 @@ def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None) ->
     # Kloosterman tail: the pure-tail constant of the -1 germ's transform,
     # certified on deep shells
     C = fd.g1.c_tail if fd.g1 is not None else 0j
-    atom_bound = min((_atom_support_bound(c, vc, n) for (c, vc, n, w) in fd.atoms),
+    atom_bound = min((_atom_support_bound(vc, n) for (vc, n, _, _) in fd.atoms),
                      default=0)
     g0_bound = -(fd.g0.L + 2) if fd.g0 is not None else 0
     tail_val = min(atom_bound - 1, g0_bound, -2 * (fd.g1.L + 1) if fd.g1 else -4, -4)

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padicorb.errors import DomainError, KindError, WindowError
 from padicorb.bruhat import BruhatFn, MellinCharacter, gamma_factor
-from padicorb.localfield import QuadExt, psi_eval_frac
+from padicorb.localfield import LocalFieldCtx, QuadExt, psi_eval_frac, unit_reps
 from padicorb.spaces import (
     Germ,
     KLTail,
@@ -78,12 +79,53 @@ def test_oscillatory_vs_brute(ctx3):
         assert abs(got - brute) < 1e-10
 
 
-def test_eta_twist_factor(ctx3):
-    a, b = Fraction(1, 3), Fraction(2)
-    for k in (-1, 1, 3):
-        plain = oscillatory_shell_integral(ctx3, a, b, k)
-        tw = oscillatory_shell_integral(ctx3, a, b, k, twist="eta")
-        assert abs(tw - (-1) ** (k % 2) * plain) < 1e-14
+def _shell_sum_oracle(p, m, A, B):
+    """(1/p^m) sum over the units u mod p^m of e((A u + B/u) / p^m), summed
+    directly: the reference for the engine's unit-shell integrals."""
+    mod = p ** m
+    u = np.array(unit_reps(p, m), dtype=np.int64)
+    uinv = np.array([pow(int(x), -1, mod) for x in u], dtype=np.int64)
+    t = (A * u + B * uinv) % mod
+    return complex(np.exp(2j * np.pi * t / mod).sum()) / mod
+
+
+def _check_unit_shell(p, m, au, bu, k=0):
+    """K(au p^(k-m), bu p^(-k-m), k) / q^k is the unit-shell sum at level m."""
+    ctx = LocalFieldCtx(p)
+    a = Fraction(au) * Fraction(p) ** (k - m)
+    b = Fraction(bu) * Fraction(p) ** (-k - m)
+    got = oscillatory_shell_integral(ctx, a, b, k) / float(p) ** k
+    want = _shell_sum_oracle(p, m, au % p ** m, bu % p ** m)
+    assert abs(got - want) < 1e-12, (p, m, au, bu, k, got, want)
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3)])
+def test_shell_integral_every_unit_pair(p, m):
+    """Every unit pair: Salie's closed form for m >= 2 (zero off the squares),
+    the direct sum for m = 1."""
+    for au in unit_reps(p, m):
+        for bu in unit_reps(p, m):
+            _check_unit_shell(p, m, au, bu)
+
+
+@pytest.mark.parametrize("p, m, pairs", [(7, 1, 36), (7, 2, 150), (7, 3, 150),
+                                         (3, 6, 60), (3, 7, 60)])
+def test_shell_integral_seeded_unit_pairs(p, m, pairs):
+    rng = random.Random(p * 100 + m)
+    units = unit_reps(p, m)
+    for _ in range(pairs):
+        _check_unit_shell(p, m, rng.choice(units), rng.choice(units), rng.randrange(-2, 3))
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 4), (5, 1), (5, 3), (7, 2)])
+def test_shell_integral_ramanujan(p, m):
+    """b = 0: the Ramanujan sum, nonzero only at m = 1."""
+    ctx = LocalFieldCtx(p)
+    for au in unit_reps(p, m):
+        for k in (-1, 0, 2):
+            got = oscillatory_shell_integral(ctx, Fraction(au) * Fraction(p) ** (k - m), 0, k)
+            want = _shell_sum_oracle(p, m, au, 0)
+            assert abs(got / float(p) ** k - want) < 1e-12, (p, m, au, k)
 
 
 def test_kloosterman_germ_domain(ctx3):
