@@ -215,6 +215,13 @@ def _fl_single(task):
     return rep
 
 
+def _hecke_label(coeffs: dict[int, complex]) -> str:
+    """'n:c,...' in index order; c prints as a real number unless its
+    imaginary part is nonzero."""
+    return ",".join(f"{n}:{c.real:g}" if c.imag == 0 else f"{n}:{c:g}"
+                    for n, c in sorted(coeffs.items()))
+
+
 def cmd_verify_fl(cfg: RunConfig) -> int:
     hs = parse_hecke_list(cfg.hecke)
     tasks = [(cfg.p, cfg.ext, h.as_dict(), cfg.val_window, cfg.tolerance) for h in hs]
@@ -235,7 +242,7 @@ def cmd_verify_fl(cfg: RunConfig) -> int:
     }
     rows = []
     for r in reports:
-        hstr = ",".join(f"{n}:{c.real:g}" for n, c in sorted(r.hecke.items()))
+        hstr = _hecke_label(r.hecke)
         for pt in r.points:
             rows.append({
                 "hecke": hstr, "kind": r.kind, "xiVal": pt.xi_val,
@@ -245,7 +252,7 @@ def cmd_verify_fl(cfg: RunConfig) -> int:
             })
     path = _write_report(cfg, doc, rows, "fl_report")
     for r in reports:
-        hstr = ",".join(f"{n}:{c.real:g}" for n, c in sorted(r.hecke.items()))
+        hstr = _hecke_label(r.hecke)
         print(f"[{'PASS' if r.passed else 'FAIL'}] fl p={r.p} {r.kind} h={{{hstr}}} "
               f"maxErr={r.max_error:.3e} const={r.fitted_constant:.10f} "
               f"({r.elapsed:.1f}s)")

@@ -36,6 +36,7 @@ from .localfield import (
     INF,
     LocalFieldCtx,
     QuadExt,
+    _val_int,
     exact_fraction,
     is_rational_square,
     padic_sqrt,
@@ -496,12 +497,6 @@ def torus_pair_invariant(g: GroupElt, ext: QuadExt) -> Fraction:
     return val
 
 
-def split_rep_for(ctx: LocalFieldCtx, xi: Fraction) -> GroupElt:
-    """F-rational g with invariant xi: the chart matrix iota(-1-xi, 1)."""
-    x = -1 - xi
-    return GroupElt.of(ctx, 1, x, 1, 1 + x)
-
-
 def inert_fiber_is_trivial(ext: QuadExt, xi: Fraction) -> bool:
     """Regular xi carries F-rational (trivial-torsor) orbits iff
     val(xi) + val(1+xi) is even."""
@@ -547,26 +542,6 @@ def inert_rep_for(ext: QuadExt, xi: Fraction) -> GroupElt:
     raise RepresentationError(f"no representative found for xi={xi}")
 
 
-def _in_AK(ctx: LocalFieldCtx, g: GroupElt) -> bool:
-    """Membership in A(F)K for the split torus A of diagonal matrices.
-
-    Closed form: a diag(pi^s,1)-shift can normalize the matrix to K exactly
-    when val(det) <= min val(row 1) + min val(row 2).
-    """
-    a, b, c, d = g.m
-    p = ctx.p
-    m1 = min(rational_valuation(a, p), rational_valuation(b, p))
-    m2 = min(rational_valuation(c, p), rational_valuation(d, p))
-    return g.det_val() <= m1 + m2
-
-
-def x1_membership(ctx: LocalFieldCtx, ext: QuadExt, g: GroupElt) -> bool:
-    """g in T(F)K, i.e. the point T g lies in X_1(o)."""
-    if ext.kind == "split":
-        return _in_AK(ctx, g)
-    return g.in_K()  # inert T(F) is contained in K
-
-
 @dataclass(frozen=True)
 class TorusPairDescriptor:
     """Hecke translate data for Phi_1 = h * 1_{X1(o)}, Phi_2 = 1_{X1(o)}."""
@@ -577,51 +552,89 @@ class TorusPairDescriptor:
 
 _TORUS_MARGIN = 3  # shells of T(F)/T(o) summed past the support estimate
 
+CosetTerms = list[tuple[int, complex, list[tuple[int, int, int]]]]
+
+
+def _coset_terms(ctx: LocalFieldCtx, dc: dict[int, complex]) -> CosetTerms:
+    """(m, c_m, [(a, c, p^d)]) for f = sum_m c_m 1_{K diag(pi^m,1) K}, one
+    (a, c, p^d) per left coset [[p^a, c], [0, p^d]] K of double_coset_reps."""
+    p = ctx.p
+    return [(m, cm, [(_val_int(int(r.m[0]), p), int(r.m[1]), int(r.m[3]))
+                     for r in double_coset_reps(ctx, m)])
+            for m, cm in dc.items()]
+
+
+def _x1_count(p: int, split: bool, terms: CosetTerms,
+              b11: int, b12: int, b21: int, b22: int) -> complex:
+    """sum_m c_m #{rep : B rep in T(F)K} for the integer matrix B = [[b11, b12], [b21, b22]].
+
+    Membership is read off the valuations of the entries of
+    B rep = [[b11 p^a, b11 c + b12 p^d], [b21 p^a, b21 c + b22 p^d]] and of
+    det(B rep) = det B p^m:
+      split, T(F)K = A(F)K:  val det <= min val(row 1) + min val(row 2)
+                             (a diag(pi^s, 1) shift carries B rep into K);
+      inert, T(F) in K:      val det == 2 min val(entries).
+    Both rules are invariant under scaling B, so B needs no normalization.
+    """
+    v11, v21 = _val_int(b11, p), _val_int(b21, p)
+    vdet = _val_int(b11 * b22 - b12 * b21, p)
+    tot = 0j
+    for m, cm, reps in terms:
+        cnt = 0
+        for a, c, pd in reps:
+            w1 = min(v11 + a, _val_int(b11 * c + b12 * pd, p))
+            w2 = min(v21 + a, _val_int(b21 * c + b22 * pd, p))
+            if split:
+                cnt += vdet + m <= w1 + w2
+            else:
+                cnt += vdet + m == 2 * min(w1, w2)
+        tot += cm * cnt
+    return tot
+
 
 def o_torus_group(ctx: LocalFieldCtx, desc: TorusPairDescriptor, xi) -> complex:
     """Brute-force O_xi((h*Phi1) x Phi2) with Weil measures (vol K = 1-q^-2).
 
-    Split: vol(K) * sum over T(F)/T(o) of (h*Phi1)(T g_xi diag(pi^n,1));
-    inert: vol(K) * (h*Phi1)(T g_xi), zero on nontrivial-torsor fibers.
+    Split: vol(K) * sum over T(F)/T(o) of (h*Phi1)(T g_xi diag(pi^n,1)) with
+    g_xi = iota(-1-xi, 1); inert: vol(K) * (h*Phi1)(T g_xi), zero on
+    nontrivial-torsor fibers.  (h*Phi1)(T g) counts the cosets of
+    K diag(pi^m,1) K / K that g carries into T(F)K (`_x1_count`).
     """
     xi = exact_fraction(xi)
     if xi == 0 or xi == -1:
         raise IrregularPointError(f"xi = {xi} is irregular")
     ext = QuadExt(ctx, desc.kind)
-    if desc.hecke.is_zero():
+    if desc.hecke.is_zero() or (desc.kind == "inert" and not inert_fiber_is_trivial(ext, xi)):
         return 0j
-    dc = hecke_to_coset_basis(ctx, desc.hecke)
+    p = ctx.p
+    terms = _coset_terms(ctx, hecke_to_coset_basis(ctx, desc.hecke))
     volK = float(ctx.vol_K)
 
-    def translate_value(base: GroupElt) -> complex:
-        tot = 0j
-        for m, cm in dc.items():
-            if abs(cm) < 1e-15:
-                continue
-            cnt = sum(1 for rep in double_coset_reps(ctx, m)
-                      if x1_membership(ctx, ext, base.mul(rep)))
-            tot += cm * cnt
-        return tot
-
     if desc.kind == "inert":
-        if not inert_fiber_is_trivial(ext, xi):
-            return 0j
-        g = inert_rep_for(ext, xi)
-        return volK * translate_value(g)
+        g = inert_rep_for(ext, xi).m
+        scale = math.lcm(*(x.denominator for x in g))
+        return volK * _x1_count(p, False, terms, *(int(x * scale) for x in g))
 
-    g = split_rep_for(ctx, xi)
-    vxi = rational_valuation(xi, ctx.p)
-    vz = rational_valuation(1 + xi, ctx.p)
+    # g_xi diag(p^n, 1) = [[p^n, x], [p^n, 1 + x]], x = -1 - xi = num/den
+    x = -1 - xi
+    num, den = x.numerator, x.denominator
+
+    def translate(n: int) -> complex:
+        if n >= 0:
+            return _x1_count(p, True, terms, p ** n * den, num, p ** n * den, num + den)
+        s = p ** -n
+        return _x1_count(p, True, terms, den, num * s, den, (num + den) * s)
+
+    vxi = rational_valuation(xi, p)
+    vz = rational_valuation(1 + xi, p)
     depth = desc.hecke.max_degree()
     span = abs(vxi) + abs(vz) + 2 * depth + _TORUS_MARGIN
     total = 0j
     for n in range(-span, span + 1):
-        an = GroupElt.diag(ctx, Fraction(ctx.p) ** n)
-        total += translate_value(g.mul(an))
+        total += translate(n)
     # idempotence of the truncation: the boundary terms must vanish
     for n in (-span - 1, span + 1):
-        an = GroupElt.diag(ctx, Fraction(ctx.p) ** n)
-        if abs(translate_value(g.mul(an))) > 1e-12:
+        if abs(translate(n)) > 1e-12:
             raise RepresentationError("T(F)/T(o) sum not stabilized; widen margin")
     return volK * total
 

@@ -246,7 +246,7 @@ def test_criterion_8_matching():
     assert elapsed < 300 * 3
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_criterion_9_fundamental_lemma(p):
     """FL: h in {h0, h1, h2, 1_{K pi K}}, both kinds, val in [-4,4], const = 1."""
     t0 = time.time()

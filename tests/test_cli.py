@@ -122,6 +122,18 @@ def test_verify_fl_cli_smoke(tmp_path):
     assert doc["results"][0]["fittedConstant"][0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_verify_fl_complex_hecke_label(tmp_path, capsys):
+    """A coefficient with an imaginary part keeps it in the printed label and
+    in the CSV hecke column; a real coefficient prints as a real number."""
+    out = tmp_path / "fl.csv"
+    assert run(["verify-fl", "--p", "3", "--ext", "split", "--hecke", "0:1,1:1j;1:2",
+                "--val-window", "-1:1", "--format", "csv", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "h={0:1,1:0+1j}" in printed and "h={1:2}" in printed
+    with open(out) as fh:
+        assert {row["hecke"] for row in csv.DictReader(fh)} == {"0:1,1:0+1j", "1:2"}
+
+
 def test_verify_fl_parallel_jobs(tmp_path):
     seq, par = tmp_path / "s.json", tmp_path / "p.json"
     args = ["verify-fl", "--p", "3", "--ext", "inert", "--hecke", "0:1;1:1",

@@ -11,7 +11,14 @@ from padicorb.errors import (
     UnsupportedSectionError,
 )
 from padicorb.bruhat import BruhatFn
-from padicorb.groups import GroupElt, HeckeElt, KSection
+from padicorb.groups import (
+    GroupElt,
+    HeckeElt,
+    KSection,
+    coset_basis_to_hecke,
+    double_coset_reps,
+    hecke_to_coset_basis,
+)
 from padicorb.localfield import (
     LocalFieldCtx,
     QuadExt,
@@ -22,6 +29,9 @@ from padicorb.localfield import (
 from padicorb.orbital import (
     BabyInput,
     TorusPairDescriptor,
+    _TORUS_MARGIN,
+    _coset_terms,
+    _x1_count,
     baby_orbital,
     basic_fW0,
     basic_fZ0,
@@ -281,6 +291,166 @@ def test_o_torus_group_inert_closed_form(ctx3):
         trivial = (vv + vz) % 2 == 0
         want = (1 - q ** -2) if (vv >= 0 and vz >= 0 and trivial) else 0.0
         assert abs(o_torus_group(ctx3, desc, xi) - want) < 1e-10
+
+
+# GroupElt oracle for the integer lattice count in o_torus_group: each product
+# base.rep is formed as a content-normalized Fraction matrix and tested for
+# membership in T(F)K directly.
+
+
+def _in_AK(g: GroupElt) -> bool:
+    """Membership in A(F)K for the split torus A of diagonal matrices.
+
+    Closed form: a diag(pi^s,1)-shift can normalize the matrix to K exactly
+    when val(det) <= min val(row 1) + min val(row 2).
+    """
+    a, b, c, d = g.m
+    p = g.ctx.p
+    m1 = min(rational_valuation(a, p), rational_valuation(b, p))
+    m2 = min(rational_valuation(c, p), rational_valuation(d, p))
+    return g.det_val() <= m1 + m2
+
+
+def _x1_membership(ext: QuadExt, g: GroupElt) -> bool:
+    """g in T(F)K, i.e. the point T g lies in X_1(o)."""
+    if ext.kind == "split":
+        return _in_AK(g)
+    return g.in_K()  # inert T(F) is contained in K
+
+
+def _oracle_count(ext: QuadExt, base: GroupElt, m: int) -> int:
+    return sum(1 for rep in double_coset_reps(ext.ctx, m)
+               if _x1_membership(ext, base.mul(rep)))
+
+
+def _integer_count(ext: QuadExt, base: GroupElt, m: int) -> complex:
+    scale = math.lcm(*(x.denominator for x in base.m))
+    return _x1_count(ext.ctx.p, ext.kind == "split", _coset_terms(ext.ctx, {m: 1}),
+                     *(int(x * scale) for x in base.m))
+
+
+def _split_translate(ctx: LocalFieldCtx, xi: Fraction, n: int) -> GroupElt:
+    """g_xi diag(pi^n, 1) with g_xi = iota(-1-xi, 1) of invariant xi."""
+    x = -1 - xi
+    return GroupElt.of(ctx, 1, x, 1, 1 + x).mul(GroupElt.diag(ctx, Fraction(ctx.p) ** n))
+
+
+def _torus_span(ctx: LocalFieldCtx, xi: Fraction, depth: int) -> int:
+    """The T(F)/T(o) shells o_torus_group sums: n in [-span, span]."""
+    vxi, vz = rational_valuation(xi, ctx.p), rational_valuation(1 + xi, ctx.p)
+    return abs(vxi) + abs(vz) + 2 * depth + _TORUS_MARGIN
+
+
+def _seeded_xis(rng, p: int, count: int) -> list[Fraction]:
+    out = []
+    while len(out) < count:
+        xi = (Fraction(rng.randrange(-40, 41), rng.choice([1, p, p * p]))
+              * Fraction(p) ** rng.randrange(-3, 4))
+        if xi not in (0, -1):
+            out.append(xi)
+    return out
+
+
+@pytest.mark.parametrize("p,m_max", [(3, 3), (5, 3), (7, 2)])
+def test_x1_count_matches_groupelt_oracle(p, m_max):
+    """The integer membership count equals the GroupElt count, coset by
+    coset summed, on seeded rational bases, on 28-digit inert representatives
+    and on the split boundary translates n = +-(span+1)."""
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(100 + p)
+    bases = []
+    while len(bases) < 12:
+        m = [Fraction(rng.randrange(-30, 31), rng.choice([1, p, p * p]))
+             * Fraction(p) ** rng.randrange(-2, 3) for _ in range(4)]
+        try:
+            bases.append(GroupElt.of(ctx, *m))
+        except DomainError:
+            continue
+    inert = QuadExt(ctx, "inert")
+    inert_bases = [inert_rep_for(inert, xi) for xi in _seeded_xis(rng, p, 30)
+                   if inert_fiber_is_trivial(inert, xi)][:4]
+    assert inert_bases
+    # Hensel-lifted entries carry 28 p-adic digits: past int64 from p = 5 on
+    assert max(abs(x.numerator) for g in inert_bases for x in g.m) > p ** 20
+    split_bases = []
+    for xi in _seeded_xis(rng, p, 3):
+        span = _torus_span(ctx, xi, m_max)
+        split_bases += [_split_translate(ctx, xi, n) for n in (-span - 1, span + 1)]
+    cases = [(kind, g) for g in bases for kind in ("split", "inert")]
+    cases += [("inert", g) for g in inert_bases] + [("split", g) for g in split_bases]
+    hits = 0
+    for kind, g in cases:
+        ext = QuadExt(ctx, kind)
+        for m in range(m_max + 1):
+            want = _oracle_count(ext, g, m)
+            assert _integer_count(ext, g, m) == want, (kind, g, m)
+            hits += want
+    assert hits > 0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_o_torus_group_equals_groupelt_sum(p):
+    """o_torus_group is vol K times the GroupElt count over the same
+    translates, bit for bit: the counts are integers summed in one order."""
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(200 + p)
+    volK = float(ctx.vol_K)
+    for kind in ("split", "inert"):
+        ext = QuadExt(ctx, kind)
+        for n_h in (0, 1, 2):
+            h = HeckeElt.basis(n_h)
+            dc = hecke_to_coset_basis(ctx, h)
+            desc = TorusPairDescriptor(h, kind)
+            for xi in _seeded_xis(rng, p, 4):
+                if kind == "split":
+                    span = _torus_span(ctx, xi, n_h)
+                    bases = [_split_translate(ctx, xi, n) for n in range(-span, span + 1)]
+                elif inert_fiber_is_trivial(ext, xi):
+                    bases = [inert_rep_for(ext, xi)]
+                else:
+                    assert o_torus_group(ctx, desc, xi) == 0
+                    continue
+                total = 0j
+                for g in bases:
+                    tot = 0j
+                    for m, cm in dc.items():
+                        tot += cm * _oracle_count(ext, g, m)
+                    total += tot
+                assert o_torus_group(ctx, desc, xi) == volK * total, (kind, n_h, xi)
+
+
+def _tree_count(delta: int, m: int) -> int:
+    """#{gamma K in K diag(pi^m,1) K : g gamma K on the apartment of A} for a
+    vertex gK at tree distance delta from the apartment: the m-sphere about gK
+    meets the apartment in 0, 1 or 2 vertices (Serre, Trees, ch. II)."""
+    if m == 0:
+        return 1 if delta == 0 else 0
+    if m < delta:
+        return 0
+    return 1 if m == delta else 2
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_o_torus_group_split_tree_distance(p):
+    """Third oracle for the split side: the count at a translate g depends only
+    on delta = val det g - min val(row 1) - min val(row 2), the distance of gK
+    to the apartment of A."""
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(300 + p)
+    hs = [HeckeElt.basis(0), HeckeElt.basis(1), HeckeElt.basis(2),
+          coset_basis_to_hecke(ctx, {1: 1.0})]
+    for xi in _seeded_xis(rng, p, 8):
+        x = -1 - xi
+        vx, vz = rational_valuation(x, p), rational_valuation(1 + x, p)
+        # [[p^n, x], [p^n, 1 + x]] has det p^n; delta grows like |n| both ways
+        deltas = [n - min(n, vx) - min(n, vz) for n in range(-40, 41)]
+        assert min(deltas[0], deltas[-1]) > 4
+        for h in hs:
+            dc = hecke_to_coset_basis(ctx, h)
+            want = float(ctx.vol_K) * sum(cm * _tree_count(d, m)
+                                          for d in deltas for m, cm in dc.items())
+            got = o_torus_group(ctx, TorusPairDescriptor(h, "split"), xi)
+            assert abs(got - want) < 1e-10, (xi, h)
 
 
 def test_basic_fZ0_dual_path_split(ctx3):
