@@ -7,7 +7,7 @@ torus-quotient and Kuznetsov orbital-integral spaces, the integral transform
 Hecke fundamental lemma numerically by two independent computational paths.
 """
 
-from .localfield import LocalFieldCtx, PadicScalar, QuadExt
+from .localfield import LocalFieldCtx, QuadExt
 from .bruhat import BruhatFn, MellinCharacter, fourier, fourier_E, gamma_factor, tate_zeta
 from .groups import GroupElt, HeckeElt, KSection
 from .spaces import SWElem, SXElem, SZElem, g_transform_SX, g_transform_Z_to_W
@@ -30,7 +30,7 @@ from .orbital import (
 )
 
 __all__ = [
-    "LocalFieldCtx", "PadicScalar", "QuadExt",
+    "LocalFieldCtx", "QuadExt",
     "BruhatFn", "MellinCharacter", "fourier", "fourier_E", "gamma_factor", "tate_zeta",
     "GroupElt", "HeckeElt", "KSection",
     "SXElem", "SZElem", "SWElem", "g_transform_SX", "g_transform_Z_to_W",

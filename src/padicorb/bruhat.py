@@ -21,13 +21,11 @@ import numpy as np
 from .errors import (
     DomainError,
     KindError,
-    PrecisionError,
     RepresentationError,
     UnsupportedAtomError,
 )
 from .localfield import (
     LocalFieldCtx,
-    PadicScalar,
     QuadExt,
     rational_valuation,
     unit_mod,
@@ -141,19 +139,8 @@ class BruhatFn:
 
     def eval(self, x) -> complex:
         """Sum of the coefficients of the atoms containing x (atom overlap sums)."""
-        pt = self._point_of(x)
+        pt = _as_point(x, self.dim)
         return sum((a.coef for a in self.atoms if a.contains(pt, self.ctx.p)), 0j)
-
-    def _point_of(self, x) -> Point:
-        if isinstance(x, PadicScalar):
-            max_level = max((a.level for a in self.atoms), default=0)
-            if not x.is_exact_zero() and not x.is_zero_like():
-                if x.val + x.prec < max_level:
-                    raise PrecisionError("point precision below atom level")
-            elif not x.is_exact_zero() and x.val < max_level:
-                raise PrecisionError("inexact zero below atom level")
-            return (x.to_fraction_approx(),)
-        return _as_point(x, self.dim)
 
     def canonicalize(self) -> "BruhatFn":
         return self._canonical_form

@@ -18,6 +18,7 @@ from .errors import (
     IrregularPointError,
     KindError,
     PoleError,
+    PrecisionError,
     RepresentationError,
     UnsupportedSectionError,
 )
@@ -37,7 +38,6 @@ from .localfield import (
     LocalFieldCtx,
     QuadExt,
     _val_int,
-    exact_fraction,
     is_rational_square,
     padic_sqrt,
     rational_valuation,
@@ -71,7 +71,7 @@ def o_baby_split(phi: BruhatFn, xi) -> complex:
     """O_xi(Phi) = int_{F^x} Phi(a*xi, 1/a) d^x a for Phi on F^2, exact."""
     if phi.domain != "F2":
         raise DomainError("o_baby_split expects data on F^2 = V x V*")
-    xi = exact_fraction(xi)
+    xi = Fraction(xi)
     ctx = phi.ctx
     vxi = rational_valuation(xi, ctx.p)
     if vxi >= INF:
@@ -210,7 +210,7 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
     """O_xi over T(F) on the copy whose norm class contains xi; 0 on the other."""
     ext = inp.ext
     ctx = ext.ctx
-    xi = exact_fraction(xi)
+    xi = Fraction(xi)
     vxi = rational_valuation(xi, ctx.p)
     if vxi >= INF:
         raise IrregularPointError("xi = 0 is the irregular point")
@@ -504,7 +504,7 @@ def inert_fiber_is_trivial(ext: QuadExt, xi: Fraction) -> bool:
     return (rational_valuation(xi, p) + rational_valuation(1 + xi, p)) % 2 == 0
 
 
-_INERT_REP_PREC = 28  # p-adic digits of the Hensel square roots in inert_rep_for
+_INERT_REP_PREC = 28  # absolute p-adic digits of the square roots in inert_rep_for
 
 
 def inert_rep_for(ext: QuadExt, xi: Fraction) -> GroupElt:
@@ -512,7 +512,8 @@ def inert_rep_for(ext: QuadExt, xi: Fraction) -> GroupElt:
 
     Solves (del-1)^2 - u gam^2 = -4 del (1+xi) by a certified square search
     over gam = c p^w with w near val(xi(1+xi))/2; entries are Hensel square
-    roots at working precision.
+    roots at working precision.  A square discriminant whose root still misses
+    the invariant test raises PrecisionError.
     """
     ctx, u = ext.ctx, ext.u
     if not inert_fiber_is_trivial(ext, xi):
@@ -525,12 +526,15 @@ def inert_rep_for(ext: QuadExt, xi: Fraction) -> GroupElt:
             if c % ctx.p == 0:
                 continue
             gams.append(Fraction(c) * Fraction(ctx.p) ** w)
+    short = False
     for gam in gams:
         disc = 4 * xi * (1 + xi) + u * gam * gam
         if disc == 0:
             continue
         if is_rational_square(ctx, disc):
-            root = padic_sqrt(ctx, disc, _INERT_REP_PREC).to_fraction_approx()
+            # relative digits, so that the root is known to _INERT_REP_PREC absolute ones
+            prec = _INERT_REP_PREC + max(0, -rational_valuation(disc, ctx.p) // 2)
+            root = padic_sqrt(ctx, disc, prec)
             for sgn in (1, -1):
                 dl = -(1 + 2 * xi) + sgn * root
                 if dl == 0:
@@ -539,6 +543,9 @@ def inert_rep_for(ext: QuadExt, xi: Fraction) -> GroupElt:
                 got = torus_pair_invariant(g, ext)
                 if rational_valuation(got - xi, ctx.p) >= _INERT_REP_PREC - 8:
                     return g
+            short = True
+    if short:
+        raise PrecisionError(f"square roots too short for a representative at xi={xi}")
     raise RepresentationError(f"no representative found for xi={xi}")
 
 
@@ -600,7 +607,7 @@ def o_torus_group(ctx: LocalFieldCtx, desc: TorusPairDescriptor, xi) -> complex:
     nontrivial-torsor fibers.  (h*Phi1)(T g) counts the cosets of
     K diag(pi^m,1) K / K that g carries into T(F)K (`_x1_count`).
     """
-    xi = exact_fraction(xi)
+    xi = Fraction(xi)
     if xi == 0 or xi == -1:
         raise IrregularPointError(f"xi = {xi} is irregular")
     ext = QuadExt(ctx, desc.kind)
@@ -650,7 +657,7 @@ def o_kuz_closed(ctx: LocalFieldCtx, m: int, xi) -> complex:
     """
     if m < 0:
         raise DomainError("m >= 0")
-    xi = exact_fraction(xi)
+    xi = Fraction(xi)
     v = rational_valuation(xi, ctx.p)
     if v >= INF:
         raise DomainError("xi = 0")
@@ -671,7 +678,7 @@ def o_kuz_direct(ctx: LocalFieldCtx, sec1: KSection, sec2: KSection, xi) -> comp
     The second section must be a multiple of 1_{y_0K}^- (the only case the
     closed reduction of the paper-level computation covers).
     """
-    xi = exact_fraction(xi)
+    xi = Fraction(xi)
     v = rational_valuation(xi, ctx.p)
     if v >= INF:
         raise DomainError("xi = 0")
@@ -719,7 +726,7 @@ def basic_fW0(ctx: LocalFieldCtx, kind: str, s: complex = 0.0):
         return 1.0 if v % 2 == 0 else 0j
 
     def value(xi) -> complex:
-        xi = exact_fraction(xi)
+        xi = Fraction(xi)
         v = rational_valuation(xi, ctx.p)
         if v >= INF:
             raise DomainError("xi = 0")
@@ -743,7 +750,7 @@ def fW_series_value(ctx: LocalFieldCtx, kind: str, s: complex, xi) -> complex:
     survive, so the series stabilizes after finitely many shells; the c(m,s)
     coefficients come from the H_s expansion.
     """
-    xi = exact_fraction(xi)
+    xi = Fraction(xi)
     v = rational_valuation(xi, ctx.p)
     if v >= INF:
         raise DomainError("xi = 0")
@@ -791,7 +798,7 @@ def hecke_apply_W(ctx: LocalFieldCtx, kind: str, h: HeckeElt, s: complex = 0.0):
         return cache[k]
 
     def value(xi) -> complex:
-        xi = exact_fraction(xi)
+        xi = Fraction(xi)
         v = rational_valuation(xi, ctx.p)
         if v >= INF:
             raise DomainError("xi = 0")

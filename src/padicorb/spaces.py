@@ -33,7 +33,6 @@ from .localfield import (
     INF,
     LocalFieldCtx,
     QuadExt,
-    exact_fraction,
     rational_valuation,
     sqrt_unit_mod,
     unit_reps,
@@ -223,7 +222,7 @@ class SXElem:
         _check_kind(self.kind)
 
     def eval(self, xi) -> complex:
-        v = rational_valuation(exact_fraction(xi), self.ctx.p)
+        v = rational_valuation(Fraction(xi), self.ctx.p)
         if v >= INF:
             raise DomainError("S(X) elements live on F^x")
         if v >= self.germ0.level:
@@ -250,7 +249,7 @@ class SZElem:
         _check_kind(self.kind)
 
     def eval(self, xi) -> complex:
-        xi = exact_fraction(xi)
+        xi = Fraction(xi)
         v = rational_valuation(xi, self.ctx.p)
         vz = rational_valuation(xi + 1, self.ctx.p)
         if v >= INF or vz >= INF:
@@ -293,7 +292,7 @@ class SWElem:
         _check_kind(self.kind)
 
     def eval(self, xi) -> complex:
-        xi = exact_fraction(xi)
+        xi = Fraction(xi)
         v = rational_valuation(xi, self.ctx.p)
         if v >= INF:
             raise DomainError("S(W) elements live on F^x")
@@ -329,7 +328,7 @@ def _certify_kl_tail(ctx: LocalFieldCtx, value, C: complex, shells, units,
 
 def kloosterman_germ(ctx: LocalFieldCtx, xi) -> complex:
     """KL(xi) = int_{|x|^2=|xi|} psi(xi/x - x) dx; zero on odd shells."""
-    xi = exact_fraction(xi)
+    xi = Fraction(xi)
     v = rational_valuation(xi, ctx.p)
     if v >= 0:
         raise DomainError("the Kloosterman germ lives on |xi| > 1")
@@ -359,7 +358,7 @@ def iota_window(ext: QuadExt, f: BruhatFn) -> BruhatFn:
 
 
 def iota_eval(ext: QuadExt, f_eval, xi) -> complex:
-    xi = exact_fraction(xi)
+    xi = Fraction(xi)
     v = rational_valuation(xi, ext.ctx.p)
     if v >= INF:
         raise DomainError("iota at 0")
@@ -401,7 +400,7 @@ def _g_value(ctx: LocalFieldCtx, kind: str, fd: _FData, xi: Fraction,
     When `stats` is given, stats["xi_level"] records how many digits of the
     unit of xi the value actually consumed (certified atom level for windows).
     """
-    xi = exact_fraction(xi)
+    xi = Fraction(xi)
     q = ctx.q
     vxi, num, den = _val_and_unit_key(ctx, xi)
     if vxi >= INF:
@@ -615,7 +614,7 @@ def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None) ->
 def g_value_Z_to_W(f: SZElem, xi) -> complex:
     """Pointwise (|.|G f)(xi)."""
     fd = _fdata(f.ctx, f.kind, f.atom_triples(), f.germ0, f.germ_m1)
-    xi = exact_fraction(xi)
+    xi = Fraction(xi)
     v = rational_valuation(xi, f.ctx.p)
     return float(f.ctx.q) ** (-v) * _g_value(f.ctx, f.kind, fd, xi)
 

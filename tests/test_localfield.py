@@ -1,21 +1,24 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from padicorb.errors import DomainError, PadicOrbError, PrecisionError
+import padicorb
+from padicorb.errors import DomainError, PadicOrbError
 from padicorb.localfield import (
-    EElem,
     LocalFieldCtx,
-    PadicScalar,
     QuadExt,
-    norm_E,
-    psi_eval,
+    padic_sqrt,
     psi_eval_frac,
     rational_valuation,
     smallest_nonresidue,
+    sqrt_unit_mod,
     unit_mod,
 )
 
@@ -41,8 +44,6 @@ def test_measure_constants_by_point_count(ctx3, ctx5):
 def test_psi_trivial_on_integers(ctx5):
     assert psi_eval_frac(ctx5, 3) == 1
     assert psi_eval_frac(ctx5, Fraction(2, 7)) == 1  # prime-to-p denominator
-    x = ctx5.scalar(Fraction(10))
-    assert psi_eval(x) == 1
 
 
 def test_psi_defining_convention(ctx5):
@@ -74,52 +75,31 @@ def test_psi_conductor_is_o(ctx3):
     assert len(vals) > 1
 
 
-def test_psi_precision_error(ctx3):
-    x = PadicScalar(ctx3, -3, 7, 2)  # 3 digits needed, 2 known
-    with pytest.raises(PrecisionError):
-        psi_eval(x)
-
-
 def test_eta_split_always_one(ctx3):
     ext = QuadExt(ctx3, "split")
-    for x in (Fraction(5), Fraction(3), Fraction(1, 9)):
-        assert ext.eta(x) == 1
-        assert ext.is_norm(x)
+    for v in range(-6, 7):
+        assert ext.eta_of_val(v) == 1
 
 
 def test_eta_inert_by_norm_enumeration(ctx3):
-    """Brute-force: the set of norms a^2 - u b^2 has only even valuations,
-    and every unit residue is a norm."""
+    """Brute force over the norms a^2 - u b^2 with a, b in p^-1 Z: every nonzero
+    norm has even valuation and eta = 1, so p is not a norm, and every unit
+    class mod p is a norm."""
     ext = QuadExt(ctx3, "inert")
-    u = ext.u
-    p = 3
-    vals = set()
+    u, p = ext.u, 3
     unit_norms = set()
-    for a in range(p ** 3):
-        for b in range(p ** 3):
-            n = (a * a - u * b * b) % p ** 3
+    for a in range(p ** 4):
+        for b in range(p ** 4):
+            n = Fraction(a * a - u * b * b, p ** 2)
             if n == 0:
                 continue
             v = rational_valuation(n, p)
-            if v < 3:
-                vals.add(v)
+            assert v % 2 == 0 and ext.eta_of_val(v) == 1
             if v == 0:
-                unit_norms.add(n % p)
-    assert vals == {0, 1, 2} or vals == {0, 2}  # valuations seen in residues
-    # norms of actual field elements have even valuation: p is not a norm
-    assert ext.eta(Fraction(3)) == -1
-    assert not ext.is_norm(Fraction(3))
-    # every unit class mod p is hit by a unit norm
+                unit_norms.add(unit_mod(n, 0, p, 1))
     assert unit_norms == {1, 2}
-    assert ext.eta(Fraction(7)) == 1
-
-
-def test_is_norm_examples(ctx3):
-    ext = QuadExt(ctx3, "inert")
-    assert ext.is_norm(Fraction(9))
-    assert not ext.is_norm(Fraction(27 * 2))
-    with pytest.raises(DomainError):
-        ext.eta(Fraction(0))
+    assert ext.eta_of_val(rational_valuation(3, p)) == -1
+    assert ext.eta_of_val(rational_valuation(7, p)) == 1
 
 
 def test_eta_multiplicative_and_matches_norms(ctx3):
@@ -127,88 +107,18 @@ def test_eta_multiplicative_and_matches_norms(ctx3):
     rng = random.Random(1)
     for _ in range(200):
         vx, vy = rng.randrange(-6, 7), rng.randrange(-6, 7)
-        ux = rng.choice([1, 2, 4, 5, 7, 8])
-        uy = rng.choice([1, 2, 4, 5, 7, 8])
-        x = Fraction(ux) * Fraction(3) ** vx
-        y = Fraction(uy) * Fraction(3) ** vy
-        assert ext.eta(x * y) == ext.eta(x) * ext.eta(y)
-        assert ext.eta(x) in (1, -1)
-        assert (ext.eta(x) == 1) == ext.is_norm(x)
-
-
-def test_norm_E(ctx3):
-    ext = QuadExt(ctx3, "inert")
-    one = EElem(ext, Fraction(1), Fraction(0))
-    root = EElem(ext, Fraction(0), Fraction(1))
-    assert one.norm() == 1
-    assert root.norm() == -ext.u
-    split = QuadExt(ctx3, "split")
-    assert norm_E(split, (Fraction(4), Fraction(5))) == 20
-    # |z| = |N(z)|
-    z = EElem(ext, Fraction(3), Fraction(6))
-    assert rational_valuation(z.norm(), 3) == 2 * z.valuation_E()
+        assert ext.eta_of_val(vx + vy) == ext.eta_of_val(vx) * ext.eta_of_val(vy)
+        assert ext.eta_of_val(vx) in (1, -1)
+        # every nonzero norm a^2 - u b^2 has eta = 1
+        a, b = rng.randrange(1, 50), rng.randrange(0, 50)
+        n = Fraction(a * a - ext.u * b * b) * Fraction(3) ** (2 * vx)
+        assert ext.eta_of_val(rational_valuation(n, 3)) == 1
 
 
 def test_smallest_nonresidue():
     assert smallest_nonresidue(3) == 2
     assert smallest_nonresidue(5) == 2
     assert smallest_nonresidue(7) == 3
-
-
-def test_scalar_arithmetic_matches_rationals(ctx5):
-    rng = random.Random(2)
-    p = 5
-    for _ in range(200):
-        x = Fraction(rng.randrange(-400, 400), p ** rng.randrange(0, 3))
-        y = Fraction(rng.randrange(-400, 400) or 1, p ** rng.randrange(0, 3))
-        a, b = ctx5.scalar(x), ctx5.scalar(y)
-        for op, ref in ((a + b, x + y), (a * b, x * y), (a - b, x - y)):
-            if ref == 0:
-                assert op.is_exact_zero() or op.unit == 0 or op.valuation() > 20
-                continue
-            v = rational_valuation(ref, p)
-            assert op.valuation() == v
-            k = min(op.prec, 6)
-            unit_ref = ref / Fraction(p) ** v
-            want = unit_ref.numerator * pow(unit_ref.denominator, -1, p ** k) % p ** k
-            assert op.unit_residue(k) == want
-        if y != 0:
-            d = a / b
-            ref = x / y
-            if ref != 0:
-                assert d.valuation() == rational_valuation(ref, p)
-
-
-def test_precision_tracking_min_rule(ctx5):
-    a = PadicScalar(ctx5, 0, 2, 3)
-    b = PadicScalar(ctx5, 0, 3, 10)
-    assert (a * b).prec == 3
-    # additive cancellation drops precision
-    c = PadicScalar(ctx5, 0, 1, 4)
-    d = PadicScalar(ctx5, 0, 5 ** 4 - 1, 4)  # = -1 mod 5^4
-    s = c + d
-    assert s.unit == 0  # all known digits cancelled
-
-
-def test_precision_soundness_rerun_higher(ctx5):
-    """Re-running at higher precision never changes determined digits."""
-    rng = random.Random(3)
-    for _ in range(100):
-        x = Fraction(rng.randrange(-300, 300) or 1, 5 ** rng.randrange(0, 3))
-        y = Fraction(rng.randrange(-300, 300) or 1, 5 ** rng.randrange(0, 3))
-        lo = ctx5.scalar(x, 8) * ctx5.scalar(y, 8)
-        hi = ctx5.scalar(x, 20) * ctx5.scalar(y, 20)
-        assert lo.valuation() == hi.valuation()
-        assert hi.unit_residue(lo.prec) == lo.unit_residue(lo.prec)
-
-
-def test_inverse_and_zero(ctx5):
-    z = ctx5.zero()
-    assert z.is_exact_zero()
-    with pytest.raises(DomainError):
-        z.inverse()
-    a = ctx5.scalar(Fraction(7, 5))
-    assert (a * a.inverse()).unit_residue(5) == 1
 
 
 def test_unit_mod():
@@ -220,3 +130,55 @@ def test_unit_mod():
         with pytest.raises(DomainError) as err:
             unit_mod(x, v, 3, 4)
         assert isinstance(err.value, PadicOrbError)
+
+
+def _prime_to(p: int, rng: random.Random) -> int:
+    n = rng.randrange(1, p ** 3)
+    return n if n % p else n + 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_padic_sqrt_relative_precision(p):
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(p)
+    for v in range(-6, 7, 2):
+        for _ in range(10):
+            r, den = _prime_to(p, rng), _prime_to(p, rng)
+            # a square in F, and a rational square only when k = 0
+            x = Fraction(r * r, den * den) * Fraction(p) ** v * (1 + p * rng.randrange(0, p ** 4))
+            prec = rng.randrange(1, 12)
+            root = padic_sqrt(ctx, x, prec)
+            assert isinstance(root, Fraction)
+            assert rational_valuation(root, p) == v // 2
+            assert rational_valuation(root * root - x, p) >= v + prec
+            # more digits never change the ones already determined
+            assert rational_valuation(padic_sqrt(ctx, x, prec + 5) - root, p) >= v // 2 + prec
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_padic_sqrt_rejects_nonsquares(p):
+    ctx = LocalFieldCtx(p)
+    u = smallest_nonresidue(p)
+    for v in (-5, -1, 1, 3):
+        with pytest.raises(DomainError):
+            padic_sqrt(ctx, Fraction(p) ** v, 10)
+    for v in (-4, 0, 2):
+        with pytest.raises(DomainError):
+            padic_sqrt(ctx, u * Fraction(p) ** v, 10)
+    for a in range(1, p):
+        if pow(a, (p - 1) // 2, p) != 1:
+            with pytest.raises(DomainError):
+                sqrt_unit_mod(ctx, a + p * 7, 6)
+    with pytest.raises(DomainError):
+        sqrt_unit_mod(ctx, p, 6)
+
+
+def test_padic_sqrt_of_zero_is_immediate():
+    """val 0 is the even sentinel INF, so a rewrite that misses the zero case
+    computes p^INF; run it in a child process to fail instead of hanging."""
+    src = str(Path(padicorb.__file__).resolve().parent.parent)
+    code = ("from fractions import Fraction; from padicorb.localfield import LocalFieldCtx, padic_sqrt; "
+            "ctx = LocalFieldCtx(3); "
+            "assert padic_sqrt(ctx, Fraction(0), 28) == 0 and padic_sqrt(ctx, 0, 10 ** 6) == 0")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)

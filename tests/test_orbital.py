@@ -1,13 +1,16 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import padicorb.orbital as orbital
 from padicorb.errors import (
     DomainError,
     IrregularPointError,
     KindError,
+    PrecisionError,
     UnsupportedSectionError,
 )
 from padicorb.bruhat import BruhatFn
@@ -660,6 +663,25 @@ def test_verify_fl_smoke_and_zero(ctx3):
     assert d["pass"] and "points" in d and d["points"]
 
 
+@pytest.mark.parametrize("p,n", [(3, 5), (3, 6), (5, 5)])
+def test_verify_fl_inert_deep_hecke(p, n):
+    """From h_5 on, the torus side meets xi with val disc < 0, where the
+    representative's square root needs digits past its relative 28."""
+    rep = verify_fl(LocalFieldCtx(p), "inert", HeckeElt.basis(n))
+    assert rep.passed and abs(rep.fitted_constant - 1) < 1e-10
+
+
+def test_inert_rep_short_root_raises_precision_error(ext3i, monkeypatch):
+    import padicorb.orbital as orbital
+
+    real = orbital.padic_sqrt
+    monkeypatch.setattr(orbital, "padic_sqrt", lambda ctx, x, prec: real(ctx, x, 3))
+    xi = Fraction(1, 9)  # no candidate discriminant is a rational square
+    assert inert_fiber_is_trivial(ext3i, xi)
+    with pytest.raises(PrecisionError):
+        inert_rep_for(ext3i, xi)
+
+
 def test_empty_verifications_raise(ctx3):
     """An empty window or zero samples would pass having checked nothing."""
     with pytest.raises(DomainError):
@@ -732,19 +754,6 @@ def test_hecke_apply_W_elem_packaging(ctx3):
         assert abs(b.eval(Fraction(3) ** v) - fw(Fraction(3) ** v)) < 1e-10
 
 
-def test_padic_scalar_entry_points(ctx3):
-    x = ctx3.scalar(Fraction(2, 9))
-    assert abs(o_kuz_closed(ctx3, 0, x) - o_kuz_closed(ctx3, 0, Fraction(2, 9))) < 1e-15
-    assert abs(kloosterman(ctx3, x) - kloosterman(ctx3, Fraction(2, 9))) < 1e-15
-    phi = BruhatFn.indicator_ball(ctx3, "F2", (0, 0), 0)
-    assert abs(o_baby_split(phi, ctx3.scalar(9)) - o_baby_split(phi, Fraction(9))) < 1e-15
-    from padicorb.errors import PrecisionError
-    from padicorb.localfield import PadicScalar
-
-    with pytest.raises(PrecisionError):
-        o_kuz_closed(ctx3, 0, PadicScalar(ctx3, -2, 2, 3))
-
-
 def test_stabilization_idempotence(ctx3, monkeypatch):
     import padicorb.orbital as orbital
 
@@ -755,3 +764,63 @@ def test_stabilization_idempotence(ctx3, monkeypatch):
     monkeypatch.setattr(orbital, "_TORUS_MARGIN", 6)
     b = o_torus_group(ctx3, desc, xi)
     assert abs(a - b) < 1e-14
+
+
+# The two paths share no code: the torus side counts lattices in o_torus_group
+# without the baby charts, and the closed Kuznetsov forms stand apart from the
+# direct Iwasawa engine.  Each check records the code object of every Python
+# function called while one path runs and looks for the other path's.
+
+CHART_FUNCTIONS = (
+    "o_baby_split", "split_germ_data", "o_baby_nonsplit", "nonsplit_germ_data",
+    "baby_orbital", "sx_from_baby", "fourier_baby", "sz_from_charts",
+)
+
+
+def _called_code(run) -> set:
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_torus_group_reaches_no_chart_function(ctx3, kind):
+    xis = _seeded_xis(random.Random(17), 3, 4) + [Fraction(1), Fraction(1, 9)]
+
+    def run():
+        for n in range(3):
+            desc = TorusPairDescriptor(HeckeElt.basis(n), kind)
+            for xi in xis:
+                o_torus_group(ctx3, desc, xi)
+
+    seen = _called_code(run)
+    assert o_torus_group.__code__ in seen
+    assert [name for name in CHART_FUNCTIONS if getattr(orbital, name).__code__ in seen] == []
+
+
+def test_closed_kuznetsov_forms_never_reach_direct_engine(ctx3):
+    xis = _seeded_xis(random.Random(23), 3, 6)
+
+    def run():
+        for m in range(4):
+            for xi in xis:
+                o_kuz_closed(ctx3, m, xi)
+        for kind in ("split", "inert"):
+            for n in range(3):
+                evaluate = hecke_apply_W(ctx3, kind, HeckeElt.basis(n), 0.0)
+                for xi in xis:
+                    evaluate(xi)
+
+    seen = _called_code(run)
+    assert o_kuz_closed.__code__ in seen and hecke_apply_W.__code__ in seen
+    assert o_kuz_direct.__code__ not in seen
