@@ -2,9 +2,9 @@
 
 Matrices are stored over exact rationals (entries of the group elements we meet
 are rationals or Hensel-lifted scalars); the PGL2 normalization scales entries
-so the minimum valuation is 0.  The Satake transform, the change of basis
-between the double-coset and h_n bases, the Casselman-Shalika action and the
-L-function series coefficients all live here.
+so the minimum valuation is 0.  The Satake transform, the closed-form change
+of basis h_n -> double cosets (the tests check it against Satake), the
+Casselman-Shalika action and the L-function series coefficients live here.
 """
 
 from __future__ import annotations
@@ -323,31 +323,16 @@ def coset_basis_to_hecke(ctx: LocalFieldCtx, coset_coeffs: dict[int, complex]) -
     return HeckeElt.of(out)
 
 
-_unit_coset_to_hecke_cache: dict[tuple[int, int], dict[int, complex]] = {}
-
-
 def hecke_to_coset_basis(ctx: LocalFieldCtx, h: HeckeElt) -> dict[int, complex]:
-    """Inverse change of basis {h_n} -> double-coset coefficients (triangular)."""
+    """{h_n} -> double cosets: h_n = q^(-n/2) sum_{k = n, n-2, ..., n mod 2} 1_{K pi^k K},
+    checked against the Satake transform in the tests.  Keys decrease: the order
+    the torus count sums in, which keeps fixed-seed reports byte-stable."""
     out: dict[int, complex] = {}
-    work = h.as_dict()
-    while work:
-        n = max(work)
-        c = work.pop(n)
-        if abs(c) < 1e-14:
-            continue
-        key = (ctx.p, n)
-        if key not in _unit_coset_to_hecke_cache:
-            _unit_coset_to_hecke_cache[key] = coset_basis_to_hecke(ctx, {n: 1.0}).as_dict()
-        base = _unit_coset_to_hecke_cache[key]
-        scale = c / base[n]
-        out[n] = out.get(n, 0j) + scale
-        for k, w in base.items():
-            if k == n:
-                continue
-            work[k] = work.get(k, 0j) - scale * w
-            if abs(work[k]) < 1e-14:
-                work.pop(k)
-    return {m: c for m, c in out.items() if abs(c) > 1e-14}
+    for n, c in h.coeffs:
+        w = c * ctx.q ** (-n / 2)
+        for k in range(n % 2, n + 1, 2):
+            out[k] = out.get(k, 0j) + w
+    return {k: out[k] for k in sorted(out, reverse=True) if out[k] != 0}
 
 
 # --- sections, Casselman-Shalika, Whittaker ---------------------------------------

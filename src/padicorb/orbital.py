@@ -510,25 +510,22 @@ _INERT_REP_PREC = 28  # absolute p-adic digits of the square roots in inert_rep_
 def inert_rep_for(ext: QuadExt, xi: Fraction) -> GroupElt:
     """F-rational g = [[1,0],[gam,del]] with inert invariant xi (trivial fiber).
 
-    Solves (del-1)^2 - u gam^2 = -4 del (1+xi) by a certified square search
-    over gam = c p^w with w near val(xi(1+xi))/2; entries are Hensel square
-    roots at working precision.  A square discriminant whose root still misses
-    the invariant test raises PrecisionError.
+    (del-1)^2 - u gam^2 = -4 del (1+xi) gives del = -(1+2xi) +- sqrt(D + u gam^2),
+    D = 4 xi (1+xi).  Only gam = b p^w0, b = 0..p-1, w0 = val(D)/2, are tried:
+    for gam = c p^w, w < w0, D + u gam^2 has unit u c^2 mod p, a nonresidue; at
+    w0 some b makes D/p^(2 w0) + u b^2 a nonzero square mod p, since over F_p
+    x^2 - u b^2 = d has p + 1 solutions and at most 2 have x = 0.  Roots are
+    Hensel lifts; a square whose root misses the invariant test raises PrecisionError.
     """
     ctx, u = ext.ctx, ext.u
     if not inert_fiber_is_trivial(ext, xi):
         raise DomainError("no F-rational representative on a nontrivial-torsor fiber")
-    w0 = (rational_valuation(xi, ctx.p) + rational_valuation(1 + xi, ctx.p)) // 2
-    w_candidates = sorted(set(range(w0 - 3, w0 + 4)) | set(range(-2, 3)))
-    gams = [Fraction(0)]
-    for w in w_candidates:
-        for c in range(1, 3 * ctx.p + 1):
-            if c % ctx.p == 0:
-                continue
-            gams.append(Fraction(c) * Fraction(ctx.p) ** w)
+    d = 4 * xi * (1 + xi)
+    step = Fraction(ctx.p) ** (rational_valuation(d, ctx.p) // 2)
     short = False
-    for gam in gams:
-        disc = 4 * xi * (1 + xi) + u * gam * gam
+    for b in range(ctx.p):
+        gam = b * step
+        disc = d + u * gam * gam
         if disc == 0:
             continue
         if is_rational_square(ctx, disc):

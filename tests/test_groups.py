@@ -25,6 +25,7 @@ from padicorb.groups import (
     tr_Vn,
     whittaker_eval,
 )
+from padicorb.localfield import LocalFieldCtx
 
 
 def test_iwasawa_identity(ctx3):
@@ -101,15 +102,31 @@ def test_satake_multiplicativity_vs_brute(ctx3):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
 
-def test_basis_change_roundtrip(ctx3):
+def test_basis_change_roundtrip():
+    """The closed-form h_n -> coset change of basis, inverted by the Satake
+    peel of coset_basis_to_hecke, gives back h, at p = 3, 5 and 7."""
     rng = random.Random(2)
-    h = HeckeElt.of({n: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for n in (0, 1, 2, 3)})
-    dc = hecke_to_coset_basis(ctx3, h)
-    back = HeckeElt.zero()
-    for m, c in dc.items():
-        back = back + coset_basis_to_hecke(ctx3, {m: 1.0}).scale(c)
-    for n, c in h.as_dict().items():
-        assert abs(back.as_dict().get(n, 0) - c) < 1e-10
+    mixed = HeckeElt.of({n: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for n in (0, 1, 2, 3)})
+    for p in (3, 5, 7):
+        ctx = LocalFieldCtx(p)
+        to_hecke = {m: coset_basis_to_hecke(ctx, {m: 1.0}) for m in range(5)}
+        for h in [HeckeElt.basis(n) for n in range(5)] + [mixed]:
+            back = HeckeElt.zero()
+            for m, c in hecke_to_coset_basis(ctx, h).items():
+                back = back + to_hecke[m].scale(c)
+            for n in set(h.as_dict()) | set(back.as_dict()):
+                assert abs(back.as_dict().get(n, 0) - h.as_dict().get(n, 0)) < 1e-10, (p, h, n)
+
+
+def test_hecke_to_coset_basis_closed_form():
+    """h_n = q^(-n/2) (1_{K pi^n K} + 1_{K pi^(n-2) K} + ...), keys from n down."""
+    for p in (3, 5):
+        ctx = LocalFieldCtx(p)
+        for n in range(9):
+            dc = hecke_to_coset_basis(ctx, HeckeElt.basis(n))
+            assert list(dc) == list(range(n, -1, -2)), (p, n)
+            want = p ** (-n / 2)
+            assert all(abs(c - want) <= 1e-15 * want for c in dc.values()), (p, n)
 
 
 def test_tr_Vn_values():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import padicorb.groups as groups
 import padicorb.orbital as orbital
 from padicorb.errors import (
     DomainError,
@@ -27,6 +28,7 @@ from padicorb.localfield import (
     QuadExt,
     psi_eval_frac,
     rational_valuation,
+    smallest_nonresidue,
     unit_mod,
 )
 from padicorb.orbital import (
@@ -245,26 +247,43 @@ def test_torus_pair_invariant_chart(ctx3, ext3s, ext3i):
     assert torus_pair_invariant(g1, ext3s) == torus_pair_invariant(g2, ext3s)
 
 
-def test_inert_parity_criterion(ctx3, ext3i):
-    rng = random.Random(7)
-    for _ in range(800):
-        m = [Fraction(rng.randrange(-30, 31), rng.choice([1, 3, 9])) for _ in range(4)]
-        try:
-            g = GroupElt.of(ctx3, *m)
-        except DomainError:
-            continue
-        xi = torus_pair_invariant(g, ext3i)
-        if xi in (0, -1):
-            continue
-        s = rational_valuation(xi, 3) + rational_valuation(1 + xi, 3)
-        assert s % 2 == 0
-    for _ in range(60):
-        xi = Fraction(rng.randrange(-50, 51), rng.choice([1, 3, 9, 27]))
-        if xi in (0, -1) or not inert_fiber_is_trivial(ext3i, xi):
-            continue
-        g = inert_rep_for(ext3i, xi)
-        got = torus_pair_invariant(g, ext3i)
-        assert rational_valuation(got - xi, 3) >= 16
+def test_inert_parity_criterion():
+    """Inert invariants of F-rational g carry val xi + val(1+xi) even, and on
+    each such fiber inert_rep_for finds gam = 0 or gam at valuation w0."""
+    for p in (3, 5, 7):
+        ext = QuadExt(LocalFieldCtx(p), "inert")
+        rng = random.Random(7)
+        for _ in range(800):
+            m = [Fraction(rng.randrange(-30, 31), rng.choice([1, p, p * p])) for _ in range(4)]
+            try:
+                g = GroupElt.of(ext.ctx, *m)
+            except DomainError:
+                continue
+            xi = torus_pair_invariant(g, ext)
+            if xi in (0, -1):
+                continue
+            s = rational_valuation(xi, p) + rational_valuation(1 + xi, p)
+            assert s % 2 == 0
+        for _ in range(60):
+            xi = Fraction(rng.randrange(-50, 51), rng.choice([1, p, p * p, p ** 3]))
+            if xi in (0, -1) or not inert_fiber_is_trivial(ext, xi):
+                continue
+            g = inert_rep_for(ext, xi)
+            got = torus_pair_invariant(g, ext)
+            assert rational_valuation(got - xi, p) >= 16
+            gam = g.m[2] / g.m[0]  # before content normalization g = [[1, 0], [gam, del]]
+            w0 = (rational_valuation(xi, p) + rational_valuation(1 + xi, p)) // 2
+            assert gam == 0 or rational_valuation(gam, p) == w0, (p, xi)
+
+
+def test_inert_search_finds_a_square_at_one_valuation():
+    """The residue fact behind inert_rep_for: every unit d mod p has some b in
+    0..p-1 with d + u b^2 a nonzero square mod p (u the nonresidue)."""
+    for p in (3, 5, 7, 11, 13):
+        u = smallest_nonresidue(p)
+        squares = {x * x % p for x in range(1, p)}
+        for d in range(1, p):
+            assert any((d + u * b * b) % p in squares for b in range(p)), (p, d)
 
 
 def test_o_torus_group_split_closed_form(ctx3):
@@ -283,6 +302,20 @@ def test_o_torus_group_split_closed_form(ctx3):
 def test_o_torus_group_zero_hecke(ctx3):
     desc = TorusPairDescriptor(HeckeElt.zero(), "split")
     assert o_torus_group(ctx3, desc, Fraction(2)) == 0
+
+
+@pytest.mark.parametrize("kind,xi", [("split", Fraction(1, 3)), ("inert", Fraction(9))])
+def test_o_torus_group_keeps_tiny_and_huge_hecke_coefficients(ctx3, kind, xi):
+    """o(c h)/c = o(h): no nonzero coefficient of h drops out of the count."""
+
+    def ratio(c):
+        desc = TorusPairDescriptor(HeckeElt.of({0: c, 1: 2 * c}), kind)
+        return o_torus_group(ctx3, desc, xi) / c
+
+    want = ratio(1.0)
+    assert want != 0
+    for c in (1e-15, 1e15):
+        assert abs(ratio(c) - want) <= 1e-15 * abs(want), c
 
 
 def test_o_torus_group_inert_closed_form(ctx3):
@@ -775,6 +808,8 @@ CHART_FUNCTIONS = (
     "o_baby_split", "split_germ_data", "o_baby_nonsplit", "nonsplit_germ_data",
     "baby_orbital", "sx_from_baby", "fourier_baby", "sz_from_charts",
 )
+# the Satake machinery is the test oracle for the closed-form change of basis
+SATAKE_FUNCTIONS = ("satake_transform", "coset_basis_to_hecke", "iwasawa_decompose")
 
 
 def _called_code(run) -> set:
@@ -806,6 +841,7 @@ def test_torus_group_reaches_no_chart_function(ctx3, kind):
     seen = _called_code(run)
     assert o_torus_group.__code__ in seen
     assert [name for name in CHART_FUNCTIONS if getattr(orbital, name).__code__ in seen] == []
+    assert [name for name in SATAKE_FUNCTIONS if getattr(groups, name).__code__ in seen] == []
 
 
 def test_closed_kuznetsov_forms_never_reach_direct_engine(ctx3):
