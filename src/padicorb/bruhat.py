@@ -2,21 +2,22 @@
 
 Atoms are cosets c + p^n*o^d with complex weights; all transforms are closed
 form (finite character sums), so a BruhatFn is closed under Fourier transform
-and the double transform is exactly f(-x).  Tate zeta integrals, Mellin
-components and gamma factors are produced as rational functions in t = q^(-s),
-the gamma factor always by solving the local functional equation with a test
-function rather than from a hard-coded formula.
+and the double transform is exactly f(-x).  Each atom coordinate enters the
+transform as an integer phase against one table of roots of unity, so the
+transform is a plain-Python discrete Fourier transform of the summed weights.
+Tate zeta integrals, Mellin components and gamma factors are produced as
+rational functions in t = q^(-s), the gamma factor always by solving the local
+functional equation with a test function rather than from a hard-coded formula.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -284,8 +285,11 @@ def _fourier_nd(f: BruhatFn, scales: tuple[Fraction, ...]) -> BruhatFn:
     """Product-kernel transform psi^{-1}(sum_i s_i x_i y_i), coordinatewise.
 
     Output cosets at the common conductor level are indexed by integers
-    r (centers r p^-n), so the whole transform is a sum of outer products of
-    vectorized one-dimensional character sums.
+    r = 0..p^M - 1 (centers r p^-n).  Each atom coordinate c contributes
+    psi^{-1}(s c r p^-n) = z^(k r) with z = e(-1/p^M) and an integer phase k,
+    so the weights are summed per phase and the sum is one discrete Fourier
+    transform from the table of the p^M roots z^j: over the last coordinate,
+    then over the first.  Entries at most 1e-12 times the largest are dropped.
     """
     f = f.canonicalize()
     ctx = f.ctx
@@ -293,50 +297,42 @@ def _fourier_nd(f: BruhatFn, scales: tuple[Fraction, ...]) -> BruhatFn:
     if f.is_zero():
         return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
     n = f.level
-    out_level = -n
-    for a in f.atoms:
-        for c, s in zip(a.center, scales):
-            if c != 0:
-                out_level = max(out_level, -rational_valuation(s * c, p))
+    out_level = max([-n] + [-rational_valuation(s * c, p) for a in f.atoms
+                            for c, s in zip(a.center, scales) if c != 0])
     span = p ** (out_level + n)
-    vol1 = float(Fraction(ctx.q) ** (-n))
-    r_idx = np.arange(span, dtype=np.int64)
+    vol = float(Fraction(ctx.q) ** (-n * f.dim))
 
-    def factor_vector(c: Fraction, s: Fraction) -> "np.ndarray":
-        # weights of q^-n psi^{-1}(s c y) over y = r p^-n, r = 0..span-1
+    def phase(c: Fraction, s: Fraction) -> int:
+        # k with psi^{-1}(s c r p^-n) = z^(k r); m is the conductor exponent in r
         sc = s * c
-        if sc == 0:
-            return np.full(span, vol1, dtype=np.complex128)
         v = rational_valuation(sc, p)
-        m = n - v  # conductor exponent of the phase in r
-        if m <= 0:
-            return np.full(span, vol1, dtype=np.complex128)
-        mod = p ** m
-        t = (unit_mod(sc, v, p, m) * (r_idx % mod)) % mod
-        return vol1 * np.exp(-2j * np.pi * t / mod)
+        m = n - v
+        return unit_mod(sc, v, p, m) * (span // p ** m) if sc and m > 0 else 0
 
+    rows: dict[int, dict[int, complex]] = {}  # first phase -> last phase -> weight
+    for a in f.atoms:
+        ks = [phase(c, s) for c, s in zip(a.center, scales)]
+        row = rows.setdefault(ks[0] if f.dim > 1 else 0, {})
+        row[ks[-1]] = row.get(ks[-1], 0j) + a.coef * vol
+    roots = [complex(math.cos(t), math.sin(t))
+             for t in (-2 * math.pi * j / span for j in range(span))]
+    last = {k: _dft(row, roots) for k, row in rows.items()}
     if f.dim == 1:
-        total = np.zeros(span, dtype=np.complex128)
-        for a in f.atoms:
-            total += a.coef * factor_vector(a.center[0], scales[0])
+        total = {(r,): w for r, w in enumerate(last[0])}
     else:
-        total = np.zeros((span, span), dtype=np.complex128)
-        for a in f.atoms:
-            v1 = factor_vector(a.center[0], scales[0])
-            v2 = factor_vector(a.center[1], scales[1])
-            total += a.coef * np.outer(v1, v2)
-    scale_ref = float(np.abs(total).max(initial=0.0))
-    thresh = 1e-12 * max(1.0, scale_ref)
-    atoms = []
-    pn = Fraction(p) ** n
-    if f.dim == 1:
-        for r in np.nonzero(np.abs(total) > thresh)[0]:
-            atoms.append(Atom((Fraction(int(r)) / pn,), out_level, complex(total[r])))
-    else:
-        for r1, r2 in zip(*np.nonzero(np.abs(total) > thresh)):
-            atoms.append(Atom((Fraction(int(r1)) / pn, Fraction(int(r2)) / pn),
-                              out_level, complex(total[r1, r2])))
-    return BruhatFn(ctx, f.domain, tuple(atoms), True, f.torsor_scale)
+        cols = [_dft({k: t[r2] for k, t in last.items()}, roots) for r2 in range(span)]
+        total = {(r1, r2): cols[r2][r1] for r1 in range(span) for r2 in range(span)}
+    thresh = 1e-12 * max(map(abs, total.values()))
+    centers = [Fraction(r) / Fraction(p) ** n for r in range(span)]
+    atoms = tuple(Atom(tuple(centers[r] for r in idx), out_level, w)
+                  for idx, w in total.items() if abs(w) > thresh)
+    return BruhatFn(ctx, f.domain, atoms, True, f.torsor_scale)
+
+
+def _dft(weights: dict[int, complex], roots: list[complex]) -> list[complex]:
+    """sum_k w_k z^(k r) for r = 0..len(roots) - 1, given roots[j] = z^j."""
+    span = len(roots)
+    return [sum(w * roots[k * r % span] for k, w in weights.items()) for r in range(span)]
 
 
 def negate_argument(f: BruhatFn) -> BruhatFn:
@@ -512,6 +508,4 @@ def gamma_star_eta(ext: QuadExt) -> tuple[complex, int]:
     """Leading Laurent term of gamma(eta, s, psi) at s = 0: (coefficient, order)."""
     chi = MellinCharacter(ext, "eta" if ext.kind == "inert" else "trivial")
     g = gamma_factor(chi)
-    import math
-
     return g.leading_at(1.0, lnq=math.log(ext.ctx.q))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .localfield import LocalFieldCtx, rational_valuation, unit_mod
+from .localfield import LocalFieldCtx, psi_eval_frac, rational_valuation, unit_mod
 
 Mat = tuple[Fraction, Fraction, Fraction, Fraction]  # row major a,b,c,d
 
@@ -376,8 +376,6 @@ def cs_action(ctx: LocalFieldCtx, h: HeckeElt, sec: KSection) -> KSection:
 
 def section_eval(ctx: LocalFieldCtx, sec: KSection, g: GroupElt) -> complex:
     """Pointwise value of sum_n c_n 1_{x_nK} at g (for upstairs cross-checks)."""
-    from .localfield import psi_eval_frac
-
     x, aval, _ = iwasawa_decompose(g)
     d = sec.as_dict()
     if aval not in d:

@@ -9,6 +9,7 @@ harnesses (matching, fundamental lemma) compare the two sides pointwise.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,15 @@ from .errors import (
     RepresentationError,
     UnsupportedSectionError,
 )
-from .bruhat import BruhatFn, _residue_key, tate_zeta, MellinCharacter
+from .bruhat import (
+    BruhatFn,
+    MellinCharacter,
+    _residue_key,
+    fourier_E,
+    fourier_F2,
+    gamma_star_eta,
+    tate_zeta,
+)
 from .groups import (
     GroupElt,
     HeckeElt,
@@ -312,8 +321,6 @@ def sx_from_baby(data, kind: str) -> SXElem:
 def fourier_baby(data, kind: str):
     """Fourier transform of baby data: 2D transform on F^2, or componentwise
     (E, E^alpha) with the hermitian kernels and the torsor scale."""
-    from .bruhat import fourier_F2, fourier_E
-
     _baby_ctx(kind, data)
     if kind == "split":
         return fourier_F2(data)
@@ -884,8 +891,6 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
 
 def gamma_star(ctx: LocalFieldCtx, kind: str) -> complex:
     """Leading Laurent coefficient of gamma(eta, s, psi) at s = 0."""
-    from .bruhat import gamma_star_eta
-
     lead, _ = gamma_star_eta(QuadExt(ctx, kind))
     return lead
 
@@ -1051,8 +1056,6 @@ def verify_matching(ctx: LocalFieldCtx, kind: str, samples: int = 10,
                     seed: int = 7, tolerance: float = 1e-8) -> MatchingReport:
     """Random S(Z) elements through the charts: output shape and the
     inner-product identity <|.|G f> = gamma*(eta,0,psi) <f>."""
-    import random
-
     if samples < 1:
         raise DomainError(f"verify_matching needs at least one sample, got {samples}")
     start = time.time()

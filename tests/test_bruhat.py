@@ -3,14 +3,18 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from padicorb import bruhat
 from padicorb.errors import KindError, UnsupportedAtomError
 from padicorb.bruhat import (
+    Atom,
     BruhatFn,
     MellinCharacter,
     fourier,
     fourier_E,
+    fourier_F2,
     gamma_factor,
     gamma_star_eta,
     inner_product,
@@ -19,7 +23,7 @@ from padicorb.bruhat import (
     negate_argument,
     tate_zeta,
 )
-from padicorb.localfield import QuadExt, psi_eval_frac
+from padicorb.localfield import LocalFieldCtx, QuadExt, psi_eval_frac, rational_valuation, unit_mod
 
 
 def random_fn(ctx, rng, domain="F", n_atoms=4, max_level=2, center_den=2):
@@ -200,6 +204,101 @@ def test_fourier_E_torsor_scaling(ctx3, ext3i):
     ff = fourier_E(fourier_E(twisted, ext3i), ext3i)
     diff = (ff - negate_argument(twisted)).canonicalize()
     assert max((abs(a.coef) for a in diff.atoms), default=0.0) < 1e-10
+
+
+def _numpy_fourier_nd(f, scales):
+    """The library's earlier numpy transform, outer products of vectorized
+    one-dimensional character sums, with the relative drop rule: the oracle
+    for `bruhat._fourier_nd`."""
+    f = f.canonicalize()
+    ctx = f.ctx
+    p = ctx.p
+    if f.is_zero():
+        return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
+    n = f.level
+    out_level = -n
+    for a in f.atoms:
+        for c, s in zip(a.center, scales):
+            if c != 0:
+                out_level = max(out_level, -rational_valuation(s * c, p))
+    span = p ** (out_level + n)
+    vol1 = float(Fraction(ctx.q) ** (-n))
+    r_idx = np.arange(span, dtype=np.int64)
+
+    def factor_vector(c, s):
+        sc = s * c
+        if sc == 0:
+            return np.full(span, vol1, dtype=np.complex128)
+        v = rational_valuation(sc, p)
+        m = n - v
+        if m <= 0:
+            return np.full(span, vol1, dtype=np.complex128)
+        mod = p ** m
+        t = (unit_mod(sc, v, p, m) * (r_idx % mod)) % mod
+        return vol1 * np.exp(-2j * np.pi * t / mod)
+
+    total = np.zeros((span,) * f.dim, dtype=np.complex128)
+    for a in f.atoms:
+        vecs = [factor_vector(c, s) for c, s in zip(a.center, scales)]
+        total += a.coef * (vecs[0] if f.dim == 1 else np.outer(*vecs))
+    thresh = 1e-12 * float(np.abs(total).max())
+    pn = Fraction(p) ** n
+    atoms = tuple(Atom(tuple(Fraction(int(r)) / pn for r in idx), out_level, complex(total[idx]))
+                  for idx in zip(*np.nonzero(np.abs(total) > thresh)))
+    return BruhatFn(ctx, f.domain, atoms, True, f.torsor_scale)
+
+
+def _transforms(ctx):
+    """(domain, transform, torsor scale) for F, F^2, E and E^alpha."""
+    ext = QuadExt(ctx, "inert")
+    return [("F", fourier, None), ("F2", fourier_F2, None),
+            ("E", lambda f: fourier_E(f, ext), None),
+            ("Ealpha", lambda f: fourier_E(f, ext), Fraction(ctx.p))]
+
+
+def _random_on(ctx, rng, domain, torsor_scale, **kw):
+    f = random_fn(ctx, rng, "F" if domain == "F" else "E", **kw)
+    return BruhatFn(ctx, domain, f.atoms, torsor_scale=torsor_scale)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fourier_matches_numpy_oracle(p, monkeypatch):
+    """Same centers, levels and atom order as the numpy transform, and the
+    same coefficients up to rounding, on F, F^2, E and E^alpha."""
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(1000 + p)
+    for domain, transform, ts in _transforms(ctx):
+        flat = p > 3 and domain != "F"  # keeps the 2-D span at most p^2 per axis
+        for _ in range(8):
+            f = _random_on(ctx, rng, domain, ts, n_atoms=rng.randint(1, 5),
+                           max_level=1 if flat else 2, center_den=1 if flat and p == 7 else 2)
+            got = transform(f)
+            with monkeypatch.context() as m:
+                m.setattr(bruhat, "_fourier_nd", _numpy_fourier_nd)
+                want = transform(f)
+            assert got.domain == want.domain and got.torsor_scale == want.torsor_scale
+            assert [(a.center, a.level) for a in got.atoms] == \
+                [(a.center, a.level) for a in want.atoms]
+            for a, b in zip(got.atoms, want.atoms):
+                assert abs(a.coef - b.coef) <= 1e-12 * max(1.0, abs(b.coef))
+
+
+@pytest.mark.parametrize("domain", ["F", "F2", "E", "Ealpha"])
+def test_fourier_commutes_with_scaling(ctx3, domain):
+    """fourier(c f) = c fourier(f) atom for atom, however small or large c:
+    the drop rule is relative to the largest output."""
+    rng = random.Random(31)
+    _, transform, ts = next(t for t in _transforms(ctx3) if t[0] == domain)
+    for _ in range(6):
+        f = _random_on(ctx3, rng, domain, ts, n_atoms=rng.randint(1, 5))
+        base = transform(f)
+        wmax = max(abs(a.coef) for a in base.atoms)
+        for c in (1e-12, 1.0, 1e12):
+            got = transform(f.scale(c))
+            assert [(a.center, a.level) for a in got.atoms] == \
+                [(a.center, a.level) for a in base.atoms]
+            for a, b in zip(got.atoms, base.atoms):
+                assert abs(a.coef - c * b.coef) <= 1e-12 * c * wmax
 
 
 def test_tate_zeta_examples(ctx5, ctx3):

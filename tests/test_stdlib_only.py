@@ -1,0 +1,31 @@
+"""The library needs nothing outside the standard library at run time."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import json, sys
+before = set(sys.modules)
+import padicorb, padicorb.cli
+print(json.dumps(sorted({name.split('.')[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_library_imports_only_the_standard_library():
+    """A fresh interpreter that imports padicorb and padicorb.cli loads no
+    top-level module but padicorb's own and the standard library's
+    (`__mp_main__` and other dunder names are interpreter bookkeeping)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert "padicorb" in loaded
+    foreign = [name for name in loaded if name not in sys.stdlib_module_names
+               and name != "padicorb" and not name.startswith("__")]
+    assert not foreign, foreign
