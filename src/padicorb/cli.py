@@ -225,7 +225,7 @@ def _hecke_label(coeffs: dict[int, complex]) -> str:
 def cmd_verify_fl(cfg: RunConfig) -> int:
     hs = parse_hecke_list(cfg.hecke)
     tasks = [(cfg.p, cfg.ext, h.as_dict(), cfg.val_window, cfg.tolerance) for h in hs]
-    start = time.time()
+    start = time.perf_counter()
     if cfg.jobs > 1 and len(tasks) > 1:
         with get_context("fork").Pool(min(cfg.jobs, len(tasks))) as pool:
             reports = pool.map(_fl_single, tasks)
@@ -256,12 +256,12 @@ def cmd_verify_fl(cfg: RunConfig) -> int:
         print(f"[{'PASS' if r.passed else 'FAIL'}] fl p={r.p} {r.kind} h={{{hstr}}} "
               f"maxErr={r.max_error:.3e} const={r.fitted_constant:.10f} "
               f"({r.elapsed:.1f}s)")
-    print(f"report: {path}  (total {time.time() - start:.1f}s)")
+    print(f"report: {path}  (total {time.perf_counter() - start:.1f}s)")
     return 0 if all_pass else 1
 
 
 def cmd_verify_matching(cfg: RunConfig) -> int:
-    start = time.time()
+    start = time.perf_counter()
     ctx = LocalFieldCtx(cfg.p)
     rep = verify_matching(ctx, cfg.ext, samples=cfg.samples, seed=cfg.seed,
                           tolerance=cfg.tolerance)
@@ -281,13 +281,13 @@ def cmd_verify_matching(cfg: RunConfig) -> int:
     path = _write_report(cfg, doc, rows, "matching_report")
     print(f"[{'PASS' if rep.passed else 'FAIL'}] matching p={cfg.p} {cfg.ext} "
           f"samples={cfg.samples} shape={rep.max_shape_residual:.3e} "
-          f"ip={rep.max_ip_error:.3e} ({time.time() - start:.1f}s)")
+          f"ip={rep.max_ip_error:.3e} ({time.perf_counter() - start:.1f}s)")
     print(f"report: {path}")
     return 0 if rep.passed else 1
 
 
 def cmd_tables(cfg: RunConfig) -> int:
-    start = time.time()
+    start = time.perf_counter()
     ctx = LocalFieldCtx(cfg.p)
     lo, hi = cfg.val_window
     rows = []
@@ -328,7 +328,7 @@ def cmd_tables(cfg: RunConfig) -> int:
     }
     path = _write_report(cfg, doc, rows, "tables")
     print(f"[{'PASS' if doc['pass'] else 'FAIL'}] tables p={cfg.p} "
-          f"maxDelta={max_delta:.3e} ({time.time() - start:.1f}s)")
+          f"maxDelta={max_delta:.3e} ({time.perf_counter() - start:.1f}s)")
     print(f"report: {path}")
     return 0 if doc["pass"] else 1
 

@@ -828,7 +828,7 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     value = hecke_apply_W(ctx, kind, h, s)
     q = ctx.q
     depth = h.max_degree() + 3
-    germ = _deep_germ(kind, lambda v: value(Fraction(ctx.p) ** v) * q ** (v * (s + 1)),
+    germ = _deep_germ(kind, lambda u, v: value(u * Fraction(ctx.p) ** v) * q ** (v * (s + 1)),
                       depth)
     C = hecke_apply_W_tail(ctx, kind, h, s)
     tail_val = -(h.max_degree() + 3)
@@ -876,13 +876,8 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     def raw(xi) -> complex:
         return o_torus_group(ctx, desc, xi)
 
-    germ0 = _deep_germ(kind, lambda j: raw(Fraction(ctx.p) ** j), depth)
-    germ_m1 = _deep_germ(kind, lambda j: raw(Fraction(-1) + Fraction(ctx.p) ** j), depth)
-    # unit-independence certificates at the germ depth
-    _certify(germ0.eval(kind, depth), raw(2 * Fraction(ctx.p) ** depth), 1e-9,
-             "germ at 0 not unit-independent at fitted depth")
-    _certify(germ_m1.eval(kind, depth), raw(Fraction(-1) + 2 * Fraction(ctx.p) ** depth),
-             1e-9, "germ at -1 not unit-independent at fitted depth")
+    germ0 = _deep_germ(kind, lambda u, j: raw(u * Fraction(ctx.p) ** j), depth)
+    germ_m1 = _deep_germ(kind, lambda u, j: raw(-1 + u * Fraction(ctx.p) ** j), depth)
     return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo)
 
 
@@ -956,7 +951,7 @@ def verify_fl(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     lo, hi = window
     if lo > hi:
         raise DomainError(f"empty valuation window {window}")
-    start = time.time()
+    start = time.perf_counter()
     fz = hecke_apply_Z(ctx, kind, h)
     rhs_eval = hecke_apply_W(ctx, kind, h, 0.0)
     pts: list[FLPoint] = []
@@ -973,7 +968,7 @@ def verify_fl(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     if fitted is None:
         fitted = 1.0 + 0j
     return FLReport(ctx.p, kind, h.as_dict(), window, pts, fitted, tolerance,
-                    time.time() - start)
+                    time.perf_counter() - start)
 
 
 @dataclass
@@ -1058,7 +1053,7 @@ def verify_matching(ctx: LocalFieldCtx, kind: str, samples: int = 10,
     inner-product identity <|.|G f> = gamma*(eta,0,psi) <f>."""
     if samples < 1:
         raise DomainError(f"verify_matching needs at least one sample, got {samples}")
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     gstar = gamma_star(ctx, kind)
     cases = []
@@ -1079,7 +1074,7 @@ def verify_matching(ctx: LocalFieldCtx, kind: str, samples: int = 10,
         rhs = gstar * ip_torus_elem(f)
         cases.append(MatchingCase(i, resid, lhs, rhs))
     return MatchingReport(ctx.p, kind, samples, seed, cases, tolerance,
-                          time.time() - start)
+                          time.perf_counter() - start)
 
 
 def whittaker_unfolding_check(ctx: LocalFieldCtx, alpha: complex, s: complex,

@@ -1,15 +1,16 @@
 """Window-plus-germ models of S(X), S(Z), S(W^s) and the transform G = F.iota.F.
 
-The engine never truncates: the Fourier transform of a window atom and of a
-germ tail are closed forms, so G f evaluates at any regular point as a finite
-sum of shell integrals
+The engine never truncates.  F f is one tuple of shell terms, one per window
+atom and one per germ, each a closed form ft.at(k) psi(b/y) on the shells
+|y| = q^k, so G f evaluates at any regular point as one finite sum of shell
+integrals
 
-    S(a, k)    = int_{|y|=q^k} psi(a y) dy,
-    K(a, b, k) = int_{|y|=q^k} psi(a y + b/y) dy,
+    K(a, b, k) = int_{|y|=q^k} psi(a y + b/y) dy
 
-with explicit vanishing bounds (the truncation bound of the matching proof).
-Output windows and germ depths are certified from the input data and re-checked
-by residual fits; values outside a certified window raise WindowError.
+with explicit vanishing bounds (the truncation bound of the matching proof);
+b = 0 gives the plain shell integral of psi(a y).  Output windows, their levels
+and germ depths are closed forms of the same terms, re-checked by residual fits
+and probes; values outside a certified window raise WindowError.
 """
 
 from __future__ import annotations
@@ -60,18 +61,6 @@ def _val_and_unit_key(ctx: LocalFieldCtx, x) -> tuple[int, int, int]:
     """(valuation, unit numerator, unit denominator) of a rational: the integer
     form in which the shell integrals take their arguments."""
     return _frac_unit_key(Fraction(x), ctx.p)
-
-
-def shell_psi_integral(ctx: LocalFieldCtx, a, k: int) -> float:
-    """S(a, k) = int_{|y|=q^k} psi(a y) dy; depends on a through val(a) only."""
-    va = rational_valuation(a, ctx.p)
-    q = ctx.q
-    out = 0.0
-    if va >= k:
-        out += float(q) ** k
-    if va >= k - 1:
-        out -= float(q) ** (k - 1)
-    return out
 
 
 _osc_cache: dict[tuple, complex] = {}
@@ -367,40 +356,42 @@ def iota_eval(ext: QuadExt, f_eval, xi) -> complex:
 
 # --- the transform engine ----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _FData:
-    """Closed-form description of F = fourier(f) used by the G engine."""
-
-    # (val c, level, coef, -c in the integer form of _val_and_unit_key) per atom
-    # 1_{c + p^level o}; val c is INF for the ball around 0
-    atoms: tuple[tuple[int, int, complex, tuple[int, int, int]], ...]
-    g0: _GermTransform | None
-    g1: _GermTransform | None  # modulated by psi(z): the germ at -1
+# A shell term (b, first, ft) of F = fourier(f): on the shell |y| = q^k of the
+# G integral, k >= first, (F f)(1/y) = ft.at(k) psi(b/y), with b in the integer
+# form of _val_and_unit_key.  Below `first` the term is ft's pure tail, zero for
+# a window atom; first = -INF for a term read on every shell.
+_Term = tuple[tuple[int, int, int], int, _GermTransform]
 
 
-def _fdata(ctx: LocalFieldCtx, kind: str, atoms, germ0: Germ | None,
-           germ_m1: Germ | None) -> _FData:
-    packed = []
+def _shell_terms(ctx: LocalFieldCtx, kind: str, atoms, germ0: Germ | None,
+                 germ_m1: Germ | None) -> tuple[_Term, ...]:
+    """F = fourier(f) as the G engine reads it: the window atom w 1_{c + p^n o}
+    is the term (-c, -n, (w q^-n, 0, n)), the germ at 0 is (0, -L, F germ0) and
+    the germ at -1 is (1, -INF, F germ_m1)."""
+    terms = []
     for (c, n, w) in atoms:
         vc, num, den = _val_and_unit_key(ctx, c)
-        packed.append((vc, int(n), complex(w), (vc, -num, den)))
-    g0 = _germ_transform(ctx, kind, germ0) if germ0 and not germ0.is_zero() else None
-    g1 = _germ_transform(ctx, kind, germ_m1) if germ_m1 and not germ_m1.is_zero() else None
-    return _FData(tuple(packed), g0, g1)
+        if vc >= n:
+            raise UnsupportedAtomError("window atom touches 0; G needs F^x support")
+        ft = _GermTransform(complex(w) * float(ctx.q) ** (-n), 0j, n)
+        terms.append(((vc, -num, den), -n, ft))
+    if germ0 and not germ0.is_zero():
+        terms.append((_val_and_unit_key(ctx, 0), -germ0.level,
+                      _germ_transform(ctx, kind, germ0)))
+    if germ_m1 and not germ_m1.is_zero():
+        terms.append((_val_and_unit_key(ctx, 1), -INF, _germ_transform(ctx, kind, germ_m1)))
+    return tuple(terms)
 
 
-_ONE = (0, 1, 1)  # the rational 1 in the integer form of _val_and_unit_key
+def _g_value(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...],
+             xi: Fraction) -> complex:
+    """G f(xi) = (F . iota . F f)(xi) as a finite exact sum over the shell terms.
 
-
-def _g_value(ctx: LocalFieldCtx, kind: str, fd: _FData, xi: Fraction,
-             stats: dict | None = None) -> complex:
-    """G f(xi) = (F . iota . F f)(xi) as a finite exact sum.
-
-    When `stats` is given, stats["xi_level"] records how many digits of the
-    unit of xi the value actually consumed (certified atom level for windows).
+    A term adds sign(k) q^-k ft.at(k) K(-xi, b, k) on the shells k from
+    max(first, -val b - 1) to val xi + 1 and on the resonant shell
+    k0 = (val xi - val b)/2 >= first; every other shell k >= first vanishes by
+    the bound of `_shell_integral`.
     """
-    xi = Fraction(xi)
     q = ctx.q
     vxi, num, den = _val_and_unit_key(ctx, xi)
     if vxi >= INF:
@@ -408,56 +399,23 @@ def _g_value(ctx: LocalFieldCtx, kind: str, fd: _FData, xi: Fraction,
     minus_xi = (vxi, -num, den)
     sigma = -1 if kind == "inert" else 1
     total = 0j
-
-    def shell_sign(k: int) -> float:
-        return -1.0 if (sigma < 0 and k % 2) else 1.0
-
-    def K_eval(b, k: int) -> complex:
-        # the unit of xi enters mod p^{-vA} when vA = vxi - k < 0
-        if stats is not None:
-            vA = vxi - k
-            if vA < 0:
-                stats["xi_level"] = max(stats.get("xi_level", 1), -vA)
-        return _shell_integral(ctx, minus_xi, b, k)
-
-    # window atoms: contributions q^{-n} K(-xi, -c, k) on shells k >= -n
-    for (vc, n, w, minus_c) in fd.atoms:
-        if vc >= INF:  # c = 0
-            ks = range(-n, vxi + 2)
+    for (b, first, ft) in terms:
+        vb = b[0]
+        ks = range(max(first, -vb - 1), vxi + 2)
+        if vb >= INF:
+            # psi(b/y) = 1: the shells below `first` carry the pure tail, which
+            # integrates to c_tail times their volume q^(first - 1)
+            if vxi >= first - 1:
+                total += ft.c_tail * float(q) ** (first - 1)
         else:
-            ks = range(max(-n, -vc - 1), vxi + 2)
-            k0 = (vxi - vc) // 2
-            if (vxi - vc) % 2 == 0 and k0 >= -n and k0 not in ks:
-                ks = sorted([*ks, k0])
-        piece = 0j
+            k0, odd = divmod(vxi - vb, 2)
+            if not odd and k0 >= first and k0 not in ks:
+                ks = (*ks, k0)
         for k in ks:
-            kk = K_eval(minus_c, k)
-            if kk != 0:
-                piece += shell_sign(k) * float(q) ** (-k) * kk
-        total += w * float(q) ** (-n) * piece
-
-    # germ at 0: pure tail in closed form + the constant regime loop
-    if fd.g0 is not None:
-        K0 = -(fd.g0.L + 1)
-        if vxi >= K0:
-            total += fd.g0.c_tail * float(q) ** K0
-        for k in range(-fd.g0.L, vxi + 2):
-            s = shell_psi_integral(ctx, -xi, k)
-            if s:
-                total += shell_sign(k) * float(q) ** (-k) * fd.g0.const * s
-
-    # germ at -1: psi(z)-modulated transform -> K(-xi, 1, k) weights
-    if fd.g1 is not None:
-        for k in range(-1, vxi + 2):
-            g1k = fd.g1.at(k, sigma, q)
-            kk = K_eval(_ONE, k)
-            if kk != 0:
-                total += shell_sign(k) * float(q) ** (-k) * g1k * kk
-        if vxi % 2 == 0 and vxi // 2 <= -2:
-            k0 = vxi // 2
-            g1k = fd.g1.at(k0, sigma, q)
-            kk = K_eval(_ONE, k0)
-            total += shell_sign(k0) * float(q) ** (-k0) * g1k * kk
+            kk = _shell_integral(ctx, minus_xi, b, k)
+            if kk:
+                fk = ft.const if k >= -ft.L else ft.at(k, sigma, q)
+                total += (-1.0 if sigma < 0 and k % 2 else 1.0) * float(q) ** (-k) * fk * kk
     if kind == "inert" and vxi % 2:
         # G carries the eta(xi) twist in the inert case: with the plain
         # composition F.iota.F the Mellin conjugation would land on eta*chi^-1
@@ -467,32 +425,37 @@ def _g_value(ctx: LocalFieldCtx, kind: str, fd: _FData, xi: Fraction,
     return total
 
 
-def _atom_support_bound(vc: int, n: int) -> int:
-    """G of the window atom 1_{c + p^n o}, val c = vc, vanishes on val(xi) < this bound."""
-    if vc >= INF:  # c = 0
-        return -n - 1
-    return min(max(-n, -vc - 1) - 1, vc - 2 * n)
+def _window_level(terms: tuple[_Term, ...], v: int) -> int:
+    """Digits of the unit of xi that G f consumes on the shell val xi = v.
+
+    K(-xi, b, k) reads the unit of xi mod p^(k - v), so the level is 1 from the
+    top shell k = v + 1, or -(v + val b)/2 from a term's resonant shell."""
+    level = 1
+    for (b, first, _) in terms:
+        vb = b[0]
+        if vb < INF and (v - vb) % 2 == 0 and (v - vb) // 2 >= first:
+            level = max(level, -(v + vb) // 2)
+    return level
 
 
-def _support_bound(fd: _FData) -> int:
-    """All of G f vanishes on val(xi) < this bound."""
-    bounds = [_atom_support_bound(vc, n) for (vc, n, _, _) in fd.atoms]
-    if fd.g0 is not None:
-        bounds.append(-(fd.g0.L + 1))
-    if fd.g1 is not None:
-        bounds.append(-INF)  # the Kloosterman tail never dies
-    return min(bounds, default=0)
+def _support_bound(terms: tuple[_Term, ...]) -> int:
+    """G f less its Kloosterman tail vanishes on val(xi) < this bound: there each
+    term's shell range is empty and its resonant shell lies below `first`."""
+    return min((min(max(first, -b[0] - 1) - 1, b[0] + 2 * first)
+                for (b, first, _) in terms if first > -INF), default=0)
 
 
-def _germ_depth(fd: _FData) -> int:
+def _germ_depth(terms: tuple[_Term, ...]) -> int:
     """val(xi) >= this depth puts G f exactly in germ form (a' + b' val/eta)."""
     depth = 2
-    for (vc, n, _, _) in fd.atoms:
-        depth = max(depth, vc + 2 * n + 2, -vc + 2, n + 2)
-    if fd.g0 is not None:
-        depth = max(depth, -fd.g0.L + 1)
-    if fd.g1 is not None:
-        depth = max(depth, fd.g1.L + 2, 2)
+    for (b, first, ft) in terms:
+        vb = b[0]
+        if first == -INF:  # the germ at -1
+            depth = max(depth, ft.L + 2)
+        elif vb >= INF:  # the germ at 0
+            depth = max(depth, first + 1)
+        else:
+            depth = max(depth, vb - 2 * first + 2, -vb + 2, -first + 2)
     return depth
 
 
@@ -522,24 +485,31 @@ def _fit_germ(kind: str, values: dict[int, complex]) -> Germ:
     return g
 
 
-def _deep_germ(kind: str, shell_value, depth: int) -> Germ:
-    """Germ on val >= depth fitted to shell_value(v) on the shells depth..depth+3."""
-    return _fit_germ(kind, {v: shell_value(v) for v in range(depth, depth + 4)})
+def _deep_germ(kind: str, value, depth: int) -> Germ:
+    """Germ on val >= depth fitted to value(1, v) on the shells depth..depth+3.
+
+    value(u, v) is the function at the unit u on the shell v of the germ's
+    coordinate; a germ region is unit-independent, so units 1 and 2 must agree
+    on each fitted shell."""
+    values = {}
+    for v in range(depth, depth + 4):
+        values[v] = value(1, v)
+        _certify(value(2, v), values[v], 1e-9,
+                 f"germ region not unit-independent at val={v}")
+    return _fit_germ(kind, values)
 
 
-def _window(ctx: LocalFieldCtx, kind: str, fd: _FData, shells: range,
+def _window(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...], shells: range,
             weighted: bool) -> BruhatFn:
     """Window of G f, or of |.|G f when `weighted`, on the given shells: one atom
-    per unit coset at the level the engine certifies at the shell's first point."""
+    per unit coset at the shell's `_window_level`."""
     p = ctx.p
     atoms = []
     for v in shells:
-        stats: dict = {}
-        first = _g_value(ctx, kind, fd, Fraction(p) ** v, stats)
-        level = max(1, stats.get("xi_level", 1))
+        level = _window_level(terms, v)
         for u in unit_reps(p, level):
             x = Fraction(u) * Fraction(p) ** v
-            w = first if u == 1 else _g_value(ctx, kind, fd, x)
+            w = _g_value(ctx, kind, terms, x)
             if weighted:
                 w = float(ctx.q) ** (-v) * w
             if abs(w) > 1e-12:
@@ -550,54 +520,47 @@ def _window(ctx: LocalFieldCtx, kind: str, fd: _FData, shells: range,
 def g_transform_SX(f: SXElem) -> SXElem:
     """G f for f in S(X); output is again an S(X) element (shape closure)."""
     ctx, kind = f.ctx, f.kind
-    fd = _fdata(ctx, kind, f.atom_triples(), f.germ0, None)
-    vmin = _support_bound(fd)
-    depth = _germ_depth(fd)
-
-    def shell_value(v: int) -> complex:
-        # the germ region is unit-independent: units 1 and 2 agree on each shell
-        x1 = _g_value(ctx, kind, fd, Fraction(ctx.p) ** v)
-        _certify(_g_value(ctx, kind, fd, 2 * Fraction(ctx.p) ** v), x1, 1e-9,
-                 "germ region not unit-independent; depth bug")
-        return x1
-
-    germ = _deep_germ(kind, shell_value, depth)
-    window = _window(ctx, kind, fd, range(vmin, depth), weighted=False)
+    terms = _shell_terms(ctx, kind, f.atom_triples(), f.germ0, None)
+    vmin = _support_bound(terms)
+    depth = _germ_depth(terms)
+    germ = _deep_germ(kind, lambda u, v: _g_value(ctx, kind, terms, u * Fraction(ctx.p) ** v),
+                      depth)
+    window = _window(ctx, kind, terms, range(vmin, depth), weighted=False)
     out = SXElem(ctx, kind, window, germ)
     # representation guard: window+germ reproduces the engine at sample points
     for v in (vmin, depth - 1, depth + 1):
         x = Fraction(ctx.p) ** v
-        _certify(out.eval(x), _g_value(ctx, kind, fd, x), 1e-8,
+        _certify(out.eval(x), _g_value(ctx, kind, terms, x), 1e-8,
                  f"assembled S(X) element disagrees with the engine at {x}")
     return out
 
 
 def g_value_SX(f: SXElem, xi) -> complex:
     """Pointwise G f(xi) without assembling the output element."""
-    fd = _fdata(f.ctx, f.kind, f.atom_triples(), f.germ0, None)
-    return _g_value(f.ctx, f.kind, fd, Fraction(xi))
+    terms = _shell_terms(f.ctx, f.kind, f.atom_triples(), f.germ0, None)
+    return _g_value(f.ctx, f.kind, terms, Fraction(xi))
 
 
 def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None) -> SWElem:
     """|.|G f in S(W) with s = 0: the matching transform S(Z) -> S(W)."""
     ctx, kind = f.ctx, f.kind
-    fd = _fdata(ctx, kind, f.atom_triples(), f.germ0, f.germ_m1)
+    terms = _shell_terms(ctx, kind, f.atom_triples(), f.germ0, f.germ_m1)
     q = ctx.q
 
-    depth = _germ_depth(fd)
+    depth = _germ_depth(terms)
     # germ of G f (before the |xi| factor)
-    germ = _deep_germ(kind, lambda v: _g_value(ctx, kind, fd, Fraction(ctx.p) ** v), depth)
+    germ = _deep_germ(kind, lambda u, v: _g_value(ctx, kind, terms, u * Fraction(ctx.p) ** v),
+                      depth)
 
     def abs_g_value(xi: Fraction) -> complex:  # (|.|G f)(xi)
-        return float(q) ** (-rational_valuation(xi, ctx.p)) * _g_value(ctx, kind, fd, xi)
+        return float(q) ** (-rational_valuation(xi, ctx.p)) * _g_value(ctx, kind, terms, xi)
 
     # Kloosterman tail: the pure-tail constant of the -1 germ's transform,
-    # certified on deep shells
-    C = fd.g1.c_tail if fd.g1 is not None else 0j
-    atom_bound = min((_atom_support_bound(vc, n) for (vc, n, _, _) in fd.atoms),
-                     default=0)
-    g0_bound = -(fd.g0.L + 2) if fd.g0 is not None else 0
-    tail_val = min(atom_bound - 1, g0_bound, -2 * (fd.g1.L + 1) if fd.g1 else -4, -4)
+    # certified on deep shells below the other terms' support, where the -1
+    # germ's resonant shell lies in its pure tail
+    g1 = [ft for (_, first, ft) in terms if first == -INF]
+    tail_val = min(-4, _support_bound(terms) - 1, *(-2 * (ft.L + 1) for ft in g1))
+    C = g1[0].c_tail if g1 else 0j
     _certify_kl_tail(ctx, abs_g_value, C, (tail_val, tail_val - 2), (1,), 1e-8)
     tail = KLTail(C, -tail_val)
 
@@ -607,16 +570,16 @@ def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None) ->
         raise WindowError(
             f"certified window is ({tail_val}, {depth}); requested [{lo}, {hi}]"
         )
-    window = _window(ctx, kind, fd, range(lo, hi + 1), weighted=True)
+    window = _window(ctx, kind, terms, range(lo, hi + 1), weighted=True)
     return SWElem(ctx, kind, 0.0, window, _sw_zero_germ(kind, germ), tail)
 
 
 def g_value_Z_to_W(f: SZElem, xi) -> complex:
     """Pointwise (|.|G f)(xi)."""
-    fd = _fdata(f.ctx, f.kind, f.atom_triples(), f.germ0, f.germ_m1)
+    terms = _shell_terms(f.ctx, f.kind, f.atom_triples(), f.germ0, f.germ_m1)
     xi = Fraction(xi)
     v = rational_valuation(xi, f.ctx.p)
-    return float(f.ctx.q) ** (-v) * _g_value(f.ctx, f.kind, fd, xi)
+    return float(f.ctx.q) ** (-v) * _g_value(f.ctx, f.kind, terms, xi)
 
 
 # --- singular-coefficient extractors ----------------------------------------------

@@ -17,13 +17,17 @@ from padicorb.spaces import Germ, _certify, _certify_kl_tail, _deep_germ, kloost
 
 
 def test_germ_fit_rejects_an_off_line_shell():
-    assert _deep_germ("split", lambda v: 1.0 + 2.0 * v, 5) == Germ(1.0, 2.0, 5)
-    assert _deep_germ("inert", lambda v: 3.0 + (-1.0) ** v, 5) == Germ(3.0, 1.0, 5)
+    assert _deep_germ("split", lambda u, v: 1.0 + 2.0 * v, 5) == Germ(1.0, 2.0, 5)
+    assert _deep_germ("inert", lambda u, v: 3.0 + (-1.0) ** v, 5) == Germ(3.0, 1.0, 5)
     # the first two shells fix the line; the third (val 7) lies off it
     with pytest.raises(RepresentationError, match="germ fit residual"):
-        _deep_germ("split", lambda v: 1.0 + 2.0 * v + (1e-3 if v == 7 else 0.0), 5)
+        _deep_germ("split", lambda u, v: 1.0 + 2.0 * v + (1e-3 if v == 7 else 0.0), 5)
     with pytest.raises(RepresentationError, match="germ fit residual"):
-        _deep_germ("inert", lambda v: 3.0 + (-1.0) ** v + (1e-3 if v == 7 else 0.0), 5)
+        _deep_germ("inert", lambda u, v: 3.0 + (-1.0) ** v + (1e-3 if v == 7 else 0.0), 5)
+    # on the line at unit 1, but unit 2 on val 6 is off it: no germ region
+    with pytest.raises(RepresentationError, match="not unit-independent at val=6"):
+        _deep_germ("split", lambda u, v: 1.0 + 2.0 * v + (1e-3 if (u, v) == (2, 6) else 0.0),
+                   5)
 
 
 def test_sampler_rejects_a_function_constant_at_no_level(ctx3):

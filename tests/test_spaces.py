@@ -27,7 +27,6 @@ from padicorb.spaces import (
     ip_torus,
     kloosterman_germ,
     oscillatory_shell_integral,
-    shell_psi_integral,
     sw_extract_O0_delta,
     sw_extract_second,
     sx_mellin,
@@ -37,14 +36,14 @@ import math
 
 
 def test_shell_psi_integral_closed_form(ctx3):
-    # against direct unit sums
+    # S(a, k) = K(a, 0, k) against direct unit sums
     for k in (-2, -1, 0, 1, 2):
         for a in (Fraction(1), Fraction(1, 3), Fraction(1, 27), Fraction(9), Fraction(2, 9)):
             mod = 3 ** 6
             units = [u for u in range(1, mod) if u % 3]
             brute = sum(psi_eval_frac(ctx3, a * Fraction(u) * Fraction(3) ** (-k))
                         for u in units) / len(units) * (1 - 1 / 3) * 3.0 ** k
-            assert abs(shell_psi_integral(ctx3, a, k) - brute) < 1e-10
+            assert abs(oscillatory_shell_integral(ctx3, a, 0, k) - brute) < 1e-10
 
 
 def test_oscillatory_examples(ctx3):
@@ -399,6 +398,58 @@ def test_element_json_of_deep_window_raises_fast(ctx3):
     with pytest.raises(RepresentationError):
         element_to_json(g)
     assert time.perf_counter() - start < 1.0
+
+
+def test_window_atom_at_zero_raises_fast(ctx3):
+    """A window atom whose ball holds 0 belongs in the germ: the transform
+    raises at once instead of reading a depth from the zero sentinel."""
+    import json
+    import time
+
+    from padicorb.errors import UnsupportedAtomError
+    from padicorb.spaces import g_transform_Z_to_W
+
+    built = SXElem(ctx3, "split", BruhatFn.from_atoms(ctx3, "F", [(0, 1, 1.0)]), Germ(0, 0, 1))
+    germ = {"tag": "germ", "a": [0.0, 0.0], "b": [0.0, 0.0], "level": 1}
+    read = element_from_json(ctx3, json.dumps({"p": 3, "kind": "split", "type": "SX",
+                                               "atoms": [[0, 0, 1, 1.0, 0.0]],
+                                               "germ0": germ}))
+    for f in (built, read):
+        z = SZElem(ctx3, f.kind, f.window, f.germ0, Germ(0, 0, 1))
+        for call in (lambda: g_transform_SX(f), lambda: g_value_SX(f, Fraction(1, 3)),
+                     lambda: g_transform_Z_to_W(z)):
+            start = time.perf_counter()
+            with pytest.raises(UnsupportedAtomError):
+                call()
+            assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_window_level_is_enough(p, kind):
+    """On every shell of a certified window, G f reads the unit of xi only mod
+    p^L for the closed-form level L: moving the unit by p^L changes nothing.
+    Seed 42 keeps the p = 5 windows at a few thousand units (levels up to 5)."""
+    from padicorb.orbital import random_baby_data, sx_from_baby, sz_from_charts
+    from padicorb.spaces import (_g_value, _germ_depth, _shell_terms, _support_bound,
+                                 _window_level, g_transform_Z_to_W)
+
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(42)
+    sx = sx_from_baby(random_baby_data(ctx, kind, rng), kind)
+    sz = sz_from_charts(random_baby_data(ctx, kind, rng), random_baby_data(ctx, kind, rng),
+                        kind)
+    tx = _shell_terms(ctx, kind, sx.atom_triples(), sx.germ0, None)
+    tz = _shell_terms(ctx, kind, sz.atom_triples(), sz.germ0, sz.germ_m1)
+    tail_m = g_transform_Z_to_W(sz).inf_tail.M
+    for terms, shells in ((tx, range(_support_bound(tx), _germ_depth(tx))),
+                          (tz, range(1 - tail_m, _germ_depth(tz)))):
+        for v in shells:
+            level = _window_level(terms, v)
+            for u in unit_reps(p, level):
+                got = _g_value(ctx, kind, terms, Fraction(u) * Fraction(p) ** v)
+                moved = _g_value(ctx, kind, terms, Fraction(u + p ** level) * Fraction(p) ** v)
+                assert abs(moved - got) <= 1e-12 * max(1.0, abs(got)), (v, u, level)
 
 
 def test_window_error_on_uncertified_range(ctx3):
