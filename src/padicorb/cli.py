@@ -7,8 +7,10 @@ Subcommands:
 
 Reports serialize to JSON (schemaVersion 1) or CSV; a fixed seed gives
 byte-identical report files (wall-clock timings go to the console only).
-Flags override a key=value config file; exit codes: 0 pass, 1 fail,
-2 usage error, 3 computation failure.
+Each subcommand takes only the options it reads (`OPTIONS`); an unread flag
+is a usage error.  Flags override a key=value config file, which may also
+carry the other subcommands' options; exit codes: 0 pass, 1 fail, 2 usage
+error, 3 computation failure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
 
@@ -40,40 +41,6 @@ from .groups import KSection
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 3
-
-DEFAULTS = {
-    "p": 3,
-    "ext": "split",
-    "hecke": "0:1",
-    "val_window": "-4:4",
-    "tolerance": 1e-8,
-    "seed": 7,
-    "jobs": 1,
-    "format": "json",
-    "out": "",
-    "samples": 20,
-}
-
-
-@dataclass
-class RunConfig:
-    p: int
-    ext: str
-    hecke: str
-    val_window: tuple[int, int]
-    tolerance: float
-    seed: int
-    jobs: int
-    format: str
-    out: str
-    samples: int
-
-    def header(self) -> dict:
-        return {
-            "p": self.p, "ext": self.ext, "hecke": self.hecke, "seed": self.seed,
-            "valWindow": list(self.val_window), "tolerance": self.tolerance,
-            "jobs": self.jobs, "format": self.format, "samples": self.samples,
-        }
 
 
 class UsageError(Exception):
@@ -126,6 +93,66 @@ def parse_window(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _odd_prime(text: str) -> int:
+    p = int(text)
+    if not is_prime(p) or p == 2:
+        raise UsageError(f"must be an odd prime, got {p}")
+    return p
+
+
+def _one_of(*choices: str):
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise UsageError(f"must be one of {', '.join(choices)}")
+        return text
+    return convert
+
+
+def _hecke_spec(text: str) -> str:
+    parse_hecke_list(text)  # usage validation before any work
+    return text
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (cmath.isfinite(tol) and tol > 0):
+        raise UsageError("must be a finite number > 0")
+    return tol
+
+
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise UsageError("must be >= 1")
+    return n
+
+
+def _out_path(path: str) -> str:
+    # the report is written after the run: reject an unwritable path before it
+    if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise UsageError("not a file path in an existing directory")
+    return path
+
+
+_ALL = ("verify-fl", "verify-matching", "tables")
+
+# option -> (converter, default, the commands that read it, help); flags,
+# config-file values and defaults all pass through the converter
+OPTIONS = {
+    "p": (_odd_prime, "3", _ALL, "odd prime"),
+    "ext": (_one_of("split", "inert"), "split", _ALL, "split or inert"),
+    "hecke": (_hecke_spec, "0:1", ("verify-fl",),
+              "Hecke elements: 'n:c,n:c;n:c' (';' separates elements; empty means h0)"),
+    "val_window": (parse_window, "-4:4", ("verify-fl", "tables"), "valuation window a:b"),
+    "tolerance": (_tolerance, "1e-8", _ALL, "pass threshold"),
+    "seed": (int, "7", ("verify-matching",), "random seed"),
+    "jobs": (_positive, "1", ("verify-fl",), "worker processes, one Hecke element each"),
+    "samples": (_positive, "20", ("verify-matching",), "random samples"),
+    "format": (_one_of("json", "csv"), "json", _ALL, "report format"),
+    "out": (_out_path, "", _ALL, "report file path"),
+}
+
+
 def read_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -144,56 +171,35 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        from_file = read_config_file(args.config)
-        unknown = sorted(set(from_file) - set(DEFAULTS))
-        if unknown:
-            raise UsageError(f"unknown config keys {unknown}")
-        merged.update(from_file)
-    for key in DEFAULTS:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-    try:
-        p = int(merged["p"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad prime {merged['p']!r}") from exc
-    if not is_prime(p) or p == 2:
-        raise UsageError(f"--p must be an odd prime, got {p}")
-    ext = str(merged["ext"])
-    if ext not in ("split", "inert"):
-        raise UsageError("--ext must be split or inert")
-    fmt = str(merged["format"])
-    if fmt not in ("json", "csv"):
-        raise UsageError("--format must be json or csv")
-    try:
-        cfg = RunConfig(
-            p=p, ext=ext, hecke=str(merged["hecke"]),
-            val_window=parse_window(str(merged["val_window"])),
-            tolerance=float(merged["tolerance"]),
-            seed=int(merged["seed"]), jobs=int(merged["jobs"]),
-            format=fmt, out=str(merged["out"]),
-            samples=int(merged["samples"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad configuration value: {exc}") from exc
-    if not (cmath.isfinite(cfg.tolerance) and cfg.tolerance > 0):
-        raise UsageError("--tolerance must be a finite number > 0")
-    if cfg.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    if cfg.samples < 1:
-        raise UsageError("--samples must be >= 1")
-    # the report is written after the run: reject an unwritable path before it
-    if cfg.out and (os.path.isdir(cfg.out)
-                    or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
-        raise UsageError(f"--out {cfg.out!r}: not a file path in an existing directory")
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The options `args.command` reads: its flag, else the config file's
+    value, else the default.  A config file may carry the options of the
+    other commands, so one file serves all three; an unknown key is an error."""
+    from_file = read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(from_file) - set(OPTIONS))
+    if unknown:
+        raise UsageError(f"unknown config keys {unknown}")
+    cfg = {}
+    for key, (convert, default, commands, _) in OPTIONS.items():
+        if args.command in commands:
+            text = getattr(args, key)
+            text = from_file.get(key, default) if text is None else text
+            try:
+                cfg[key] = convert(text)
+            except (UsageError, ValueError) as exc:
+                raise UsageError(f"--{key.replace('_', '-')} {text!r}: {exc}") from exc
     return cfg
 
 
-def _write_report(cfg: RunConfig, doc: dict, csv_rows: list[dict], name: str) -> str:
-    if cfg.format == "json":
+def _header(cfg: dict) -> dict:
+    """The report's `config` block: the command's options in camelCase, less
+    the report path, so that reports written to two paths compare equal."""
+    return {("valWindow" if key == "val_window" else key): value
+            for key, value in cfg.items() if key != "out"}
+
+
+def _write_report(cfg: dict, doc: dict, csv_rows: list[dict], name: str) -> str:
+    if cfg["format"] == "json":
         text = json.dumps(doc, sort_keys=True, indent=1)
     else:
         buf = io.StringIO()
@@ -202,7 +208,7 @@ def _write_report(cfg: RunConfig, doc: dict, csv_rows: list[dict], name: str) ->
             writer.writeheader()
             writer.writerows(csv_rows)
         text = buf.getvalue()
-    path = cfg.out or f"{name}.{cfg.format}"
+    path = cfg["out"] or f"{name}.{cfg['format']}"
     with open(path, "w") as fh:
         fh.write(text)
     return path
@@ -222,12 +228,13 @@ def _hecke_label(coeffs: dict[int, complex]) -> str:
                     for n, c in sorted(coeffs.items()))
 
 
-def cmd_verify_fl(cfg: RunConfig) -> int:
-    hs = parse_hecke_list(cfg.hecke)
-    tasks = [(cfg.p, cfg.ext, h.as_dict(), cfg.val_window, cfg.tolerance) for h in hs]
+def cmd_verify_fl(cfg: dict) -> int:
+    hs = parse_hecke_list(cfg["hecke"])
+    tasks = [(cfg["p"], cfg["ext"], h.as_dict(), cfg["val_window"], cfg["tolerance"])
+             for h in hs]
     start = time.perf_counter()
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(min(cfg.jobs, len(tasks))) as pool:
+    if cfg["jobs"] > 1 and len(tasks) > 1:
+        with get_context("fork").Pool(min(cfg["jobs"], len(tasks))) as pool:
             reports = pool.map(_fl_single, tasks)
     else:
         reports = [_fl_single(t) for t in tasks]
@@ -235,7 +242,7 @@ def cmd_verify_fl(cfg: RunConfig) -> int:
     doc = {
         "schemaVersion": 1,
         "command": "verify-fl",
-        "config": cfg.header(),
+        "config": _header(cfg),
         "results": [r.to_json_dict() for r in reports],
         "maxError": max((r.max_error for r in reports), default=0.0),
         "pass": all_pass,
@@ -260,15 +267,15 @@ def cmd_verify_fl(cfg: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
-def cmd_verify_matching(cfg: RunConfig) -> int:
+def cmd_verify_matching(cfg: dict) -> int:
     start = time.perf_counter()
-    ctx = LocalFieldCtx(cfg.p)
-    rep = verify_matching(ctx, cfg.ext, samples=cfg.samples, seed=cfg.seed,
-                          tolerance=cfg.tolerance)
+    ctx = LocalFieldCtx(cfg["p"])
+    rep = verify_matching(ctx, cfg["ext"], samples=cfg["samples"], seed=cfg["seed"],
+                          tolerance=cfg["tolerance"])
     doc = {
         "schemaVersion": 1,
         "command": "verify-matching",
-        "config": cfg.header(),
+        "config": _header(cfg),
         "result": rep.to_json_dict(),
         "pass": rep.passed,
     }
@@ -279,17 +286,17 @@ def cmd_verify_matching(cfg: RunConfig) -> int:
         "ipError": c.ip_error,
     } for c in rep.cases]
     path = _write_report(cfg, doc, rows, "matching_report")
-    print(f"[{'PASS' if rep.passed else 'FAIL'}] matching p={cfg.p} {cfg.ext} "
-          f"samples={cfg.samples} shape={rep.max_shape_residual:.3e} "
+    print(f"[{'PASS' if rep.passed else 'FAIL'}] matching p={rep.p} {rep.kind} "
+          f"samples={rep.samples} shape={rep.max_shape_residual:.3e} "
           f"ip={rep.max_ip_error:.3e} ({time.perf_counter() - start:.1f}s)")
     print(f"report: {path}")
     return 0 if rep.passed else 1
 
 
-def cmd_tables(cfg: RunConfig) -> int:
+def cmd_tables(cfg: dict) -> int:
     start = time.perf_counter()
-    ctx = LocalFieldCtx(cfg.p)
-    lo, hi = cfg.val_window
+    ctx = LocalFieldCtx(cfg["p"])
+    lo, hi = cfg["val_window"]
     rows = []
     max_delta = 0.0
     for m in range(0, 5):
@@ -305,11 +312,11 @@ def cmd_tables(cfg: RunConfig) -> int:
                 "directRe": direct.real, "directIm": direct.imag,
                 "delta": delta,
             })
-    fw = basic_fW0(ctx, cfg.ext, 1.0)
+    fw = basic_fW0(ctx, cfg["ext"], 1.0)
     for v in range(lo, hi + 1):
         xi = Fraction(ctx.p) ** v
         closed = fw(xi)
-        series = fW_series_value(ctx, cfg.ext, 1.0, xi)
+        series = fW_series_value(ctx, cfg["ext"], 1.0, xi)
         delta = abs(closed - series)
         max_delta = max(max_delta, delta)
         rows.append({
@@ -321,46 +328,39 @@ def cmd_tables(cfg: RunConfig) -> int:
     doc = {
         "schemaVersion": 1,
         "command": "tables",
-        "config": cfg.header(),
+        "config": _header(cfg),
         "rows": rows,
         "maxDelta": max_delta,
-        "pass": max_delta <= cfg.tolerance,
+        "pass": max_delta <= cfg["tolerance"],
     }
     path = _write_report(cfg, doc, rows, "tables")
-    print(f"[{'PASS' if doc['pass'] else 'FAIL'}] tables p={cfg.p} "
+    print(f"[{'PASS' if doc['pass'] else 'FAIL'}] tables p={ctx.p} "
           f"maxDelta={max_delta:.3e} ({time.perf_counter() - start:.1f}s)")
     print(f"report: {path}")
     return 0 if doc["pass"] else 1
 
 
+COMMANDS = {
+    "verify-fl": (cmd_verify_fl, "verify the Hecke fundamental lemma"),
+    "verify-matching": (cmd_verify_matching, "verify the matching isomorphism on random input"),
+    "tables": (cmd_tables, "emit closed-form vs direct orbital tables"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, holding only the options it reads."""
     ap = argparse.ArgumentParser(
         prog="padicorb",
         description="Exact nonarchimedean orbital-integral verification suites",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("verify-fl", "verify the Hecke fundamental lemma"),
-        ("verify-matching", "verify the matching isomorphism on random input"),
-        ("tables", "emit closed-form vs direct orbital tables"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--p", type=int, default=None, help="odd prime (default 3)")
-        sp.add_argument("--ext", choices=["split", "inert"], default=None)
-        sp.add_argument("--hecke", type=str, default=None,
-                        help="Hecke elements: 'n:c,n:c;n:c' (';' separates elements; "
-                             "empty means h0)")
-        sp.add_argument("--val-window", dest="val_window", type=str, default=None,
-                        help="valuation window a:b (default -4:4)")
-        sp.add_argument("--tolerance", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=None)
-        sp.add_argument("--samples", type=int, default=None,
-                        help="random samples for verify-matching")
-        sp.add_argument("--format", choices=["json", "csv"], default=None)
-        sp.add_argument("--out", type=str, default=None, help="report file path")
-        sp.add_argument("--config", type=str, default=None,
-                        help="key=value config file (flags take precedence)")
+        for key, (_, default, commands, what) in OPTIONS.items():
+            if name in commands:
+                sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                                help=f"{what} (default {default})" if default else what)
+        sp.add_argument("--config", help="key=value config file (flags take precedence)")
     return ap
 
 
@@ -390,15 +390,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        cfg = resolve_config(args)
-        if args.command == "verify-fl":
-            parse_hecke_list(cfg.hecke)  # usage validation before any work
-            return cmd_verify_fl(cfg)
-        if args.command == "verify-matching":
-            return cmd_verify_matching(cfg)
-        if args.command == "tables":
-            return cmd_tables(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][0](resolve_config(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

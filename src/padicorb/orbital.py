@@ -305,7 +305,7 @@ def sx_from_baby(data, kind: str) -> SXElem:
 
     p = ctx.p
     level = _FIRST_LEVEL
-    lo = max(-6, baby_support_floor(kind, data))
+    lo = baby_support_floor(kind, data)
     atoms = []
     for v in range(lo, germ.level):
         start = max(level, baby_xi_level(kind, data, v))
@@ -379,10 +379,12 @@ def _shell_atoms(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
 
 
 def _certify_floor(ctx: LocalFieldCtx, raw, lo: int):
-    """Support certificate: raw vanishes on the shell below the window floor."""
-    for u in (1, ctx.p - 1):
-        if abs(raw(Fraction(u) * Fraction(ctx.p) ** (lo - 1))) > 1e-12:
-            raise RepresentationError("window floor too high; support leaked")
+    """Support certificate: raw vanishes on the two shells below the window
+    floor, one of each parity (a support may skip a parity)."""
+    for v in (lo - 1, lo - 2):
+        for u in (1, ctx.p - 1):
+            if abs(raw(Fraction(u) * Fraction(ctx.p) ** v)) > 1e-12:
+                raise RepresentationError("window floor too high; support leaked")
 
 
 def baby_xi_level(kind: str, data, v: int) -> int:
@@ -440,8 +442,7 @@ def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
     _baby_ctx(kind, phi2)
     g0 = _baby_germ(kind, phi2)
     g1 = _baby_germ(kind, phi1)
-    lo = max(-6, min(baby_support_floor(kind, phi2),
-                     baby_support_floor(kind, phi1)) - 1)
+    lo = min(baby_support_floor(kind, phi2), baby_support_floor(kind, phi1)) - 1
     depth0 = g0.level
     depth1 = g1.level
 
@@ -822,28 +823,25 @@ def hecke_apply_W_tail(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
 
 def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
                        s: complex = 0.0) -> SWElem:
-    """h * f_W^s packaged as an SWElem: window atoms at certified levels,
-    the |xi|^{s+1}-weighted zero germ fitted with residuals, and the
-    Kloosterman tail from the x_0-expansion coefficient."""
+    """h * f_W^s packaged as an SWElem by the case table: below val -1 only the
+    m = 0 term of sum_m d(m) O_closed(m, xi) survives, so the value is exactly
+    C KL(xi) there; on val -1 .. depth - 1 it depends on val(xi) only, one
+    window shell each at level 1; deeper lies the |xi|^{s+1}-weighted zero
+    germ, fitted with residuals."""
     value = hecke_apply_W(ctx, kind, h, s)
     q = ctx.q
     depth = h.max_degree() + 3
     germ = _deep_germ(kind, lambda u, v: value(u * Fraction(ctx.p) ** v) * q ** (v * (s + 1)),
                       depth)
     C = hecke_apply_W_tail(ctx, kind, h, s)
-    tail_val = -(h.max_degree() + 3)
-    tail_val -= tail_val % 2  # start the certified tail on an even shell
-    _certify_kl_tail(ctx, value, C, (tail_val, tail_val - 2), (1, 2), 1e-9)
-    lo = max(-6, tail_val + 1)
-    hi = min(4, depth - 1)
+    _certify_kl_tail(ctx, value, C, (-2, -4), (1, 2), 1e-9)
     atoms = []
-    for v in range(lo, hi + 1):
-        level = max(1, (-v + 1) // 2 + 1)  # KL unit-dependence depth on the shell
-        atoms += _shell_atoms(ctx, value, Fraction(0), v, level)[0]
+    for v in range(-1, depth):
+        atoms += _shell_atoms(ctx, value, Fraction(0), v, 1)[0]
     out = SWElem(ctx, kind, s, BruhatFn.from_atoms(ctx, "F", atoms),
-                 _sw_zero_germ(kind, germ), KLTail(C, -tail_val))
+                 _sw_zero_germ(kind, germ), KLTail(C, 2))
     for xi in (Fraction(1 + ctx.p), Fraction(ctx.p) ** (depth + 1),
-               Fraction(2) * Fraction(ctx.p) ** (tail_val - 4)):
+               Fraction(2) * Fraction(ctx.p) ** -6):
         _certify(out.eval(xi), value(xi), 1e-9,
                  f"assembled SWElem disagrees with the evaluator at {xi}")
     return out
@@ -859,19 +857,18 @@ def basic_fW0_elem(ctx: LocalFieldCtx, kind: str, s: complex = 0.0) -> SWElem:
 
 def basic_fZ0(ctx: LocalFieldCtx, kind: str) -> SZElem:
     """The basic vector of S(Z) assembled from group-level orbital integrals."""
-    return hecke_apply_Z(ctx, kind, HeckeElt.basis(0), lo=-3)
+    return hecke_apply_Z(ctx, kind, HeckeElt.basis(0))
 
 
-def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
-                  lo: int | None = None) -> SZElem:
+def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt) -> SZElem:
     """SZ element of orbital integrals of (h * 1_{X1(o)}) x 1_{X1(o)}.
 
-    Window values on val(xi) >= lo come from o_torus_group; the germs at 0 and
-    -1 are fitted on deep shells with residual certificates.
+    Window values on val(xi) >= -(2 deg h + 1) come from o_torus_group; the
+    germs at 0 and -1 are fitted on deep shells with residual certificates.
     """
     desc = TorusPairDescriptor(h, kind)
     depth = 2 * h.max_degree() + 3
-    lo = lo if lo is not None else -(2 * h.max_degree() + 1)
+    lo = -(2 * h.max_degree() + 1)
 
     def raw(xi) -> complex:
         return o_torus_group(ctx, desc, xi)

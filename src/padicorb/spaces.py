@@ -10,7 +10,7 @@ integrals
 with explicit vanishing bounds (the truncation bound of the matching proof);
 b = 0 gives the plain shell integral of psi(a y).  Output windows, their levels
 and germ depths are closed forms of the same terms, re-checked by residual fits
-and probes; values outside a certified window raise WindowError.
+and probes; a germ read below its level raises WindowError.
 """
 
 from __future__ import annotations
@@ -541,7 +541,7 @@ def g_value_SX(f: SXElem, xi) -> complex:
     return _g_value(f.ctx, f.kind, terms, Fraction(xi))
 
 
-def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None) -> SWElem:
+def g_transform_Z_to_W(f: SZElem) -> SWElem:
     """|.|G f in S(W) with s = 0: the matching transform S(Z) -> S(W)."""
     ctx, kind = f.ctx, f.kind
     terms = _shell_terms(ctx, kind, f.atom_triples(), f.germ0, f.germ_m1)
@@ -564,13 +564,7 @@ def g_transform_Z_to_W(f: SZElem, window_vals: tuple[int, int] | None = None) ->
     _certify_kl_tail(ctx, abs_g_value, C, (tail_val, tail_val - 2), (1,), 1e-8)
     tail = KLTail(C, -tail_val)
 
-    # window on the requested valuation range
-    lo, hi = window_vals if window_vals is not None else (tail_val + 1, depth - 1)
-    if lo <= tail_val or hi >= depth:
-        raise WindowError(
-            f"certified window is ({tail_val}, {depth}); requested [{lo}, {hi}]"
-        )
-    window = _window(ctx, kind, terms, range(lo, hi + 1), weighted=True)
+    window = _window(ctx, kind, terms, range(tail_val + 1, depth), weighted=True)
     return SWElem(ctx, kind, 0.0, window, _sw_zero_germ(kind, germ), tail)
 
 

@@ -64,6 +64,13 @@ def test_support_floor_rejects_leaked_support(ctx3):
     def raw(xi):
         return 1.0 if rational_valuation(xi, 3) >= -3 else 0.0
 
-    _certify_floor(ctx3, raw, -3)  # the shell below, val -4, is empty
+    _certify_floor(ctx3, raw, -3)  # the shells below, val -4 and -5, are empty
     with pytest.raises(RepresentationError, match="support leaked"):
         _certify_floor(ctx3, raw, -2)  # val -3 still carries support
+
+    def skips_a_parity(xi):
+        return 1.0 if rational_valuation(xi, 3) == -4 else 0.0
+
+    # val -3 is empty but val -4 is not: both parities below the floor are checked
+    with pytest.raises(RepresentationError, match="support leaked"):
+        _certify_floor(ctx3, skips_a_parity, -2)

@@ -24,6 +24,30 @@ def test_usage_errors(tmp_path):
     assert run(["tables", "--p", "3", "--val-window", "0:0", "--tolerance", "1e-30",
                 "--out", str(tmp_path / "t.json")]) == 1
     assert run(["nonsense"]) == 2
+    # each command takes only the options it reads: an unread flag exits 2
+    # before any work starts
+    out = tmp_path / "unread.json"
+    for command, flag, value in (("verify-fl", "--seed", "1"), ("verify-fl", "--samples", "2"),
+                                 ("verify-matching", "--hecke", "1:1"),
+                                 ("verify-matching", "--val-window", "-2:2"),
+                                 ("verify-matching", "--jobs", "2"),
+                                 ("tables", "--hecke", "1:1"), ("tables", "--seed", "1"),
+                                 ("tables", "--jobs", "2"), ("tables", "--samples", "2")):
+        assert run([command, "--p", "3", flag, value, "--out", str(out)]) == 2, (command, flag)
+        assert not out.exists()
+
+
+def test_config_block_holds_the_command_options(tmp_path):
+    """A report's `config` echoes exactly the options its command reads."""
+    want = {"verify-fl": {"p", "ext", "hecke", "valWindow", "tolerance", "jobs", "format"},
+            "verify-matching": {"p", "ext", "seed", "samples", "tolerance", "format"},
+            "tables": {"p", "ext", "valWindow", "tolerance", "format"}}
+    argv = {"verify-fl": ["--val-window", "0:0"], "verify-matching": ["--samples", "1"],
+            "tables": ["--val-window", "0:0"]}
+    for command, keys in want.items():
+        out = tmp_path / f"{command}.json"
+        assert run([command, "--p", "3", *argv[command], "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())["config"]) == keys, command
 
 
 def test_hecke_parsing():
@@ -77,6 +101,8 @@ def test_config_file_and_precedence(tmp_path):
     assert doc["config"]["ext"] == "inert"  # flag wins
     assert doc["config"]["samples"] == 2    # file value survives
     assert doc["config"]["seed"] == 4
+    # val-window belongs to verify-fl and tables: accepted, not echoed
+    assert "valWindow" not in doc["config"]
 
 
 def test_config_file_unknown_keys(tmp_path):

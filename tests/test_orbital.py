@@ -770,21 +770,45 @@ def test_hecke_apply_W_vs_upstairs_convolution(ctx3):
 
 def test_hecke_apply_W_elem_packaging(ctx3):
     """SWElem packaging of h * f_W^s agrees with the evaluator everywhere and
-    carries the right tail constant."""
+    carries the right tail constant.  For h = h_n + h_0/2 up to n = 8 the zero
+    germ starts at val n + 3 and the Kloosterman tail at val -2, so every shell
+    -(n + 12)..n + 8 crosses the window's edges on both sides."""
     from padicorb.orbital import basic_fW0_elem, hecke_apply_W_elem
 
-    for kind in ("split", "inert"):
-        elem = hecke_apply_W_elem(ctx3, kind, HeckeElt.basis(1), 0.0)
-        val = hecke_apply_W(ctx3, kind, HeckeElt.basis(1), 0.0)
-        for v in range(-5, 5):
-            for u in (1, 2):
-                xi = Fraction(u) * Fraction(3) ** v
-                assert abs(elem.eval(xi) - val(xi)) < 1e-10
-        assert abs(ip_kuz(elem) - hecke_apply_W_tail(ctx3, kind, HeckeElt.basis(1))) < 1e-12
+    for p in (3, 5):
+        ctx = LocalFieldCtx(p)
+        for n in range(9):
+            h = HeckeElt.of({0: 0.5}) + HeckeElt.basis(n)
+            for kind in ("split", "inert"):
+                for s in (0.0, 1.0):
+                    elem = hecke_apply_W_elem(ctx, kind, h, s)
+                    val = hecke_apply_W(ctx, kind, h, s)
+                    assert elem.inf_tail.M == 2
+                    for v in range(-(n + 12), n + 9):
+                        for u in {1, 2, p - 1}:
+                            xi = Fraction(u) * Fraction(p) ** v
+                            assert abs(elem.eval(xi) - val(xi)) < 1e-10, (p, n, kind, s, xi)
+                    assert abs(ip_kuz(elem) - hecke_apply_W_tail(ctx, kind, h, s)) < 1e-12
     b = basic_fW0_elem(ctx3, "split", 0.0)
     fw = basic_fW0(ctx3, "split", 0.0)
     for v in range(-4, 4):
         assert abs(b.eval(Fraction(3) ** v) - fw(Fraction(3) ** v)) < 1e-10
+
+
+def test_baby_windows_reach_the_support_floor(ctx3):
+    """The S(X) and S(Z) windows start at the support floor, however deep: this
+    phi has floor -8, support on val -8 and none on val -7."""
+    phi = BruhatFn.from_atoms(ctx3, "F2", [((Fraction(1, 81), Fraction(1, 81)), -2, 1.0),
+                                           ((0, 0), 0, 0.5)])
+    sx = sx_from_baby(phi, "split")
+    sz = sz_from_charts(phi, phi, "split")
+    assert abs(o_baby_split(phi, Fraction(1, 3 ** 8)) - 1 / 9) < 1e-12
+    for v in range(-10, -4):
+        for u in (1, 2, 4):
+            xi = Fraction(u) * Fraction(3) ** v
+            assert abs(sx.eval(xi) - o_baby_split(phi, xi)) < 1e-12, xi
+            want = o_baby_split(phi, xi) + o_baby_split(phi, -1 - xi)
+            assert abs(sz.eval(xi) - want) < 1e-12, xi
 
 
 def test_stabilization_idempotence(ctx3, monkeypatch):

@@ -452,11 +452,8 @@ def test_window_level_is_enough(p, kind):
                 assert abs(moved - got) <= 1e-12 * max(1.0, abs(got)), (v, u, level)
 
 
-def test_window_error_on_uncertified_range(ctx3):
-    from padicorb.orbital import hecke_apply_Z
-    from padicorb.groups import HeckeElt
-    from padicorb.spaces import g_transform_Z_to_W
-
-    fz = hecke_apply_Z(ctx3, "split", HeckeElt.basis(0))
+def test_window_error_on_uncertified_range():
+    """A germ holds only from its level on: reading it below raises."""
+    assert Germ(1, 2, 5).eval("split", 5) == 11
     with pytest.raises(WindowError):
-        g_transform_Z_to_W(fz, window_vals=(-50, 2))
+        Germ(1, 2, 5).eval("split", 4)
