@@ -124,6 +124,8 @@ class BruhatFn:
                         self.canonical, self.torsor_scale)
 
     def __add__(self, other: "BruhatFn") -> "BruhatFn":
+        if self.ctx.p != other.ctx.p:
+            raise DomainError("cannot add functions over different primes")
         if other.is_zero():
             return self
         if self.is_zero():
@@ -342,6 +344,8 @@ def negate_argument(f: BruhatFn) -> BruhatFn:
 
 def inner_product(f: BruhatFn, g: BruhatFn) -> complex:
     """Bilinear int f*g dx (no conjugation), both refined to a common level."""
+    if f.ctx.p != g.ctx.p:
+        raise DomainError("inner product needs a common prime")
     if f.domain != g.domain:
         raise DomainError("inner product needs a common domain")
     if not f.coset_table or not g.coset_table:

@@ -1,10 +1,11 @@
-"""PGL2 over o/p^N: matrices, Iwasawa/Cartan structure, Hecke algebra, Satake.
+"""PGL2 over o/p^N: cosets, Hecke algebra, Satake, Casselman-Shalika, Whittaker.
 
-Matrices are stored over exact rationals (entries of the group elements we meet
-are rationals or Hensel-lifted scalars); the PGL2 normalization scales entries
-so the minimum valuation is 0.  The Satake transform, the closed-form change
-of basis h_n -> double cosets (the tests check it against Satake), the
-Casselman-Shalika action and the L-function series coefficients live here.
+`double_coset_reps` gives the left cosets of K diag(pi^m,1) K as the integer
+lattice forms the torus engine in `orbital` counts on.  `GroupElt`, a
+content-normalized matrix over exact rationals, is the oracles' type only: the
+Satake transform, the Iwasawa decomposition and the brute-force convolutions,
+against which the tests hold the closed forms here (change of basis h_n ->
+double cosets, Casselman-Shalika action, L-function series coefficients).
 """
 
 from __future__ import annotations
@@ -134,30 +135,18 @@ def recompose(ctx: LocalFieldCtx, x: Fraction, aval: int, k: GroupElt) -> GroupE
     return n.mul(t).mul(k)
 
 
-_reps_cache: dict[tuple[int, int], tuple[GroupElt, ...]] = {}
+def double_coset_reps(ctx: LocalFieldCtx, m: int) -> list[tuple[int, int, int]]:
+    """Left cosets of K diag(pi^m,1) K / K as integer lattice forms (a, c, d).
 
-
-def double_coset_reps(ctx: LocalFieldCtx, m: int) -> tuple[GroupElt, ...]:
-    """Left-coset representatives of K diag(pi^m,1) K / K, memoized per (p, m).
-
-    Lattice normal forms [[p^a, c],[0, p^d]] with a+d = m, c mod p^a and unit
-    content; cardinality q^m + q^(m-1) for m >= 1, confirmed by enumeration in
-    the tests.
+    (a, c, d) stands for [[p^a, c], [0, p^d]] K with a + d = m, c mod p^a, and
+    c a unit when a, d > 0 (unit content); q^m + q^(m-1) of them for m >= 1,
+    confirmed by enumeration in the tests.
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    key = (ctx.p, m)
-    if key not in _reps_cache:
-        p = ctx.p
-        reps = []
-        for a in range(m + 1):
-            d = m - a
-            for c in range(p ** a):
-                if a > 0 and d > 0 and c % p == 0:
-                    continue  # content would be positive
-                reps.append(GroupElt.of(ctx, p ** a, c, 0, p ** d))
-        _reps_cache[key] = tuple(reps)
-    return _reps_cache[key]
+    p = ctx.p
+    return [(a, c, m - a) for a in range(m + 1) for c in range(p ** a)
+            if a in (0, m) or c % p]
 
 
 # --- Hecke algebra on the Satake basis --------------------------------------------
@@ -296,13 +285,13 @@ def satake_transform(ctx: LocalFieldCtx, coset_coeffs: dict[int, complex]) -> Sy
     alpha^{a-val(g)} with the Iwasawa a-part; delta(diag(a,1)) = |a| pins the
     normalization (the multiplicativity test would fail for the other sign).
     """
-    qh = ctx.q ** 0.5
+    p, qh = ctx.p, ctx.q ** 0.5
     signed: dict[int, complex] = {}
     for m, cm in coset_coeffs.items():
         if cm == 0:
             continue
-        for rep in double_coset_reps(ctx, m):
-            _, aval, _ = iwasawa_decompose(rep)
+        for a, c, d in double_coset_reps(ctx, m):
+            _, aval, _ = iwasawa_decompose(GroupElt.of(ctx, p ** a, c, 0, p ** d))
             signed[aval] = signed.get(aval, 0j) + cm * qh ** (-aval)
     return _fold_signed(signed)
 
@@ -386,13 +375,15 @@ def section_eval(ctx: LocalFieldCtx, sec: KSection, g: GroupElt) -> complex:
 def hecke_translate_section(ctx: LocalFieldCtx, h: HeckeElt, sec: KSection,
                             probe_max: int) -> KSection:
     """Upstairs convolution (counting normalization) sampled at diag(pi^n, 1)."""
+    p = ctx.p
     dc = hecke_to_coset_basis(ctx, h)
     out: dict[int, complex] = {}
     for n in range(probe_max + 1):
-        g = GroupElt.diag(ctx, Fraction(ctx.p) ** n)
+        g = GroupElt.diag(ctx, Fraction(p) ** n)
         val = 0j
         for m, cm in dc.items():
-            for rep in double_coset_reps(ctx, m):
+            for a, c, d in double_coset_reps(ctx, m):
+                rep = GroupElt.of(ctx, p ** a, c, 0, p ** d)
                 val += cm * section_eval(ctx, sec, g.mul(rep))
         if abs(val) > 1e-12:
             out[n] = val
@@ -405,10 +396,11 @@ def brute_convolution(ctx: LocalFieldCtx, m1: int, m2: int) -> dict[int, complex
     (f * f')(g) = #{gamma K in K pi^m1 K : gamma^-1 g in K pi^m2 K}; the
     matrix products run over o/p^N with N > m1 + m2 (exact rationals here).
     """
-    reps = double_coset_reps(ctx, m1)
+    p = ctx.p
+    reps = [GroupElt.of(ctx, p ** a, c, 0, p ** d) for a, c, d in double_coset_reps(ctx, m1)]
     out: dict[int, complex] = {}
     for k in range(m1 + m2 + 1):
-        g = GroupElt.diag(ctx, Fraction(ctx.p) ** k)
+        g = GroupElt.diag(ctx, Fraction(p) ** k)
         cnt = sum(1 for gam in reps if gam.inv().mul(g).snf_type() == m2)
         if cnt:
             out[k] = complex(cnt)
@@ -417,6 +409,8 @@ def brute_convolution(ctx: LocalFieldCtx, m1: int, m2: int) -> dict[int, complex
 
 def whittaker_eval(ctx: LocalFieldCtx, alpha: complex, n: int) -> complex:
     """Spherical Whittaker value W(diag(pi^n,1)) = q^{-n/2} tr V_n(alpha); W(1)=1."""
+    if alpha == 0:
+        raise DomainError("a Satake parameter is nonzero")
     if n < 0:
         return 0j
     if abs(alpha - 1) < 1e-12:
@@ -448,6 +442,8 @@ def h_s_coeffs(ctx: LocalFieldCtx, s: complex, epsilon: int, n_max: int) -> list
 
 def l_factor_eval(ctx: LocalFieldCtx, alpha: complex, s: complex) -> complex:
     """L(pi, s) = 1/((1 - alpha q^-s)(1 - alpha^{-1} q^-s)) for Satake parameter alpha."""
+    if alpha == 0:
+        raise DomainError("a Satake parameter is nonzero")
     q = ctx.q
     t = q ** (-s)
     d = (1 - alpha * t) * (1 - t / alpha)

@@ -33,7 +33,6 @@ from .bruhat import (
     tate_zeta,
 )
 from .groups import (
-    GroupElt,
     HeckeElt,
     KSection,
     double_coset_reps,
@@ -491,10 +490,11 @@ def _certify_sz(f: SZElem, raw, lo: int):
 # --- torus-quotient invariant and group-level orbitals -----------------------------
 
 
-def torus_pair_invariant(g: GroupElt, ext: QuadExt) -> Fraction:
-    """GIT invariant of (T g, T e): split chart value -1 - bc/det; diagonal -> -1."""
-    a, b, c, d = g.m
-    det = a * d - b * c
+def torus_pair_invariant(m, ext: QuadExt) -> Fraction:
+    """GIT invariant of (T g, T e) for g = [[a, b], [c, d]], m = (a, b, c, d)
+    rational: split chart value -1 - bc/det; diagonal -> -1.  Scale-free."""
+    a, b, c, d = m
+    det = Fraction(a * d - b * c)
     if ext.kind == "split":
         val = -1 - b * c / det
     else:
@@ -515,8 +515,9 @@ def inert_fiber_is_trivial(ext: QuadExt, xi: Fraction) -> bool:
 _INERT_REP_PREC = 28  # absolute p-adic digits of the square roots in inert_rep_for
 
 
-def inert_rep_for(ext: QuadExt, xi: Fraction) -> GroupElt:
-    """F-rational g = [[1,0],[gam,del]] with inert invariant xi (trivial fiber).
+def inert_rep_for(ext: QuadExt, xi: Fraction) -> tuple[int, int, int, int]:
+    """F-rational g = [[1,0],[gam,del]] with inert invariant xi (trivial fiber),
+    as the integers (1, 0, gam, del) times the lcm of their denominators.
 
     (del-1)^2 - u gam^2 = -4 del (1+xi) gives del = -(1+2xi) +- sqrt(D + u gam^2),
     D = 4 xi (1+xi).  Only gam = b p^w0, b = 0..p-1, w0 = val(D)/2, are tried:
@@ -544,7 +545,8 @@ def inert_rep_for(ext: QuadExt, xi: Fraction) -> GroupElt:
                 dl = -(1 + 2 * xi) + sgn * root
                 if dl == 0:
                     continue
-                g = GroupElt.of(ctx, 1, 0, gam, dl)
+                scale = math.lcm(gam.denominator, dl.denominator)
+                g = (scale, 0, int(gam * scale), int(dl * scale))
                 got = torus_pair_invariant(g, ext)
                 if rational_valuation(got - xi, ctx.p) >= _INERT_REP_PREC - 8:
                     return g
@@ -552,14 +554,6 @@ def inert_rep_for(ext: QuadExt, xi: Fraction) -> GroupElt:
     if short:
         raise PrecisionError(f"square roots too short for a representative at xi={xi}")
     raise RepresentationError(f"no representative found for xi={xi}")
-
-
-@dataclass(frozen=True)
-class TorusPairDescriptor:
-    """Hecke translate data for Phi_1 = h * 1_{X1(o)}, Phi_2 = 1_{X1(o)}."""
-
-    hecke: HeckeElt
-    kind: str
 
 
 _TORUS_MARGIN = 3  # shells of T(F)/T(o) summed past the support estimate
@@ -571,8 +565,7 @@ def _coset_terms(ctx: LocalFieldCtx, dc: dict[int, complex]) -> CosetTerms:
     """(m, c_m, [(a, c, p^d)]) for f = sum_m c_m 1_{K diag(pi^m,1) K}, one
     (a, c, p^d) per left coset [[p^a, c], [0, p^d]] K of double_coset_reps."""
     p = ctx.p
-    return [(m, cm, [(_val_int(int(r.m[0]), p), int(r.m[1]), int(r.m[3]))
-                     for r in double_coset_reps(ctx, m)])
+    return [(m, cm, [(a, c, p ** d) for a, c, d in double_coset_reps(ctx, m)])
             for m, cm in dc.items()]
 
 
@@ -604,8 +597,9 @@ def _x1_count(p: int, split: bool, terms: CosetTerms,
     return tot
 
 
-def o_torus_group(ctx: LocalFieldCtx, desc: TorusPairDescriptor, xi) -> complex:
-    """Brute-force O_xi((h*Phi1) x Phi2) with Weil measures (vol K = 1-q^-2).
+def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi) -> complex:
+    """Brute-force O_xi((h*Phi1) x Phi2), Phi1 = Phi2 = 1_{X1(o)}, with Weil
+    measures (vol K = 1-q^-2).
 
     Split: vol(K) * sum over T(F)/T(o) of (h*Phi1)(T g_xi diag(pi^n,1)) with
     g_xi = iota(-1-xi, 1); inert: vol(K) * (h*Phi1)(T g_xi), zero on
@@ -615,31 +609,28 @@ def o_torus_group(ctx: LocalFieldCtx, desc: TorusPairDescriptor, xi) -> complex:
     xi = Fraction(xi)
     if xi == 0 or xi == -1:
         raise IrregularPointError(f"xi = {xi} is irregular")
-    ext = QuadExt(ctx, desc.kind)
-    if desc.hecke.is_zero() or (desc.kind == "inert" and not inert_fiber_is_trivial(ext, xi)):
+    ext = QuadExt(ctx, kind)
+    if h.is_zero() or (kind == "inert" and not inert_fiber_is_trivial(ext, xi)):
         return 0j
     p = ctx.p
-    terms = _coset_terms(ctx, hecke_to_coset_basis(ctx, desc.hecke))
+    terms = _coset_terms(ctx, hecke_to_coset_basis(ctx, h))
     volK = float(ctx.vol_K)
 
-    if desc.kind == "inert":
-        g = inert_rep_for(ext, xi).m
-        scale = math.lcm(*(x.denominator for x in g))
-        return volK * _x1_count(p, False, terms, *(int(x * scale) for x in g))
+    if kind == "inert":
+        return volK * _x1_count(p, False, terms, *inert_rep_for(ext, xi))
 
-    # g_xi diag(p^n, 1) = [[p^n, x], [p^n, 1 + x]], x = -1 - xi = num/den
+    # g_xi diag(p^n, 1) = [[p^n, x], [p^n, 1 + x]], x = -1 - xi = num/den,
+    # made integral by the factor den p^max(-n, 0)
     x = -1 - xi
     num, den = x.numerator, x.denominator
 
     def translate(n: int) -> complex:
-        if n >= 0:
-            return _x1_count(p, True, terms, p ** n * den, num, p ** n * den, num + den)
-        s = p ** -n
-        return _x1_count(p, True, terms, den, num * s, den, (num + den) * s)
+        s, t = (1, p ** n) if n >= 0 else (p ** -n, 1)  # p^max(-n, 0), p^max(n, 0)
+        return _x1_count(p, True, terms, t * den, s * num, t * den, s * (num + den))
 
     vxi = rational_valuation(xi, p)
     vz = rational_valuation(1 + xi, p)
-    depth = desc.hecke.max_degree()
+    depth = h.max_degree()
     span = abs(vxi) + abs(vz) + 2 * depth + _TORUS_MARGIN
     total = 0j
     for n in range(-span, span + 1):
@@ -866,12 +857,11 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt) -> SZElem:
     Window values on val(xi) >= -(2 deg h + 1) come from o_torus_group; the
     germs at 0 and -1 are fitted on deep shells with residual certificates.
     """
-    desc = TorusPairDescriptor(h, kind)
     depth = 2 * h.max_degree() + 3
     lo = -(2 * h.max_degree() + 1)
 
     def raw(xi) -> complex:
-        return o_torus_group(ctx, desc, xi)
+        return o_torus_group(ctx, kind, h, xi)
 
     germ0 = _deep_germ(kind, lambda u, j: raw(u * Fraction(ctx.p) ** j), depth)
     germ_m1 = _deep_germ(kind, lambda u, j: raw(-1 + u * Fraction(ctx.p) ** j), depth)

@@ -109,6 +109,21 @@ def test_refinement_limit(ctx3):
         BruhatFn.from_atoms(ctx3, "F", [(0, 2.5, 1.0)])
 
 
+def test_cross_prime_arithmetic_raises():
+    """1_{1+3o} at p = 3 and 1_{1+5o} at p = 5 share no field: their sum,
+    difference and inner product are refused, also when one side is zero."""
+    from padicorb.errors import DomainError
+
+    f = BruhatFn.indicator_ball(LocalFieldCtx(3), "F", 1, 1)
+    g = BruhatFn.indicator_ball(LocalFieldCtx(5), "F", 1, 1)
+    zero5 = BruhatFn.zero(LocalFieldCtx(5))
+    for run in (lambda: f + g, lambda: f - g, lambda: g + f, lambda: f + zero5,
+                lambda: inner_product(f, g), lambda: inner_product(f, zero5)):
+        with pytest.raises(DomainError):
+            run()
+    assert (f + f).eval(1) == 2 and inner_product(f, f) == pytest.approx(1 / 3)
+
+
 def test_fourier_self_dual_ball(ctx3):
     one_o = BruhatFn.indicator_ball(ctx3, "F", 0, 0)
     hat = fourier(one_o)

@@ -58,15 +58,25 @@ def test_iwasawa_recompose_random(ctx3):
         assert recompose(ctx3, x, a, k).key_mod(8) == g.key_mod(8)
 
 
-def test_double_coset_reps_counts_and_distinctness(ctx3):
-    for m, want in ((0, 1), (1, 4), (2, 12), (3, 36)):
-        reps = double_coset_reps(ctx3, m)
-        assert len(reps) == want
-        for r in reps:
-            assert r.snf_type() == m
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                assert not reps[i].inv().mul(reps[j]).in_K()
+def test_double_coset_reps_counts_and_distinctness():
+    """Integer lattice forms (a, c, d): q^m + q^(m-1) of them, a + d = m,
+    c mod p^a, unit content, and pairwise distinct cosets by the GroupElt oracle."""
+    for p, m_max in ((3, 3), (5, 3), (7, 2)):
+        ctx = LocalFieldCtx(p)
+        for m in range(m_max + 1):
+            reps = double_coset_reps(ctx, m)
+            assert len(reps) == (p ** m + p ** (m - 1) if m else 1), (p, m)
+            elts = []
+            for a, c, d in reps:
+                assert all(type(e) is int for e in (a, c, d))
+                assert a >= 0 and d >= 0 and a + d == m and 0 <= c < p ** a
+                assert a == 0 or d == 0 or c % p != 0  # content is a unit
+                g = GroupElt.of(ctx, p ** a, c, 0, p ** d)
+                assert g.m == (p ** a, c, 0, p ** d) and g.snf_type() == m
+                elts.append(g)
+            for i in range(len(elts)):
+                for j in range(i + 1, len(elts)):
+                    assert not elts[i].inv().mul(elts[j]).in_K(), (p, m, reps[i], reps[j])
 
 
 def test_hecke_mul_examples():
@@ -172,6 +182,15 @@ def test_whittaker_values(ctx3):
     assert whittaker_eval(ctx3, 0.7 + 0.2j, 0) == 1
     assert whittaker_eval(ctx3, 1.3, -1) == 0
     assert abs(whittaker_eval(ctx3, 1.0, 1) - 2 * q ** -0.5) < 1e-12
+
+
+def test_zero_satake_parameter_raises_domain_error(ctx3):
+    for n in (-1, 0, 3):
+        with pytest.raises(DomainError):
+            whittaker_eval(ctx3, 0, n)
+    for alpha in (0, 0.0, 0j):
+        with pytest.raises(DomainError):
+            l_factor_eval(ctx3, alpha, 0.5)
 
 
 def test_whittaker_hecke_recursion(ctx3):

@@ -33,7 +33,6 @@ from padicorb.localfield import (
 )
 from padicorb.orbital import (
     BabyInput,
-    TorusPairDescriptor,
     _TORUS_MARGIN,
     _coset_terms,
     _x1_count,
@@ -235,15 +234,18 @@ def test_sz_eval_irregular(ctx3):
 def test_torus_pair_invariant_chart(ctx3, ext3s, ext3i):
     # iota(x, y) has invariant -1 - xy in the 2nd chart == xi0 in the Y-chart
     for (x, y) in ((Fraction(2), Fraction(1)), (Fraction(1, 3), Fraction(5))):
-        g = GroupElt.of(ctx3, 1, x, y, 1 + x * y)
+        g = (1, x, y, 1 + x * y)
         assert torus_pair_invariant(g, ext3s) == -1 - x * y
-    assert torus_pair_invariant(GroupElt.identity(ctx3), ext3s) == -1
-    assert torus_pair_invariant(GroupElt.identity(ctx3), ext3i) == -1
+        # scale-free: the normalized GroupElt and 3^5 g give the same invariant
+        assert torus_pair_invariant(GroupElt.of(ctx3, *g).m, ext3s) == -1 - x * y
+        assert torus_pair_invariant([243 * e for e in g], ext3s) == -1 - x * y
+    assert torus_pair_invariant((1, 0, 0, 1), ext3s) == -1
+    assert torus_pair_invariant((1, 0, 0, 1), ext3i) == -1
     # w-twist: (x, y) -> (y(1+xy), x/(1+xy)) preserves the invariant
     x, y = Fraction(2), Fraction(3)
-    g1 = GroupElt.of(ctx3, 1, x, y, 1 + x * y)
+    g1 = (1, x, y, 1 + x * y)
     xw, yw = y * (1 + x * y), x / (1 + x * y)
-    g2 = GroupElt.of(ctx3, 1, xw, yw, 1 + xw * yw)
+    g2 = (1, xw, yw, 1 + xw * yw)
     assert torus_pair_invariant(g1, ext3s) == torus_pair_invariant(g2, ext3s)
 
 
@@ -259,7 +261,7 @@ def test_inert_parity_criterion():
                 g = GroupElt.of(ext.ctx, *m)
             except DomainError:
                 continue
-            xi = torus_pair_invariant(g, ext)
+            xi = torus_pair_invariant(g.m, ext)
             if xi in (0, -1):
                 continue
             s = rational_valuation(xi, p) + rational_valuation(1 + xi, p)
@@ -269,9 +271,11 @@ def test_inert_parity_criterion():
             if xi in (0, -1) or not inert_fiber_is_trivial(ext, xi):
                 continue
             g = inert_rep_for(ext, xi)
+            assert all(type(e) is int for e in g) and math.gcd(*g) == 1
+            assert g[1] == 0 and g[0] > 0
             got = torus_pair_invariant(g, ext)
             assert rational_valuation(got - xi, p) >= 16
-            gam = g.m[2] / g.m[0]  # before content normalization g = [[1, 0], [gam, del]]
+            gam = Fraction(g[2], g[0])  # g = g[0] [[1, 0], [gam, del]]
             w0 = (rational_valuation(xi, p) + rational_valuation(1 + xi, p)) // 2
             assert gam == 0 or rational_valuation(gam, p) == w0, (p, xi)
 
@@ -289,19 +293,18 @@ def test_inert_search_finds_a_square_at_one_valuation():
 def test_o_torus_group_split_closed_form(ctx3):
     """Basic vector: (1 - q^-2)(val xi + val(1+xi) + 1) on the regular integers."""
     q = 3
-    desc = TorusPairDescriptor(HeckeElt.basis(0), "split")
+    h0 = HeckeElt.basis(0)
     for xi in (Fraction(1), Fraction(2), Fraction(3), Fraction(9), Fraction(8),
                Fraction(-1) + Fraction(27), Fraction(5, 3), Fraction(1, 9)):
         vv, vz = rational_valuation(xi, q), rational_valuation(1 + xi, q)
         want = (1 - q ** -2) * (vv + vz + 1) if (vv >= 0 and vz >= 0) else 0.0
-        assert abs(o_torus_group(ctx3, desc, xi) - want) < 1e-10
+        assert abs(o_torus_group(ctx3, "split", h0, xi) - want) < 1e-10
     with pytest.raises(IrregularPointError):
-        o_torus_group(ctx3, desc, Fraction(-1))
+        o_torus_group(ctx3, "split", h0, Fraction(-1))
 
 
 def test_o_torus_group_zero_hecke(ctx3):
-    desc = TorusPairDescriptor(HeckeElt.zero(), "split")
-    assert o_torus_group(ctx3, desc, Fraction(2)) == 0
+    assert o_torus_group(ctx3, "split", HeckeElt.zero(), Fraction(2)) == 0
 
 
 @pytest.mark.parametrize("kind,xi", [("split", Fraction(1, 3)), ("inert", Fraction(9))])
@@ -309,8 +312,7 @@ def test_o_torus_group_keeps_tiny_and_huge_hecke_coefficients(ctx3, kind, xi):
     """o(c h)/c = o(h): no nonzero coefficient of h drops out of the count."""
 
     def ratio(c):
-        desc = TorusPairDescriptor(HeckeElt.of({0: c, 1: 2 * c}), kind)
-        return o_torus_group(ctx3, desc, xi) / c
+        return o_torus_group(ctx3, kind, HeckeElt.of({0: c, 1: 2 * c}), xi) / c
 
     want = ratio(1.0)
     assert want != 0
@@ -320,13 +322,13 @@ def test_o_torus_group_keeps_tiny_and_huge_hecke_coefficients(ctx3, kind, xi):
 
 def test_o_torus_group_inert_closed_form(ctx3):
     q = 3
-    desc = TorusPairDescriptor(HeckeElt.basis(0), "inert")
+    h0 = HeckeElt.basis(0)
     for xi in (Fraction(1), Fraction(9), Fraction(4), Fraction(-1) + Fraction(9),
                Fraction(3), Fraction(-1) + Fraction(3), Fraction(2)):
         vv, vz = rational_valuation(xi, q), rational_valuation(1 + xi, q)
         trivial = (vv + vz) % 2 == 0
         want = (1 - q ** -2) if (vv >= 0 and vz >= 0 and trivial) else 0.0
-        assert abs(o_torus_group(ctx3, desc, xi) - want) < 1e-10
+        assert abs(o_torus_group(ctx3, "inert", h0, xi) - want) < 1e-10
 
 
 # GroupElt oracle for the integer lattice count in o_torus_group: each product
@@ -355,8 +357,9 @@ def _x1_membership(ext: QuadExt, g: GroupElt) -> bool:
 
 
 def _oracle_count(ext: QuadExt, base: GroupElt, m: int) -> int:
-    return sum(1 for rep in double_coset_reps(ext.ctx, m)
-               if _x1_membership(ext, base.mul(rep)))
+    ctx, p = ext.ctx, ext.ctx.p
+    return sum(1 for a, c, d in double_coset_reps(ctx, m)
+               if _x1_membership(ext, base.mul(GroupElt.of(ctx, p ** a, c, 0, p ** d))))
 
 
 def _integer_count(ext: QuadExt, base: GroupElt, m: int) -> complex:
@@ -403,7 +406,7 @@ def test_x1_count_matches_groupelt_oracle(p, m_max):
         except DomainError:
             continue
     inert = QuadExt(ctx, "inert")
-    inert_bases = [inert_rep_for(inert, xi) for xi in _seeded_xis(rng, p, 30)
+    inert_bases = [GroupElt.of(ctx, *inert_rep_for(inert, xi)) for xi in _seeded_xis(rng, p, 30)
                    if inert_fiber_is_trivial(inert, xi)][:4]
     assert inert_bases
     # Hensel-lifted entries carry 28 p-adic digits: past int64 from p = 5 on
@@ -436,15 +439,14 @@ def test_o_torus_group_equals_groupelt_sum(p):
         for n_h in (0, 1, 2):
             h = HeckeElt.basis(n_h)
             dc = hecke_to_coset_basis(ctx, h)
-            desc = TorusPairDescriptor(h, kind)
             for xi in _seeded_xis(rng, p, 4):
                 if kind == "split":
                     span = _torus_span(ctx, xi, n_h)
                     bases = [_split_translate(ctx, xi, n) for n in range(-span, span + 1)]
                 elif inert_fiber_is_trivial(ext, xi):
-                    bases = [inert_rep_for(ext, xi)]
+                    bases = [GroupElt.of(ctx, *inert_rep_for(ext, xi))]
                 else:
-                    assert o_torus_group(ctx, desc, xi) == 0
+                    assert o_torus_group(ctx, kind, h, xi) == 0
                     continue
                 total = 0j
                 for g in bases:
@@ -452,7 +454,7 @@ def test_o_torus_group_equals_groupelt_sum(p):
                     for m, cm in dc.items():
                         tot += cm * _oracle_count(ext, g, m)
                     total += tot
-                assert o_torus_group(ctx, desc, xi) == volK * total, (kind, n_h, xi)
+                assert o_torus_group(ctx, kind, h, xi) == volK * total, (kind, n_h, xi)
 
 
 def _tree_count(delta: int, m: int) -> int:
@@ -485,7 +487,7 @@ def test_o_torus_group_split_tree_distance(p):
             dc = hecke_to_coset_basis(ctx, h)
             want = float(ctx.vol_K) * sum(cm * _tree_count(d, m)
                                           for d in deltas for m, cm in dc.items())
-            got = o_torus_group(ctx, TorusPairDescriptor(h, "split"), xi)
+            got = o_torus_group(ctx, "split", h, xi)
             assert abs(got - want) < 1e-10, (xi, h)
 
 
@@ -750,6 +752,8 @@ def test_whittaker_unfolding(ctx3):
     assert abs(lhs - rhs) < 1e-8
     with pytest.raises(DomainError):
         whittaker_unfolding_check(ctx3, 1.0, -0.5)
+    with pytest.raises(DomainError):  # a Satake parameter is nonzero
+        whittaker_unfolding_check(ctx3, 0, 1.0)
 
 
 def test_hecke_apply_W_vs_upstairs_convolution(ctx3):
@@ -814,12 +818,12 @@ def test_baby_windows_reach_the_support_floor(ctx3):
 def test_stabilization_idempotence(ctx3, monkeypatch):
     import padicorb.orbital as orbital
 
-    desc = TorusPairDescriptor(HeckeElt.basis(1), "split")
+    h1 = HeckeElt.basis(1)
     xi = Fraction(2)
     monkeypatch.setattr(orbital, "_TORUS_MARGIN", 3)
-    a = o_torus_group(ctx3, desc, xi)
+    a = o_torus_group(ctx3, "split", h1, xi)
     monkeypatch.setattr(orbital, "_TORUS_MARGIN", 6)
-    b = o_torus_group(ctx3, desc, xi)
+    b = o_torus_group(ctx3, "split", h1, xi)
     assert abs(a - b) < 1e-14
 
 
@@ -858,14 +862,15 @@ def test_torus_group_reaches_no_chart_function(ctx3, kind):
 
     def run():
         for n in range(3):
-            desc = TorusPairDescriptor(HeckeElt.basis(n), kind)
             for xi in xis:
-                o_torus_group(ctx3, desc, xi)
+                o_torus_group(ctx3, kind, HeckeElt.basis(n), xi)
 
     seen = _called_code(run)
     assert o_torus_group.__code__ in seen
     assert [name for name in CHART_FUNCTIONS if getattr(orbital, name).__code__ in seen] == []
     assert [name for name in SATAKE_FUNCTIONS if getattr(groups, name).__code__ in seen] == []
+    # the engine counts on integers: GroupElt is the oracles' type only
+    assert [f for f in (GroupElt.of, GroupElt.mul) if f.__code__ in seen] == []
 
 
 def test_closed_kuznetsov_forms_never_reach_direct_engine(ctx3):
