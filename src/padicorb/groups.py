@@ -225,6 +225,8 @@ class SymLaurent:
         return SymLaurent(tuple(out))
 
     def eval(self, alpha: complex) -> complex:
+        if alpha == 0:
+            raise DomainError("a Satake parameter is nonzero")
         total = self.coeffs[0]
         for k in range(1, len(self.coeffs)):
             total += self.coeffs[k] * (alpha ** k + alpha ** (-k))

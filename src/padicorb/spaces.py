@@ -1,16 +1,21 @@
 """Window-plus-germ models of S(X), S(Z), S(W^s) and the transform G = F.iota.F.
 
 The engine never truncates.  F f is one tuple of shell terms, one per window
-atom and one per germ, each a closed form ft.at(k) psi(b/y) on the shells
+atom and one per germ, each a closed form ft(k) psi(b/y) on the shells
 |y| = q^k, so G f evaluates at any regular point as one finite sum of shell
 integrals
 
     K(a, b, k) = int_{|y|=q^k} psi(a y + b/y) dy
 
 with explicit vanishing bounds (the truncation bound of the matching proof);
-b = 0 gives the plain shell integral of psi(a y).  Output windows, their levels
-and germ depths are closed forms of the same terms, re-checked by residual fits
-and probes; a germ read below its level raises WindowError.
+b = 0 gives the plain shell integral of psi(a y).  The sum is planned once per
+shell val xi = v (`_shell_plan`): every shell integral that reads no digit of
+the unit of xi folds into one constant, and what is left are Kloosterman and
+Salie sums p^-m S(1, n; p^m), memoized once per (p, m, n).  A window evaluates
+each shell's plan at every unit of its level; a point value is the same plan
+at one unit.  Output windows, their levels and germ depths are closed forms of
+the same terms, re-checked by residual fits and probes; a germ read below its
+level raises WindowError.
 """
 
 from __future__ import annotations
@@ -63,25 +68,23 @@ def _val_and_unit_key(ctx: LocalFieldCtx, x) -> tuple[int, int, int]:
     return _frac_unit_key(Fraction(x), ctx.p)
 
 
-_osc_cache: dict[tuple, complex] = {}
+_osc_cache: dict[tuple[int, int, int], complex] = {}
 
 
-def _unit_shell_integral(ctx: LocalFieldCtx, m: int, vA: int, au: int, vB: int,
-                         bu: int) -> complex:
-    """(1/p^m) sum over units u mod p^m of e((A u + B/u) / p^m), where
-    A = au p^(vA+m) and B = bu p^(vB+m), with au, bu units mod p^m (vA or vB is
-    INF for a zero argument).
+def _unit_shell_integral(ctx: LocalFieldCtx, m: int, n: int) -> complex:
+    """p^-m S(1, n; p^m) = (1/p^m) sum over units u mod p^m of e((u + n/u) / p^m).
 
-    For m >= 2 only vA = vB = -m reaches here: p^-m times the Kloosterman sum
-    S(au, bu; p^m), which for p odd is Salie's closed form (Iwaniec-Kowalski,
-    Analytic Number Theory, Lemma 12.3): 0 unless au bu is a square mod p, else
-    p^(m/2) eps sum_{y^2 = au bu} (y/p)^m e(2y/p^m), eps = 1 or i as
-    p^m = 1 or 3 mod 4.  For m = 1 it is the direct sum over the p - 1 units.
+    It is the unit-shell sum p^-m S(A, B; p^m) of every pair A, B mod p^m with
+    A or B a unit and A B = n mod p^m, since u -> u/A (or u -> B/u) turns
+    S(A, B) into S(1, AB) (Iwaniec-Kowalski, Analytic Number Theory, 1.6);
+    n = 0 is the Ramanujan sum, -1/p at m = 1 and 0 above.  For m >= 2 it is
+    Salie's closed form (ibid., Lemma 12.3): 0 unless n is a square mod p, else
+    p^(m/2) eps sum_{y^2 = n} (y/p)^m e(2y/p^m), eps = 1 or i as p^m = 1 or
+    3 mod 4.  For m = 1 it is the direct sum over the p - 1 units.
     """
     p = ctx.p
     mod = p ** m
     if m >= 2:
-        n = au * bu % mod
         if pow(n, (p - 1) // 2, p) != 1:
             return 0j
         y = sqrt_unit_mod(ctx, n, m)
@@ -89,21 +92,30 @@ def _unit_shell_integral(ctx: LocalFieldCtx, m: int, vA: int, au: int, vB: int,
         s = sum((1 if pow(r, (p - 1) // 2, p) == 1 else -1) ** m
                 * cmath.exp(4j * math.pi * r / mod) for r in (y, mod - y))
         return eps * s / math.sqrt(mod)
-    A = au if vA == -1 else 0
-    B = bu if vB == -1 else 0
-    return sum(cmath.exp(2j * math.pi * ((A * u + B * pow(u, -1, p)) % p) / p)
+    return sum(cmath.exp(2j * math.pi * ((u + n * pow(u, -1, p)) % p) / p)
                for u in range(1, p)) / p
+
+
+def _unit_integral(ctx: LocalFieldCtx, m: int, n: int) -> complex:
+    """p^-m S(1, n; p^m), memoized in `_osc_cache` under (p, m, n), 0 <= n < p^m."""
+    key = (ctx.p, m, n)
+    value = _osc_cache.get(key)
+    if value is None:
+        value = _osc_cache[key] = _unit_shell_integral(ctx, m, n)
+    return value
 
 
 def _shell_integral(ctx: LocalFieldCtx, a: tuple[int, int, int],
                     b: tuple[int, int, int], k: int) -> complex:
     """K(a, b, k) for a, b in the integer form of `_val_and_unit_key`.
 
-    The integrand is constant on cosets of 1 + p^m o^x for the minimal
-    sufficient m; the unit-shell integral is memoized per (m, A, B) in
-    `_osc_cache`.  Vanishing bound: zero when max(|A|, |B|) >= q^2 with
-    |A| != |B|, where A = a pi^{-k}, B = b pi^{k} are the scaled parameters on
-    the unit shell.
+    On the unit shell the parameters are A = a pi^-k and B = b pi^k, and the
+    integrand is constant on cosets of 1 + p^m o^x, m = max(0, -val A, -val B).
+    Vanishing bound: K = 0 when max(|A|, |B|) >= q^2 with |A| != |B|.
+    Otherwise K is q^k times the shell volume (p - 1)/p at m = 0, and q^k times
+    p^-m S(1, n; p^m) from `_unit_integral` at m >= 1, where n = A B mod p^m:
+    the product of the units of a and b when val A = val B = -m, else 0 (the
+    Ramanujan sum).
     """
     p = ctx.p
     va, an, ad = a
@@ -113,16 +125,11 @@ def _shell_integral(ctx: LocalFieldCtx, a: tuple[int, int, int],
     m = max(0, -vA, -vB)
     if m == 0:
         return float(p) ** k * ((p - 1) / p)
-    if vA != vB and min(vA, vB) <= -2:
+    if vA != vB and m >= 2:
         return 0j
     mod = p ** m
-    au = (an if ad == 1 else an * pow(ad, -1, mod)) % mod if vA < INF else 0
-    bu = (bn if bd == 1 else bn * pow(bd, -1, mod)) % mod if vB < INF else 0
-    key = (p, m, vA, au, vB, bu)
-    unit_integral = _osc_cache.get(key)
-    if unit_integral is None:
-        unit_integral = _osc_cache[key] = _unit_shell_integral(ctx, m, vA, au, vB, bu)
-    return float(p) ** k * unit_integral
+    n = an * bn * pow(ad * bd, -1, mod) % mod if vA == vB else 0
+    return float(p) ** k * _unit_integral(ctx, m, n)
 
 
 def oscillatory_shell_integral(ctx: LocalFieldCtx, a, b, k: int) -> complex:
@@ -161,10 +168,19 @@ class _GermTransform:
     c_tail: complex
     L: int
 
-    def at(self, k: int, sigma: int, q: int) -> complex:
-        if k >= -self.L:
-            return self.const
-        return self.c_tail * (sigma ** (k % 2)) * float(q) ** k
+    def signed_sum(self, lo: int, hi: int, sigma: int, q: int) -> complex:
+        """Sum of sigma^k F(germ)(k) over the shells k = lo..hi: `const` times
+        the sum of sigma^k on k >= -L, and c_tail times the sum of q^k below,
+        where sigma^k cancels the tail's sign."""
+        total = 0j
+        a = max(lo, -self.L)
+        if hi >= a:
+            n = hi - a + 1
+            total += self.const * (n if sigma > 0 else n % 2 * (-1) ** a)
+        b = min(hi, -self.L - 1)
+        if b >= lo:
+            total += self.c_tail * (float(q) ** (b + 1) - float(q) ** lo) / (q - 1)
+        return total
 
 
 def _germ_transform(ctx: LocalFieldCtx, kind: str, g: Germ) -> _GermTransform:
@@ -357,7 +373,7 @@ def iota_eval(ext: QuadExt, f_eval, xi) -> complex:
 # --- the transform engine ----------------------------------------------------------
 
 # A shell term (b, first, ft) of F = fourier(f): on the shell |y| = q^k of the
-# G integral, k >= first, (F f)(1/y) = ft.at(k) psi(b/y), with b in the integer
+# G integral, k >= first, (F f)(1/y) = ft(k) psi(b/y), with b in the integer
 # form of _val_and_unit_key.  Below `first` the term is ft's pure tail, zero for
 # a window atom; first = -INF for a term read on every shell.
 _Term = tuple[tuple[int, int, int], int, _GermTransform]
@@ -383,59 +399,92 @@ def _shell_terms(ctx: LocalFieldCtx, kind: str, atoms, germ0: Germ | None,
     return tuple(terms)
 
 
-def _g_value(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...],
-             xi: Fraction) -> complex:
-    """G f(xi) = (F . iota . F f)(xi) as a finite exact sum over the shell terms.
+@dataclass(frozen=True)
+class _ShellPlan:
+    """G f on the shell val xi = v, as a function of the unit u of xi: const
+    plus c q^k p^-m S(1, u nb; p^m) over the entries (m, nb, c, q^k), one per
+    Kloosterman or Salie shell k = v + m of a term; `level` = max(1, largest m)
+    is how many digits of u it reads."""
 
-    A term adds sign(k) q^-k ft.at(k) K(-xi, b, k) on the shells k from
-    max(first, -val b - 1) to val xi + 1 and on the resonant shell
-    k0 = (val xi - val b)/2 >= first; every other shell k >= first vanishes by
-    the bound of `_shell_integral`.
+    const: complex
+    entries: tuple[tuple[int, int, complex, float], ...]
+    level: int
+
+    def value(self, ctx: LocalFieldCtx, u: int) -> complex:
+        p = ctx.p
+        total = self.const
+        for (m, nb, c, qk) in self.entries:
+            total += c * (qk * _unit_integral(ctx, m, u * nb % p ** m))
+        return total
+
+
+def _shell_plan(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...],
+                v: int) -> _ShellPlan:
+    """The plan of G f = (F . iota . F f) on the shell val xi = v.
+
+    A term (b, first, ft) adds sigma^k q^-k ft(k) K(-xi, b, k) on the shells
+    k >= first of the G integral, where q^-k (the measure of iota) cancels the
+    volume q^k of the shell.  With A = -xi pi^-k and B = b pi^k, the bound of
+    `_shell_integral` leaves the shells max(first, -val b - 1)..v + 1 and the
+    resonant shell k0 = (v - val b)/2.  On k <= v, val A >= 0, so K reads no
+    digit of the unit of xi: the volume (p - 1)/p where val B >= 0 and the
+    Ramanujan sum where val B = -1.  At k = v + 1 (val A = -1) K is the
+    Ramanujan sum when val B >= 0.  These, and the pure tail of the germ at 0,
+    sum into `const` in closed form.  The Kloosterman and Salie shells,
+    val A = val B = -m with m = k - v, stay as entries, in term order, with
+    nb the unit of -b mod p^m.  val b = INF (the germ at 0) takes the volume
+    and Ramanujan branches alone.
     """
-    q = ctx.q
-    vxi, num, den = _val_and_unit_key(ctx, xi)
-    if vxi >= INF:
-        raise DomainError("G is evaluated on F^x")
-    minus_xi = (vxi, -num, den)
+    p, q = ctx.p, ctx.q
     sigma = -1 if kind == "inert" else 1
-    total = 0j
+    volume, ramanujan = (p - 1) / p, _unit_integral(ctx, 1, 0)
+    const = 0j
+    entries = []
+
+    def read(m: int, bn: int, bd: int, c: complex):
+        # q^-k and the q^k of K stay apart, and the entries in term order: deep
+        # windows then carry the rounding of the term-by-term sum, which decides
+        # the atoms near the 1e-12 drop of `_window`
+        k, mod = v + m, p ** m
+        entries.append((m, -bn * pow(bd, -1, mod) % mod, c * float(q) ** (-k), float(p) ** k))
+
     for (b, first, ft) in terms:
-        vb = b[0]
-        ks = range(max(first, -vb - 1), vxi + 2)
-        if vb >= INF:
+        vb, bn, bd = b
+        if vb >= INF and v >= first - 1:
             # psi(b/y) = 1: the shells below `first` carry the pure tail, which
             # integrates to c_tail times their volume q^(first - 1)
-            if vxi >= first - 1:
-                total += ft.c_tail * float(q) ** (first - 1)
-        else:
-            k0, odd = divmod(vxi - vb, 2)
-            if not odd and k0 >= first and k0 not in ks:
-                ks = (*ks, k0)
-        for k in ks:
-            kk = _shell_integral(ctx, minus_xi, b, k)
-            if kk:
-                fk = ft.const if k >= -ft.L else ft.at(k, sigma, q)
-                total += (-1.0 if sigma < 0 and k % 2 else 1.0) * float(q) ** (-k) * fk * kk
-    if kind == "inert" and vxi % 2:
-        # G carries the eta(xi) twist in the inert case: with the plain
-        # composition F.iota.F the Mellin conjugation would land on eta*chi^-1
-        # instead of chi^-1, contradicting the E-side transform (checked
-        # against the torsor functional equation).
-        total = -total
-    return total
+            const += ft.c_tail * float(q) ** (first - 1)
+        const += ft.signed_sum(max(first, -vb), v, sigma, q) * volume
+        if first <= -vb - 1 <= v:
+            const += ft.signed_sum(-vb - 1, -vb - 1, sigma, q) * ramanujan
+        if v + 1 >= first and vb + v + 1 >= -1:
+            top = ft.signed_sum(v + 1, v + 1, sigma, q)
+            if vb + v + 1 >= 0:
+                const += top * ramanujan
+            else:
+                read(1, bn, bd, top)
+        if vb < INF:
+            k0, odd = divmod(v - vb, 2)
+            if not odd and k0 >= max(first, v + 2):
+                read(k0 - v, bn, bd, ft.signed_sum(k0, k0, sigma, q))
+    # G carries the eta(xi) twist in the inert case: with the plain composition
+    # F.iota.F the Mellin conjugation would land on eta*chi^-1 instead of
+    # chi^-1, contradicting the E-side transform (checked against the torsor
+    # functional equation).
+    twist = -1.0 if kind == "inert" and v % 2 else 1.0
+    return _ShellPlan(twist * const, tuple((m, nb, twist * c, qk) for (m, nb, c, qk) in entries),
+                      max([1] + [m for (m, _, _, _) in entries]))
 
 
-def _window_level(terms: tuple[_Term, ...], v: int) -> int:
-    """Digits of the unit of xi that G f consumes on the shell val xi = v.
-
-    K(-xi, b, k) reads the unit of xi mod p^(k - v), so the level is 1 from the
-    top shell k = v + 1, or -(v + val b)/2 from a term's resonant shell."""
-    level = 1
-    for (b, first, _) in terms:
-        vb = b[0]
-        if vb < INF and (v - vb) % 2 == 0 and (v - vb) // 2 >= first:
-            level = max(level, -(v + vb) // 2)
-    return level
+def _g_value(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...],
+             xi: Fraction) -> complex:
+    """G f(xi): the plan of the shell val xi at the unit of xi."""
+    v, num, den = _val_and_unit_key(ctx, xi)
+    if v >= INF:
+        raise DomainError("G is evaluated on F^x")
+    plan = _shell_plan(ctx, kind, terms, v)
+    mod = ctx.p ** plan.level
+    return plan.value(ctx, num * pow(den, -1, mod) % mod)
 
 
 def _support_bound(terms: tuple[_Term, ...]) -> int:
@@ -501,19 +550,18 @@ def _deep_germ(kind: str, value, depth: int) -> Germ:
 
 def _window(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...], shells: range,
             weighted: bool) -> BruhatFn:
-    """Window of G f, or of |.|G f when `weighted`, on the given shells: one atom
-    per unit coset at the shell's `_window_level`."""
+    """Window of G f, or of |.|G f when `weighted`, on the given shells: one plan
+    per shell, evaluated at every unit coset of its level."""
     p = ctx.p
     atoms = []
     for v in shells:
-        level = _window_level(terms, v)
-        for u in unit_reps(p, level):
-            x = Fraction(u) * Fraction(p) ** v
-            w = _g_value(ctx, kind, terms, x)
+        plan = _shell_plan(ctx, kind, terms, v)
+        for u in unit_reps(p, plan.level):
+            w = plan.value(ctx, u)
             if weighted:
                 w = float(ctx.q) ** (-v) * w
             if abs(w) > 1e-12:
-                atoms.append((x, v + level, w))
+                atoms.append((Fraction(u) * Fraction(p) ** v, v + plan.level, w))
     return BruhatFn.from_atoms(ctx, "F", atoms)
 
 

@@ -193,6 +193,15 @@ def test_zero_satake_parameter_raises_domain_error(ctx3):
             l_factor_eval(ctx3, alpha, 0.5)
 
 
+def test_sym_laurent_at_zero_raises_domain_error(ctx3):
+    """alpha^-k has no value at a zero Satake parameter: a typed error, not
+    ZeroDivisionError, also for a constant Laurent polynomial."""
+    for poly in (satake_transform(ctx3, {1: 1.0}), tr_Vn(2), tr_Vn(0)):
+        for alpha in (0, 0.0, 0j):
+            with pytest.raises(DomainError):
+                poly.eval(alpha)
+
+
 def test_whittaker_hecke_recursion(ctx3):
     """q W(n+1) + W(n-1) = q^{1/2}(alpha + 1/alpha) W(n) for n >= 1."""
     q = 3

@@ -424,31 +424,42 @@ def test_window_atom_at_zero_raises_fast(ctx3):
             assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("p", [3, 5])
-@pytest.mark.parametrize("kind", ["split", "inert"])
-def test_window_level_is_enough(p, kind):
-    """On every shell of a certified window, G f reads the unit of xi only mod
-    p^L for the closed-form level L: moving the unit by p^L changes nothing.
-    Seed 42 keeps the p = 5 windows at a few thousand units (levels up to 5)."""
+def _seeded_windows(p, kind, seed):
+    """Shell terms of F f for seeded `sx_from_baby` and `sz_from_charts`
+    inputs, each with the shells of its G window."""
     from padicorb.orbital import random_baby_data, sx_from_baby, sz_from_charts
-    from padicorb.spaces import (_g_value, _germ_depth, _shell_terms, _support_bound,
-                                 _window_level, g_transform_Z_to_W)
+    from padicorb.spaces import _germ_depth, _shell_terms, _support_bound, g_transform_Z_to_W
 
     ctx = LocalFieldCtx(p)
-    rng = random.Random(42)
+    rng = random.Random(seed)
     sx = sx_from_baby(random_baby_data(ctx, kind, rng), kind)
     sz = sz_from_charts(random_baby_data(ctx, kind, rng), random_baby_data(ctx, kind, rng),
                         kind)
     tx = _shell_terms(ctx, kind, sx.atom_triples(), sx.germ0, None)
     tz = _shell_terms(ctx, kind, sz.atom_triples(), sz.germ0, sz.germ_m1)
     tail_m = g_transform_Z_to_W(sz).inf_tail.M
-    for terms, shells in ((tx, range(_support_bound(tx), _germ_depth(tx))),
-                          (tz, range(1 - tail_m, _germ_depth(tz)))):
+    return ((tx, range(_support_bound(tx), _germ_depth(tx))),
+            (tz, range(1 - tail_m, _germ_depth(tz))))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_window_level_is_enough(p, kind):
+    """On every shell of a certified window, G f reads the unit of xi only mod
+    p^L for the level L of the shell's plan: moving the unit by p^L changes
+    nothing.  The plan itself reads only u mod p^L, so G f is summed term by
+    term here, from the whole unit.  Seed 42 keeps the p = 5 windows at a few
+    thousand units (levels up to 5)."""
+    from padicorb.spaces import _shell_plan
+
+    ctx = LocalFieldCtx(p)
+    for terms, shells in _seeded_windows(p, kind, 42):
         for v in shells:
-            level = _window_level(terms, v)
+            level = _shell_plan(ctx, kind, terms, v).level
             for u in unit_reps(p, level):
-                got = _g_value(ctx, kind, terms, Fraction(u) * Fraction(p) ** v)
-                moved = _g_value(ctx, kind, terms, Fraction(u + p ** level) * Fraction(p) ** v)
+                got = _term_loop_oracle(ctx, kind, terms, Fraction(u) * Fraction(p) ** v)
+                moved = _term_loop_oracle(ctx, kind, terms,
+                                          Fraction(u + p ** level) * Fraction(p) ** v)
                 assert abs(moved - got) <= 1e-12 * max(1.0, abs(got)), (v, u, level)
 
 
@@ -457,3 +468,110 @@ def test_window_error_on_uncertified_range():
     assert Germ(1, 2, 5).eval("split", 5) == 11
     with pytest.raises(WindowError):
         Germ(1, 2, 5).eval("split", 4)
+
+
+def _term_loop_oracle(ctx, kind, terms, xi):
+    """G f(xi) summed term by term and shell by shell: each shell term
+    (b, first, ft) of F f adds sign(k) q^-k ft(k) K(-xi, b, k) on the shells
+    k from max(first, -val b - 1) to val xi + 1 and on its resonant shell
+    (val xi - val b)/2 >= first, and the germ at 0 adds its pure tail; the
+    inert case carries the eta(xi) twist.  The reference for the shell plans."""
+    from padicorb.localfield import INF
+    from padicorb.spaces import _shell_integral, _val_and_unit_key
+
+    q = ctx.q
+    vxi, num, den = _val_and_unit_key(ctx, xi)
+    minus_xi = (vxi, -num, den)
+    sigma = -1 if kind == "inert" else 1
+    total = 0j
+    for (b, first, ft) in terms:
+        vb = b[0]
+        ks = range(max(first, -vb - 1), vxi + 2)
+        if vb >= INF:
+            if vxi >= first - 1:
+                total += ft.c_tail * float(q) ** (first - 1)
+        else:
+            k0, odd = divmod(vxi - vb, 2)
+            if not odd and k0 >= first and k0 not in ks:
+                ks = (*ks, k0)
+        for k in ks:
+            kk = _shell_integral(ctx, minus_xi, b, k)
+            if kk:
+                fk = (ft.const if k >= -ft.L
+                      else ft.c_tail * sigma ** (k % 2) * float(q) ** k)
+                total += (-1.0 if sigma < 0 and k % 2 else 1.0) * float(q) ** (-k) * fk * kk
+    if kind == "inert" and vxi % 2:
+        total = -total
+    return total
+
+
+@pytest.mark.parametrize("p, kind, seed", [(3, "split", 42), (3, "inert", 42),
+                                           (5, "split", 42), (5, "inert", 51)])
+def test_shell_plan_matches_term_loop(p, kind, seed):
+    """At every unit of every window shell of seeded S(X) and S(Z) inputs, the
+    shell plan gives the term-by-term sum; the inputs carry a germ at -1 (seed
+    42 gives none at p = 5 inert) and read resonant (Salie) shells."""
+    from padicorb.localfield import INF
+    from padicorb.spaces import _g_value, _shell_plan
+
+    ctx = LocalFieldCtx(p)
+    windows = _seeded_windows(p, kind, seed)
+    assert any(first == -INF for (_, first, _) in windows[1][0])
+    resonant = 0
+    for terms, shells in windows:
+        for v in shells:
+            plan = _shell_plan(ctx, kind, terms, v)
+            resonant += sum(1 for (m, _, _, _) in plan.entries if m >= 2)
+            units = unit_reps(p, plan.level)
+            for u in units:
+                xi = Fraction(u) * Fraction(p) ** v
+                want = _term_loop_oracle(ctx, kind, terms, xi)
+                got = plan.value(ctx, u)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (v, u, got, want)
+                if u in (units[0], units[-1]):
+                    assert _g_value(ctx, kind, terms, xi) == got
+    assert resonant > 0
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_unit_shell_integral_keyed_by_product(p, m):
+    """For every unit pair (a, b) mod p^m the integral keyed by (m, ab mod p^m)
+    is the double sum p^-m S(a, b; p^m), and S(a, b) = S(ab, 1); the key n = 0
+    is the Ramanujan sum S(a, 0)."""
+    import cmath
+
+    from padicorb.spaces import _unit_integral
+
+    ctx = LocalFieldCtx(p)
+    mod = p ** m
+    units = unit_reps(p, m)
+
+    def kloosterman(a, b):
+        return sum(cmath.exp(2j * math.pi * ((a * u + b * pow(u, -1, mod)) % mod) / mod)
+                   for u in units)
+
+    for a in units:
+        for b in units:
+            brute = kloosterman(a, b)
+            assert abs(brute - kloosterman(a * b % mod, 1)) < 1e-10, (a, b)
+            assert abs(_unit_integral(ctx, m, a * b % mod) - brute / mod) < 1e-12, (a, b)
+        assert abs(_unit_integral(ctx, m, 0) - kloosterman(a, 0) / mod) < 1e-12, a
+
+
+def test_osc_cache_keys_are_p_m_n():
+    """After a seeded G transform every cached unit-shell integral sits under
+    one distinct key (p, m, n) with 0 <= n < p^m."""
+    from padicorb.orbital import random_baby_data, sz_from_charts
+    from padicorb.spaces import _osc_cache, g_transform_Z_to_W
+
+    ctx = LocalFieldCtx(3)
+    rng = random.Random(9)
+    g_transform_Z_to_W(sz_from_charts(random_baby_data(ctx, "split", rng),
+                                      random_baby_data(ctx, "split", rng), "split"))
+    keys = list(_osc_cache)
+    assert any(key[0] == 3 for key in keys)
+    assert len(set(keys)) == len(keys)
+    for key in keys:
+        assert len(key) == 3 and all(type(x) is int for x in key), key
+        p, m, n = key
+        assert m >= 1 and 0 <= n < p ** m, key
