@@ -462,8 +462,7 @@ def mellin_component(f_window: BruhatFn, chi: MellinCharacter,
     qh = ctx.q ** 0.5
     laurent: dict[int, complex] = {}
     out = RationalFnT.zero()
-    fc = f_window.canonicalize()
-    for at in fc.atoms:
+    for at in f_window.atoms:  # linear in atoms: no canonical refinement
         c = at.center[0]
         vc = rational_valuation(c, ctx.p)
         if vc >= at.level:

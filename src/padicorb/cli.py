@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from multiprocessing import get_context
 
 from .errors import PadicOrbError
 from .groups import HeckeElt
@@ -234,6 +233,8 @@ def cmd_verify_fl(cfg: dict) -> int:
              for h in hs]
     start = time.perf_counter()
     if cfg["jobs"] > 1 and len(tasks) > 1:
+        from multiprocessing import get_context  # only a pool pays for the import
+
         with get_context("fork").Pool(min(cfg["jobs"], len(tasks))) as pool:
             reports = pool.map(_fl_single, tasks)
     else:

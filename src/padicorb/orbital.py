@@ -295,9 +295,9 @@ def baby_support_floor(kind: str, data) -> int:
 
 
 def sx_from_baby(data, kind: str) -> SXElem:
-    """S(X) element (window + exact germ at 0) of the baby orbital of `data`."""
+    """S(X) element (window + exact germ at 0) of the baby orbital of `data`;
+    the germ starts at its certified onset (`_certified_onset`)."""
     ctx = _baby_ctx(kind, data)
-    germ = _baby_germ(kind, data)
 
     def raw(xi):
         return baby_orbital(kind, data, xi)
@@ -305,10 +305,13 @@ def sx_from_baby(data, kind: str) -> SXElem:
     p = ctx.p
     level = _FIRST_LEVEL
     lo = baby_support_floor(kind, data)
-    atoms = []
-    for v in range(lo, germ.level):
-        start = max(level, baby_xi_level(kind, data, v))
-        atoms += _shell_atoms(ctx, raw, Fraction(0), v, start)[0]
+    germ = _baby_germ(kind, data)
+    shells = {v: _shell_values(ctx, raw, Fraction(0), v,
+                               max(level, baby_xi_level(kind, data, v)))
+              for v in range(lo, germ.level)}
+    germ = _certified_onset(kind, germ, shells)
+    atoms = [a for v in range(lo, germ.level)
+             for a in _value_atoms(ctx, Fraction(0), v, *shells[v])]
     out = SXElem(ctx, kind, BruhatFn.from_atoms(ctx, "F", atoms), germ)
     for x in (Fraction(1 + p ** level), Fraction(p) ** (germ.level + 1),
               2 * Fraction(p) ** germ.level, Fraction(1 + p ** level, p)):
@@ -366,15 +369,47 @@ def _shell_values(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
     raise RepresentationError(f"shell at val {v} did not stabilize below level 9")
 
 
+def _value_atoms(ctx: LocalFieldCtx, center: Fraction, v: int,
+                 vals: dict[int, complex], level: int) -> list:
+    """Window atoms of the sampled values `vals` on the shell center + (units)*p^v,
+    one per nonzero coset at the certified `level`."""
+    unit = Fraction(ctx.p) ** v
+    return [(center + Fraction(u) * unit, v + level, w)
+            for u, w in vals.items() if abs(w) > 1e-12]
+
+
 def _shell_atoms(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
                  start_level: int, skip=None):
     """Window atoms of raw on the shell center + (units)*p^v, one per nonzero
     coset at the level `_shell_values` certifies, and that level."""
     vals, level = _shell_values(ctx, raw, center, v, start_level, skip)
-    unit = Fraction(ctx.p) ** v
-    atoms = [(center + Fraction(u) * unit, v + level, w)
-             for u, w in vals.items() if abs(w) > 1e-12]
-    return atoms, level
+    return _value_atoms(ctx, center, v, vals, level), level
+
+
+_ONSET_RTOL = 1e-13  # a sampled value equals a germ's formula: exact, or within rounding
+
+
+def _certified_onset(kind: str, germ: Germ, shells: dict[int, tuple[dict, int]]) -> Germ:
+    """`germ` lowered to its certified onset: the lowest level down to which
+    the function is the germ's formula.
+
+    `shells` maps the valuations of the germ coordinate that may join the germ
+    to what `_shell_values` sampled there: the value of every certified coset,
+    not only the kept atoms, so a germ value of 0 joins too.  Walking outward
+    from the germ, a shell whose every value equals the formula there, exactly
+    or up to `_ONSET_RTOL` relative with no absolute floor, joins the germ and
+    lowers its level by one; the first shell that differs, or is missing, ends
+    the walk.  The coefficients do not change, and the consumers' probes
+    certify the lowered germ again.
+    """
+    level = germ.level
+    while level - 1 in shells:
+        want = Germ(germ.a, germ.b, level - 1).eval(kind, level - 1)
+        if not all(w == want or abs(w - want) <= _ONSET_RTOL * max(abs(w), abs(want))
+                   for w in shells[level - 1][0].values()):
+            break
+        level -= 1
+    return Germ(germ.a, germ.b, level)
 
 
 def _certify_floor(ctx: LocalFieldCtx, raw, lo: int):
@@ -407,26 +442,31 @@ def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
 
     Shell atoms at valuation v live at a per-shell certified level; the coset
     of -1 inside the unit shell is excluded and covered instead by zeta-shell
-    atoms (zeta = xi+1) down to the germ level at -1.
+    atoms (zeta = xi+1) down to the germ level at -1.  Each germ then starts
+    at its certified onset (`_certified_onset`): the germ at 0 takes shells
+    down to val 1, the germ at -1 zeta-shells down to the cut of the unit shell.
     """
     p = ctx.p
-    atoms = []
-    zeta_cut = germ_m1.level
-    for v in range(lo, germ0.level):
-        skip = None
-        if v == 0:
-            # the -1 locus sits inside the unit shell; its neighborhood is
-            # covered by the zeta-side atoms and the germ at -1 instead
-            def skip(x, lvl):
-                return rational_valuation(x + 1, p) >= min(lvl, germ_m1.level)
-        start = _FIRST_LEVEL if level_at is None else level_at(v)
-        shell, lvl = _shell_atoms(ctx, raw, Fraction(0), v, start, skip)
-        atoms += shell
-        if v == 0:
-            zeta_cut = min(lvl, germ_m1.level)
-    for vz in range(zeta_cut, germ_m1.level):
-        start = _FIRST_LEVEL if level_at is None else level_at(0)
-        atoms += _shell_atoms(ctx, raw, Fraction(-1), vz, start)[0]
+
+    def start(v: int) -> int:
+        return _FIRST_LEVEL if level_at is None else level_at(v)
+
+    def skip(x, lvl):
+        # the -1 locus sits inside the unit shell; its neighborhood is
+        # covered by the zeta-side atoms and the germ at -1 instead
+        return rational_valuation(x + 1, p) >= min(lvl, germ_m1.level)
+
+    xi_shells = {v: _shell_values(ctx, raw, Fraction(0), v, start(v), skip if v == 0 else None)
+                 for v in range(lo, germ0.level)}
+    zeta_cut = min(xi_shells[0][1], germ_m1.level) if 0 in xi_shells else germ_m1.level
+    zeta_shells = {vz: _shell_values(ctx, raw, Fraction(-1), vz, start(0))
+                   for vz in range(zeta_cut, germ_m1.level)}
+    germ0 = _certified_onset(kind, germ0, {v: s for v, s in xi_shells.items() if v > 0})
+    germ_m1 = _certified_onset(kind, germ_m1, zeta_shells)
+    atoms = [a for v in range(lo, germ0.level)
+             for a in _value_atoms(ctx, Fraction(0), v, *xi_shells[v])]
+    atoms += [a for vz in range(zeta_cut, germ_m1.level)
+              for a in _value_atoms(ctx, Fraction(-1), vz, *zeta_shells[vz])]
     out = SZElem(ctx, kind, BruhatFn.from_atoms(ctx, "F", atoms), germ0, germ_m1)
     _certify_sz(out, raw, lo)
     return out
@@ -855,7 +895,8 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt) -> SZElem:
     """SZ element of orbital integrals of (h * 1_{X1(o)}) x 1_{X1(o)}.
 
     Window values on val(xi) >= -(2 deg h + 1) come from o_torus_group; the
-    germs at 0 and -1 are fitted on deep shells with residual certificates.
+    germs at 0 and -1 are fitted on deep shells with residual certificates and
+    start at their certified onset.
     """
     depth = 2 * h.max_degree() + 3
     lo = -(2 * h.max_degree() + 1)

@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     DomainError,
@@ -237,6 +237,11 @@ class SXElem:
     def atom_triples(self) -> list[tuple[Fraction, int, complex]]:
         return [(a.center[0], a.level, a.coef) for a in self.window.atoms]
 
+    @cached_property
+    def _terms(self) -> tuple[_Term, ...]:
+        """F f as the G engine reads it (`_shell_terms`), built once per element."""
+        return _shell_terms(self.ctx, self.kind, self.atom_triples(), self.germ0, None)
+
 
 @dataclass(frozen=True)
 class SZElem:
@@ -268,6 +273,11 @@ class SZElem:
 
     def atom_triples(self) -> list[tuple[Fraction, int, complex]]:
         return [(a.center[0], a.level, a.coef) for a in self.window.atoms]
+
+    @cached_property
+    def _terms(self) -> tuple[_Term, ...]:
+        """F f as the G engine reads it (`_shell_terms`), built once per element."""
+        return _shell_terms(self.ctx, self.kind, self.atom_triples(), self.germ0, self.germ_m1)
 
 
 @dataclass(frozen=True)
@@ -568,7 +578,7 @@ def _window(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...], shells: ran
 def g_transform_SX(f: SXElem) -> SXElem:
     """G f for f in S(X); output is again an S(X) element (shape closure)."""
     ctx, kind = f.ctx, f.kind
-    terms = _shell_terms(ctx, kind, f.atom_triples(), f.germ0, None)
+    terms = f._terms
     vmin = _support_bound(terms)
     depth = _germ_depth(terms)
     germ = _deep_germ(kind, lambda u, v: _g_value(ctx, kind, terms, u * Fraction(ctx.p) ** v),
@@ -585,14 +595,13 @@ def g_transform_SX(f: SXElem) -> SXElem:
 
 def g_value_SX(f: SXElem, xi) -> complex:
     """Pointwise G f(xi) without assembling the output element."""
-    terms = _shell_terms(f.ctx, f.kind, f.atom_triples(), f.germ0, None)
-    return _g_value(f.ctx, f.kind, terms, Fraction(xi))
+    return _g_value(f.ctx, f.kind, f._terms, Fraction(xi))
 
 
 def g_transform_Z_to_W(f: SZElem) -> SWElem:
     """|.|G f in S(W) with s = 0: the matching transform S(Z) -> S(W)."""
     ctx, kind = f.ctx, f.kind
-    terms = _shell_terms(ctx, kind, f.atom_triples(), f.germ0, f.germ_m1)
+    terms = f._terms
     q = ctx.q
 
     depth = _germ_depth(terms)
@@ -618,10 +627,9 @@ def g_transform_Z_to_W(f: SZElem) -> SWElem:
 
 def g_value_Z_to_W(f: SZElem, xi) -> complex:
     """Pointwise (|.|G f)(xi)."""
-    terms = _shell_terms(f.ctx, f.kind, f.atom_triples(), f.germ0, f.germ_m1)
     xi = Fraction(xi)
     v = rational_valuation(xi, f.ctx.p)
-    return float(f.ctx.q) ** (-v) * _g_value(f.ctx, f.kind, terms, xi)
+    return float(f.ctx.q) ** (-v) * _g_value(f.ctx, f.kind, f._terms, xi)
 
 
 # --- singular-coefficient extractors ----------------------------------------------

@@ -12,7 +12,13 @@ import pytest
 
 from padicorb.errors import RepresentationError
 from padicorb.localfield import rational_valuation
-from padicorb.orbital import _certify_floor, _shell_atoms
+from padicorb.orbital import (
+    _assemble_sz,
+    _certified_onset,
+    _certify_floor,
+    _shell_atoms,
+    _shell_values,
+)
 from padicorb.spaces import Germ, _certify, _certify_kl_tail, _deep_germ, kloosterman_germ
 
 
@@ -74,3 +80,26 @@ def test_support_floor_rejects_leaked_support(ctx3):
     # val -3 is empty but val -4 is not: both parities below the floor are checked
     with pytest.raises(RepresentationError, match="support leaked"):
         _certify_floor(ctx3, skips_a_parity, -2)
+
+
+def test_perturbed_germ_absorbs_no_shell_and_fails_the_probes(ctx3):
+    """The germ at 0 is -4.5 + val on val >= 2, above a shell of zeros, and the
+    germ at -1 is 0.25 on val(xi + 1) >= 2; both are handed over at level 4,
+    so the shells between join them, and the zeros (no window atoms) do not.
+    With b off by 1e-9 no shell joins, and the S(Z) probes fail."""
+
+    def raw(xi):
+        v, vz = rational_valuation(xi, 3), rational_valuation(xi + 1, 3)
+        if v >= 1:
+            return -4.5 + v if v >= 2 else 0.0
+        if vz >= 2:
+            return 0.25
+        return float(xi.numerator % 9) + 0.5 * v if v >= -2 else 0.0
+
+    f = _assemble_sz(ctx3, "split", raw, Germ(-4.5, 1.0, 4), Germ(0.25, 0.0, 4), -2)
+    assert (f.germ0, f.germ_m1) == (Germ(-4.5, 1.0, 2), Germ(0.25, 0.0, 2))
+    shells = {v: _shell_values(ctx3, raw, Fraction(0), v, 2) for v in (2, 3)}
+    off = Germ(-4.5, 1.0 + 1e-9, 4)
+    assert _certified_onset("split", off, shells) == off
+    with pytest.raises(RepresentationError, match="S\\(Z\\) representation mismatch"):
+        _assemble_sz(ctx3, "split", raw, off, Germ(0.25, 0.0, 4), -2)

@@ -30,11 +30,15 @@ from padicorb.localfield import (
     rational_valuation,
     smallest_nonresidue,
     unit_mod,
+    unit_reps,
 )
 from padicorb.orbital import (
     BabyInput,
+    _ONSET_RTOL,
     _TORUS_MARGIN,
     _coset_terms,
+    _shell_atoms,
+    _shell_values,
     _x1_count,
     baby_orbital,
     basic_fW0,
@@ -65,7 +69,15 @@ from padicorb.orbital import (
     verify_matching,
     whittaker_unfolding_check,
 )
-from padicorb.spaces import g_value_SX, g_transform_Z_to_W, ip_kuz, ip_torus
+from padicorb.spaces import (
+    Germ,
+    SZElem,
+    g_transform_Z_to_W,
+    g_value_SX,
+    g_value_Z_to_W,
+    ip_kuz,
+    ip_torus,
+)
 
 
 # --- baby case ---------------------------------------------------------------------
@@ -813,6 +825,138 @@ def test_baby_windows_reach_the_support_floor(ctx3):
             assert abs(sx.eval(xi) - o_baby_split(phi, xi)) < 1e-12, xi
             want = o_baby_split(phi, xi) + o_baby_split(phi, -1 - xi)
             assert abs(sz.eval(xi) - want) < 1e-12, xi
+
+
+# --- germs at their certified onset ------------------------------------------------
+
+
+def _seeded_charts(ctx, kind, seed):
+    """Two seeded baby charts: `random_baby_data` at p = 3; at p = 5 three atoms
+    of level 0 or 1 each, since level-2 inert charts take seconds there."""
+    rng = random.Random(seed)
+    if ctx.p == 3:
+        return random_baby_data(ctx, kind, rng), random_baby_data(ctx, kind, rng)
+    p = ctx.p
+
+    def fn(domain):
+        return BruhatFn.from_atoms(ctx, domain, [
+            ((Fraction(rng.randrange(-2 * p, 2 * p + 1), p ** rng.randrange(2)),
+              Fraction(rng.randrange(-2 * p, 2 * p + 1), p ** rng.randrange(2))),
+             rng.randrange(2), complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+            for _ in range(3)])
+
+    if kind == "split":
+        return fn("F2"), fn("F2")
+    ext = QuadExt(ctx, "inert")
+    return BabyInput(ext, fn("E"), fn("E")), BabyInput(ext, fn("E"), fn("E"))
+
+
+def _formula_at(kind, germ, v):
+    """The germ's formula a + b val (split) or a + b eta (inert) on the shell v."""
+    return germ.a + germ.b * (v if kind == "split" else (-1) ** v)
+
+
+def _same(got, want):
+    return got == want or abs(got - want) <= _ONSET_RTOL * max(abs(got), abs(want))
+
+
+def _check_onset(elem, raw, kind, germ, chart_level, center, floor, start):
+    """Each shell `germ` absorbed below its chart level gives the same value from
+    `elem` as from `raw` at every unit of its certified level, and the window
+    shell next to the germ (if it is one, val >= floor) is not the formula."""
+    ctx = elem.ctx
+    for v in range(germ.level, chart_level):
+        _, level = _shell_values(ctx, raw, center, v, start(v))
+        for u in unit_reps(ctx.p, level):
+            x = center + u * Fraction(ctx.p) ** v
+            assert _same(elem.eval(x), raw(x)), x
+    v = germ.level - 1
+    if v >= floor:
+        vals, _ = _shell_values(ctx, raw, center, v, start(v))
+        assert not all(_same(w, _formula_at(kind, germ, v)) for w in vals.values()), v
+
+
+@pytest.mark.parametrize("p,kind,seed", [(3, "split", 1), (3, "inert", 2),
+                                         (5, "split", 6), (5, "inert", 1)])
+def test_germs_start_at_their_certified_onset(p, kind, seed):
+    ctx = LocalFieldCtx(p)
+    phi1, phi2 = _seeded_charts(ctx, kind, seed)
+    L0, L1 = orbital._baby_germ(kind, phi2).level, orbital._baby_germ(kind, phi1).level
+
+    def sx_raw(xi):
+        return baby_orbital(kind, phi2, xi)
+
+    sx = sx_from_baby(phi2, kind)
+    assert sx.germ0.level < L0
+    _check_onset(sx, sx_raw, kind, sx.germ0, L0, Fraction(0),
+                 orbital.baby_support_floor(kind, phi2),
+                 lambda v: max(2, orbital.baby_xi_level(kind, phi2, v)))
+
+    def raw(xi):
+        return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
+
+    def start(v):  # the start level of `sz_from_charts` on the shell val xi = v
+        return max(2, orbital.baby_xi_level(kind, phi2, v),
+                   orbital.baby_xi_level(kind, phi1, min(v, 0)))
+
+    f = sz_from_charts(phi1, phi2, kind)
+    assert f.germ0.level < L0 and f.germ_m1.level < L1
+    _check_onset(f, raw, kind, f.germ0, L0, Fraction(0), 1, start)
+    # the zeta-shells start at the level the unit shell certifies, cut at the
+    # chart level of the germ at -1
+    _, unit_level = _shell_values(
+        ctx, raw, Fraction(0), 0, start(0),
+        lambda x, lvl: rational_valuation(x + 1, p) >= min(lvl, L1))
+    _check_onset(f, raw, kind, f.germ_m1, L1, Fraction(-1), min(unit_level, L1),
+                 lambda vz: start(0))
+
+
+def _unabsorbed(f, raw, L0, L1, start):
+    """`f` with its germs back at the chart levels L0 and L1 and the shells they
+    absorbed sampled into the window again: the element before absorption."""
+    ctx = f.ctx
+    atoms = f.atom_triples()
+    for center, lo, hi in ((Fraction(0), f.germ0.level, L0), (Fraction(-1), f.germ_m1.level, L1)):
+        for v in range(lo, hi):
+            atoms += _shell_atoms(ctx, raw, center, v, start)[0]
+    return SZElem(ctx, f.kind, BruhatFn.from_atoms(ctx, "F", atoms),
+                  Germ(f.germ0.a, f.germ0.b, L0), Germ(f.germ_m1.a, f.germ_m1.b, L1))
+
+
+@pytest.mark.parametrize("source", ["charts-split", "charts-inert", "torus-split"])
+def test_absorption_keeps_inner_product_and_tail(ctx3, source):
+    """ip_torus and the Kloosterman tail constant C of |.|G f are bit-identical
+    before and after absorption, and |.|G f agrees pointwise."""
+    kind = source.split("-")[1]
+    if source == "torus-split":
+        h = HeckeElt.of({0: 3, 1: 7})
+        f = hecke_apply_Z(ctx3, kind, h)
+
+        def raw(xi):
+            return o_torus_group(ctx3, kind, h, xi)
+
+        L0 = L1 = 2 * h.max_degree() + 3
+        start = 2
+    else:
+        phi1, phi2 = _seeded_charts(ctx3, kind, 1 if kind == "split" else 2)
+        f = sz_from_charts(phi1, phi2, kind)
+
+        def raw(xi):
+            return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
+
+        L0, L1 = orbital._baby_germ(kind, phi2).level, orbital._baby_germ(kind, phi1).level
+        start = max(2, *(orbital.baby_xi_level(kind, phi, 0) for phi in (phi1, phi2)))
+    before = _unabsorbed(f, raw, L0, L1, start)
+    assert len(before.window.atoms) > len(f.window.atoms) and f.germ_m1.b != 0
+    assert ip_torus(before) == ip_torus(f)
+    w_before, w_after = g_transform_Z_to_W(before), g_transform_Z_to_W(f)
+    assert w_before.inf_tail.C == w_after.inf_tail.C != 0
+    assert w_after.inf_tail.M <= w_before.inf_tail.M
+    for v in range(-8, 9):
+        for u in (1, 2, 4):
+            xi = u * Fraction(3) ** v
+            want = g_value_Z_to_W(before, xi)
+            assert abs(g_value_Z_to_W(f, xi) - want) <= 1e-12 * max(1.0, abs(want)), xi
 
 
 def test_stabilization_idempotence(ctx3, monkeypatch):

@@ -222,6 +222,28 @@ def test_mellin_conjugation_property(ctx3):
                     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
 
 
+def test_pointwise_values_build_the_shell_terms_once(ctx3, monkeypatch):
+    """g_value_SX and g_value_Z_to_W read F f from the element, built once."""
+    import padicorb.spaces as spaces
+
+    calls = []
+    build = spaces._shell_terms
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(spaces, "_shell_terms", counted)
+    window = BruhatFn.from_atoms(ctx3, "F", [(Fraction(2, 3), 2, 0.5), (Fraction(4), 2, -1.0)])
+    fx = SXElem(ctx3, "split", window, Germ(0.25, 0.5, 2))
+    fz = SZElem(ctx3, "inert", window, Germ(0.25, 0.5, 2), Germ(0.75, -0.25, 3))
+    for v in range(-3, 4):
+        xi = Fraction(2) * Fraction(3) ** v
+        assert spaces.g_value_SX(fx, xi) == spaces._g_value(ctx3, "split", fx._terms, xi)
+        spaces.g_value_Z_to_W(fz, xi)
+    assert len(calls) == 2
+
+
 def test_extractors(ctx3):
     beta = 2 / 3
     f = SXElem(ctx3, "split", BruhatFn.zero(ctx3, "F"), Germ(beta, beta, 0))
@@ -385,15 +407,20 @@ def test_element_from_json_rejects_malformed_documents(ctx3):
 
 
 def test_element_json_of_deep_window_raises_fast(ctx3):
-    """A g_transform_SX window with levels -1..20 would need 3^21 cosets per
-    shallow atom in its canonical form: serializing it raises at once."""
+    """A g_transform_SX window with levels -9..20 would need 3^29 cosets per
+    shallow atom in its canonical form: serializing it raises at once.  The
+    level-9 input atom puts the output germ at depth 20 (baby charts, whose
+    germs start at their certified onset, no longer reach that deep)."""
     import time
 
     from padicorb.errors import RepresentationError
-    from padicorb.orbital import random_baby_data, sx_from_baby
 
-    data = random_baby_data(ctx3, "split", random.Random(11))
-    g = g_transform_SX(sx_from_baby(data, "split"))
+    f = SXElem(ctx3, "split",
+               BruhatFn.from_atoms(ctx3, "F", [(Fraction(1, 3), 2, 0.5),
+                                               (Fraction(1 + 3 ** 8), 9, 1.0)]),
+               Germ(0.25, 0.5, 1))
+    g = g_transform_SX(f)
+    assert g.germ0.level == 20 and min(a.level for a in g.window.atoms) == -9
     start = time.perf_counter()
     with pytest.raises(RepresentationError):
         element_to_json(g)
