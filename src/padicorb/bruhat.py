@@ -31,7 +31,7 @@ from .localfield import (
     rational_valuation,
     unit_mod,
 )
-from .rational import Poly, RationalFnT, geometric_tail, weighted_geometric_tail
+from .rational import Poly, RationalFnT, geometric_tail
 
 Point = tuple[Fraction, ...]
 
@@ -450,18 +450,12 @@ def tate_zeta(f: BruhatFn, chi: MellinCharacter) -> RationalFnT:
     return _laurent_to_rational(laurent) + tails
 
 
-def mellin_component(f_window: BruhatFn, chi: MellinCharacter,
-                     germ: tuple[complex, complex, int] | None = None,
-                     germ_kind: str | None = None) -> RationalFnT:
-    """f-check(chi)(t) = sum_k q^{-k/2} t^k * int_{val=k} f chi d^x.
-
-    The window part is a Laurent polynomial; a zero-germ (a, b, L) adds its
-    closed-form tail: split germ a + b*val(x), inert germ a + b*eta(x).
-    """
+def mellin_component(f_window: BruhatFn, chi: MellinCharacter) -> RationalFnT:
+    """f-check(chi)(t) = sum_k q^{-k/2} t^k * int_{val=k} f chi d^x, a Laurent
+    polynomial for a window away from 0 (`spaces.sx_mellin` adds a germ)."""
     ctx = f_window.ctx
     qh = ctx.q ** 0.5
     laurent: dict[int, complex] = {}
-    out = RationalFnT.zero()
     for at in f_window.atoms:  # linear in atoms: no canonical refinement
         c = at.center[0]
         vc = rational_valuation(c, ctx.p)
@@ -470,28 +464,7 @@ def mellin_component(f_window: BruhatFn, chi: MellinCharacter,
         sign = chi.sign_of_val(vc)
         mass = float(Fraction(ctx.q) ** (vc - at.level)) * qh ** (-vc)
         laurent[vc] = laurent.get(vc, 0j) + at.coef * sign * mass
-    if germ is not None:
-        a, b, L = germ
-        vol = float(ctx.vol_Ox)
-        if germ_kind not in ("split", "inert"):
-            raise KindError("germ_kind must be split or inert")
-        for k in range(L, 0):
-            # shells above |x| = 1 handled term by term
-            sign = chi.sign_of_val(k)
-            shell_val = (a + b * k) if germ_kind == "split" else (a + b * (-1) ** k)
-            laurent[k] = laurent.get(k, 0j) + vol * sign * shell_val * qh ** (-k)
-        L0 = max(L, 0)
-        x_plus = 1.0 / qh   # ratio for sum (q^{-1/2} t)^k
-        if germ_kind == "split":
-            # int over shell k: (a + b k) * vol; chi trivial only (eta=1 split)
-            out = out + geometric_tail(x_plus, L0).scale(a * vol)
-            out = out + weighted_geometric_tail(x_plus, L0).scale(b * vol)
-        else:
-            s_par = 1.0 if chi.quadratic == "trivial" else -1.0
-            # shell integral of (a + b*eta)*chi: (a + b(-1)^k) * s_par^k
-            out = out + geometric_tail(x_plus * s_par, L0).scale(a * vol)
-            out = out + geometric_tail(-x_plus * s_par, L0).scale(b * vol)
-    return _laurent_to_rational(laurent) + out
+    return _laurent_to_rational(laurent)
 
 
 def gamma_factor(chi: MellinCharacter) -> RationalFnT:

@@ -30,7 +30,7 @@ from .groups import HeckeElt
 from .localfield import LocalFieldCtx, is_prime
 from .orbital import (
     basic_fW0,
-    fW_series_value,
+    hecke_apply_W,
     o_kuz_closed,
     o_kuz_direct,
     verify_fl,
@@ -314,10 +314,11 @@ def cmd_tables(cfg: dict) -> int:
                 "delta": delta,
             })
     fw = basic_fW0(ctx, cfg["ext"], 1.0)
+    fw_series = hecke_apply_W(ctx, cfg["ext"], HeckeElt.basis(0), 1.0)
     for v in range(lo, hi + 1):
         xi = Fraction(ctx.p) ** v
         closed = fw(xi)
-        series = fW_series_value(ctx, cfg["ext"], 1.0, xi)
+        series = fw_series(xi)
         delta = abs(closed - series)
         max_delta = max(max_delta, delta)
         rows.append({

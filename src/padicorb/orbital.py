@@ -62,7 +62,7 @@ from .spaces import (
     _certify,
     _certify_kl_tail,
     _deep_germ,
-    _sw_zero_germ,
+    _value_atoms,
     g_value_Z_to_W,
     g_transform_Z_to_W,
     ip_kuz as ip_kuz_elem,  # re-exported: perfbench/worker.py calls both
@@ -367,23 +367,6 @@ def _shell_values(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
         if ok:
             return vals, level
     raise RepresentationError(f"shell at val {v} did not stabilize below level 9")
-
-
-def _value_atoms(ctx: LocalFieldCtx, center: Fraction, v: int,
-                 vals: dict[int, complex], level: int) -> list:
-    """Window atoms of the sampled values `vals` on the shell center + (units)*p^v,
-    one per nonzero coset at the certified `level`."""
-    unit = Fraction(ctx.p) ** v
-    return [(center + Fraction(u) * unit, v + level, w)
-            for u, w in vals.items() if abs(w) > 1e-12]
-
-
-def _shell_atoms(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
-                 start_level: int, skip=None):
-    """Window atoms of raw on the shell center + (units)*p^v, one per nonzero
-    coset at the level `_shell_values` certifies, and that level."""
-    vals, level = _shell_values(ctx, raw, center, v, start_level, skip)
-    return _value_atoms(ctx, center, v, vals, level), level
 
 
 _ONSET_RTOL = 1e-13  # a sampled value equals a germ's formula: exact, or within rounding
@@ -776,34 +759,6 @@ def basic_fW0(ctx: LocalFieldCtx, kind: str, s: complex = 0.0):
     return value
 
 
-_SERIES_TOL = 1e-14  # stabilization tolerance of fW_series_value
-
-
-def fW_series_value(ctx: LocalFieldCtx, kind: str, s: complex, xi) -> complex:
-    """Truncated-series oracle: sum_m c(m,s) O_closed(m, xi), stabilized.
-
-    Per the case table at most the terms m = val(xi), val(xi)+2 and m = 0
-    survive, so the series stabilizes after finitely many shells; the c(m,s)
-    coefficients come from the H_s expansion.
-    """
-    xi = Fraction(xi)
-    v = rational_valuation(xi, ctx.p)
-    if v >= INF:
-        raise DomainError("xi = 0")
-    eps = 1 if kind == "split" else -1
-    n_max = max(v + 2, 0) + 3
-    cs = h_s_coeffs(ctx, s, eps, n_max)
-    total = 0j
-    prev = None
-    for m in range(n_max + 1):
-        total += cs[m] * o_kuz_closed(ctx, m, xi)
-        if m >= max(v + 2, 0):
-            if prev is not None and abs(total - prev) > _SERIES_TOL:
-                raise RepresentationError("series failed to stabilize")
-            prev = total
-    return total
-
-
 def _hs_expansion_coeff(ctx: LocalFieldCtx, kind: str, h: HeckeElt, s: complex,
                         k: int) -> complex:
     """Coefficient of 1_{x_kK} in h * H_s * 1_{x_0K} (a finite CG sum).
@@ -868,9 +823,8 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     _certify_kl_tail(ctx, value, C, (-2, -4), (1, 2), 1e-9)
     atoms = []
     for v in range(-1, depth):
-        atoms += _shell_atoms(ctx, value, Fraction(0), v, 1)[0]
-    out = SWElem(ctx, kind, s, BruhatFn.from_atoms(ctx, "F", atoms),
-                 _sw_zero_germ(kind, germ), KLTail(C, 2))
+        atoms += _value_atoms(ctx, Fraction(0), v, *_shell_values(ctx, value, Fraction(0), v, 1))
+    out = SWElem(ctx, kind, s, BruhatFn.from_atoms(ctx, "F", atoms), germ, KLTail(C, 2))
     for xi in (Fraction(1 + ctx.p), Fraction(ctx.p) ** (depth + 1),
                Fraction(2) * Fraction(ctx.p) ** -6):
         _certify(out.eval(xi), value(xi), 1e-9,
@@ -1092,7 +1046,7 @@ def verify_matching(ctx: LocalFieldCtx, kind: str, samples: int = 10,
         w = g_transform_Z_to_W(f)
         # shape residual: window+germ+tail representation against the engine
         resid = 0.0
-        for v in (-4, 0, 1, w.zero_germ[2] + 1, -w.inf_tail.M - 2):
+        for v in (-4, 0, 1, w.zero_germ.level + 1, -w.inf_tail.M - 2):
             for u in (1, max(2, ctx.p - 1)):
                 xi = Fraction(u) * Fraction(ctx.p) ** v
                 got = w.eval(xi)

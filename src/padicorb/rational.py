@@ -176,9 +176,9 @@ class RationalFnT:
 
 def geometric_tail(ratio: complex, first_power: int) -> RationalFnT:
     """sum_{k >= first_power} (ratio*t)^k as a rational function of t."""
-    num = Poly.monomial(max(first_power, 0), ratio ** first_power)
     if first_power < 0:
         raise DomainError("geometric_tail needs a nonnegative starting power")
+    num = Poly.monomial(first_power, ratio ** first_power)
     den = Poly.of(1, -ratio)
     return RationalFnT(num, den)
 

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -34,7 +35,7 @@ from .errors import (
     UnsupportedAtomError,
     WindowError,
 )
-from .bruhat import BruhatFn, MellinCharacter, _key_center, mellin_component
+from .bruhat import BruhatFn, MellinCharacter, _key_center, _laurent_to_rational, mellin_component
 from .localfield import (
     INF,
     LocalFieldCtx,
@@ -43,7 +44,7 @@ from .localfield import (
     sqrt_unit_mod,
     unit_reps,
 )
-from .rational import RationalFnT
+from .rational import RationalFnT, geometric_tail, weighted_geometric_tail
 
 # --- exact shell integrals ---------------------------------------------------------
 
@@ -140,9 +141,10 @@ def oscillatory_shell_integral(ctx: LocalFieldCtx, a, b, k: int) -> complex:
 # --- germ data and their Fourier transforms ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Germ:
-    """f(x) = a + b*val(x) (split) or a + b*eta(x) (inert) on val(x) >= level."""
+class Germ(NamedTuple):
+    """f(x) = a + b*val(x) (split) or a + b*eta(x) (inert) on val(x) >= level.
+
+    A tuple, so g[2] is the level."""
 
     a: complex
     b: complex
@@ -287,20 +289,24 @@ class KLTail:
     C: complex
     M: int
 
+    def __post_init__(self):
+        if self.M < 1:
+            raise DomainError(f"the Kloosterman tail starts on |xi| > 1, got M = {self.M}")
+
 
 @dataclass(frozen=True)
 class SWElem:
     """Element of S(W^s): window, the |xi|^{s+1}-weighted germ at 0, KL tail.
 
-    split zero germ: |xi|^{s+1} (c1*val(xi) + c2);
-    inert zero germ: |xi|^{s+1} (c1 + c2*eta(xi)).
+    `zero_germ` is the germ of |xi|^{-(s+1)} f: on val(xi) >= its level, f adds
+    |xi|^{s+1} zero_germ.eval(kind, val xi).
     """
 
     ctx: LocalFieldCtx
     kind: str
     s: complex
     window: BruhatFn
-    zero_germ: tuple[complex, complex, int]  # (c1, c2, level)
+    zero_germ: Germ
     inf_tail: KLTail
 
     def __post_init__(self):
@@ -312,23 +318,12 @@ class SWElem:
         if v >= INF:
             raise DomainError("S(W) elements live on F^x")
         out = self.window.eval(xi)
-        c1, c2, L = self.zero_germ
-        if v >= L:
+        if v >= self.zero_germ.level:
             w = complex(self.ctx.q) ** (-v * (self.s + 1))
-            if self.kind == "split":
-                out += w * (c1 * v + c2)
-            else:
-                out += w * (c1 + c2 * (-1) ** v)
+            out += w * self.zero_germ.eval(self.kind, v)
         if v <= -self.inf_tail.M:
             out += self.inf_tail.C * kloosterman_germ(self.ctx, xi)
         return out
-
-
-def _sw_zero_germ(kind: str, germ: Germ) -> tuple[complex, complex, int]:
-    """SWElem.zero_germ (c1, c2, level) of the fitted germ of |.|^{-s-1} f."""
-    if kind == "split":
-        return germ.b, germ.a, germ.level
-    return germ.a, germ.b, germ.level
 
 
 def _certify_kl_tail(ctx: LocalFieldCtx, value, C: complex, shells, units,
@@ -558,20 +553,26 @@ def _deep_germ(kind: str, value, depth: int) -> Germ:
     return _fit_germ(kind, values)
 
 
+def _value_atoms(ctx: LocalFieldCtx, center: Fraction, v: int,
+                 vals: dict[int, complex], level: int) -> list:
+    """Window atoms of the values `vals` at the units u mod p^level on the shell
+    center + (units)*p^v, one per coset whose value exceeds 1e-12."""
+    unit = Fraction(ctx.p) ** v
+    return [(center + Fraction(u) * unit, v + level, w)
+            for u, w in vals.items() if abs(w) > 1e-12]
+
+
 def _window(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...], shells: range,
             weighted: bool) -> BruhatFn:
     """Window of G f, or of |.|G f when `weighted`, on the given shells: one plan
     per shell, evaluated at every unit coset of its level."""
-    p = ctx.p
     atoms = []
     for v in shells:
         plan = _shell_plan(ctx, kind, terms, v)
-        for u in unit_reps(p, plan.level):
-            w = plan.value(ctx, u)
-            if weighted:
-                w = float(ctx.q) ** (-v) * w
-            if abs(w) > 1e-12:
-                atoms.append((Fraction(u) * Fraction(p) ** v, v + plan.level, w))
+        weight = float(ctx.q) ** (-v)
+        vals = {u: weight * plan.value(ctx, u) if weighted else plan.value(ctx, u)
+                for u in unit_reps(ctx.p, plan.level)}
+        atoms += _value_atoms(ctx, Fraction(0), v, vals, plan.level)
     return BruhatFn.from_atoms(ctx, "F", atoms)
 
 
@@ -622,7 +623,7 @@ def g_transform_Z_to_W(f: SZElem) -> SWElem:
     tail = KLTail(C, -tail_val)
 
     window = _window(ctx, kind, terms, range(tail_val + 1, depth), weighted=True)
-    return SWElem(ctx, kind, 0.0, window, _sw_zero_germ(kind, germ), tail)
+    return SWElem(ctx, kind, 0.0, window, germ, tail)
 
 
 def g_value_Z_to_W(f: SZElem, xi) -> complex:
@@ -673,25 +674,47 @@ def ip_kuz(f: SWElem) -> complex:
 
 
 def sw_extract_O0_delta(f: SWElem) -> complex:
-    """O~_{0,delta^{1/2}}(f) = O~_0(|.|^{-1} f): the val/1-part of the zero germ."""
-    c1, c2, _ = f.zero_germ
+    """O~_{0,delta^{1/2}}(f) = O~_0(|.|^{-1} f): the val-part (split) / 1-part
+    (inert) of the zero germ."""
     if f.kind == "split":
-        return c1 / math.log(f.ctx.q)
-    return c1
+        return f.zero_germ.b / math.log(f.ctx.q)
+    return f.zero_germ.a
 
 
 def sw_extract_second(f: SWElem) -> complex:
     """O~_{u,delta^{1/2}} (split) / O~_{0,eta delta^{1/2}} (inert)."""
-    c1, c2, _ = f.zero_germ
-    return c2
+    if f.kind == "split":
+        return f.zero_germ.a
+    return f.zero_germ.b
 
 
 # --- Mellin components of S(X) elements -------------------------------------------
 
 
 def sx_mellin(f: SXElem, chi: MellinCharacter) -> RationalFnT:
-    germ = (f.germ0.a, f.germ0.b, f.germ0.level) if not f.germ0.is_zero() else None
-    return mellin_component(f.window, chi, germ=germ, germ_kind=f.kind)
+    """f-check(chi)(t): the window's Laurent polynomial (`mellin_component`)
+    plus the germ at 0, term by term on the shells above |x| = 1 and as
+    geometric tails in q^-1/2 t from there on."""
+    window = mellin_component(f.window, chi)
+    g = f.germ0
+    if g.is_zero():
+        return window
+    ctx = f.ctx
+    qh = ctx.q ** 0.5
+    vol = float(ctx.vol_Ox)
+    head = {k: vol * chi.sign_of_val(k) * g.eval(f.kind, k) * qh ** (-k)
+            for k in range(g.level, 0)}
+    L0 = max(g.level, 0)
+    x_plus = 1.0 / qh
+    if f.kind == "split":
+        # int over shell k: (a + b k) * vol; chi trivial only (eta=1 split)
+        tails = geometric_tail(x_plus, L0), weighted_geometric_tail(x_plus, L0)
+    else:
+        s_par = 1.0 if chi.quadratic == "trivial" else -1.0
+        # shell integral of (a + b*eta)*chi: (a + b(-1)^k) * s_par^k
+        tails = geometric_tail(x_plus * s_par, L0), geometric_tail(-x_plus * s_par, L0)
+    return window + (_laurent_to_rational(head) + tails[0].scale(g.a * vol)
+                     + tails[1].scale(g.b * vol))
 
 
 # --- serialization -----------------------------------------------------------------
@@ -727,9 +750,7 @@ def element_to_json(elem) -> str:
     elif isinstance(elem, SWElem):
         base["type"] = "SW"
         base["s"] = [complex(elem.s).real, complex(elem.s).imag]
-        c1, c2, L = elem.zero_germ
-        base["zeroGerm"] = {"tag": "sw-germ", "c1": [c1.real, c1.imag],
-                            "c2": [c2.real, c2.imag], "level": L}
+        base["zeroGerm"] = _germ_json(elem.zero_germ)
         base["infTail"] = {"tag": "kloosterman", "C": [elem.inf_tail.C.real,
                                                        elem.inf_tail.C.imag],
                            "M": elem.inf_tail.M}
@@ -772,10 +793,8 @@ def element_from_json(ctx: LocalFieldCtx, doc: str):
         if d["type"] == "SZ":
             return SZElem(ctx, kind, window, germ_of(d["germ0"]), germ_of(d["germAtMinus1"]))
         if d["type"] == "SW":
-            zg, tail = d["zeroGerm"], d["infTail"]
-            return SWElem(ctx, kind, _json_complex(d["s"]), window,
-                          (_json_complex(zg["c1"]), _json_complex(zg["c2"]),
-                           _json_int(zg["level"])),
+            tail = d["infTail"]
+            return SWElem(ctx, kind, _json_complex(d["s"]), window, germ_of(d["zeroGerm"]),
                           KLTail(_json_complex(tail["C"]), _json_int(tail["M"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed element document: {exc!r}") from None

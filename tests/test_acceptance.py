@@ -30,8 +30,8 @@ from padicorb.localfield import LocalFieldCtx, QuadExt
 from padicorb.orbital import (
     baby_orbital,
     basic_fW0,
-    fW_series_value,
     fourier_baby,
+    hecke_apply_W,
     nonsplit_germ_data,
     o_baby_nonsplit,
     o_baby_split,
@@ -194,17 +194,18 @@ def test_criterion_5_kuznetsov_oracles():
 
 
 def test_criterion_6_lemma_blue():
-    """Closed-form f_s^0 vs the truncated H_s series at s = 1, 3/2, both kinds."""
+    """Closed-form f_s^0 vs its H_s series hecke_apply_W(h0, s) at s = 1, 3/2, both kinds."""
     t0 = time.time()
     ctx = LocalFieldCtx(3)
     worst = 0.0
     for kind in ("split", "inert"):
         for s in (1.0, 1.5):
             fw = basic_fW0(ctx, kind, s)
+            series = hecke_apply_W(ctx, kind, HeckeElt.basis(0), s)
             for v in range(-4, 5):
                 for u in (1, 2):
                     xi = Fraction(u) * Fraction(3) ** v
-                    worst = max(worst, abs(fw(xi) - fW_series_value(ctx, kind, s, xi)))
+                    worst = max(worst, abs(fw(xi) - series(xi)))
     elapsed = time.time() - t0
     report("criterion 6 (Lemma blue closed form vs series)", worst <= 1e-8,
            f"max residual {worst:.2e} <= 1e-8", elapsed)

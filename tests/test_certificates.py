@@ -16,10 +16,16 @@ from padicorb.orbital import (
     _assemble_sz,
     _certified_onset,
     _certify_floor,
-    _shell_atoms,
     _shell_values,
 )
-from padicorb.spaces import Germ, _certify, _certify_kl_tail, _deep_germ, kloosterman_germ
+from padicorb.spaces import (
+    Germ,
+    _certify,
+    _certify_kl_tail,
+    _deep_germ,
+    _value_atoms,
+    kloosterman_germ,
+)
 
 
 def test_germ_fit_rejects_an_off_line_shell():
@@ -38,11 +44,12 @@ def test_germ_fit_rejects_an_off_line_shell():
 
 def test_sampler_rejects_a_function_constant_at_no_level(ctx3):
     # constant on the cosets u + 27Z: certified at level 3, one atom per unit
-    atoms, level = _shell_atoms(ctx3, lambda x: float(x.numerator % 27), Fraction(0), 0, 1)
+    vals, level = _shell_values(ctx3, lambda x: float(x.numerator % 27), Fraction(0), 0, 1)
+    atoms = _value_atoms(ctx3, Fraction(0), 0, vals, level)
     assert level == 3 and len(atoms) == 18
     # depends on the unit mod 3^10: no level up to 9 passes the child check
     with pytest.raises(RepresentationError, match="did not stabilize"):
-        _shell_atoms(ctx3, lambda x: float(x.numerator % 3 ** 10), Fraction(0), 0, 1)
+        _shell_values(ctx3, lambda x: float(x.numerator % 3 ** 10), Fraction(0), 0, 1)
 
 
 def test_kloosterman_tail_rejects_a_wrong_constant(ctx3):

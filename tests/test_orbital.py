@@ -37,13 +37,11 @@ from padicorb.orbital import (
     _ONSET_RTOL,
     _TORUS_MARGIN,
     _coset_terms,
-    _shell_atoms,
     _shell_values,
     _x1_count,
     baby_orbital,
     basic_fW0,
     basic_fZ0,
-    fW_series_value,
     fourier_baby,
     gamma_star,
     hecke_apply_W,
@@ -72,6 +70,7 @@ from padicorb.orbital import (
 from padicorb.spaces import (
     Germ,
     SZElem,
+    _value_atoms,
     g_transform_Z_to_W,
     g_value_SX,
     g_value_Z_to_W,
@@ -613,10 +612,11 @@ def test_basic_fW0_blue_instances(ctx3):
 def test_basic_fW0_series_oracle(ctx3):
     for kind, s in (("split", 1.0), ("inert", 1.5), ("split", 1.5), ("inert", 1.0)):
         fw = basic_fW0(ctx3, kind, s)
+        series = hecke_apply_W(ctx3, kind, HeckeElt.basis(0), s)
         for v in range(-4, 5):
             for u in (1, 2):
                 xi = Fraction(u) * Fraction(3) ** v
-                assert abs(fw(xi) - fW_series_value(ctx3, kind, s, xi)) < 1e-8
+                assert abs(fw(xi) - series(xi)) < 1e-8
 
 
 def test_hecke_apply_W_h0_and_commutativity(ctx3):
@@ -918,7 +918,7 @@ def _unabsorbed(f, raw, L0, L1, start):
     atoms = f.atom_triples()
     for center, lo, hi in ((Fraction(0), f.germ0.level, L0), (Fraction(-1), f.germ_m1.level, L1)):
         for v in range(lo, hi):
-            atoms += _shell_atoms(ctx, raw, center, v, start)[0]
+            atoms += _value_atoms(ctx, center, v, *_shell_values(ctx, raw, center, v, start))
     return SZElem(ctx, f.kind, BruhatFn.from_atoms(ctx, "F", atoms),
                   Germ(f.germ0.a, f.germ0.b, L0), Germ(f.germ_m1.a, f.germ_m1.b, L1))
 

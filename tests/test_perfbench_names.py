@@ -1,13 +1,16 @@
-"""The padicorb names the benchmark in perfbench/ reaches by name still exist.
+"""The padicorb names and attributes the benchmark in perfbench/ reaches still exist.
 
-perfbench/worker.py calls library functions directly, perfbench/layers.py
-imports each layer module and reads three caches, and perfbench/run.py turns
-the traced functions it lists into per-layer metrics.  A prune that removes or
-renames any of them breaks the benchmark, not the rest of the test suite.
+perfbench/worker.py calls library functions directly and reads attributes of
+their results, perfbench/layers.py imports each layer module and reads three
+caches, and perfbench/run.py turns the traced functions it lists into
+per-layer metrics.  A prune that removes or renames any of them, or changes the
+shape of a result the worker reads, breaks the benchmark, not the rest of the
+test suite.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from functools import reduce
 from pathlib import Path
@@ -85,3 +88,47 @@ def test_names_used_by_perfbench_exist():
     assert len(padicorb.__all__) == len(set(padicorb.__all__))
     for name in padicorb.__all__:
         assert hasattr(padicorb, name), name
+
+
+def _worker():
+    """perfbench/worker.py as a module (its main() runs only as a script)."""
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_attributes_read_by_perfbench_exist():
+    """The attribute reads of perfbench/worker.py: `matching_error` indexes the
+    zero germ's level as [2] and reads the tail's M; `redraw` reads the baby
+    data's components, domain and atoms and rebuilds them positionally."""
+    import random
+    from fractions import Fraction
+
+    from padicorb.bruhat import Atom, BruhatFn
+    from padicorb.localfield import LocalFieldCtx
+    from padicorb.orbital import BabyInput, random_baby_data
+    from padicorb.spaces import Germ, SZElem, g_transform_Z_to_W
+
+    ctx = LocalFieldCtx(3)
+    window = BruhatFn.from_atoms(ctx, "F", [(Fraction(2, 3), 2, 0.5)])
+    w = g_transform_Z_to_W(SZElem(ctx, "split", window, Germ(0.25, 0.5, 2),
+                                  Germ(0.75, -0.25, 3)))
+    assert w.zero_germ[2] == w.zero_germ.level
+    assert type(w.inf_tail.M) is int
+
+    worker = _worker()
+    for kind in ("split", "inert"):
+        data = random_baby_data(ctx, kind, random.Random(1))
+        if kind == "inert":
+            assert isinstance(data, BabyInput) and data.ext.kind == "inert"
+            fns = [data.phi0, data.phi_alpha]
+        else:
+            fns = [data]
+        for f in fns:
+            assert isinstance(f.domain, str) and f.atoms
+            for a in f.atoms:
+                assert isinstance(a, Atom) and isinstance(a.center, tuple)
+                assert isinstance(a.level, int)
+        again = worker.redraw(ctx, data, random.Random(2))
+        assert type(again) is type(data)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from padicorb.errors import PoleError
+from padicorb.errors import DomainError, PoleError
 from padicorb.rational import Poly, RationalFnT, geometric_tail, weighted_geometric_tail
 
 
@@ -56,6 +56,15 @@ def test_geometric_tails_vs_brute():
                 brute_w = sum(k * (ratio * t) ** k for k in range(first, 400))
                 assert abs(g.eval(t) - brute_g) < 1e-10
                 assert abs(w.eval(t) - brute_w) < 1e-10
+
+
+def test_geometric_tails_reject_a_negative_start():
+    """A negative first power is a DomainError even where ratio ** first_power
+    would divide by zero."""
+    for tail in (geometric_tail, weighted_geometric_tail):
+        for ratio in (0.0, 0.5):
+            with pytest.raises(DomainError, match="nonnegative"):
+                tail(ratio, -1)
 
 
 def test_agreement_sampler():

@@ -277,16 +277,16 @@ def test_ip_torus_and_kuz(ctx3):
     assert abs(ip_torus(f) - 2.0 / math.log(3)) < 1e-12
     fi = SZElem(ctx3, "inert", BruhatFn.zero(ctx3, "F"), Germ(0, 0, 2), Germ(1.0, 2.0, 2))
     assert ip_torus(fi) == 2.0
-    w = SWElem(ctx3, "split", 0.0, BruhatFn.zero(ctx3, "F"), (0, 0, 2), KLTail(3.5j, 4))
+    w = SWElem(ctx3, "split", 0.0, BruhatFn.zero(ctx3, "F"), Germ(0, 0, 2), KLTail(3.5j, 4))
     assert ip_kuz(w) == 3.5j
-    w0 = SWElem(ctx3, "split", 0.0, BruhatFn.zero(ctx3, "F"), (0, 0, 2), KLTail(0, 4))
+    w0 = SWElem(ctx3, "split", 0.0, BruhatFn.zero(ctx3, "F"), Germ(0, 0, 2), KLTail(0, 4))
     assert ip_kuz(w0) == 0
 
 
 def test_sw_zero_germ_relation(ctx3):
     """O~_{0,delta^{1/2}}-type extractors equal the baby extractors of |.|^{-1} f."""
     c1, c2 = 0.7, -0.3
-    w = SWElem(ctx3, "split", 0.0, BruhatFn.zero(ctx3, "F"), (c1, c2, 2), KLTail(0, 5))
+    w = SWElem(ctx3, "split", 0.0, BruhatFn.zero(ctx3, "F"), Germ(c2, c1, 2), KLTail(0, 5))
     assert abs(sw_extract_O0_delta(w) - c1 / math.log(3)) < 1e-12
     assert sw_extract_second(w) == c2
     # representation faithfulness on the germ region
@@ -294,7 +294,7 @@ def test_sw_zero_germ_relation(ctx3):
         got = w.eval(Fraction(3) ** v)
         want = 3.0 ** (-v) * (c1 * v + c2)
         assert abs(got - want) < 1e-12
-    wi = SWElem(ctx3, "inert", 0.0, BruhatFn.zero(ctx3, "F"), (c1, c2, 2), KLTail(0, 5))
+    wi = SWElem(ctx3, "inert", 0.0, BruhatFn.zero(ctx3, "F"), Germ(c1, c2, 2), KLTail(0, 5))
     for v in (3, 4):
         got = wi.eval(Fraction(3) ** v)
         want = 3.0 ** (-v) * (c1 + c2 * (-1) ** v)
@@ -315,7 +315,7 @@ def test_serialization_roundtrip(ctx3):
     for x in (Fraction(1), Fraction(9), Fraction(-1) + Fraction(27)):
         assert abs(z2.eval(x) - z.eval(x)) < 1e-12
     w = SWElem(ctx3, "split", 0.0, BruhatFn.from_atoms(ctx3, "F", [(1, 1, 2.0)]),
-               (0.5, 0.6, 3), KLTail(1.25, 4))
+               Germ(0.6, 0.5, 3), KLTail(1.25, 4))
     w2 = element_from_json(ctx3, element_to_json(w))
     for x in (Fraction(1), Fraction(81), Fraction(7, 81)):
         assert abs(w2.eval(x) - w.eval(x)) < 1e-12
@@ -369,7 +369,7 @@ def test_element_from_json_rejects_malformed_documents(ctx3):
                 BruhatFn.from_atoms(ctx3, "F", [(Fraction(2, 3), 2, 1 + 2j)]),
                 Germ(0.5, -0.25, 2))
     sw = SWElem(ctx3, "inert", 0.0, BruhatFn.from_atoms(ctx3, "F", [(1, 1, 2.0)]),
-                (0.5, 0.6, 3), KLTail(1.25, 4))
+                Germ(0.5, 0.6, 3), KLTail(1.25, 4))
     sx_doc, sw_doc = json.loads(element_to_json(sx)), json.loads(element_to_json(sw))
     bad = ["", "{", "not json", "[]", "3", b"\xff", None]
     bad += [_malformed(sx_doc, (key,), _DELETE) for key in sx_doc]
@@ -398,6 +398,8 @@ def test_element_from_json_rejects_malformed_documents(ctx3):
         _malformed(sw_doc, ("s",), [0.0, 0.0, 0.0]),
         _malformed(sw_doc, ("zeroGerm", "level"), "3"),
         _malformed(sw_doc, ("infTail", "M"), 4.5),
+        _malformed(sw_doc, ("infTail", "M"), 0),                     # tail on |xi| <= 1
+        _malformed(sw_doc, ("infTail", "M"), -3),
         _malformed(sw_doc, ("infTail",), 1.25),
     ]
     for doc in bad:
