@@ -72,20 +72,21 @@ class Atom:
 
 @dataclass(frozen=True)
 class BruhatFn:
-    """Finite atom sum on the tagged domain; `canonical` means one common level
-    with pairwise disjoint cosets."""
+    """Finite atom sum on the tagged domain.  Its canonical form is its coset
+    table, one coefficient per disjoint coset at one common level: `from_table`
+    builds a function that is its own canonical form, and `canonicalize` sums
+    any other's atoms refined to their deepest level on integer coset keys."""
 
     ctx: LocalFieldCtx
     domain: str
     atoms: tuple[Atom, ...]
-    canonical: bool = False
     torsor_scale: Fraction | None = None  # E^alpha: a = N(e) of the base point
 
     def __post_init__(self):
         if self.domain not in _DOMAIN_DIM:
             raise DomainError(f"unknown domain tag {self.domain!r}")
-        if self.domain == "Ealpha" and self.torsor_scale is None:
-            raise DomainError("E^alpha data needs its torsor scale")
+        if (self.domain == "Ealpha") != (self.torsor_scale is not None):
+            raise DomainError("E^alpha data, and only E^alpha data, has a torsor scale")
 
     # --- constructors ---
 
@@ -100,6 +101,16 @@ class BruhatFn:
                         torsor_scale=Fraction(torsor_scale) if torsor_scale is not None else None)
 
     @staticmethod
+    def from_table(ctx, domain, level, table, torsor_scale=None) -> "BruhatFn":
+        """Its own canonical form: coefficient w on the coset at `level` with
+        the `_coset_key`s key, for (key, w) in the table, in the table's order."""
+        centers = {k: _key_center(k, ctx.p) for k in set().union(*table)}
+        atoms = tuple(Atom(tuple(centers[k] for k in key), level, w) for key, w in table.items())
+        out = BruhatFn(ctx, domain, atoms, torsor_scale)
+        out.__dict__.update(_canonical_form=out, coset_table=table)  # seeds the memos
+        return out
+
+    @staticmethod
     def indicator_ball(ctx, domain, center, level, torsor_scale=None) -> "BruhatFn":
         return BruhatFn.from_atoms(ctx, domain, [(center, level, 1.0)], torsor_scale)
 
@@ -107,7 +118,7 @@ class BruhatFn:
     def zero(ctx, domain="F", torsor_scale=None) -> "BruhatFn":
         ts = Fraction(torsor_scale) if torsor_scale is not None else (
             Fraction(ctx.p) if domain == "Ealpha" else None)
-        return BruhatFn(ctx, domain, (), canonical=True, torsor_scale=ts)
+        return BruhatFn.from_table(ctx, domain, 0, {}, ts)
 
     @property
     def dim(self) -> int:
@@ -118,22 +129,24 @@ class BruhatFn:
 
     # --- algebra ---
 
+    def _check_compatible(self, other: "BruhatFn") -> None:
+        if self.ctx.p != other.ctx.p:
+            raise DomainError("cannot combine functions over different primes")
+        if self.domain != other.domain or self.torsor_scale != other.torsor_scale:
+            raise DomainError("cannot combine functions on different domains or torsors")
+
     def scale(self, w) -> "BruhatFn":
         return BruhatFn(self.ctx, self.domain,
                         tuple(Atom(a.center, a.level, a.coef * complex(w)) for a in self.atoms),
-                        self.canonical, self.torsor_scale)
+                        self.torsor_scale)
 
     def __add__(self, other: "BruhatFn") -> "BruhatFn":
-        if self.ctx.p != other.ctx.p:
-            raise DomainError("cannot add functions over different primes")
+        self._check_compatible(other)
         if other.is_zero():
             return self
         if self.is_zero():
             return other
-        if self.domain != other.domain or self.torsor_scale != other.torsor_scale:
-            raise DomainError("cannot add functions on different domains")
-        return BruhatFn(self.ctx, self.domain, self.atoms + other.atoms,
-                        canonical=False, torsor_scale=self.torsor_scale)
+        return BruhatFn(self.ctx, self.domain, self.atoms + other.atoms, self.torsor_scale)
 
     def __sub__(self, other: "BruhatFn") -> "BruhatFn":
         return self + other.scale(-1.0)
@@ -150,30 +163,11 @@ class BruhatFn:
 
     @cached_property
     def _canonical_form(self) -> "BruhatFn":
-        if self.canonical:
-            return self
         p = self.ctx.p
         level = max((a.level for a in self.atoms), default=0)
-        cosets = sum(p ** (self.dim * (level - a.level)) for a in self.atoms)
-        if cosets > _MAX_REFINEMENT:
-            raise RepresentationError(
-                f"canonical form needs {cosets} cosets at level {level}, "
-                f"past the limit {_MAX_REFINEMENT}")
-        acc: dict[tuple, complex] = {}
-        for a in self.atoms:
-            step = Fraction(p) ** a.level
-            for combo in itertools.product(range(p ** (level - a.level)), repeat=self.dim):
-                key = tuple(_coset_key(c + s * step, level, p)
-                            for c, s in zip(a.center, combo))
-                acc[key] = acc.get(key, 0j) + a.coef
-        kept = sorted(((tuple(_key_center(k, p) for k in key), key, w)
-                       for key, w in acc.items() if abs(w) > 1e-14),
-                      key=lambda t: str(tuple((c.numerator, c.denominator) for c in t[0])))
-        out = BruhatFn(self.ctx, self.domain,
-                       tuple(Atom(center, level, w) for center, _, w in kept),
-                       True, self.torsor_scale)
-        out.__dict__["coset_table"] = {key: w for _, key, w in kept}  # seeds the memo
-        return out
+        table = _refine([(tuple(_coset_key(c, a.level, p) for c in a.center), a.level, a.coef)
+                         for a in self.atoms], level, p, self.dim)
+        return BruhatFn.from_table(self.ctx, self.domain, level, table, self.torsor_scale)
 
     @cached_property
     def level(self) -> int:
@@ -184,11 +178,7 @@ class BruhatFn:
     def coset_table(self) -> dict[tuple[tuple[int, int], ...], complex]:
         """Canonical coefficients keyed by the `_coset_key` of each coset at
         `level`, in the order of the canonical atoms."""
-        fc = self.canonicalize()
-        if fc is not self:
-            return fc.coset_table
-        p, level = self.ctx.p, self.level
-        return {tuple(_coset_key(c, level, p) for c in a.center): a.coef for a in self.atoms}
+        return self.canonicalize().coset_table
 
     @cached_property
     def axis_radii(self) -> tuple[int, ...]:
@@ -234,10 +224,40 @@ def _residue_key(v: int, res: int, level: int, p: int) -> tuple[int, int]:
     return (v, res % p ** (level - v))
 
 
+def _key_ratio(key: tuple[int, int], p: int) -> tuple[int, int]:
+    """The center res * p^v (res a unit or 0) of the coset with `_coset_key`
+    (v, res) as a reduced (numerator, denominator)."""
+    v, res = key
+    if not res:
+        return (0, 1)
+    return (res * p ** v, 1) if v >= 0 else (res, p ** -v)
+
+
 def _key_center(key: tuple[int, int], p: int) -> Fraction:
     """The center res * p^v of the coset with `_coset_key` (v, res)."""
-    v, res = key
-    return Fraction(res * p ** v) if v >= 0 else Fraction(res, p ** -v)
+    return Fraction(*_key_ratio(key, p))
+
+
+def _refine(entries: list, level: int, p: int, dim: int) -> dict:
+    """Coset table at `level` of the sum of the weights w on the cosets with
+    `_coset_key`s keys at level n <= `level`, (keys, n, w) in `entries`: the
+    cosets counted before any is built, then refined on integer residues;
+    entries at most 1e-14 dropped, the rest ordered by center."""
+    cosets = sum(p ** (dim * (level - n)) for _, n, _ in entries)
+    if cosets > _MAX_REFINEMENT:
+        raise RepresentationError(
+            f"canonical form needs {cosets} cosets at level {level}, "
+            f"past the limit {_MAX_REFINEMENT}")
+    acc: dict[tuple, complex] = {}
+    for keys, n, w in entries:
+        # the coset (v, res) at level n holds the points (res + s p^(n - v)) p^v
+        children = [[_residue_key(v, res + s * p ** (n - v), level, p)
+                     for s in range(p ** (level - n))] for v, res in keys]
+        for key in itertools.product(*children):
+            acc[key] = acc.get(key, 0j) + w
+    kept = sorted(((key, w) for key, w in acc.items() if abs(w) > 1e-14),
+                  key=lambda kw: str(tuple(_key_ratio(k, p) for k in kw[0])))
+    return dict(kept)
 
 
 # --- Fourier transforms -----------------------------------------------------------
@@ -247,14 +267,14 @@ def fourier(f: BruhatFn) -> BruhatFn:
     """Schoolbook transform on F: f^(y) = int f(x) psi^{-1}(xy) dx, self-dual dx."""
     if f.domain != "F":
         raise DomainError("fourier() is the one-variable transform on F")
-    return _fourier_nd(f, scales=(Fraction(1),))
+    return _fourier_nd(f, scales=(1,))
 
 
 def fourier_F2(f: BruhatFn) -> BruhatFn:
     """Transform on F^2 with kernel psi^{-1}(x1 y1 + x2 y2)."""
     if f.domain != "F2":
         raise DomainError("fourier_F2 expects F^2 data")
-    return _fourier_nd(f, scales=(Fraction(1), Fraction(1)))
+    return _fourier_nd(f, scales=(1, 1))
 
 
 def fourier_E(f: BruhatFn, ext: QuadExt) -> BruhatFn:
@@ -266,56 +286,55 @@ def fourier_E(f: BruhatFn, ext: QuadExt) -> BruhatFn:
     """
     if ext.kind != "inert":
         raise KindError("fourier_E needs an inert extension (split is coordinatewise)")
-    if f.domain == "E":
-        return _fourier_nd(f, scales=(Fraction(2), Fraction(-2 * ext.u)))
-    if f.domain != "Ealpha":
+    if f.domain not in ("E", "Ealpha"):
         raise DomainError("fourier_E expects E or E^alpha data")
-    a = f.torsor_scale
-    base = BruhatFn(f.ctx, "E", f.atoms, f.canonical)
-    hat0 = _fourier_nd(base, scales=(Fraction(2), Fraction(-2 * ext.u)))
-    va = rational_valuation(a, f.ctx.p)
-    abs_a = Fraction(f.ctx.q) ** (-va)
-    # substitute y -> a*y atomwise and multiply by |a|
-    atoms = tuple(
-        Atom(tuple(c / a for c in at.center), at.level - va, at.coef * float(abs_a))
-        for at in hat0.atoms
-    )
-    return BruhatFn(f.ctx, "Ealpha", atoms, hat0.canonical, torsor_scale=a)
+    hat0 = _fourier_nd(f, scales=(2, -2 * ext.u))
+    if f.domain == "E":
+        return hat0
+    a, p = f.torsor_scale, f.ctx.p
+    va = rational_valuation(a, p)
+    abs_a = float(Fraction(f.ctx.q) ** (-va))
+    # substitute y -> a*y and multiply by |a|: with a = p^va * ua, the coset
+    # (v, res) at level L becomes (v - va, res / ua) at level L - va
+    level = hat0.level
+    depth = max([1] + [level - v for key in hat0.coset_table for v, _ in key])
+    inv = pow(unit_mod(a, va, p, depth), -1, p ** depth)
+    table = {tuple((v - va, res * inv % p ** (level - v)) for v, res in key): w * abs_a
+             for key, w in hat0.coset_table.items()}
+    return BruhatFn.from_table(f.ctx, "Ealpha", level - va, table, a)
 
 
-def _fourier_nd(f: BruhatFn, scales: tuple[Fraction, ...]) -> BruhatFn:
-    """Product-kernel transform psi^{-1}(sum_i s_i x_i y_i), coordinatewise.
+def _fourier_nd(f: BruhatFn, scales: tuple[int, ...]) -> BruhatFn:
+    """Product-kernel transform psi^{-1}(sum_i s_i x_i y_i) for units s_i in Z.
 
-    Output cosets at the common conductor level are indexed by integers
-    r = 0..p^M - 1 (centers r p^-n).  Each atom coordinate c contributes
-    psi^{-1}(s c r p^-n) = z^(k r) with z = e(-1/p^M) and an integer phase k,
-    so the weights are summed per phase and the sum is one discrete Fourier
-    transform from the table of the p^M roots z^j: over the last coordinate,
-    then over the first.  Entries at most 1e-12 times the largest are dropped.
+    Output cosets at the common conductor level are indexed and keyed by
+    integers r = 0..p^M - 1 (centers r p^-n).  Each coset coordinate c of the
+    table contributes psi^{-1}(s c r p^-n) = z^(k r), z = e(-1/p^M), with an
+    integer phase k read off its key, so the weights are summed per phase and
+    the sum is one discrete Fourier transform from the table of the p^M roots
+    z^j: over the last coordinate, then over the first.  Entries at most
+    1e-12 times the largest are dropped.
     """
-    f = f.canonicalize()
-    ctx = f.ctx
+    ctx, table = f.ctx, f.coset_table
     p = ctx.p
-    if f.is_zero():
+    if not table:
         return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
     n = f.level
-    out_level = max([-n] + [-rational_valuation(s * c, p) for a in f.atoms
-                            for c, s in zip(a.center, scales) if c != 0])
+    out_level = max([-n] + [-v for key in table for v, _ in key if v < n])
     span = p ** (out_level + n)
     vol = float(Fraction(ctx.q) ** (-n * f.dim))
 
-    def phase(c: Fraction, s: Fraction) -> int:
-        # k with psi^{-1}(s c r p^-n) = z^(k r); m is the conductor exponent in r
-        sc = s * c
-        v = rational_valuation(sc, p)
-        m = n - v
-        return unit_mod(sc, v, p, m) * (span // p ** m) if sc and m > 0 else 0
+    def phase(key: tuple[int, int], s: int) -> int:
+        # k with psi^{-1}(s c r p^-n) = z^(k r) for c = res p^v: s c has the
+        # unit s res, and p^(n - v) is the conductor exponent in r
+        v, res = key
+        return s * res % p ** (n - v) * (span // p ** (n - v)) if v < n else 0
 
     rows: dict[int, dict[int, complex]] = {}  # first phase -> last phase -> weight
-    for a in f.atoms:
-        ks = [phase(c, s) for c, s in zip(a.center, scales)]
+    for key, w in table.items():
+        ks = [phase(k, s) for k, s in zip(key, scales)]
         row = rows.setdefault(ks[0] if f.dim > 1 else 0, {})
-        row[ks[-1]] = row.get(ks[-1], 0j) + a.coef * vol
+        row[ks[-1]] = row.get(ks[-1], 0j) + w * vol
     roots = [complex(math.cos(t), math.sin(t))
              for t in (-2 * math.pi * j / span for j in range(span))]
     last = {k: _dft(row, roots) for k, row in rows.items()}
@@ -325,10 +344,9 @@ def _fourier_nd(f: BruhatFn, scales: tuple[Fraction, ...]) -> BruhatFn:
         cols = [_dft({k: t[r2] for k, t in last.items()}, roots) for r2 in range(span)]
         total = {(r1, r2): cols[r2][r1] for r1 in range(span) for r2 in range(span)}
     thresh = 1e-12 * max(map(abs, total.values()))
-    centers = [Fraction(r) / Fraction(p) ** n for r in range(span)]
-    atoms = tuple(Atom(tuple(centers[r] for r in idx), out_level, w)
-                  for idx, w in total.items() if abs(w) > thresh)
-    return BruhatFn(ctx, f.domain, atoms, True, f.torsor_scale)
+    keys = [_residue_key(-n, r, out_level, p) for r in range(span)]  # of r p^-n
+    table = {tuple(keys[r] for r in idx): w for idx, w in total.items() if abs(w) > thresh}
+    return BruhatFn.from_table(ctx, f.domain, out_level, table, f.torsor_scale)
 
 
 def _dft(weights: dict[int, complex], roots: list[complex]) -> list[complex]:
@@ -339,15 +357,12 @@ def _dft(weights: dict[int, complex], roots: list[complex]) -> list[complex]:
 
 def negate_argument(f: BruhatFn) -> BruhatFn:
     atoms = tuple(Atom(tuple(-c for c in a.center), a.level, a.coef) for a in f.atoms)
-    return BruhatFn(f.ctx, f.domain, atoms, f.canonical, f.torsor_scale)
+    return BruhatFn(f.ctx, f.domain, atoms, f.torsor_scale)
 
 
 def inner_product(f: BruhatFn, g: BruhatFn) -> complex:
     """Bilinear int f*g dx (no conjugation), both refined to a common level."""
-    if f.ctx.p != g.ctx.p:
-        raise DomainError("inner product needs a common prime")
-    if f.domain != g.domain:
-        raise DomainError("inner product needs a common domain")
+    f._check_compatible(g)
     if not f.coset_table or not g.coset_table:
         return 0j
     level = max(f.level, g.level)
@@ -361,19 +376,15 @@ def inner_product(f: BruhatFn, g: BruhatFn) -> complex:
 
 
 def integral(f: BruhatFn) -> complex:
-    fc = f.canonicalize()
-    vol = float(Fraction(f.ctx.q) ** (-f.level * fc.dim)) if fc.atoms else 0.0
-    return sum((a.coef for a in fc.atoms), 0j) * vol
+    return sum(f.coset_table.values(), 0j) * float(Fraction(f.ctx.q) ** (-f.level * f.dim))
 
 
 def _table_at(f: BruhatFn, level: int) -> dict:
     """Coset table of f refined to `level` >= f.level."""
     if f.level == level:
         return f.coset_table
-    forced = BruhatFn(f.ctx, f.domain, f.canonicalize().atoms +
-                      (Atom(tuple([Fraction(0)] * f.dim), level, 0j),),
-                      torsor_scale=f.torsor_scale)
-    return forced.coset_table
+    return _refine([(key, f.level, w) for key, w in f.coset_table.items()],
+                   level, f.ctx.p, f.dim)
 
 
 # --- Mellin characters and Tate integrals ----------------------------------------
@@ -423,30 +434,27 @@ def tate_zeta(f: BruhatFn, chi: MellinCharacter) -> RationalFnT:
     """zeta(f, chi, s) = int f(x) chi(x) |x|^s d^x x as a rational function of t."""
     if f.domain != "F":
         raise DomainError("tate_zeta works on F")
-    fc = f.canonicalize()
-    ctx = f.ctx
+    ctx, level = f.ctx, f.level
     laurent: dict[int, complex] = {}
     tails = RationalFnT.zero()
     vol_shell = float(ctx.vol_Ox)
-    for a in fc.atoms:
-        c = a.center[0]
-        vc = rational_valuation(c, ctx.p)
-        if vc < a.level:
-            # the atom sits inside the shell |x| = q^-vc
+    for ((vc, _),), coef in f.coset_table.items():
+        if vc < level:
+            # the coset sits inside the shell |x| = q^-vc
             sign = chi.sign_of_val(vc)
-            mass = float(Fraction(ctx.q) ** (vc - a.level))  # d^x-volume of the atom
-            laurent[vc] = laurent.get(vc, 0j) + a.coef * sign * mass
+            mass = float(Fraction(ctx.q) ** (vc - level))  # d^x-volume of the coset
+            laurent[vc] = laurent.get(vc, 0j) + coef * sign * mass
         else:
             # full ball p^level * o around zero: geometric sum over deep shells
-            if a.level < 0:
-                for k in range(a.level, 0):
+            if level < 0:
+                for k in range(level, 0):
                     sign = chi.sign_of_val(k)
-                    laurent[k] = laurent.get(k, 0j) + a.coef * sign * vol_shell
+                    laurent[k] = laurent.get(k, 0j) + coef * sign * vol_shell
                 start = 0
             else:
-                start = a.level
+                start = level
             ratio = -1.0 if chi.quadratic == "eta" else 1.0
-            tails = tails + geometric_tail(ratio, start).scale(a.coef * vol_shell)
+            tails = tails + geometric_tail(ratio, start).scale(coef * vol_shell)
     return _laurent_to_rational(laurent) + tails
 
 

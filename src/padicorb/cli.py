@@ -108,7 +108,9 @@ def _one_of(*choices: str):
 
 
 def _hecke_spec(text: str) -> str:
-    parse_hecke_list(text)  # usage validation before any work
+    # usage validation before any work; a zero element checks nothing (0 = 0)
+    if any(h.is_zero() for h in parse_hecke_list(text)):
+        raise UsageError("a Hecke element is zero")
     return text
 
 

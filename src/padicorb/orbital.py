@@ -129,12 +129,11 @@ def split_germ_data(phi: BruhatFn) -> Germ:
 
 def _axis_restriction(phi: BruhatFn, axis: int) -> BruhatFn:
     """Phi(x, 0) or Phi(0, y) as a one-variable BruhatFn."""
-    atoms = []
-    for a in phi.canonicalize().atoms:
-        other = a.center[1 - axis]
-        if rational_valuation(other, phi.ctx.p) >= a.level:
-            atoms.append((a.center[axis], a.level, a.coef))
-    return BruhatFn.from_atoms(phi.ctx, "F", atoms)
+    # the cosets whose other coordinate has the key (level, 0) of the ball around 0
+    return BruhatFn.from_atoms(phi.ctx, "F", [
+        (a.center[axis], a.level, a.coef)
+        for a, key in zip(phi.canonicalize().atoms, phi.coset_table)
+        if key[1 - axis][0] >= a.level])
 
 
 @dataclass(frozen=True)
@@ -329,11 +328,10 @@ def fourier_baby(data, kind: str):
     ext = data.ext
     ctx = ext.ctx
     hat0 = fourier_E(data.phi0, ext)
-    alpha = BruhatFn(ctx, "Ealpha", data.phi_alpha.atoms, data.phi_alpha.canonical,
-                     torsor_scale=torsor_scale(ctx))
-    hat_alpha = fourier_E(alpha, ext)
-    return BabyInput(ext, hat0,
-                     BruhatFn(ctx, "E", hat_alpha.atoms, hat_alpha.canonical))
+    phi = data.phi_alpha
+    hat = fourier_E(BruhatFn.from_table(ctx, "Ealpha", phi.level, phi.coset_table,
+                                        torsor_scale(ctx)), ext)
+    return BabyInput(ext, hat0, BruhatFn.from_table(ctx, "E", hat.level, hat.coset_table))
 
 
 # --- S(Z) from the two charts ------------------------------------------------------
@@ -1015,18 +1013,14 @@ def random_baby_data(ctx: LocalFieldCtx, kind: str, rng):
         den = ctx.p ** rng.randrange(0, 2)
         return Fraction(num, den)
 
+    def rnd_fn(domain):
+        return BruhatFn.from_atoms(ctx, domain, [
+            ((rnd_center(), rnd_center()), rng.randrange(0, 3), rnd_coef())
+            for _ in range(n_atoms)])
+
     if kind == "split":
-        atoms = [((rnd_center(), rnd_center()), rng.randrange(0, 3), rnd_coef())
-                 for _ in range(n_atoms)]
-        return BruhatFn.from_atoms(ctx, "F2", atoms)
-    ext = QuadExt(ctx, kind)
-    e_atoms = [((rnd_center(), rnd_center()), rng.randrange(0, 3), rnd_coef())
-               for _ in range(n_atoms)]
-    a_atoms = [((rnd_center(), rnd_center()), rng.randrange(0, 3), rnd_coef())
-               for _ in range(n_atoms)]
-    return BabyInput(ext,
-                     BruhatFn.from_atoms(ctx, "E", e_atoms),
-                     BruhatFn.from_atoms(ctx, "E", a_atoms))
+        return rnd_fn("F2")
+    return BabyInput(QuadExt(ctx, kind), rnd_fn("E"), rnd_fn("E"))
 
 
 def verify_matching(ctx: LocalFieldCtx, kind: str, samples: int = 10,

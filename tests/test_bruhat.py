@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -12,6 +13,7 @@ from padicorb.bruhat import (
     Atom,
     BruhatFn,
     MellinCharacter,
+    _coset_key,
     fourier,
     fourier_E,
     fourier_F2,
@@ -93,6 +95,70 @@ def test_canonical_form_memoized(ctx3):
     assert list(f.coset_table.values()) == [a.coef for a in fc.atoms]
 
 
+def test_table_sums_overlapping_atoms(ctx3):
+    """1_o + 1_{po} given as two atoms: BruhatFn takes no `canonical` field
+    (and only E^alpha data a torsor scale), so the table refines and sums
+    them, agrees with eval, and integrates to 4/3."""
+    from padicorb.errors import DomainError
+
+    assert "canonical" not in {fld.name for fld in dataclasses.fields(BruhatFn)}
+    atoms = (Atom((Fraction(0),), 0, 1.0), Atom((Fraction(0),), 1, 1.0))
+    with pytest.raises(DomainError):  # an old positional flag lands on torsor_scale
+        BruhatFn(ctx3, "F", atoms, True)
+    f = BruhatFn(ctx3, "F", atoms)
+    assert f.coset_table == {((1, 0),): 2, ((0, 1),): 1, ((0, 2),): 1}
+    assert integral(f) == pytest.approx(4 / 3)
+    ev = f.make_evaluator()
+    for x in (0, 3, -6, 1, 2, 4, 5, Fraction(1, 3), Fraction(7, 2)):
+        assert ev(Fraction(x)) == f.eval(x)
+
+
+def _count_coset_keys(monkeypatch):
+    """Patch `bruhat._coset_key` to record its calls; returns the record."""
+    calls, key = [], bruhat._coset_key
+
+    def counted(c, level, p):
+        calls.append(c)
+        return key(c, level, p)
+
+    monkeypatch.setattr(bruhat, "_coset_key", counted)
+    return calls
+
+
+def _mixed_level_fns(ctx3):
+    rng = random.Random(17)
+    return [random_fn(ctx3, rng, domain="F2", n_atoms=5),
+            random_fn(ctx3, rng, domain="E", n_atoms=5),
+            _random_on(ctx3, rng, "Ealpha", Fraction(2 * 9, 7), n_atoms=5)]
+
+
+def test_refinement_keys_each_atom_coordinate_once(ctx3, monkeypatch):
+    """A canonical form keys each atom coordinate once and refines on integer
+    keys; refining a table further keys nothing."""
+    funcs = _mixed_level_fns(ctx3)
+    calls = _count_coset_keys(monkeypatch)
+    for f in funcs:
+        assert len({a.level for a in f.atoms}) > 1
+        before = len(calls)
+        f.canonicalize()
+        assert len(calls) - before <= f.dim * len(f.atoms)
+        before = len(calls)
+        assert len(bruhat._table_at(f, f.level + 1)) > len(f.coset_table)
+        assert len(calls) == before
+
+
+def test_fourier_tables_need_no_coset_keys(ctx3, monkeypatch):
+    """fourier_F2 and fourier_E key their output cosets from the integer
+    indices of the transform (and the torsor substitution on the keys)."""
+    ext = QuadExt(ctx3, "inert")
+    funcs = [f.canonicalize() for f in _mixed_level_fns(ctx3)]
+    calls = _count_coset_keys(monkeypatch)
+    for f in funcs:
+        hat = fourier_F2(f) if f.domain == "F2" else fourier_E(f, ext)
+        assert hat.coset_table and hat.canonicalize() is hat
+    assert calls == []
+
+
 def test_refinement_limit(ctx3):
     from padicorb.errors import DomainError, RepresentationError
 
@@ -111,14 +177,25 @@ def test_refinement_limit(ctx3):
 
 def test_cross_prime_arithmetic_raises():
     """1_{1+3o} at p = 3 and 1_{1+5o} at p = 5 share no field: their sum,
-    difference and inner product are refused, also when one side is zero."""
+    difference and inner product are refused, as are those of functions on
+    different domains or torsors, also when one side is zero."""
     from padicorb.errors import DomainError
 
-    f = BruhatFn.indicator_ball(LocalFieldCtx(3), "F", 1, 1)
+    ctx3 = LocalFieldCtx(3)
+    f = BruhatFn.indicator_ball(ctx3, "F", 1, 1)
     g = BruhatFn.indicator_ball(LocalFieldCtx(5), "F", 1, 1)
     zero5 = BruhatFn.zero(LocalFieldCtx(5))
+    on_f = BruhatFn.from_atoms(ctx3, "F", [(1, 1, 2.0)])
+    zero_f2 = BruhatFn.zero(ctx3, "F2")
+    ea = BruhatFn.indicator_ball(ctx3, "Ealpha", (1, 0), 1, torsor_scale=3)
+    eb = BruhatFn.indicator_ball(ctx3, "Ealpha", (1, 0), 1, torsor_scale=12)
+    zero_eb = BruhatFn.zero(ctx3, "Ealpha", torsor_scale=12)
     for run in (lambda: f + g, lambda: f - g, lambda: g + f, lambda: f + zero5,
-                lambda: inner_product(f, g), lambda: inner_product(f, zero5)):
+                lambda: inner_product(f, g), lambda: inner_product(f, zero5),
+                lambda: on_f + zero_f2, lambda: zero_f2 + on_f, lambda: on_f - zero_f2,
+                lambda: inner_product(on_f, zero_f2), lambda: ea + eb, lambda: ea + zero_eb,
+                lambda: zero_eb + ea, lambda: inner_product(ea, eb),
+                lambda: inner_product(zero_eb, ea)):
         with pytest.raises(DomainError):
             run()
     assert (f + f).eval(1) == 2 and inner_product(f, f) == pytest.approx(1 / 3)
@@ -223,8 +300,9 @@ def test_fourier_E_torsor_scaling(ctx3, ext3i):
 
 def _numpy_fourier_nd(f, scales):
     """The library's earlier numpy transform, outer products of vectorized
-    one-dimensional character sums, with the relative drop rule: the oracle
-    for `bruhat._fourier_nd`."""
+    one-dimensional character sums, with the relative drop rule, its cosets
+    keyed by `_coset_key` of the centers r p^-n: the oracle for
+    `bruhat._fourier_nd`."""
     f = f.canonicalize()
     ctx = f.ctx
     p = ctx.p
@@ -258,9 +336,9 @@ def _numpy_fourier_nd(f, scales):
         total += a.coef * (vecs[0] if f.dim == 1 else np.outer(*vecs))
     thresh = 1e-12 * float(np.abs(total).max())
     pn = Fraction(p) ** n
-    atoms = tuple(Atom(tuple(Fraction(int(r)) / pn for r in idx), out_level, complex(total[idx]))
-                  for idx in zip(*np.nonzero(np.abs(total) > thresh)))
-    return BruhatFn(ctx, f.domain, atoms, True, f.torsor_scale)
+    table = {tuple(_coset_key(Fraction(int(r)) / pn, out_level, p) for r in idx):
+             complex(total[idx]) for idx in zip(*np.nonzero(np.abs(total) > thresh))}
+    return BruhatFn.from_table(ctx, f.domain, out_level, table, f.torsor_scale)
 
 
 def _transforms(ctx):

@@ -18,6 +18,12 @@ def test_usage_errors(tmp_path):
     assert run(["verify-fl", "--p", "3", "--hecke", "x:y"]) == 2
     assert run(["verify-fl", "--p", "3", "--hecke", "0:nan"]) == 2
     assert run(["verify-fl", "--p", "3", "--hecke", "0:1,1:inf"]) == 2
+    # a zero element checks nothing, from a flag or a config file
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("hecke=1:1;0:1,0:-1\n")
+    for args in (["--hecke", "0:0"], ["--hecke", "1:1;2:0"], ["--config", str(cfg)]):
+        assert run(["verify-fl", "--p", "3", *args, "--out", str(tmp_path / "z.json")]) == 2
+    assert not (tmp_path / "z.json").exists()
     for tol in ("nan", "inf", "-1", "0"):
         assert run(["tables", "--p", "3", "--tolerance", tol]) == 2
     # a tiny finite tolerance is valid: the run completes and its checks fail
