@@ -1,10 +1,10 @@
 """Locally constant compactly supported functions on F, F^2, E and E^alpha.
 
-Atoms are cosets c + p^n*o^d with complex weights; all transforms are closed
-form (finite character sums), so a BruhatFn is closed under Fourier transform
-and the double transform is exactly f(-x).  Each atom coordinate enters the
-transform as an integer phase against one table of roots of unity, so the
-transform is a plain-Python discrete Fourier transform of the summed weights.
+A function is a sum of weighted cosets c + p^n*o^d stored by integer coset
+keys; all transforms are closed form (finite character sums), so a BruhatFn is
+closed under Fourier transform and the double transform is exactly f(-x).  Each
+key enters the transform as an integer phase against one table of roots of
+unity, so the transform is a plain-Python discrete Fourier transform.
 Tate zeta integrals, Mellin components and gamma factors are produced as
 rational functions in t = q^(-s), the gamma factor always by solving the local
 functional equation with a test function rather than from a hard-coded formula.
@@ -66,20 +66,20 @@ class Atom:
     level: int
     coef: complex
 
-    def contains(self, x: Point, p: int) -> bool:
-        return all(rational_valuation(xc - cc, p) >= self.level for xc, cc in zip(x, self.center))
-
 
 @dataclass(frozen=True)
 class BruhatFn:
-    """Finite atom sum on the tagged domain.  Its canonical form is its coset
-    table, one coefficient per disjoint coset at one common level: `from_table`
-    builds a function that is its own canonical form, and `canonicalize` sums
-    any other's atoms refined to their deepest level on integer coset keys."""
+    """Finite sum of weighted cosets on the tagged domain: `entries` holds one
+    (keys, level, coef) per coset, keys its `_coset_key` per coordinate; cosets
+    may overlap and keep their order.  `atoms` views them as `Atom`s, with the
+    caller's `Fraction` centres for `from_atoms`, else each key's `_key_center`.
+    The canonical form is the coset table, one coefficient per disjoint coset
+    at one common level: `from_table` builds its own canonical form, and
+    `canonicalize` refines any other's entries to their deepest level."""
 
     ctx: LocalFieldCtx
     domain: str
-    atoms: tuple[Atom, ...]
+    entries: tuple[tuple[tuple[tuple[int, int], ...], int, complex], ...]
     torsor_scale: Fraction | None = None  # E^alpha: a = N(e) of the base point
 
     def __post_init__(self):
@@ -92,21 +92,21 @@ class BruhatFn:
 
     @staticmethod
     def from_atoms(ctx, domain, triples, torsor_scale=None) -> "BruhatFn":
-        dim = _DOMAIN_DIM[domain]
-        atoms = tuple(
-            Atom(_as_point(c, dim), _as_level(n), complex(w))
-            for (c, n, w) in triples if complex(w) != 0
-        )
-        return BruhatFn(ctx, domain, atoms,
-                        torsor_scale=Fraction(torsor_scale) if torsor_scale is not None else None)
+        dim, p = _DOMAIN_DIM[domain], ctx.p
+        atoms = tuple(Atom(_as_point(c, dim), _as_level(n), complex(w))
+                      for (c, n, w) in triples if complex(w) != 0)
+        out = BruhatFn(ctx, domain, tuple((tuple(_coset_key(c, a.level, p) for c in a.center),
+                                           a.level, a.coef) for a in atoms),
+                       torsor_scale=Fraction(torsor_scale) if torsor_scale is not None else None)
+        out.__dict__["atoms"] = atoms  # seeds the view with the caller's centres
+        return out
 
     @staticmethod
     def from_table(ctx, domain, level, table, torsor_scale=None) -> "BruhatFn":
         """Its own canonical form: coefficient w on the coset at `level` with
         the `_coset_key`s key, for (key, w) in the table, in the table's order."""
-        centers = {k: _key_center(k, ctx.p) for k in set().union(*table)}
-        atoms = tuple(Atom(tuple(centers[k] for k in key), level, w) for key, w in table.items())
-        out = BruhatFn(ctx, domain, atoms, torsor_scale)
+        out = BruhatFn(ctx, domain, tuple((key, level, w) for key, w in table.items()),
+                       torsor_scale)
         out.__dict__.update(_canonical_form=out, coset_table=table)  # seeds the memos
         return out
 
@@ -125,7 +125,13 @@ class BruhatFn:
         return _DOMAIN_DIM[self.domain]
 
     def is_zero(self) -> bool:
-        return not self.atoms
+        return not self.entries
+
+    @cached_property
+    def atoms(self) -> tuple[Atom, ...]:
+        p = self.ctx.p
+        return tuple(Atom(tuple(_key_center(k, p) for k in keys), n, w)
+                     for keys, n, w in self.entries)
 
     # --- algebra ---
 
@@ -137,7 +143,7 @@ class BruhatFn:
 
     def scale(self, w) -> "BruhatFn":
         return BruhatFn(self.ctx, self.domain,
-                        tuple(Atom(a.center, a.level, a.coef * complex(w)) for a in self.atoms),
+                        tuple((keys, n, c * complex(w)) for keys, n, c in self.entries),
                         self.torsor_scale)
 
     def __add__(self, other: "BruhatFn") -> "BruhatFn":
@@ -146,7 +152,7 @@ class BruhatFn:
             return self
         if self.is_zero():
             return other
-        return BruhatFn(self.ctx, self.domain, self.atoms + other.atoms, self.torsor_scale)
+        return BruhatFn(self.ctx, self.domain, self.entries + other.entries, self.torsor_scale)
 
     def __sub__(self, other: "BruhatFn") -> "BruhatFn":
         return self + other.scale(-1.0)
@@ -154,30 +160,31 @@ class BruhatFn:
     # --- evaluation and canonical form ---
 
     def eval(self, x) -> complex:
-        """Sum of the coefficients of the atoms containing x (atom overlap sums)."""
-        pt = _as_point(x, self.dim)
-        return sum((a.coef for a in self.atoms if a.contains(pt, self.ctx.p)), 0j)
+        """Sum of the coefficients of the entries whose coset holds x (overlaps
+        sum), x keyed once per distinct entry level."""
+        pt, p = _as_point(x, self.dim), self.ctx.p
+        keyed = {n: tuple(_coset_key(c, n, p) for c in pt)
+                 for n in {n for _, n, _ in self.entries}}
+        return sum((w for keys, n, w in self.entries if keyed[n] == keys), 0j)
 
     def canonicalize(self) -> "BruhatFn":
         return self._canonical_form
 
     @cached_property
     def _canonical_form(self) -> "BruhatFn":
-        p = self.ctx.p
-        level = max((a.level for a in self.atoms), default=0)
-        table = _refine([(tuple(_coset_key(c, a.level, p) for c in a.center), a.level, a.coef)
-                         for a in self.atoms], level, p, self.dim)
+        level = max((n for _, n, _ in self.entries), default=0)
+        table = _refine(self.entries, level, self.ctx.p, self.dim)
         return BruhatFn.from_table(self.ctx, self.domain, level, table, self.torsor_scale)
 
     @cached_property
     def level(self) -> int:
         """Common level of the canonical form (0 for the zero function)."""
-        return max((a.level for a in self.canonicalize().atoms), default=0)
+        return max((n for _, n, _ in self.canonicalize().entries), default=0)
 
     @cached_property
     def coset_table(self) -> dict[tuple[tuple[int, int], ...], complex]:
         """Canonical coefficients keyed by the `_coset_key` of each coset at
-        `level`, in the order of the canonical atoms."""
+        `level`, in the order of the canonical entries."""
         return self.canonicalize().coset_table
 
     @cached_property
@@ -189,19 +196,8 @@ class BruhatFn:
                      for i in range(self.dim))
 
     def make_evaluator(self):
-        """O(1)-per-point evaluator: lookup in the coset table."""
-        table = self.coset_table
-        if not table:
-            return lambda x: 0j
-        level, p, dim = self.level, self.ctx.p, self.dim
-
-        def ev(x) -> complex:
-            pt = x if isinstance(x, tuple) else (x,)
-            if len(pt) != dim:
-                raise DomainError("point dimension mismatch")
-            return table.get(tuple(_coset_key(Fraction(c), level, p) for c in pt), 0j)
-
-        return ev
+        """Point evaluator: `eval`, which keys the point once per entry level."""
+        return self.eval
 
 
 def _coset_key(c: Fraction, level: int, p: int) -> tuple[int, int]:
@@ -238,7 +234,7 @@ def _key_center(key: tuple[int, int], p: int) -> Fraction:
     return Fraction(*_key_ratio(key, p))
 
 
-def _refine(entries: list, level: int, p: int, dim: int) -> dict:
+def _refine(entries, level: int, p: int, dim: int) -> dict:
     """Coset table at `level` of the sum of the weights w on the cosets with
     `_coset_key`s keys at level n <= `level`, (keys, n, w) in `entries`: the
     cosets counted before any is built, then refined on integer residues;
@@ -356,8 +352,11 @@ def _dft(weights: dict[int, complex], roots: list[complex]) -> list[complex]:
 
 
 def negate_argument(f: BruhatFn) -> BruhatFn:
-    atoms = tuple(Atom(tuple(-c for c in a.center), a.level, a.coef) for a in f.atoms)
-    return BruhatFn(f.ctx, f.domain, atoms, f.torsor_scale)
+    # -c has the key (v, -res) of c's key (v, res)
+    p = f.ctx.p
+    entries = tuple((tuple((v, -res % p ** (n - v)) for v, res in keys), n, w)
+                    for keys, n, w in f.entries)
+    return BruhatFn(f.ctx, f.domain, entries, f.torsor_scale)
 
 
 def inner_product(f: BruhatFn, g: BruhatFn) -> complex:
@@ -383,8 +382,7 @@ def _table_at(f: BruhatFn, level: int) -> dict:
     """Coset table of f refined to `level` >= f.level."""
     if f.level == level:
         return f.coset_table
-    return _refine([(key, f.level, w) for key, w in f.coset_table.items()],
-                   level, f.ctx.p, f.dim)
+    return _refine(f.canonicalize().entries, level, f.ctx.p, f.dim)
 
 
 # --- Mellin characters and Tate integrals ----------------------------------------
@@ -464,14 +462,12 @@ def mellin_component(f_window: BruhatFn, chi: MellinCharacter) -> RationalFnT:
     ctx = f_window.ctx
     qh = ctx.q ** 0.5
     laurent: dict[int, complex] = {}
-    for at in f_window.atoms:  # linear in atoms: no canonical refinement
-        c = at.center[0]
-        vc = rational_valuation(c, ctx.p)
-        if vc >= at.level:
+    for ((vc, _),), n, w in f_window.entries:  # linear in entries: no canonical refinement
+        if vc >= n:
             raise UnsupportedAtomError("window atom touches 0; put it in the germ")
         sign = chi.sign_of_val(vc)
-        mass = float(Fraction(ctx.q) ** (vc - at.level)) * qh ** (-vc)
-        laurent[vc] = laurent.get(vc, 0j) + at.coef * sign * mass
+        mass = float(Fraction(ctx.q) ** (vc - n)) * qh ** (-vc)
+        laurent[vc] = laurent.get(vc, 0j) + w * sign * mass
     return _laurent_to_rational(laurent)
 
 

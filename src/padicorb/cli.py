@@ -300,6 +300,8 @@ def cmd_tables(cfg: dict) -> int:
     start = time.perf_counter()
     ctx = LocalFieldCtx(cfg["p"])
     lo, hi = cfg["val_window"]
+    # the basic vector at s = 1 carries |xi|^2 = q^(-2v)
+    ctx.check_float_power(-2 * lo, f"valuation window {cfg['val_window']}")
     rows = []
     max_delta = 0.0
     for m in range(0, 5):

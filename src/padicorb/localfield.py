@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -123,6 +124,13 @@ class LocalFieldCtx:
         frac = Fraction(frac)
         num = frac.numerator % frac.denominator
         return _root_of_unity(num, frac.denominator)
+
+    def check_float_power(self, e: int, what: str) -> None:
+        """DomainError unless float(q) ** e cannot overflow: q^e <= the largest
+        float, checked on logarithms before a huge e builds a big integer."""
+        top = sys.float_info.max
+        if e > 0 and (e * math.log(self.q) > math.log(top) + 1 or self.q ** e > top):
+            raise DomainError(f"{what}: {self.q}^{e} exceeds the largest float")
 
     def __repr__(self) -> str:
         return f"LocalFieldCtx(p={self.p})"

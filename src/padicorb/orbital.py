@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DomainError,
@@ -130,10 +131,9 @@ def split_germ_data(phi: BruhatFn) -> Germ:
 def _axis_restriction(phi: BruhatFn, axis: int) -> BruhatFn:
     """Phi(x, 0) or Phi(0, y) as a one-variable BruhatFn."""
     # the cosets whose other coordinate has the key (level, 0) of the ball around 0
-    return BruhatFn.from_atoms(phi.ctx, "F", [
-        (a.center[axis], a.level, a.coef)
-        for a, key in zip(phi.canonicalize().atoms, phi.coset_table)
-        if key[1 - axis][0] >= a.level])
+    return BruhatFn(phi.ctx, "F", tuple(
+        ((keys[axis],), n, w) for keys, n, w in phi.canonicalize().entries
+        if keys[1 - axis][0] >= n))
 
 
 @dataclass(frozen=True)
@@ -183,14 +183,10 @@ def norm_one_reps(ext: QuadExt, m: int) -> list[tuple[int, int]]:
     return out
 
 
-_norm_one_cache: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-
-def _norm_one(ext: QuadExt, m: int) -> list[tuple[int, int]]:
-    key = (ext.ctx.p, m)
-    if key not in _norm_one_cache:
-        _norm_one_cache[key] = norm_one_reps(ext, m)
-    return _norm_one_cache[key]
+@lru_cache(maxsize=None)
+def _norm_one(p: int, m: int) -> list[tuple[int, int]]:
+    """`norm_one_reps` of the inert extension of Q_p, which p alone fixes."""
+    return norm_one_reps(QuadExt(LocalFieldCtx(p), "inert"), m)
 
 
 def norm_lift(ext: QuadExt, target: Fraction, prec: int) -> tuple[int, int]:
@@ -238,7 +234,7 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
     total = 0j
     mass = float(ctx.q) ** (-m)
     ub = ext.u * ib % mod
-    for (ta, tb) in _norm_one(ext, m):
+    for (ta, tb) in _norm_one(p, m):
         hit = table.get((_residue_key(w, (ia * ta + ub * tb) % mod, level, p),
                          _residue_key(w, (ia * tb + ib * ta) % mod, level, p)))
         if hit is not None:
@@ -309,9 +305,8 @@ def sx_from_baby(data, kind: str) -> SXElem:
                                max(level, baby_xi_level(kind, data, v)))
               for v in range(lo, germ.level)}
     germ = _certified_onset(kind, germ, shells)
-    atoms = [a for v in range(lo, germ.level)
-             for a in _value_atoms(ctx, Fraction(0), v, *shells[v])]
-    out = SXElem(ctx, kind, BruhatFn.from_atoms(ctx, "F", atoms), germ)
+    entries = [e for v in range(lo, germ.level) for e in _value_atoms(ctx, 0, v, *shells[v])]
+    out = SXElem(ctx, kind, BruhatFn(ctx, "F", tuple(entries)), germ)
     for x in (Fraction(1 + p ** level), Fraction(p) ** (germ.level + 1),
               2 * Fraction(p) ** germ.level, Fraction(1 + p ** level, p)):
         _certify(out.eval(x), raw(x), 1e-9, f"S(X) representation mismatch at {x}")
@@ -444,11 +439,11 @@ def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
                    for vz in range(zeta_cut, germ_m1.level)}
     germ0 = _certified_onset(kind, germ0, {v: s for v, s in xi_shells.items() if v > 0})
     germ_m1 = _certified_onset(kind, germ_m1, zeta_shells)
-    atoms = [a for v in range(lo, germ0.level)
-             for a in _value_atoms(ctx, Fraction(0), v, *xi_shells[v])]
-    atoms += [a for vz in range(zeta_cut, germ_m1.level)
-              for a in _value_atoms(ctx, Fraction(-1), vz, *zeta_shells[vz])]
-    out = SZElem(ctx, kind, BruhatFn.from_atoms(ctx, "F", atoms), germ0, germ_m1)
+    entries = [e for v in range(lo, germ0.level)
+               for e in _value_atoms(ctx, 0, v, *xi_shells[v])]
+    entries += [e for vz in range(zeta_cut, germ_m1.level)
+                for e in _value_atoms(ctx, -1, vz, *zeta_shells[vz])]
+    out = SZElem(ctx, kind, BruhatFn(ctx, "F", tuple(entries)), germ0, germ_m1)
     _certify_sz(out, raw, lo)
     return out
 
@@ -779,12 +774,10 @@ def hecke_apply_W(ctx: LocalFieldCtx, kind: str, h: HeckeElt, s: complex = 0.0):
     """Evaluator xi -> (h * f_W^s)(xi) through the characteristic-section basis."""
     if h.is_zero():
         return lambda xi: 0j
-    cache: dict[int, complex] = {}
 
+    @lru_cache(maxsize=None)
     def d_of(k: int) -> complex:
-        if k not in cache:
-            cache[k] = _hs_expansion_coeff(ctx, kind, h, s, k)
-        return cache[k]
+        return _hs_expansion_coeff(ctx, kind, h, s, k)
 
     def value(xi) -> complex:
         xi = Fraction(xi)
@@ -819,10 +812,10 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
                       depth)
     C = hecke_apply_W_tail(ctx, kind, h, s)
     _certify_kl_tail(ctx, value, C, (-2, -4), (1, 2), 1e-9)
-    atoms = []
+    entries = []
     for v in range(-1, depth):
-        atoms += _value_atoms(ctx, Fraction(0), v, *_shell_values(ctx, value, Fraction(0), v, 1))
-    out = SWElem(ctx, kind, s, BruhatFn.from_atoms(ctx, "F", atoms), germ, KLTail(C, 2))
+        entries += _value_atoms(ctx, 0, v, *_shell_values(ctx, value, Fraction(0), v, 1))
+    out = SWElem(ctx, kind, s, BruhatFn(ctx, "F", tuple(entries)), germ, KLTail(C, 2))
     for xi in (Fraction(1 + ctx.p), Fraction(ctx.p) ** (depth + 1),
                Fraction(2) * Fraction(ctx.p) ** -6):
         _certify(out.eval(xi), value(xi), 1e-9,
@@ -927,10 +920,11 @@ class FLReport:
 def verify_fl(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
               window: tuple[int, int] = (-4, 4), tolerance: float = 1e-8) -> FLReport:
     """|.|G(h * f_Z0) vs h * f_W0 pointwise on the window, with the fitted
-    global constant required to be 1."""
+    global constant required to be 1; a window past float range (q^-lo) raises."""
     lo, hi = window
     if lo > hi:
         raise DomainError(f"empty valuation window {window}")
+    ctx.check_float_power(-lo, f"valuation window {window}")
     start = time.perf_counter()
     fz = hecke_apply_Z(ctx, kind, h)
     rhs_eval = hecke_apply_W(ctx, kind, h, 0.0)

@@ -35,7 +35,8 @@ from .errors import (
     UnsupportedAtomError,
     WindowError,
 )
-from .bruhat import BruhatFn, MellinCharacter, _key_center, _laurent_to_rational, mellin_component
+from .bruhat import (BruhatFn, MellinCharacter, _key_center, _laurent_to_rational,
+                     _residue_key, mellin_component)
 from .localfield import (
     INF,
     LocalFieldCtx,
@@ -236,13 +237,10 @@ class SXElem:
             return self.germ0.eval(self.kind, v) + self.window.eval(xi)
         return self.window.eval(xi)
 
-    def atom_triples(self) -> list[tuple[Fraction, int, complex]]:
-        return [(a.center[0], a.level, a.coef) for a in self.window.atoms]
-
     @cached_property
     def _terms(self) -> tuple[_Term, ...]:
         """F f as the G engine reads it (`_shell_terms`), built once per element."""
-        return _shell_terms(self.ctx, self.kind, self.atom_triples(), self.germ0, None)
+        return _shell_terms(self.ctx, self.kind, self.window.entries, self.germ0, None)
 
 
 @dataclass(frozen=True)
@@ -273,13 +271,10 @@ class SZElem:
             out += self.germ_m1.eval(self.kind, vz)
         return out
 
-    def atom_triples(self) -> list[tuple[Fraction, int, complex]]:
-        return [(a.center[0], a.level, a.coef) for a in self.window.atoms]
-
     @cached_property
     def _terms(self) -> tuple[_Term, ...]:
         """F f as the G engine reads it (`_shell_terms`), built once per element."""
-        return _shell_terms(self.ctx, self.kind, self.atom_triples(), self.germ0, self.germ_m1)
+        return _shell_terms(self.ctx, self.kind, self.window.entries, self.germ0, self.germ_m1)
 
 
 @dataclass(frozen=True)
@@ -354,17 +349,15 @@ def iota_window(ext: QuadExt, f: BruhatFn) -> BruhatFn:
     """iota(f)(x) = eta(x)|x|^{-1} f(1/x) for a window away from 0 (exact)."""
     if f.domain != "F":
         raise DomainError("iota acts on functions on F^x")
-    atoms = []
-    for a in f.canonicalize().atoms:
-        c = a.center[0]
-        vc = rational_valuation(c, f.ctx.p)
-        if vc >= a.level:
+    entries = []
+    for ((vc, res),), n, w in f.canonicalize().entries:
+        if vc >= n:
             raise UnsupportedAtomError("window atom touches 0; iota needs F^x support")
-        # the inverse of c + p^n o (n > val c) is 1/c + p^{n - 2 val c} o,
-        # where |x|^{-1} = q^{-val c} and eta is constant on the shell
-        w = a.coef * ext.eta_of_val(vc) * float(Fraction(f.ctx.q) ** (-vc))
-        atoms.append((1 / c, a.level - 2 * vc, w))
-    return BruhatFn.from_atoms(f.ctx, "F", atoms)
+        # the inverse of c + p^n o (n > val c) is 1/c + p^{n - 2 val c} o, keyed
+        # (-val c, 1/res); |x|^{-1} = q^{-val c} and eta is constant on the shell
+        w = w * ext.eta_of_val(vc) * float(Fraction(f.ctx.q) ** (-vc))
+        entries.append((((-vc, pow(res, -1, f.ctx.p ** (n - vc))),), n - 2 * vc, w))
+    return BruhatFn(f.ctx, "F", tuple(entries))
 
 
 def iota_eval(ext: QuadExt, f_eval, xi) -> complex:
@@ -380,22 +373,23 @@ def iota_eval(ext: QuadExt, f_eval, xi) -> complex:
 # A shell term (b, first, ft) of F = fourier(f): on the shell |y| = q^k of the
 # G integral, k >= first, (F f)(1/y) = ft(k) psi(b/y), with b in the integer
 # form of _val_and_unit_key.  Below `first` the term is ft's pure tail, zero for
-# a window atom; first = -INF for a term read on every shell.
+# a window atom; first = -INF for a term read on every shell.  A window atom's b
+# is its key, the unit of -c mod p^(n - val c): the plan reads it mod p^m, with
+# m = 1 on the top shell and m <= n - val c on the resonant shell k0 >= -n.
 _Term = tuple[tuple[int, int, int], int, _GermTransform]
 
 
-def _shell_terms(ctx: LocalFieldCtx, kind: str, atoms, germ0: Germ | None,
+def _shell_terms(ctx: LocalFieldCtx, kind: str, entries, germ0: Germ | None,
                  germ_m1: Germ | None) -> tuple[_Term, ...]:
-    """F = fourier(f) as the G engine reads it: the window atom w 1_{c + p^n o}
-    is the term (-c, -n, (w q^-n, 0, n)), the germ at 0 is (0, -L, F germ0) and
-    the germ at -1 is (1, -INF, F germ_m1)."""
+    """F = fourier(f) as the G engine reads it: the window entry w 1_{c + p^n o},
+    keyed (val c, res), is the term (-c, -n, (w q^-n, 0, n)), the germ at 0 is
+    (0, -L, F germ0) and the germ at -1 is (1, -INF, F germ_m1)."""
     terms = []
-    for (c, n, w) in atoms:
-        vc, num, den = _val_and_unit_key(ctx, c)
+    for ((vc, res),), n, w in entries:
         if vc >= n:
             raise UnsupportedAtomError("window atom touches 0; G needs F^x support")
         ft = _GermTransform(complex(w) * float(ctx.q) ** (-n), 0j, n)
-        terms.append(((vc, -num, den), -n, ft))
+        terms.append(((vc, -res, 1), -n, ft))
     if germ0 and not germ0.is_zero():
         terms.append((_val_and_unit_key(ctx, 0), -germ0.level,
                       _germ_transform(ctx, kind, germ0)))
@@ -553,12 +547,13 @@ def _deep_germ(kind: str, value, depth: int) -> Germ:
     return _fit_germ(kind, values)
 
 
-def _value_atoms(ctx: LocalFieldCtx, center: Fraction, v: int,
+def _value_atoms(ctx: LocalFieldCtx, center: int, v: int,
                  vals: dict[int, complex], level: int) -> list:
-    """Window atoms of the values `vals` at the units u mod p^level on the shell
-    center + (units)*p^v, one per coset whose value exceeds 1e-12."""
-    unit = Fraction(ctx.p) ** v
-    return [(center + Fraction(u) * unit, v + level, w)
+    """Window entries of the values `vals` at the units u mod p^level on the
+    shell center + (units)*p^v (center 0, or an integer with v >= 0), one per
+    coset whose value exceeds 1e-12."""
+    return [(((v, u) if center == 0 else
+              _residue_key(0, center + u * ctx.p ** v, v + level, ctx.p),), v + level, w)
             for u, w in vals.items() if abs(w) > 1e-12]
 
 
@@ -566,14 +561,14 @@ def _window(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...], shells: ran
             weighted: bool) -> BruhatFn:
     """Window of G f, or of |.|G f when `weighted`, on the given shells: one plan
     per shell, evaluated at every unit coset of its level."""
-    atoms = []
+    entries = []
     for v in shells:
         plan = _shell_plan(ctx, kind, terms, v)
         weight = float(ctx.q) ** (-v)
         vals = {u: weight * plan.value(ctx, u) if weighted else plan.value(ctx, u)
                 for u in unit_reps(ctx.p, plan.level)}
-        atoms += _value_atoms(ctx, Fraction(0), v, vals, plan.level)
-    return BruhatFn.from_atoms(ctx, "F", atoms)
+        entries += _value_atoms(ctx, 0, v, vals, plan.level)
+    return BruhatFn(ctx, "F", tuple(entries))
 
 
 def g_transform_SX(f: SXElem) -> SXElem:

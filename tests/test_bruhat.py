@@ -102,15 +102,51 @@ def test_table_sums_overlapping_atoms(ctx3):
     from padicorb.errors import DomainError
 
     assert "canonical" not in {fld.name for fld in dataclasses.fields(BruhatFn)}
-    atoms = (Atom((Fraction(0),), 0, 1.0), Atom((Fraction(0),), 1, 1.0))
+    entries = ((((0, 0),), 0, 1.0), (((1, 0),), 1, 1.0))  # the keys of 0 at levels 0, 1
     with pytest.raises(DomainError):  # an old positional flag lands on torsor_scale
-        BruhatFn(ctx3, "F", atoms, True)
-    f = BruhatFn(ctx3, "F", atoms)
+        BruhatFn(ctx3, "F", entries, True)
+    f = BruhatFn(ctx3, "F", entries)
     assert f.coset_table == {((1, 0),): 2, ((0, 1),): 1, ((0, 2),): 1}
     assert integral(f) == pytest.approx(4 / 3)
     ev = f.make_evaluator()
     for x in (0, 3, -6, 1, 2, 4, 5, Fraction(1, 3), Fraction(7, 2)):
         assert ev(Fraction(x)) == f.eval(x)
+
+
+def test_from_atoms_keeps_the_caller_centres(ctx3):
+    """`atoms` of a function built from atoms are the caller's own: a level-0
+    coordinate at 5 is read back as 5, not as the key's centre 0."""
+    f = BruhatFn.from_atoms(ctx3, "F2", [((5, Fraction(7, 3)), 0, 1.0)])
+    assert f.atoms == (Atom((Fraction(5), Fraction(7, 3)), 0, 1.0 + 0j),)
+    assert f.atoms[0].center == (5, Fraction(7, 3))
+
+
+def test_entries_are_the_stored_form(ctx3):
+    """A BruhatFn stores (keys, level, coef) entries, one `_coset_key` per
+    coordinate; `atoms` is a view, not a field, and is read-only."""
+    f = BruhatFn.from_atoms(ctx3, "F2", [((5, Fraction(7, 3)), 0, 1.0)])
+    assert f.entries == ((((0, 0), (-1, 1)), 0, 1.0 + 0j),)
+    assert "atoms" not in {fld.name for fld in dataclasses.fields(BruhatFn)}
+    assert BruhatFn(ctx3, "F2", f.entries).atoms == (Atom((Fraction(0), Fraction(1, 3)), 0, 1.0),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.atoms = ()
+
+
+def test_fourier_baby_reads_no_key_centres(ctx3, monkeypatch):
+    """The Fourier transform of inert baby data, its tables, levels and value
+    at 0 are computed on integer keys alone: no key is turned into a centre."""
+    from padicorb.orbital import fourier_baby, random_baby_data
+
+    calls = []
+    centre = bruhat._key_center
+    monkeypatch.setattr(bruhat, "_key_center", lambda *a: calls.append(a) or centre(*a))
+    for seed in range(3):
+        data = random_baby_data(ctx3, "inert", random.Random(seed))
+        hat = fourier_baby(data, "inert")
+        for f in (hat.phi0, hat.phi_alpha):
+            assert f.coset_table and f.level >= 0
+            f.eval((0, 0))
+    assert calls == []
 
 
 def _count_coset_keys(monkeypatch):
@@ -285,7 +321,7 @@ def test_fourier_E_torsor_scaling(ctx3, ext3i):
     """Unit torsor scale: same as untwisted up to the stated substitution."""
     rng = random.Random(11)
     base = random_fn(ctx3, rng, domain="E", n_atoms=3)
-    twisted = BruhatFn(ctx3, "Ealpha", base.atoms, torsor_scale=Fraction(2))
+    twisted = BruhatFn(ctx3, "Ealpha", base.entries, torsor_scale=Fraction(2))
     hat_t = fourier_E(twisted, ext3i)
     hat_0 = fourier_E(base, ext3i)
     # |a|=1: hat(Phi^a)(y) = hat(Phi0)(a y)
@@ -351,7 +387,7 @@ def _transforms(ctx):
 
 def _random_on(ctx, rng, domain, torsor_scale, **kw):
     f = random_fn(ctx, rng, "F" if domain == "F" else "E", **kw)
-    return BruhatFn(ctx, domain, f.atoms, torsor_scale=torsor_scale)
+    return BruhatFn(ctx, domain, f.entries, torsor_scale=torsor_scale)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -154,6 +154,21 @@ def test_verify_fl_cli_smoke(tmp_path):
     assert doc["results"][0]["fittedConstant"][0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_window_past_float_range_is_a_computation_failure(tmp_path, capsys):
+    """A window whose q-power overflows a float (q^-lo for verify-fl, its square
+    for the s = 1 basic vector of tables) exits 3 with a typed error, before any
+    report is written; the shell above the bound still runs."""
+    out = tmp_path / "r.json"
+    for args in (["verify-fl", "--val-window", "-700:-690"],
+                 ["verify-fl", "--p", "5", "--val-window", "-442:-442"],
+                 ["tables", "--val-window", "-330:-324"],
+                 ["tables", "--p", "5", "--val-window", "-221:-221"]):
+        assert run([*args, "--out", str(out)]) == 3, args
+        assert "DomainError" in capsys.readouterr().err and not out.exists()
+    assert run(["tables", "--val-window", "-323:-323", "--out", str(out)]) in (0, 1)
+    assert out.exists()
+
+
 def test_verify_fl_complex_hecke_label(tmp_path, capsys):
     """A coefficient with an imaginary part keeps it in the printed label and
     in the CSV hecke column; a real coefficient prints as a real number."""

@@ -147,7 +147,8 @@ def test_norm_one_count(ctx3, ext3i):
 @pytest.mark.parametrize("p", [3, 5])
 def test_o_baby_split_matches_atom_scan(p):
     """The integer-keyed split orbital against the same finite sum taken with
-    the atom scan `BruhatFn.eval`, which uses no coset key."""
+    `BruhatFn.eval`, which keys each rational point by `_coset_key` instead of
+    building its residues."""
     ctx = LocalFieldCtx(p)
     for seed in range(12):  # 576 points per prime
         phi = random_baby_data(ctx, "split", random.Random(40 + seed))
@@ -737,6 +738,22 @@ def test_empty_verifications_raise(ctx3):
         verify_matching(ctx3, "split", samples=0)
 
 
+@pytest.mark.parametrize("p,first_bad", [(3, -647), (5, -442)])
+def test_verify_fl_refuses_a_window_past_float_range(p, first_bad, monkeypatch):
+    """|.|G f carries q^-v: from the first valuation where q^-v overflows a
+    float, verify_fl raises DomainError before any work; one shell above runs."""
+    ctx = LocalFieldCtx(p)
+    calls = []
+    monkeypatch.setattr(orbital, "hecke_apply_Z", lambda *a: calls.append(a))
+    for window in ((first_bad, first_bad), (-10 ** 9, 0)):
+        with pytest.raises(DomainError, match="exceeds the largest float"):
+            verify_fl(ctx, "split", HeckeElt.basis(0), window=window)
+    assert not calls
+    monkeypatch.undo()
+    rep = verify_fl(ctx, "split", HeckeElt.basis(0), window=(first_bad + 1, first_bad + 1))
+    assert len(rep.points) == 2
+
+
 def test_verify_fl_split_h1(ctx3):
     rep = verify_fl(ctx3, "split", HeckeElt.basis(1), window=(-3, 3))
     assert rep.passed
@@ -915,11 +932,12 @@ def _unabsorbed(f, raw, L0, L1, start):
     """`f` with its germs back at the chart levels L0 and L1 and the shells they
     absorbed sampled into the window again: the element before absorption."""
     ctx = f.ctx
-    atoms = f.atom_triples()
-    for center, lo, hi in ((Fraction(0), f.germ0.level, L0), (Fraction(-1), f.germ_m1.level, L1)):
+    entries = list(f.window.entries)
+    for center, lo, hi in ((0, f.germ0.level, L0), (-1, f.germ_m1.level, L1)):
         for v in range(lo, hi):
-            atoms += _value_atoms(ctx, center, v, *_shell_values(ctx, raw, center, v, start))
-    return SZElem(ctx, f.kind, BruhatFn.from_atoms(ctx, "F", atoms),
+            entries += _value_atoms(ctx, center, v,
+                                    *_shell_values(ctx, raw, Fraction(center), v, start))
+    return SZElem(ctx, f.kind, BruhatFn(ctx, "F", tuple(entries)),
                   Germ(f.germ0.a, f.germ0.b, L0), Germ(f.germ_m1.a, f.germ_m1.b, L1))
 
 

@@ -464,8 +464,8 @@ def _seeded_windows(p, kind, seed):
     sx = sx_from_baby(random_baby_data(ctx, kind, rng), kind)
     sz = sz_from_charts(random_baby_data(ctx, kind, rng), random_baby_data(ctx, kind, rng),
                         kind)
-    tx = _shell_terms(ctx, kind, sx.atom_triples(), sx.germ0, None)
-    tz = _shell_terms(ctx, kind, sz.atom_triples(), sz.germ0, sz.germ_m1)
+    tx = _shell_terms(ctx, kind, sx.window.entries, sx.germ0, None)
+    tz = _shell_terms(ctx, kind, sz.window.entries, sz.germ0, sz.germ_m1)
     tail_m = g_transform_Z_to_W(sz).inf_tail.M
     return ((tx, range(_support_bound(tx), _germ_depth(tx))),
             (tz, range(1 - tail_m, _germ_depth(tz))))
@@ -604,3 +604,75 @@ def test_osc_cache_keys_are_p_m_n():
         assert len(key) == 3 and all(type(x) is int for x in key), key
         p, m, n = key
         assert m >= 1 and 0 <= n < p ** m, key
+
+
+def _seeded_sz(ctx, kind, seed):
+    from padicorb.orbital import random_baby_data, sz_from_charts
+
+    rng = random.Random(seed)
+    return sz_from_charts(random_baby_data(ctx, kind, rng), random_baby_data(ctx, kind, rng),
+                          kind)
+
+
+def test_window_eval_keys_once_per_level(ctx3, monkeypatch):
+    """`eval` on a G window values the point once per distinct entry level,
+    not once per entry."""
+    from padicorb import bruhat
+    from padicorb.spaces import g_transform_Z_to_W
+
+    window = g_transform_Z_to_W(_seeded_sz(ctx3, "split", 3)).window
+    levels = {a.level for a in window.atoms}
+    assert len(window.atoms) > 2 * len(levels)
+    calls = []
+    valuation = bruhat.rational_valuation
+    monkeypatch.setattr(bruhat, "rational_valuation",
+                        lambda x, p: calls.append(x) or valuation(x, p))
+    for v in (-3, 0, 2):
+        for u in (1, 2, 4):
+            before = len(calls)
+            window.eval(u * Fraction(3) ** v)
+            assert len(calls) - before <= len(levels), (u, v)
+
+
+def _terms_from_centres(ctx, kind, f):
+    """The shell terms of an S(Z) element read off its window's `Atom`
+    centres with `_val_and_unit_key`, every digit of the centre kept."""
+    from padicorb.spaces import _GermTransform, _shell_terms, _val_and_unit_key
+
+    terms = []
+    for a in f.window.atoms:
+        vc, num, den = _val_and_unit_key(ctx, a.center[0])
+        ft = _GermTransform(a.coef * float(ctx.q) ** (-a.level), 0j, a.level)
+        terms.append(((vc, -num, den), -a.level, ft))
+    return tuple(terms) + _shell_terms(ctx, kind, (), f.germ0, f.germ_m1)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_shell_terms_from_keys_match_full_centres(p, kind):
+    """G read off a window's coset keys equals G read off the full rational
+    centres, bit for bit: the plans read the unit of a centre only to the
+    digits its key keeps.  Checked on windows with many-digit caller centres
+    and on a seeded chart element, shells -8..8, units 1, 2 and 4."""
+    from padicorb.spaces import _g_value, _shell_terms
+
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(50 + p)
+    elems = [_seeded_sz(ctx, kind, 5)]
+    for _ in range(3):
+        atoms = []
+        for _ in range(6):
+            n = rng.randrange(-2, 4)
+            vc = rng.randrange(n - 4, n)
+            unit = Fraction(rng.choice([x for x in range(1, p ** 6) if x % p]),
+                            rng.choice([1, 2, 7, 11]))
+            atoms.append((unit * Fraction(p) ** vc, n, complex(rng.gauss(0, 1), rng.gauss(0, 1))))
+        elems.append(SZElem(ctx, kind, BruhatFn.from_atoms(ctx, "F", atoms),
+                            Germ(0.5, -0.25, 3), Germ(-1.5, 0.75, 2)))
+    for f in elems:
+        keyed = _shell_terms(ctx, kind, f.window.entries, f.germ0, f.germ_m1)
+        full = _terms_from_centres(ctx, kind, f)
+        for v in range(-8, 9):
+            for u in (1, 2, 4):
+                xi = u * Fraction(p) ** v
+                assert _g_value(ctx, kind, keyed, xi) == _g_value(ctx, kind, full, xi), (v, u)
