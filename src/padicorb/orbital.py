@@ -8,6 +8,7 @@ harnesses (matching, fundamental lemma) compare the two sides pointwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -290,8 +291,13 @@ def baby_support_floor(kind: str, data) -> int:
 
 
 def sx_from_baby(data, kind: str) -> SXElem:
-    """S(X) element (window + exact germ at 0) of the baby orbital of `data`;
-    the germ starts at its certified onset (`_certified_onset`)."""
+    """S(X) element (window + exact germ at 0) of the baby orbital of `data`.
+
+    Each shell's values come from the closed-form `chart_image` at the level
+    `baby_xi_level` gives; the germ starts at its certified onset
+    (`_certified_onset`), and the probes and the floor certificate check the
+    element against the pointwise `baby_orbital`.
+    """
     ctx = _baby_ctx(kind, data)
 
     def raw(xi):
@@ -301,8 +307,8 @@ def sx_from_baby(data, kind: str) -> SXElem:
     level = _FIRST_LEVEL
     lo = baby_support_floor(kind, data)
     germ = _baby_germ(kind, data)
-    shells = {v: _shell_values(ctx, raw, Fraction(0), v,
-                               max(level, baby_xi_level(kind, data, v)))
+    charts = ((chart_image(kind, data), 1, 0),)
+    shells = {v: _image_shell(ctx, charts, 0, v, max(level, baby_xi_level(kind, data, v)))
               for v in range(lo, germ.level)}
     germ = _certified_onset(kind, germ, shells)
     entries = [e for v in range(lo, germ.level) for e in _value_atoms(ctx, 0, v, *shells[v])]
@@ -327,6 +333,162 @@ def fourier_baby(data, kind: str):
     hat = fourier_E(BruhatFn.from_table(ctx, "Ealpha", phi.level, phi.coset_table,
                                         torsor_scale(ctx)), ext)
     return BabyInput(ext, hat0, BruhatFn.from_table(ctx, "E", hat.level, hat.coset_table))
+
+
+# --- chart orbitals in closed form ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ChartImage:
+    """A baby orbital in closed form, the pushforward of its chart's coset table.
+
+    On the shell val x = v its value at a unit u of x is the sum of
+    c (v - first)^n over the `deep` terms (first, step, n) -> c with
+    v = first, first + step, ..., plus, for each k in `units[v]`, the weight
+    of u mod p^k there: u needs to be known mod p^`level(v)`.
+    """
+
+    p: int
+    units: dict[int, dict[int, dict[int, complex]]]  # v -> k -> unit mod p^k -> weight
+    deep: dict[tuple[int, int, int], complex]
+
+    def level(self, v: int) -> int:
+        return max(self.units.get(v, ()), default=0)
+
+    def value(self, v: int, u: int) -> complex:
+        total = 0j
+        for (first, step, n), c in self.deep.items():
+            if v >= first and (v - first) % step == 0:
+                total += c * (v - first) ** n
+        for k, weights in self.units.get(v, {}).items():
+            total += weights.get(u % self.p ** k, 0j)
+        return total
+
+    def coset_value(self, v: int, u: int, digits: int) -> complex | None:
+        """The value on the units = u mod p^digits of the shell v, or None
+        where it takes more than one value there (`_same_value`)."""
+        k = self.level(v)
+        if k <= digits:
+            return self.value(v, u)
+        step = self.p ** digits
+        first = self.value(v, u)
+        for t in range(1, self.p ** (k - digits)):
+            if not _same_value(self.value(v, u + t * step), first):
+                return None
+        return first
+
+
+def _add(table: dict, key, w: complex):
+    table[key] = table.get(key, 0j) + w
+
+
+def split_image(phi: BruhatFn) -> ChartImage:
+    """`o_baby_split` of phi in closed form, from phi's coset table at level L.
+
+    The coset with keys (v1, r1), (v2, r2) meets {(a xi, 1/a)} in a set of
+    d^x a-volume read off the keys:
+      - v1, v2 < L, k_i = L - v_i: q^-max(k) when xi has val v1 + v2 and unit
+        r1 r2 mod p^min(k), else empty;
+      - one key (L, 0) (the ball around 0), the other v < L: q^-(L - v) on
+        every shell val xi >= L + v;
+      - both (L, 0): (1 - 1/q) max(0, val xi - 2L + 1), one unit shell of a
+        for each val a in L - val xi .. -L.
+    """
+    ctx, L = phi.ctx, phi.level
+    p, q = ctx.p, float(ctx.q)
+    units: dict = {}
+    deep: dict = {}
+    for ((v1, r1), (v2, r2)), w in phi.coset_table.items():
+        if v1 < L and v2 < L:
+            k1, k2 = L - v1, L - v2
+            k = min(k1, k2)
+            _add(units.setdefault(v1 + v2, {}).setdefault(k, {}), r1 * r2 % p ** k,
+                 w * q ** -max(k1, k2))
+        elif v1 < L or v2 < L:
+            v = min(v1, v2)
+            _add(deep, (L + v, 1, 0), w * q ** (v - L))
+        else:
+            _add(deep, (2 * L - 1, 1, 1), w * float(ctx.vol_Ox))
+    return ChartImage(p, units, deep)
+
+
+def nonsplit_image(inp: BabyInput) -> ChartImage:
+    """`o_baby_nonsplit` of inp in closed form, from the coset tables of phi0
+    (even shells, target xi) and phi_alpha (odd shells, target xi/p: the
+    torsor scale is p, so the target keeps the unit of xi).
+
+    A coset with keys (v1, r1), (v2, r2) at level L is z0 + p^L O_E with
+    z0 = p^w (a + b sqrt(u)), w = min(v1, v2).  When w < L, k = L - w, the
+    orbit z T(F) of N(z) = target meets z0 (1 + p^k O_E) in volume q^-k when
+    target lies in N(z0)(1 + p^k o), else not at all; the ball p^L O_E holds
+    all of z T(F), of volume 1 + 1/q, once val target >= 2L.
+    """
+    ext = inp.ext
+    ctx, u = ext.ctx, ext.u
+    p, q = ctx.p, float(ctx.q)
+    units: dict = {}
+    deep: dict = {}
+    for parity, data in ((0, inp.phi0), (1, inp.phi_alpha)):
+        L = data.level
+        for ((v1, r1), (v2, r2)), w in data.coset_table.items():
+            wv = min(v1, v2)
+            if wv >= L:
+                _add(deep, (2 * L + parity, 2, 0), w * float(ctx.vol_T_inert()))
+                continue
+            k = L - wv
+            a, b = r1 * p ** (v1 - wv), r2 * p ** (v2 - wv)  # a key (L, 0) has r = 0
+            _add(units.setdefault(2 * wv + parity, {}).setdefault(k, {}),
+                 (a * a - u * b * b) % p ** k, w * q ** -k)
+    return ChartImage(p, units, deep)
+
+
+def chart_image(kind: str, data) -> ChartImage:
+    if kind == "split":
+        return split_image(data)
+    return nonsplit_image(data)
+
+
+def _image_shell(ctx: LocalFieldCtx, charts, center: int, v: int, start: int,
+                 cut: int | None = None):
+    """`_shell_values` in closed form: the values of the sum of image(s x + t)
+    over the charts (image, s, t) at the units u of the shell
+    x = center + u p^v (center an integer, 0 when v < 0), and their level.
+
+    The level is the first from `start` on which every chart image is
+    constant on every coset (`ChartImage.coset_value`).  With `cut`, the units
+    with val(x + 1) >= min(level, cut) are left out, as `_shell_values`'
+    `skip` leaves them out.
+    """
+    p = ctx.p
+    m = min(v, 0)  # x p^-m is an integer
+
+    def key(c: int, s: int, u: int, n: int) -> tuple[int, int]:
+        # the `_coset_key` at level n of c + s u p^v
+        return _residue_key(m, (c * p ** -m + s * u * p ** (v - m)) % p ** (n - m), n, p)
+
+    def value(u: int, n: int) -> complex | None:
+        # the sum over the charts on the coset of x = center + u p^v at level n
+        total = 0j
+        for image, s, t in charts:
+            va, res = key(s * center + t, s, u, n)
+            if va >= n:
+                raise RepresentationError(f"window coset at val {v} holds an irregular point")
+            w = image.coset_value(va, res, n - va)
+            if w is None:
+                return None
+            total += w
+        return total
+
+    for level in itertools.count(start):
+        n = v + level
+        vals = {}
+        for u in unit_reps(p, level):
+            if cut is None or key(center + 1, 1, u, n)[0] < min(level, cut):
+                vals[u] = value(u, n)
+                if vals[u] is None:
+                    break
+        else:
+            return vals, level
 
 
 # --- S(Z) from the two charts ------------------------------------------------------
@@ -362,7 +524,11 @@ def _shell_values(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
     raise RepresentationError(f"shell at val {v} did not stabilize below level 9")
 
 
-_ONSET_RTOL = 1e-13  # a sampled value equals a germ's formula: exact, or within rounding
+_ONSET_RTOL = 1e-13  # two values are the same: exact, or within rounding
+
+
+def _same_value(a: complex, b: complex) -> bool:
+    return a == b or abs(a - b) <= _ONSET_RTOL * max(abs(a), abs(b))
 
 
 def _certified_onset(kind: str, germ: Germ, shells: dict[int, tuple[dict, int]]) -> Germ:
@@ -370,10 +536,11 @@ def _certified_onset(kind: str, germ: Germ, shells: dict[int, tuple[dict, int]])
     the function is the germ's formula.
 
     `shells` maps the valuations of the germ coordinate that may join the germ
-    to what `_shell_values` sampled there: the value of every certified coset,
-    not only the kept atoms, so a germ value of 0 joins too.  Walking outward
-    from the germ, a shell whose every value equals the formula there, exactly
-    or up to `_ONSET_RTOL` relative with no absolute floor, joins the germ and
+    to their (values, level) table, from `_shell_values` or `_image_shell`:
+    the value of every certified coset, not only the kept atoms, so a germ
+    value of 0 joins too.  Walking outward from the germ, a shell whose every
+    value is the formula there (`_same_value`: exactly, or up to
+    `_ONSET_RTOL` relative with no absolute floor) joins the germ and
     lowers its level by one; the first shell that differs, or is missing, ends
     the walk.  The coefficients do not change, and the consumers' probes
     certify the lowered germ again.
@@ -381,8 +548,7 @@ def _certified_onset(kind: str, germ: Germ, shells: dict[int, tuple[dict, int]])
     level = germ.level
     while level - 1 in shells:
         want = Germ(germ.a, germ.b, level - 1).eval(kind, level - 1)
-        if not all(w == want or abs(w - want) <= _ONSET_RTOL * max(abs(w), abs(want))
-                   for w in shells[level - 1][0].values()):
+        if not all(_same_value(w, want) for w in shells[level - 1][0].values()):
             break
         level -= 1
     return Germ(germ.a, germ.b, level)
@@ -413,30 +579,30 @@ def baby_xi_level(kind: str, data, v: int) -> int:
 
 
 def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
-                 lo: int, level_at=None) -> SZElem:
+                 lo: int, shell=None) -> SZElem:
     """Window atoms on regions disjoint from both germ neighborhoods.
 
-    Shell atoms at valuation v live at a per-shell certified level; the coset
-    of -1 inside the unit shell is excluded and covered instead by zeta-shell
-    atoms (zeta = xi+1) down to the germ level at -1.  Each germ then starts
-    at its certified onset (`_certified_onset`): the germ at 0 takes shells
-    down to val 1, the germ at -1 zeta-shells down to the cut of the unit shell.
+    `shell(center, v, cut)` gives the (values, level) table of the shell
+    center + (units)*p^v, leaving out the units with val(xi + 1) >=
+    min(level, cut) when cut is not None; by default `_shell_values` samples
+    `raw` from `_FIRST_LEVEL`.  The coset of -1 inside the unit shell is so
+    left out and covered instead by zeta-shell atoms (zeta = xi+1) down to the
+    germ level at -1.  Each germ then starts at its certified onset
+    (`_certified_onset`): the germ at 0 takes shells down to val 1, the germ at
+    -1 zeta-shells down to the cut of the unit shell.  The probes and the
+    floor certificate check the element against `raw`.
     """
     p = ctx.p
+    if shell is None:
+        def shell(center: int, v: int, cut: int | None):
+            skip = None if cut is None else (
+                lambda x, lvl: rational_valuation(x + 1, p) >= min(lvl, cut))
+            return _shell_values(ctx, raw, Fraction(center), v, _FIRST_LEVEL, skip)
 
-    def start(v: int) -> int:
-        return _FIRST_LEVEL if level_at is None else level_at(v)
-
-    def skip(x, lvl):
-        # the -1 locus sits inside the unit shell; its neighborhood is
-        # covered by the zeta-side atoms and the germ at -1 instead
-        return rational_valuation(x + 1, p) >= min(lvl, germ_m1.level)
-
-    xi_shells = {v: _shell_values(ctx, raw, Fraction(0), v, start(v), skip if v == 0 else None)
+    xi_shells = {v: shell(0, v, germ_m1.level if v == 0 else None)
                  for v in range(lo, germ0.level)}
     zeta_cut = min(xi_shells[0][1], germ_m1.level) if 0 in xi_shells else germ_m1.level
-    zeta_shells = {vz: _shell_values(ctx, raw, Fraction(-1), vz, start(0))
-                   for vz in range(zeta_cut, germ_m1.level)}
+    zeta_shells = {vz: shell(-1, vz, None) for vz in range(zeta_cut, germ_m1.level)}
     germ0 = _certified_onset(kind, germ0, {v: s for v, s in xi_shells.items() if v > 0})
     germ_m1 = _certified_onset(kind, germ_m1, zeta_shells)
     entries = [e for v in range(lo, germ0.level)
@@ -451,7 +617,9 @@ def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
 def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
     """f(xi) = O^baby(phi2)(xi) + O^baby(phi1)(-1-xi), window plus exact germs.
 
-    phi1 carries the germ at -1 (the diagonal chart), phi2 the germ at 0.
+    phi1 carries the germ at -1 (the diagonal chart), phi2 the germ at 0.  The
+    window's shells come from the closed-form `chart_image` of both charts;
+    the cross-term probes and `_certify_sz` read the pointwise `baby_orbital`.
     """
     ctx = _baby_ctx(kind, phi1)
     _baby_ctx(kind, phi2)
@@ -476,13 +644,18 @@ def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
     germ0 = Germ(g0.a + other_at_0, g0.b, depth0)
     germ_m1 = Germ(g1.a + other_at_m1, g1.b, depth1)
 
-    def level_at(v: int) -> int:
-        # both chart terms contribute structure: valuations vξ = v, v(1+ξ)
-        vz = min(v, 0) if v != 0 else 0
-        return max(_FIRST_LEVEL, baby_xi_level(kind, phi2, v),
-                   baby_xi_level(kind, phi1, vz))
+    # chart 2 reads xi, chart 1 reads -1 - xi
+    charts = ((chart_image(kind, phi2), 1, 0), (chart_image(kind, phi1), -1, -1))
 
-    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, level_at)
+    def shell(center: int, v: int, cut: int | None):
+        # both chart terms contribute structure: valuations v(xi) = v, v(1+xi);
+        # a zeta-shell starts at the level of the unit shell
+        vx = v if center == 0 else 0
+        start = max(_FIRST_LEVEL, baby_xi_level(kind, phi2, vx),
+                    baby_xi_level(kind, phi1, min(vx, 0)))
+        return _image_shell(ctx, charts, center, v, start, cut)
+
+    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, shell)
 
 
 def _certify_sz(f: SZElem, raw, lo: int):

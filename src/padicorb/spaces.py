@@ -346,11 +346,12 @@ def kloosterman_germ(ctx: LocalFieldCtx, xi) -> complex:
 
 
 def iota_window(ext: QuadExt, f: BruhatFn) -> BruhatFn:
-    """iota(f)(x) = eta(x)|x|^{-1} f(1/x) for a window away from 0 (exact)."""
+    """iota(f)(x) = eta(x)|x|^{-1} f(1/x) for a window away from 0 (exact):
+    iota maps each entry's coset to one coset, so the entries map one by one."""
     if f.domain != "F":
         raise DomainError("iota acts on functions on F^x")
     entries = []
-    for ((vc, res),), n, w in f.canonicalize().entries:
+    for ((vc, res),), n, w in f.entries:
         if vc >= n:
             raise UnsupportedAtomError("window atom touches 0; iota needs F^x support")
         # the inverse of c + p^n o (n > val c) is 1/c + p^{n - 2 val c} o, keyed

@@ -1,7 +1,7 @@
 """Each certificate shared by the S(X), S(Z) and S(W) builders fails on a wrong input.
 
 The builders in padicorb.orbital and padicorb.spaces assemble every window+germ
-representation through the same sampler, germ fit and checks; a certificate
+representation from the same shell tables, germ fit and checks; a certificate
 that cannot fail certifies nothing, so each one is fed a deliberately wrong
 input here, next to one it accepts.
 """

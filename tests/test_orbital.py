@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -977,6 +978,171 @@ def test_absorption_keeps_inner_product_and_tail(ctx3, source):
             assert abs(g_value_Z_to_W(f, xi) - want) <= 1e-12 * max(1.0, abs(want)), xi
 
 
+# --- chart orbitals in closed form -------------------------------------------------
+
+
+def _ball_charts(ctx, kind):
+    """Charts whose coset tables hold every kind of ball: split, a ball around 0
+    on either axis and on both; inert, the ball around 0 of phi0 and of
+    phi_alpha, with unit cosets on the odd (phi_alpha) shells."""
+    p = ctx.p
+    if kind == "split":
+        return BruhatFn.from_atoms(ctx, "F2", [
+            ((0, Fraction(1, p)), 1, 0.7 + 0.2j), ((Fraction(2, p * p), 0), 1, -0.4j),
+            ((0, 0), 1, 1.3), ((1, 2), 1, 0.5), ((Fraction(1, p), p), 1, 0.25)])
+    ext = QuadExt(ctx, "inert")
+    return BabyInput(ext,
+                     BruhatFn.from_atoms(ctx, "E", [((0, 0), 1, 0.9), ((1, 0), 1, 0.3j),
+                                                    ((Fraction(1, p), 1), 1, -0.6)]),
+                     BruhatFn.from_atoms(ctx, "E", [((0, 0), 0, 0.4 - 0.1j), ((0, 1), 1, 1.1),
+                                                    ((p, Fraction(2, p)), 1, 0.2)]))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_chart_image_matches_pointwise_orbitals(p, kind):
+    """The closed-form image against the pointwise orbital at every unit of the
+    level `sx_from_baby` certifies, on every shell from the support floor - 2
+    to the chart germ's level + 1, on seeded charts and on the ball charts."""
+    ctx = LocalFieldCtx(p)
+    balls = _ball_charts(ctx, kind)
+    deep = orbital.chart_image(kind, balls).deep
+    if kind == "split":  # a ball on one axis (constant) and on both (linear in val)
+        assert {n for _, _, n in deep} == {0, 1}
+    else:  # the ball of phi0 (even shells) and of phi_alpha (odd shells)
+        assert sorted(first % 2 for first, step, _ in deep if step == 2) == [0, 1]
+    charts = [balls] + [phi for seed in (1, 2) for phi in _seeded_charts(ctx, kind, seed)]
+    for data in charts:
+        image = orbital.chart_image(kind, data)
+        floor = orbital.baby_support_floor(kind, data)
+        for v in range(floor - 2, orbital._baby_germ(kind, data).level + 2):
+            level = max(2, orbital.baby_xi_level(kind, data, v))
+            assert image.level(v) <= level
+            for u in unit_reps(p, level):
+                want = baby_orbital(kind, data, Fraction(u) * Fraction(p) ** v)
+                got = image.value(v, u)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (v, u)
+
+
+def _sampled_elements(kind, phi1, phi2):
+    """The S(X) element of phi2 and the S(Z) element of (phi1, phi2) as the
+    sampler builds them: `_shell_values` from each shell's start level, the
+    germs at their certified onset, `_value_atoms`; the germ coefficients are
+    those of the chart builders, which no sampler computes.  Returns
+    (window entries, germs) of each."""
+    ctx = orbital._baby_ctx(kind, phi2)
+    p = ctx.p
+    L0, L1 = orbital._baby_germ(kind, phi2).level, orbital._baby_germ(kind, phi1).level
+
+    def sx_raw(xi):
+        return baby_orbital(kind, phi2, xi)
+
+    lo = orbital.baby_support_floor(kind, phi2)
+    sx = sx_from_baby(phi2, kind)
+    shells = {v: _shell_values(ctx, sx_raw, Fraction(0), v,
+                               max(2, orbital.baby_xi_level(kind, phi2, v)))
+              for v in range(lo, L0)}
+    g = orbital._certified_onset(kind, Germ(sx.germ0.a, sx.germ0.b, L0), shells)
+    sx_entries = [e for v in range(lo, g.level) for e in _value_atoms(ctx, 0, v, *shells[v])]
+
+    def raw(xi):
+        return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
+
+    def start(v):
+        return max(2, orbital.baby_xi_level(kind, phi2, v),
+                   orbital.baby_xi_level(kind, phi1, min(v, 0)))
+
+    f = sz_from_charts(phi1, phi2, kind)
+    lo = min(orbital.baby_support_floor(kind, phi) for phi in (phi1, phi2)) - 1
+    xi_shells = {v: _shell_values(ctx, raw, Fraction(0), v, start(v), None if v else (
+        lambda x, lvl: rational_valuation(x + 1, p) >= min(lvl, L1))) for v in range(lo, L0)}
+    cut = min(xi_shells[0][1], L1)
+    zeta_shells = {vz: _shell_values(ctx, raw, Fraction(-1), vz, start(0))
+                   for vz in range(cut, L1)}
+    g0 = orbital._certified_onset(kind, Germ(f.germ0.a, f.germ0.b, L0),
+                                  {v: s for v, s in xi_shells.items() if v > 0})
+    g1 = orbital._certified_onset(kind, Germ(f.germ_m1.a, f.germ_m1.b, L1), zeta_shells)
+    sz_entries = [e for v in range(lo, g0.level) for e in _value_atoms(ctx, 0, v, *xi_shells[v])]
+    sz_entries += [e for vz in range(cut, g1.level)
+                   for e in _value_atoms(ctx, -1, vz, *zeta_shells[vz])]
+    return (sx_entries, (g,)), (sz_entries, (g0, g1))
+
+
+@pytest.mark.parametrize("p,kind,seed", [(3, "split", 1), (3, "split", 2), (3, "inert", 1),
+                                         (3, "inert", 2), (5, "split", 6), (5, "inert", 1)])
+def test_chart_elements_match_the_sampled_elements(p, kind, seed):
+    """`sx_from_baby` and `sz_from_charts` from the closed-form image against
+    the elements the sampler builds: the same keys, levels and germs, with
+    weights within 1e-14 relative."""
+    ctx = LocalFieldCtx(p)
+    phi1, phi2 = _seeded_charts(ctx, kind, seed)
+    sx, sz = sx_from_baby(phi2, kind), sz_from_charts(phi1, phi2, kind)
+    for elem, (entries, germs) in zip((sx, sz), _sampled_elements(kind, phi1, phi2)):
+        got = elem.window.entries
+        assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in entries]
+        for (_, _, w), (_, _, want) in zip(got, entries):
+            assert abs(w - want) <= 1e-14 * max(abs(w), abs(want))
+        assert (elem.germ0,) + ((elem.germ_m1,) if elem is sz else ()) == germs
+
+
+def test_inert_unit_shell_is_constant_on_every_window_coset(ctx3):
+    """Next to -1, an inert chart reads more digits of xi + 1 than the unit
+    shell's start level fixes.  The sampler checked one child per coset and
+    kept level 2 here, where the function is not constant (its element is off
+    by more than 0.1); the image raises the level until it is, so the element
+    equals the orbital at every unit mod 3^6 of the unit shell and the
+    zeta-shells."""
+    phi1, phi2 = _seeded_charts(ctx3, "inert", 7)
+
+    def raw(xi):
+        return baby_orbital("inert", phi2, xi) + baby_orbital("inert", phi1, -1 - xi)
+
+    f = sz_from_charts(phi1, phi2, "inert")
+    _, (entries, germs) = _sampled_elements("inert", phi1, phi2)
+    sampled = SZElem(ctx3, "inert", BruhatFn(ctx3, "F", tuple(entries)), *germs)
+    points = [Fraction(u) for u in unit_reps(3, 6) if (u + 1) % 3 ** 6]
+    points += [-1 + Fraction(u) * Fraction(3) ** vz for vz in range(1, 5) for u in unit_reps(3, 2)]
+    assert max(abs(sampled.eval(x) - raw(x)) for x in points) > 0.1
+    for x in points:
+        want = raw(x)
+        assert abs(f.eval(x) - want) <= 1e-12 * max(1.0, abs(want)), x
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(orbital, name)
+
+    def counted(*args):
+        calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(orbital, name, counted)
+    return calls
+
+
+def test_chart_builders_evaluate_orbitals_only_at_their_probes(monkeypatch):
+    """The closed-form image leaves the pointwise orbital to the certificates:
+    4 cross-term probes, then 11 S(Z) probes and 4 floor points per S(Z)
+    element, each read on both charts (34 calls), and 4 probes and 4 floor points per
+    S(X) element.  This p = 5 inert element took 3,626 `o_baby_nonsplit`
+    calls from the sampler."""
+    ctx = LocalFieldCtx(5)
+    rng = random.Random(42)
+    random_baby_data(ctx, "inert", rng)
+    phi1, phi2 = random_baby_data(ctx, "inert", rng), random_baby_data(ctx, "inert", rng)
+    calls = _counting(monkeypatch, "o_baby_nonsplit")
+    f = sz_from_charts(phi1, phi2, "inert")
+    assert len(calls) == 34 and f.window.entries
+    del calls[:]
+    sx_from_baby(phi2, "inert")
+    assert len(calls) == 8
+    calls = _counting(monkeypatch, "o_baby_split")
+    rng = random.Random(1)
+    sz_from_charts(random_baby_data(ctx, "split", rng), random_baby_data(ctx, "split", rng),
+                   "split")
+    assert len(calls) == 34
+
+
 def test_stabilization_idempotence(ctx3, monkeypatch):
     import padicorb.orbital as orbital
 
@@ -997,6 +1163,8 @@ def test_stabilization_idempotence(ctx3, monkeypatch):
 CHART_FUNCTIONS = (
     "o_baby_split", "split_germ_data", "o_baby_nonsplit", "nonsplit_germ_data",
     "baby_orbital", "sx_from_baby", "fourier_baby", "sz_from_charts",
+    "chart_image", "split_image", "nonsplit_image", "ChartImage.value",
+    "ChartImage.coset_value", "_image_shell",
 )
 # the Satake machinery is the test oracle for the closed-form change of basis
 SATAKE_FUNCTIONS = ("satake_transform", "coset_basis_to_hecke", "iwasawa_decompose")
@@ -1029,7 +1197,8 @@ def test_torus_group_reaches_no_chart_function(ctx3, kind):
 
     seen = _called_code(run)
     assert o_torus_group.__code__ in seen
-    assert [name for name in CHART_FUNCTIONS if getattr(orbital, name).__code__ in seen] == []
+    assert [name for name in CHART_FUNCTIONS
+            if functools.reduce(getattr, name.split("."), orbital).__code__ in seen] == []
     assert [name for name in SATAKE_FUNCTIONS if getattr(groups, name).__code__ in seen] == []
     # the engine counts on integers: GroupElt is the oracles' type only
     assert [f for f in (GroupElt.of, GroupElt.mul) if f.__code__ in seen] == []

@@ -161,6 +161,32 @@ def test_iota_involution_and_examples(ctx3, ext3i, ext3s):
     assert im2.eval(Fraction(3)) == 0
 
 
+def test_iota_window_maps_a_deep_window_entry_by_entry(ctx3, ext3s, ext3i):
+    """The |.|G window of p = 3 split charts spans levels -3..8 in 35 entries;
+    iota maps coset to coset, so it maps them one by one (refining them to
+    one level first would take 1,889,567 cosets)."""
+    from padicorb.orbital import random_baby_data, sz_from_charts
+    from padicorb.spaces import g_transform_Z_to_W
+
+    rng = random.Random(38)
+    random_baby_data(ctx3, "split", rng)  # the draws of one S(X) input
+    phi1, phi2 = random_baby_data(ctx3, "split", rng), random_baby_data(ctx3, "split", rng)
+    window = g_transform_Z_to_W(sz_from_charts(phi1, phi2, "split")).window
+    assert len(window.entries) == 35 and {n for _, n, _ in window.entries} == set(range(-3, 9))
+    for ext in (ext3s, ext3i):
+        image = iota_window(ext, window)
+        assert len(image.entries) == 35
+        back = iota_window(ext, image)
+        assert [(k, n) for k, n, _ in back.entries] == [(k, n) for k, n, _ in window.entries]
+        for (_, _, w), (_, _, want) in zip(back.entries, window.entries):
+            assert abs(w - want) <= 1e-15 * abs(want)
+        for v in range(-10, 10):
+            for u in (1, 2, 4, 5, 7):
+                x = Fraction(u) * Fraction(3) ** v
+                want = iota_eval(ext, window.eval, x)
+                assert abs(image.eval(x) - want) <= 1e-15 * max(1.0, abs(want)), x
+
+
 def test_g_transform_zero(ctx3):
     z = SXElem(ctx3, "split", BruhatFn.zero(ctx3, "F"), Germ(0, 0, 1))
     out = g_transform_SX(z)
