@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (
     DomainError,
@@ -450,14 +450,13 @@ def chart_image(kind: str, data) -> ChartImage:
 
 def _image_shell(ctx: LocalFieldCtx, charts, center: int, v: int, start: int,
                  cut: int | None = None):
-    """`_shell_values` in closed form: the values of the sum of image(s x + t)
-    over the charts (image, s, t) at the units u of the shell
-    x = center + u p^v (center an integer, 0 when v < 0), and their level.
+    """The values of the sum of image(s x + t) over the charts (image, s, t)
+    at the units u of the shell x = center + u p^v (center an integer, 0 when
+    v < 0), and their level.
 
     The level is the first from `start` on which every chart image is
     constant on every coset (`ChartImage.coset_value`).  With `cut`, the units
-    with val(x + 1) >= min(level, cut) are left out, as `_shell_values`'
-    `skip` leaves them out.
+    with val(x + 1) >= min(level, cut) are left out.
     """
     p = ctx.p
     m = min(v, 0)  # x p^-m is an integer
@@ -494,34 +493,9 @@ def _image_shell(ctx: LocalFieldCtx, charts, center: int, v: int, start: int,
 # --- S(Z) from the two charts ------------------------------------------------------
 
 
-_FIRST_LEVEL = 2  # first unit level tried on each shell of a baby or torus window
-
-
-def _shell_values(ctx: LocalFieldCtx, raw, center: Fraction, v: int,
-                  start_level: int, skip=None):
-    """Values of raw on the shell center + (units)*p^v at a stabilized level.
-
-    Every kept coset is verified against a proper child; the level escalates
-    on any disagreement (RepresentationError past level 9).  Cosets for which
-    `skip(point, level)` is true are left out (singular neighborhoods).
-    """
-    p = ctx.p
-    for level in range(start_level, 10):
-        vals = {}
-        for u in unit_reps(p, level):
-            x = center + Fraction(u) * Fraction(p) ** v
-            if skip is not None and skip(x, level):
-                continue
-            vals[u] = raw(x)
-        ok = True
-        for u in sorted(vals):
-            child = center + Fraction(u + p ** level) * Fraction(p) ** v
-            if abs(raw(child) - vals[u]) > 1e-10 * max(1.0, abs(vals[u])):
-                ok = False
-                break
-        if ok:
-            return vals, level
-    raise RepresentationError(f"shell at val {v} did not stabilize below level 9")
+# The unit level of every torus window shell, where each kept coset lies in one
+# valuation class (`_class_shell`), and the first level tried on a chart shell
+_FIRST_LEVEL = 2
 
 
 _ONSET_RTOL = 1e-13  # two values are the same: exact, or within rounding
@@ -536,7 +510,7 @@ def _certified_onset(kind: str, germ: Germ, shells: dict[int, tuple[dict, int]])
     the function is the germ's formula.
 
     `shells` maps the valuations of the germ coordinate that may join the germ
-    to their (values, level) table, from `_shell_values` or `_image_shell`:
+    to their (values, level) table, from `_image_shell` or `_class_shell`:
     the value of every certified coset, not only the kept atoms, so a germ
     value of 0 joins too.  Walking outward from the germ, a shell whose every
     value is the formula there (`_same_value`: exactly, or up to
@@ -579,26 +553,18 @@ def baby_xi_level(kind: str, data, v: int) -> int:
 
 
 def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
-                 lo: int, shell=None) -> SZElem:
+                 lo: int, shell) -> SZElem:
     """Window atoms on regions disjoint from both germ neighborhoods.
 
     `shell(center, v, cut)` gives the (values, level) table of the shell
     center + (units)*p^v, leaving out the units with val(xi + 1) >=
-    min(level, cut) when cut is not None; by default `_shell_values` samples
-    `raw` from `_FIRST_LEVEL`.  The coset of -1 inside the unit shell is so
-    left out and covered instead by zeta-shell atoms (zeta = xi+1) down to the
-    germ level at -1.  Each germ then starts at its certified onset
+    min(level, cut) when cut is not None.  The coset of -1 inside the unit
+    shell is so left out and covered instead by zeta-shell atoms (zeta = xi+1)
+    down to the germ level at -1.  Each germ then starts at its certified onset
     (`_certified_onset`): the germ at 0 takes shells down to val 1, the germ at
     -1 zeta-shells down to the cut of the unit shell.  The probes and the
     floor certificate check the element against `raw`.
     """
-    p = ctx.p
-    if shell is None:
-        def shell(center: int, v: int, cut: int | None):
-            skip = None if cut is None else (
-                lambda x, lvl: rational_valuation(x + 1, p) >= min(lvl, cut))
-            return _shell_values(ctx, raw, Fraction(center), v, _FIRST_LEVEL, skip)
-
     xi_shells = {v: shell(0, v, germ_m1.level if v == 0 else None)
                  for v in range(lo, germ0.level)}
     zeta_cut = min(xi_shells[0][1], germ_m1.level) if 0 in xi_shells else germ_m1.level
@@ -813,7 +779,7 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi) -> complex:
     x = -1 - xi
     num, den = x.numerator, x.denominator
 
-    def translate(n: int) -> complex:
+    def translate(n: int, terms: CosetTerms) -> complex:
         s, t = (1, p ** n) if n >= 0 else (p ** -n, 1)  # p^max(-n, 0), p^max(n, 0)
         return _x1_count(p, True, terms, t * den, s * num, t * den, s * (num + den))
 
@@ -823,10 +789,12 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi) -> complex:
     span = abs(vxi) + abs(vz) + 2 * depth + _TORUS_MARGIN
     total = 0j
     for n in range(-span, span + 1):
-        total += translate(n)
-    # idempotence of the truncation: the boundary terms must vanish
+        total += translate(n, terms)
+    # idempotence of the truncation: no coset of any degree counts at the
+    # boundary translates (with every c_m = 1 the counts are summed exactly)
+    counts = [(m, 1, reps) for m, _, reps in terms]
     for n in (-span - 1, span + 1):
-        if abs(translate(n)) > 1e-12:
+        if translate(n, counts) != 0:
             raise RepresentationError("T(F)/T(o) sum not stabilized; widen margin")
     return volK * total
 
@@ -987,7 +955,8 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     _certify_kl_tail(ctx, value, C, (-2, -4), (1, 2), 1e-9)
     entries = []
     for v in range(-1, depth):
-        entries += _value_atoms(ctx, 0, v, *_shell_values(ctx, value, Fraction(0), v, 1))
+        w = value(Fraction(ctx.p) ** v)
+        entries += _value_atoms(ctx, 0, v, dict.fromkeys(unit_reps(ctx.p, 1), w), 1)
     out = SWElem(ctx, kind, s, BruhatFn(ctx, "F", tuple(entries)), germ, KLTail(C, 2))
     for xi in (Fraction(1 + ctx.p), Fraction(ctx.p) ** (depth + 1),
                Fraction(2) * Fraction(ctx.p) ** -6):
@@ -1012,9 +981,10 @@ def basic_fZ0(ctx: LocalFieldCtx, kind: str) -> SZElem:
 def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt) -> SZElem:
     """SZ element of orbital integrals of (h * 1_{X1(o)}) x 1_{X1(o)}.
 
-    Window values on val(xi) >= -(2 deg h + 1) come from o_torus_group; the
-    germs at 0 and -1 are fitted on deep shells with residual certificates and
-    start at their certified onset.
+    Window values on val(xi) >= -(2 deg h + 1) come from o_torus_group, one
+    per valuation class of each shell (`_class_shell`); the germs at 0 and -1
+    are fitted on deep shells with residual certificates and start at their
+    certified onset.
     """
     depth = 2 * h.max_degree() + 3
     lo = -(2 * h.max_degree() + 1)
@@ -1024,7 +994,37 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt) -> SZElem:
 
     germ0 = _deep_germ(kind, lambda u, j: raw(u * Fraction(ctx.p) ** j), depth)
     germ_m1 = _deep_germ(kind, lambda u, j: raw(-1 + u * Fraction(ctx.p) ** j), depth)
-    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo)
+    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, partial(_class_shell, ctx, raw))
+
+
+def _class_shell(ctx: LocalFieldCtx, raw, center: int, v: int, cut: int | None):
+    """The (values, level) table at `_FIRST_LEVEL` of the shell
+    center + (units)*p^v for an orbital that sees xi only through
+    (val xi, val(xi + 1)).  `o_torus_group` is one: split through the tree
+    distance to the apartment, inert through the distance to the vertex that
+    T(F) fixes (the oracles `test_o_torus_group_split_tree_distance` and
+    `test_o_torus_group_inert_vertex_distance`), so a class is enough.
+
+    With `cut`, the units with val(xi + 1) >= min(level, cut) are left out, so
+    each kept coset lies in one class.  `raw` is read at the first and the
+    last unit of each class; the two must agree (`_same_value`), and every
+    unit of the class takes the first value.
+    """
+    p, level = ctx.p, _FIRST_LEVEL
+    classes: dict[tuple[int, int], list[int]] = {}
+    for u in unit_reps(p, level):
+        x = center + u * Fraction(p) ** v
+        vz = rational_valuation(x + 1, p)
+        if cut is None or vz < min(level, cut):
+            classes.setdefault((rational_valuation(x, p), vz), []).append(u)
+    vals = {}
+    for (vx, vz), units in classes.items():
+        first, last = (raw(center + u * Fraction(p) ** v) for u in (units[0], units[-1]))
+        if not _same_value(first, last):
+            raise RepresentationError(
+                f"orbital not constant on the class val xi = {vx}, val(xi + 1) = {vz}")
+        vals.update(dict.fromkeys(units, first))
+    return dict(sorted(vals.items())), level
 
 
 # --- inner products and gamma-star ------------------------------------------------
@@ -1102,18 +1102,13 @@ def verify_fl(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     fz = hecke_apply_Z(ctx, kind, h)
     rhs_eval = hecke_apply_W(ctx, kind, h, 0.0)
     pts: list[FLPoint] = []
-    units = unit_reps(ctx.p, 1)[:2]
-    fitted = None
     for v in range(lo, hi + 1):
-        for u in units:
+        for u in unit_reps(ctx.p, 1)[:2]:
             xi = Fraction(u) * Fraction(ctx.p) ** v
-            lhs = g_value_Z_to_W(fz, xi)
-            rhs = rhs_eval(xi)
-            if fitted is None and abs(rhs) > 1e-6:
-                fitted = lhs / rhs
-            pts.append(FLPoint(u, v, lhs, rhs))
-    if fitted is None:
-        fitted = 1.0 + 0j
+            pts.append(FLPoint(u, v, g_value_Z_to_W(fz, xi), rhs_eval(xi)))
+    # the constant is read at the first point that is not small next to the window
+    scale = max(abs(pt.rhs) for pt in pts)
+    fitted = next((pt.lhs / pt.rhs for pt in pts if abs(pt.rhs) > 1e-6 * scale), 1.0 + 0j)
     return FLReport(ctx.p, kind, h.as_dict(), window, pts, fitted, tolerance,
                     time.perf_counter() - start)
 

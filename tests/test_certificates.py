@@ -16,7 +16,6 @@ from padicorb.orbital import (
     _assemble_sz,
     _certified_onset,
     _certify_floor,
-    _shell_values,
 )
 from padicorb.spaces import (
     Germ,
@@ -26,6 +25,8 @@ from padicorb.spaces import (
     _value_atoms,
     kloosterman_germ,
 )
+
+from oracles import _shell_values, sampled_shell
 
 
 def test_germ_fit_rejects_an_off_line_shell():
@@ -103,10 +104,11 @@ def test_perturbed_germ_absorbs_no_shell_and_fails_the_probes(ctx3):
             return 0.25
         return float(xi.numerator % 9) + 0.5 * v if v >= -2 else 0.0
 
-    f = _assemble_sz(ctx3, "split", raw, Germ(-4.5, 1.0, 4), Germ(0.25, 0.0, 4), -2)
+    shell = sampled_shell(ctx3, raw)
+    f = _assemble_sz(ctx3, "split", raw, Germ(-4.5, 1.0, 4), Germ(0.25, 0.0, 4), -2, shell)
     assert (f.germ0, f.germ_m1) == (Germ(-4.5, 1.0, 2), Germ(0.25, 0.0, 2))
     shells = {v: _shell_values(ctx3, raw, Fraction(0), v, 2) for v in (2, 3)}
     off = Germ(-4.5, 1.0 + 1e-9, 4)
     assert _certified_onset("split", off, shells) == off
     with pytest.raises(RepresentationError, match="S\\(Z\\) representation mismatch"):
-        _assemble_sz(ctx3, "split", raw, off, Germ(0.25, 0.0, 4), -2)
+        _assemble_sz(ctx3, "split", raw, off, Germ(0.25, 0.0, 4), -2, shell)

@@ -13,6 +13,7 @@ from padicorb.errors import (
     IrregularPointError,
     KindError,
     PrecisionError,
+    RepresentationError,
     UnsupportedSectionError,
 )
 from padicorb.bruhat import BruhatFn
@@ -38,7 +39,6 @@ from padicorb.orbital import (
     _ONSET_RTOL,
     _TORUS_MARGIN,
     _coset_terms,
-    _shell_values,
     _x1_count,
     baby_orbital,
     basic_fW0,
@@ -78,6 +78,8 @@ from padicorb.spaces import (
     ip_kuz,
     ip_torus,
 )
+
+from oracles import _shell_values, sampled_hecke_apply_W_elem, sampled_hecke_apply_Z
 
 
 # --- baby case ---------------------------------------------------------------------
@@ -504,6 +506,54 @@ def test_o_torus_group_split_tree_distance(p):
             assert abs(got - want) < 1e-10, (xi, h)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_o_torus_group_inert_vertex_distance(p):
+    """Oracle for the inert side: T(F) fixes one vertex of the tree and, E/F
+    unramified, acts transitively on each sphere about it, so the count at the
+    representative g of xi is 1 in the degree d = val det g - 2 min val(entries
+    of g), the distance of gK to that vertex, and 0 in every other degree."""
+    ctx = LocalFieldCtx(p)
+    ext = QuadExt(ctx, "inert")
+    rng = random.Random(400 + p)
+    hs = [HeckeElt.basis(n) for n in range(4)] + [HeckeElt.of({0: 2, 1: 5, 2: 8})]
+    xis = [Fraction(u) * Fraction(p) ** v for v in range(-5, 6)
+           for u in rng.sample(unit_reps(p, 3), 3)]
+    xis += [-1 + Fraction(u) * Fraction(p) ** vz for vz in range(1, 6)
+            for u in rng.sample(unit_reps(p, 3), 3)]
+    trivial = 0
+    for xi in xis:
+        for h in hs:
+            got = o_torus_group(ctx, "inert", h, xi)
+            if not inert_fiber_is_trivial(ext, xi):
+                assert got == 0
+                continue
+            g = inert_rep_for(ext, xi)
+            d = (rational_valuation(Fraction(g[0] * g[3] - g[1] * g[2]), p)
+                 - 2 * min(rational_valuation(Fraction(x), p) for x in g))
+            assert got == float(ctx.vol_K) * hecke_to_coset_basis(ctx, h).get(d, 0), (xi, h)
+            trivial += 1
+    assert trivial > len(hs) * len(xis) // 3
+
+
+@pytest.mark.parametrize("p,kind,degrees", [(3, "split", 4), (3, "inert", 4), (5, "split", 4),
+                                            (5, "inert", 4), (7, "split", 2), (7, "inert", 2)])
+def test_o_torus_group_is_constant_on_valuation_classes(p, kind, degrees):
+    """Every unit mod p^3 of the xi-shells -5..5 and the zeta-shells 1..5 gives
+    the same value within its (val xi, val(xi + 1)) class, bit for bit: the
+    window builder of `hecke_apply_Z` reads one class at two units."""
+    ctx = LocalFieldCtx(p)
+    shells = [(0, v) for v in range(-5, 6)] + [(-1, vz) for vz in range(1, 6)]
+    for n in range(degrees):
+        h = HeckeElt.basis(n)
+        for center, v in shells:
+            seen = {}
+            for u in unit_reps(p, 3):
+                xi = center + u * Fraction(p) ** v
+                cls = (rational_valuation(xi, p), rational_valuation(xi + 1, p))
+                got = o_torus_group(ctx, kind, h, xi)
+                assert seen.setdefault(cls, got) == got, (n, xi)
+
+
 def test_basic_fZ0_dual_path_split(ctx3):
     """Group engine vs the chart presentation phi1 = kappa 1_{oxo},
     phi2 = kappa 1_{p o x o} with kappa = Vol(K)/Vol(A(o)) = 1 + 1/q."""
@@ -710,6 +760,21 @@ def test_verify_fl_smoke_and_zero(ctx3):
     assert rep0.max_error < 1e-14  # both sides identically zero
     d = rep.to_json_dict()
     assert d["pass"] and "points" in d and d["points"]
+
+
+def test_verify_fl_reads_its_constant_at_the_same_point_at_every_scale(ctx3):
+    """The fitted constant is lhs/rhs at the first point whose |rhs| is not
+    small next to the window's largest, so h0 scaled by 1e-15 is fitted at the
+    same point as h0; an absolute threshold read no point there and kept the
+    default 1, passing although lhs != rhs."""
+    first = []
+    for c in (1.0, 1e-15):
+        rep = verify_fl(ctx3, "split", HeckeElt.of({0: c}))
+        scale = max(abs(pt.rhs) for pt in rep.points)
+        i = next(i for i, pt in enumerate(rep.points) if abs(pt.rhs) > 1e-6 * scale)
+        assert rep.fitted_constant == rep.points[i].lhs / rep.points[i].rhs
+        first.append(i)
+    assert first[0] == first[1]
 
 
 @pytest.mark.parametrize("p,n", [(3, 5), (3, 6), (5, 5)])
@@ -1143,6 +1208,77 @@ def test_chart_builders_evaluate_orbitals_only_at_their_probes(monkeypatch):
     assert len(calls) == 34
 
 
+def _parts(elem):
+    """Window entries, germs and tail of an S(Z) or S(W) element."""
+    if isinstance(elem, SZElem):
+        return elem.window.entries, elem.germ0, elem.germ_m1
+    return elem.window.entries, elem.zero_germ, elem.inf_tail
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_hecke_elements_match_the_sampled_elements(p, kind):
+    """`hecke_apply_Z` reads each window shell one value per valuation class,
+    `hecke_apply_W_elem` one value per shell; both equal the elements the shell
+    sampler builds (`tests/oracles.py`), window entries, germs and tails bit
+    for bit."""
+    ctx = LocalFieldCtx(p)
+    for coeffs in ({0: 1}, {1: 1}, {2: 1}, {0: 3, 1: 7}, {0: 2, 1: 5, 2: 8}):
+        h = HeckeElt.of(coeffs)
+        for got, want in ((hecke_apply_Z(ctx, kind, h), sampled_hecke_apply_Z(ctx, kind, h)),
+                          (orbital.hecke_apply_W_elem(ctx, kind, h),
+                           sampled_hecke_apply_W_elem(ctx, kind, h))):
+            assert _parts(got) == _parts(want), coeffs
+
+
+def test_class_shell_rejects_a_function_of_the_unit(ctx3):
+    """Two units of one valuation class that disagree raise; a function of the
+    class gives every kept unit its class value, at level 2."""
+    vals, level = orbital._class_shell(
+        ctx3, lambda x: float(rational_valuation(x + 1, 3)), 0, 0, 2)
+    assert level == 2 and vals == {1: 0.0, 2: 1.0, 4: 0.0, 5: 1.0, 7: 0.0}
+    with pytest.raises(RepresentationError, match="not constant on the class"):
+        orbital._class_shell(ctx3, lambda x: float(x.numerator % 9), 0, 0, 2)
+
+
+@pytest.mark.parametrize("p,kind,coeffs", [(5, "inert", {2: 1}), (3, "split", {0: 3, 1: 7})])
+def test_torus_window_reads_two_units_per_valuation_class(monkeypatch, p, kind, coeffs):
+    """Every `o_torus_group` call of `hecke_apply_Z` comes from a germ fit, a
+    certificate or the window, and the window reads at most two units per
+    valuation class of each shell.  With the shell sampler, which read every
+    unit coset and one child of each, a p = 5 inert `verify_fl` of h2 made 709
+    calls; it makes 67."""
+    ctx = LocalFieldCtx(p)
+    calls = _counting(monkeypatch, "o_torus_group")
+    spent = {}
+    classes = []
+
+    def attribute(name, part, note=None):
+        inner = getattr(orbital, name)
+
+        def wrapped(*args):
+            before = len(calls)
+            out = inner(*args)
+            spent[part] = spent.get(part, 0) + len(calls) - before
+            if note is not None:
+                note(*args[2:4], out[0])
+            return out
+
+        monkeypatch.setattr(orbital, name, wrapped)
+
+    def note_classes(center, v, vals):
+        xis = [center + u * Fraction(p) ** v for u in vals]
+        classes.append(len({(rational_valuation(x, p), rational_valuation(x + 1, p))
+                            for x in xis}))
+
+    attribute("_class_shell", "window", note_classes)
+    attribute("_deep_germ", "germ")
+    attribute("_certify_sz", "certificate")
+    hecke_apply_Z(ctx, kind, HeckeElt.of(coeffs))
+    assert len(calls) == sum(spent.values())
+    assert 0 < spent["window"] <= 2 * sum(classes)
+
+
 def test_stabilization_idempotence(ctx3, monkeypatch):
     import padicorb.orbital as orbital
 
@@ -1153,6 +1289,20 @@ def test_stabilization_idempotence(ctx3, monkeypatch):
     monkeypatch.setattr(orbital, "_TORUS_MARGIN", 6)
     b = o_torus_group(ctx3, "split", h1, xi)
     assert abs(a - b) < 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-15])
+def test_torus_margin_certificate_counts_cosets(ctx3, monkeypatch, scale):
+    """A margin too small for h = h0 + 2 h1 at xi = 2 leaves cosets at the
+    boundary translates; the certificate counts them exactly, so the Hecke
+    element's scale cannot hide them (at 1e-15 the cut sum reads 6.91e-15,
+    the orbital 7.94e-15)."""
+    h = HeckeElt.of({0: scale, 1: 2 * scale})
+    want = o_torus_group(ctx3, "split", h, Fraction(2))
+    assert abs(want - 7.94 * scale) < 0.01 * scale
+    monkeypatch.setattr(orbital, "_TORUS_MARGIN", -2)
+    with pytest.raises(RepresentationError, match="not stabilized"):
+        o_torus_group(ctx3, "split", h, Fraction(2))
 
 
 # The two paths share no code: the torus side counts lattices in o_torus_group

@@ -1,5 +1,6 @@
 """The library needs nothing outside the standard library at run time."""
 
+import ast
 import json
 import os
 import subprocess
@@ -40,3 +41,20 @@ def test_cli_start_loads_no_multiprocessing():
     """Only `verify-fl --jobs N` with N > 1 and several tasks starts a pool, so
     only that path imports multiprocessing."""
     assert "multiprocessing" not in _fresh_imports()
+
+
+def test_library_imports_no_test_oracle():
+    """The reference builders in `tests/oracles.py` stay test-only: no module
+    under `src/` imports `oracles` (or anything under `tests`)."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if any(part in ("oracles", "tests") for name in names for part in name.split(".")):
+                found.append((path.name, node.lineno))
+    assert not found, found
