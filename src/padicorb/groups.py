@@ -1,7 +1,8 @@
 """PGL2 over o/p^N: cosets, Hecke algebra, Satake, Casselman-Shalika, Whittaker.
 
-`double_coset_reps` gives the left cosets of K diag(pi^m,1) K as the integer
-lattice forms the torus engine in `orbital` counts on.  `GroupElt`, a
+`double_coset_reps` lists the left cosets of K diag(pi^m,1) K as integer
+lattice forms; the torus engine in `orbital` counts them by valuation profile
+without listing them, and the tests hold it to this list.  `GroupElt`, a
 content-normalized matrix over exact rationals, is the oracles' type only: the
 Satake transform, the Iwasawa decomposition and the brute-force convolutions,
 against which the tests hold the closed forms here (change of basis h_n ->
@@ -317,10 +318,16 @@ def coset_basis_to_hecke(ctx: LocalFieldCtx, coset_coeffs: dict[int, complex]) -
 def hecke_to_coset_basis(ctx: LocalFieldCtx, h: HeckeElt) -> dict[int, complex]:
     """{h_n} -> double cosets: h_n = q^(-n/2) sum_{k = n, n-2, ..., n mod 2} 1_{K pi^k K},
     checked against the Satake transform in the tests.  Keys decrease: the order
-    the torus count sums in, which keeps fixed-seed reports byte-stable."""
+    the torus count sums in, which keeps fixed-seed reports byte-stable.  A
+    degree n with q^ceil(n/2) past the largest float, or a c q^(-n/2) that
+    underflows to 0, raises DomainError: h_n would drop out without a word."""
+    top = h.max_degree()
+    ctx.check_float_power((top + 1) // 2, f"Hecke degree {top}")
     out: dict[int, complex] = {}
     for n, c in h.coeffs:
         w = c * ctx.q ** (-n / 2)
+        if w == 0:
+            raise DomainError(f"coefficient {c} of h_{n} underflows at {ctx.q}^(-{n}/2)")
         for k in range(n % 2, n + 1, 2):
             out[k] = out.get(k, 0j) + w
     return {k: out[k] for k in sorted(out, reverse=True) if out[k] != 0}

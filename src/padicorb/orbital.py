@@ -37,7 +37,6 @@ from .bruhat import (
 from .groups import (
     HeckeElt,
     KSection,
-    double_coset_reps,
     h_s_coeffs,
     hecke_to_coset_basis,
     l_factor_eval,
@@ -711,55 +710,128 @@ def inert_rep_for(ext: QuadExt, xi: Fraction) -> tuple[int, int, int, int]:
     raise RepresentationError(f"no representative found for xi={xi}")
 
 
-_TORUS_MARGIN = 3  # shells of T(F)/T(o) summed past the support estimate
+def _pair_profile(p: int, a: int, e: int) -> list[tuple[int, int, int]]:
+    """[(k1, k2, count)]: the residues c mod p^a by their distances
+    k_i = min(a, val(c - r_i)) to two residues r1, r2 with
+    min(a, val(r1 - r2)) = e.  The balls about r1 of radius p^-k, k <= e, hold
+    r2 (Serre, *Trees*, ch. II), so below e both distances agree, and past e
+    at most one of them exceeds e."""
+    out = [(k, k, (p - 1) * p ** (a - k - 1)) for k in range(e)]
+    if e == a:
+        out.append((a, a, 1))
+        return out
+    out.append((e, e, (p - 2) * p ** (a - e - 1)))
+    for k in range(e + 1, a + 1):
+        n = (p - 1) * p ** (a - k - 1) if k < a else 1
+        out += [(k, e, n), (e, k, n)]
+    return out
 
-CosetTerms = list[tuple[int, complex, list[tuple[int, int, int]]]]
+
+def _row_min(p: int, a: int, d: int, x: int, vx: int, y: int, vy: int) -> tuple[int, int | None]:
+    """min(val(x p^a), val(x c + y p^d)) for the row (x, y) of B against the
+    coset [[p^a, c], [0, p^d]], as (w, None) when it does not depend on c and
+    as (vx, r) when it is vx + min(a, val(c - r)) for an integer r mod p^a."""
+    if vy + d < vx:  # also x = 0, vx = INF
+        return vy + d, None
+    pa = p ** a
+    return vx, -(y * p ** d // p ** vx) * pow(x // p ** vx, -1, pa) % pa
 
 
-def _coset_terms(ctx: LocalFieldCtx, dc: dict[int, complex]) -> CosetTerms:
-    """(m, c_m, [(a, c, p^d)]) for f = sum_m c_m 1_{K diag(pi^m,1) K}, one
-    (a, c, p^d) per left coset [[p^a, c], [0, p^d]] K of double_coset_reps."""
-    p = ctx.p
-    return [(m, cm, [(a, c, p ** d) for a, c, d in double_coset_reps(ctx, m)])
-            for m, cm in dc.items()]
+def _profile_count(p: int, a: int, rows, split: bool, need: int) -> int:
+    """#{c mod p^a : the rule holds for the row minima `rows` of `_row_min`}:
+    split, need <= w1 + w2; inert, need == 2 min(w1, w2)."""
+    (w1, r1), (w2, r2) = rows
+    if r1 is None and r2 is None:
+        return p ** a * (need <= w1 + w2 if split else need == 2 * min(w1, w2))
+    e = a if r1 is None or r2 is None else min(a, _val_int(r1 - r2, p))
+    cnt = 0
+    for k1, k2, n in _pair_profile(p, a, e):
+        x1 = w1 if r1 is None else w1 + k1
+        x2 = w2 if r2 is None else w2 + k2
+        if split:
+            cnt += n * (need <= x1 + x2)
+        else:
+            cnt += n * (need == 2 * min(x1, x2))
+    return cnt
 
 
-def _x1_count(p: int, split: bool, terms: CosetTerms,
+def _in_p(p: int, w: int, r: int | None) -> tuple[int, int | None]:
+    """A row minimum of `_row_min` read on c = p c' as a function of c' mod p^(a-1):
+    the distance to a unit r is 0, to r = p r' it is 1 + that of c' to r'."""
+    if r is None or r % p:
+        return w, None
+    return w + 1, r // p
+
+
+def _x1_count(p: int, split: bool, dc: dict[int, complex],
               b11: int, b12: int, b21: int, b22: int) -> complex:
-    """sum_m c_m #{rep : B rep in T(F)K} for the integer matrix B = [[b11, b12], [b21, b22]].
+    """sum_m c_m #{cosets of K diag(pi^m,1) K / K that B carries into T(F)K}
+    for the integer matrix B = [[b11, b12], [b21, b22]] and dc = {m: c_m}.
 
-    Membership is read off the valuations of the entries of
-    B rep = [[b11 p^a, b11 c + b12 p^d], [b21 p^a, b21 c + b22 p^d]] and of
-    det(B rep) = det B p^m:
-      split, T(F)K = A(F)K:  val det <= min val(row 1) + min val(row 2)
+    The cosets are [[p^a, c], [0, p^d]]K with a + d = m, c mod p^a, and c a
+    unit when a, d > 0 (q^m + q^(m-1) of them for m >= 1).  Membership is read
+    off the valuations of det(B rep) = det B p^m and of the row minima w1, w2
+    of B rep = [[b11 p^a, b11 c + b12 p^d], [b21 p^a, b21 c + b22 p^d]]:
+      split, T(F)K = A(F)K:  val det <= w1 + w2
                              (a diag(pi^s, 1) shift carries B rep into K);
-      inert, T(F) in K:      val det == 2 min val(entries).
-    Both rules are invariant under scaling B, so B needs no normalization.
+      inert, T(F) in K:      val det == 2 min(w1, w2).
+    Each wi reads c only through its distance to one residue ri (`_row_min`),
+    so the cosets of one a are counted by their distances to r1 and r2
+    (`_pair_profile`), and the units as all residues less the multiples of p
+    (`_in_p`): O(m^2) profile entries, not q^m cosets.  Both rules are
+    invariant under scaling B, so B needs no normalization.
     """
-    v11, v21 = _val_int(b11, p), _val_int(b21, p)
+    v11, v12, v21, v22 = _val_int(b11, p), _val_int(b12, p), _val_int(b21, p), _val_int(b22, p)
     vdet = _val_int(b11 * b22 - b12 * b21, p)
     tot = 0j
-    for m, cm, reps in terms:
-        cnt = 0
-        for a, c, pd in reps:
-            w1 = min(v11 + a, _val_int(b11 * c + b12 * pd, p))
-            w2 = min(v21 + a, _val_int(b21 * c + b22 * pd, p))
-            if split:
-                cnt += vdet + m <= w1 + w2
-            else:
-                cnt += vdet + m == 2 * min(w1, w2)
+    for m, cm in dc.items():
+        # a = 0: the one coset diag(1, p^m)
+        w1, w2 = min(v11, v12 + m), min(v21, v22 + m)
+        cnt = vdet + m <= w1 + w2 if split else vdet + m == 2 * min(w1, w2)
+        for a in range(1, m + 1):
+            d = m - a
+            rows = (_row_min(p, a, d, b11, v11, b12, v12), _row_min(p, a, d, b21, v21, b22, v22))
+            cnt += _profile_count(p, a, rows, split, vdet + m)
+            if a < m:
+                cnt -= _profile_count(p, a - 1, [_in_p(p, *row) for row in rows], split, vdet + m)
         tot += cm * cnt
     return tot
 
 
-def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi) -> complex:
-    """Brute-force O_xi((h*Phi1) x Phi2), Phi1 = Phi2 = 1_{X1(o)}, with Weil
-    measures (vol K = 1-q^-2).
+def _split_interval(p: int, xi: Fraction, depth: int) -> tuple[int, int]:
+    """The split translates n that can count for deg h = depth: lo <= n <= hi
+    (proof in `o_torus_group`)."""
+    return -depth, max(rational_valuation(xi, p), rational_valuation(1 + xi, p)) + depth
+
+
+def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
+                  dc: dict[int, complex] | None = None) -> complex:
+    """O_xi((h*Phi1) x Phi2) by lattice counts at group level, Phi1 = Phi2 =
+    1_{X1(o)}, with Weil measures (vol K = 1-q^-2).
 
     Split: vol(K) * sum over T(F)/T(o) of (h*Phi1)(T g_xi diag(pi^n,1)) with
     g_xi = iota(-1-xi, 1); inert: vol(K) * (h*Phi1)(T g_xi), zero on
     nontrivial-torsor fibers.  (h*Phi1)(T g) counts the cosets of
-    K diag(pi^m,1) K / K that g carries into T(F)K (`_x1_count`).
+    K diag(pi^m,1) K / K that g carries into T(F)K (`_x1_count`).  `dc` is h
+    in the double-coset basis, `hecke_to_coset_basis(ctx, h)`; a caller that
+    reads many xi builds it once.
+
+    The split sum runs over lo <= n <= hi, lo = -deg h and hi =
+    max(val xi, val(1+xi)) + deg h, and no coset of any degree may count at
+    lo - 1 and hi + 1 (with every c_m = 1 the counts are summed exactly).
+    No coset counts outside [lo, hi].  With x = -1 - xi = num/den, the
+    translate made integral is B = [[t den, s num], [t den, s (num + den)]],
+    s = p^max(-n,0), t = p^max(n,0), so val det B + m = |n| + 2 val den + m;
+    the coset [[p^a, c], [0, p^d]], m = a + d, counts when that is at most
+    the sum of the row minima w1 + w2 of B rep:
+      - n < 0: each row's minimum is at most val den + a (first column), so
+        the coset counts only when n >= m - 2a >= -m;
+      - any n: the two second-column entries differ by s den p^d, so
+        min(w1, w2) <= val den + val s + d, and the other row needs a minimum
+        of at least val den + val t + a (as |n| - val s = val t).  Its second
+        entry is den (t c - s (1+xi) p^d) in row 1 and den (t c - s xi p^d) in
+        row 2 (num = -(1+xi) den), which forces val(1+xi) + d >= n or
+        val xi + d >= n, and d <= m <= deg h.
     """
     xi = Fraction(xi)
     if xi == 0 or xi == -1:
@@ -768,34 +840,30 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi) -> complex:
     if h.is_zero() or (kind == "inert" and not inert_fiber_is_trivial(ext, xi)):
         return 0j
     p = ctx.p
-    terms = _coset_terms(ctx, hecke_to_coset_basis(ctx, h))
+    if dc is None:
+        dc = hecke_to_coset_basis(ctx, h)
     volK = float(ctx.vol_K)
 
     if kind == "inert":
-        return volK * _x1_count(p, False, terms, *inert_rep_for(ext, xi))
+        return volK * _x1_count(p, False, dc, *inert_rep_for(ext, xi))
 
     # g_xi diag(p^n, 1) = [[p^n, x], [p^n, 1 + x]], x = -1 - xi = num/den,
     # made integral by the factor den p^max(-n, 0)
     x = -1 - xi
     num, den = x.numerator, x.denominator
 
-    def translate(n: int, terms: CosetTerms) -> complex:
+    def translate(n: int, dc: dict[int, complex]) -> complex:
         s, t = (1, p ** n) if n >= 0 else (p ** -n, 1)  # p^max(-n, 0), p^max(n, 0)
-        return _x1_count(p, True, terms, t * den, s * num, t * den, s * (num + den))
+        return _x1_count(p, True, dc, t * den, s * num, t * den, s * (num + den))
 
-    vxi = rational_valuation(xi, p)
-    vz = rational_valuation(1 + xi, p)
-    depth = h.max_degree()
-    span = abs(vxi) + abs(vz) + 2 * depth + _TORUS_MARGIN
+    lo, hi = _split_interval(p, xi, h.max_degree())
     total = 0j
-    for n in range(-span, span + 1):
-        total += translate(n, terms)
-    # idempotence of the truncation: no coset of any degree counts at the
-    # boundary translates (with every c_m = 1 the counts are summed exactly)
-    counts = [(m, 1, reps) for m, _, reps in terms]
-    for n in (-span - 1, span + 1):
+    for n in range(lo, hi + 1):
+        total += translate(n, dc)
+    counts = dict.fromkeys(dc, 1)
+    for n in (lo - 1, hi + 1):
         if translate(n, counts) != 0:
-            raise RepresentationError("T(F)/T(o) sum not stabilized; widen margin")
+            raise RepresentationError("T(F)/T(o) sum not stabilized")
     return volK * total
 
 
@@ -912,9 +980,12 @@ def _hs_expansion_coeff(ctx: LocalFieldCtx, kind: str, h: HeckeElt, s: complex,
 
 
 def hecke_apply_W(ctx: LocalFieldCtx, kind: str, h: HeckeElt, s: complex = 0.0):
-    """Evaluator xi -> (h * f_W^s)(xi) through the characteristic-section basis."""
+    """Evaluator xi -> (h * f_W^s)(xi) through the characteristic-section basis;
+    a degree whose q^(deg h / 2) leaves the float range raises DomainError."""
     if h.is_zero():
         return lambda xi: 0j
+    top = h.max_degree()
+    ctx.check_float_power((top + 1) // 2, f"Hecke degree {top}")
 
     @lru_cache(maxsize=None)
     def d_of(k: int) -> complex:
@@ -982,15 +1053,17 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt) -> SZElem:
     """SZ element of orbital integrals of (h * 1_{X1(o)}) x 1_{X1(o)}.
 
     Window values on val(xi) >= -(2 deg h + 1) come from o_torus_group, one
-    per valuation class of each shell (`_class_shell`); the germs at 0 and -1
+    per valuation class of each shell (`_class_shell`), with h in the
+    double-coset basis built once; the germs at 0 and -1
     are fitted on deep shells with residual certificates and start at their
     certified onset.
     """
     depth = 2 * h.max_degree() + 3
     lo = -(2 * h.max_degree() + 1)
+    dc = hecke_to_coset_basis(ctx, h)
 
     def raw(xi) -> complex:
-        return o_torus_group(ctx, kind, h, xi)
+        return o_torus_group(ctx, kind, h, xi, dc)
 
     germ0 = _deep_germ(kind, lambda u, j: raw(u * Fraction(ctx.p) ** j), depth)
     germ_m1 = _deep_germ(kind, lambda u, j: raw(-1 + u * Fraction(ctx.p) ** j), depth)

@@ -1,18 +1,22 @@
-"""Reference builders the tests compare the library's windows with.
+"""Reference builders the tests compare the library's engines with.
 
 The shell sampler reads a raw orbital at every unit coset of a level and
 checks each coset against one child coset, raising the level until they
 agree.  The library reads its windows in closed form instead (chart images,
 valuation classes, one value per Kuznetsov shell); the sampler is kept here
-as the independent reference those readings are tested against.  Nothing
-under `src/` imports this module (`tests/test_stdlib_only.py`).
+as the independent reference those readings are tested against.  The torus
+engine counts cosets by their valuation profile (`orbital._x1_count`); the
+count that visits the cosets of `double_coset_reps` one by one is kept here
+as its bit-for-bit reference.  Nothing under `src/` imports this module
+(`tests/test_stdlib_only.py`).
 """
 
 from fractions import Fraction
 
 from padicorb.bruhat import BruhatFn
 from padicorb.errors import RepresentationError
-from padicorb.localfield import rational_valuation, unit_reps
+from padicorb.groups import double_coset_reps
+from padicorb.localfield import _val_int, rational_valuation, unit_reps
 from padicorb.orbital import (
     _FIRST_LEVEL,
     _assemble_sz,
@@ -88,3 +92,37 @@ def sampled_hecke_apply_W_elem(ctx, kind, h, s=0.0):
         entries += _value_atoms(ctx, 0, v, *_shell_values(ctx, value, Fraction(0), v, 1))
     return SWElem(ctx, kind, s, BruhatFn(ctx, "F", tuple(entries)), germ,
                   KLTail(hecke_apply_W_tail(ctx, kind, h, s), 2))
+
+
+def coset_terms(ctx, dc):
+    """(m, c_m, [(a, c, p^d)]) for f = sum_m c_m 1_{K diag(pi^m,1) K}, one
+    (a, c, p^d) per left coset [[p^a, c], [0, p^d]] K of double_coset_reps."""
+    p = ctx.p
+    return [(m, cm, [(a, c, p ** d) for a, c, d in double_coset_reps(ctx, m)])
+            for m, cm in dc.items()]
+
+
+def enumerated_x1_count(p, split, terms, b11, b12, b21, b22):
+    """`orbital._x1_count` coset by coset: sum_m c_m #{rep : B rep in T(F)K}
+    for the integer matrix B = [[b11, b12], [b21, b22]] and `coset_terms`.
+
+    Membership is read off the valuations of the entries of
+    B rep = [[b11 p^a, b11 c + b12 p^d], [b21 p^a, b21 c + b22 p^d]] and of
+    det(B rep) = det B p^m:
+      split, T(F)K = A(F)K:  val det <= min val(row 1) + min val(row 2);
+      inert, T(F) in K:      val det == 2 min val(entries).
+    """
+    v11, v21 = _val_int(b11, p), _val_int(b21, p)
+    vdet = _val_int(b11 * b22 - b12 * b21, p)
+    tot = 0j
+    for m, cm, reps in terms:
+        cnt = 0
+        for a, c, pd in reps:
+            w1 = min(v11 + a, _val_int(b11 * c + b12 * pd, p))
+            w2 = min(v21 + a, _val_int(b21 * c + b22 * pd, p))
+            if split:
+                cnt += vdet + m <= w1 + w2
+            else:
+                cnt += vdet + m == 2 * min(w1, w2)
+        tot += cm * cnt
+    return tot

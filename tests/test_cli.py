@@ -169,6 +169,15 @@ def test_window_past_float_range_is_a_computation_failure(tmp_path, capsys):
     assert out.exists()
 
 
+def test_hecke_degree_past_float_range_is_a_computation_failure(tmp_path, capsys):
+    """A Hecke degree whose q^(-n/2) underflows exits 3 with a typed error at
+    once, before any report is written, instead of verifying h0 alone."""
+    out = tmp_path / "r.json"
+    assert run(["verify-fl", "--p", "3", "--ext", "split", "--hecke", "0:1,1400:1",
+                "--out", str(out)]) == 3
+    assert "DomainError" in capsys.readouterr().err and not out.exists()
+
+
 def test_verify_fl_complex_hecke_label(tmp_path, capsys):
     """A coefficient with an imaginary part keeps it in the printed label and
     in the CSV hecke column; a real coefficient prints as a real number."""

@@ -139,6 +139,21 @@ def test_hecke_to_coset_basis_closed_form():
             assert all(abs(c - want) <= 1e-15 * want for c in dc.values()), (p, n)
 
 
+def test_hecke_to_coset_basis_refuses_what_underflows():
+    """h_n needs q^(-n/2) in floats: a degree whose q^ceil(n/2) overflows, or a
+    coefficient whose product underflows, raises DomainError instead of
+    dropping out (h0 + h1400 once became h0 at p = 3)."""
+    ctx = LocalFieldCtx(3)
+    assert hecke_to_coset_basis(ctx, HeckeElt.basis(1292))[1292] != 0
+    for h in (HeckeElt.basis(1293), HeckeElt.of({1400: 1}), HeckeElt.of({0: 1, 1400: 1}),
+              HeckeElt.of({600: 1e-300})):
+        with pytest.raises(DomainError):
+            hecke_to_coset_basis(ctx, h)
+    assert hecke_to_coset_basis(LocalFieldCtx(5), HeckeElt.basis(882))[882] != 0
+    with pytest.raises(DomainError):
+        hecke_to_coset_basis(LocalFieldCtx(5), HeckeElt.basis(883))
+
+
 def test_tr_Vn_values():
     for n in range(5):
         for alpha in (1.7, cmath.exp(0.3j)):

@@ -28,6 +28,7 @@ from padicorb.groups import (
 from padicorb.localfield import (
     LocalFieldCtx,
     QuadExt,
+    _val_int,
     psi_eval_frac,
     rational_valuation,
     smallest_nonresidue,
@@ -37,8 +38,8 @@ from padicorb.localfield import (
 from padicorb.orbital import (
     BabyInput,
     _ONSET_RTOL,
-    _TORUS_MARGIN,
-    _coset_terms,
+    _pair_profile,
+    _split_interval,
     _x1_count,
     baby_orbital,
     basic_fW0,
@@ -79,7 +80,13 @@ from padicorb.spaces import (
     ip_torus,
 )
 
-from oracles import _shell_values, sampled_hecke_apply_W_elem, sampled_hecke_apply_Z
+from oracles import (
+    _shell_values,
+    coset_terms,
+    enumerated_x1_count,
+    sampled_hecke_apply_W_elem,
+    sampled_hecke_apply_Z,
+)
 
 
 # --- baby case ---------------------------------------------------------------------
@@ -377,10 +384,9 @@ def _oracle_count(ext: QuadExt, base: GroupElt, m: int) -> int:
                if _x1_membership(ext, base.mul(GroupElt.of(ctx, p ** a, c, 0, p ** d))))
 
 
-def _integer_count(ext: QuadExt, base: GroupElt, m: int) -> complex:
-    scale = math.lcm(*(x.denominator for x in base.m))
-    return _x1_count(ext.ctx.p, ext.kind == "split", _coset_terms(ext.ctx, {m: 1}),
-                     *(int(x * scale) for x in base.m))
+def _integer_matrix(g: GroupElt) -> list[int]:
+    scale = math.lcm(*(x.denominator for x in g.m))
+    return [int(x * scale) for x in g.m]
 
 
 def _split_translate(ctx: LocalFieldCtx, xi: Fraction, n: int) -> GroupElt:
@@ -389,10 +395,19 @@ def _split_translate(ctx: LocalFieldCtx, xi: Fraction, n: int) -> GroupElt:
     return GroupElt.of(ctx, 1, x, 1, 1 + x).mul(GroupElt.diag(ctx, Fraction(ctx.p) ** n))
 
 
-def _torus_span(ctx: LocalFieldCtx, xi: Fraction, depth: int) -> int:
-    """The T(F)/T(o) shells o_torus_group sums: n in [-span, span]."""
+def _split_integer_translate(p: int, xi: Fraction, n: int) -> list[int]:
+    """g_xi diag(pi^n, 1) made integral, as o_torus_group builds it."""
+    x = -1 - xi
+    num, den = x.numerator, x.denominator
+    s, t = (1, p ** n) if n >= 0 else (p ** -n, 1)
+    return [t * den, s * num, t * den, s * (num + den)]
+
+
+def _wide_span(ctx: LocalFieldCtx, xi: Fraction, depth: int) -> int:
+    """A support estimate wider than the derived interval: the split sum once
+    ran over n in [-span, span] with this span (a hand-set margin of 3)."""
     vxi, vz = rational_valuation(xi, ctx.p), rational_valuation(1 + xi, ctx.p)
-    return abs(vxi) + abs(vz) + 2 * depth + _TORUS_MARGIN
+    return abs(vxi) + abs(vz) + 2 * depth + 3
 
 
 def _seeded_xis(rng, p: int, count: int) -> list[Fraction]:
@@ -407,9 +422,9 @@ def _seeded_xis(rng, p: int, count: int) -> list[Fraction]:
 
 @pytest.mark.parametrize("p,m_max", [(3, 3), (5, 3), (7, 2)])
 def test_x1_count_matches_groupelt_oracle(p, m_max):
-    """The integer membership count equals the GroupElt count, coset by
-    coset summed, on seeded rational bases, on 28-digit inert representatives
-    and on the split boundary translates n = +-(span+1)."""
+    """The profile count equals the GroupElt count and the enumerating count,
+    coset by coset summed, on seeded rational bases, on 28-digit inert
+    representatives and on the split boundary translates lo - 1 and hi + 1."""
     ctx = LocalFieldCtx(p)
     rng = random.Random(100 + p)
     bases = []
@@ -428,24 +443,27 @@ def test_x1_count_matches_groupelt_oracle(p, m_max):
     assert max(abs(x.numerator) for g in inert_bases for x in g.m) > p ** 20
     split_bases = []
     for xi in _seeded_xis(rng, p, 3):
-        span = _torus_span(ctx, xi, m_max)
-        split_bases += [_split_translate(ctx, xi, n) for n in (-span - 1, span + 1)]
+        lo, hi = _split_interval(p, xi, m_max)
+        split_bases += [_split_translate(ctx, xi, n) for n in (lo - 1, hi + 1)]
     cases = [(kind, g) for g in bases for kind in ("split", "inert")]
     cases += [("inert", g) for g in inert_bases] + [("split", g) for g in split_bases]
     hits = 0
     for kind, g in cases:
         ext = QuadExt(ctx, kind)
+        split, b = kind == "split", _integer_matrix(g)
         for m in range(m_max + 1):
             want = _oracle_count(ext, g, m)
-            assert _integer_count(ext, g, m) == want, (kind, g, m)
+            assert _x1_count(p, split, {m: 1}, *b) == want, (kind, g, m)
+            assert enumerated_x1_count(p, split, coset_terms(ctx, {m: 1}), *b) == want, (kind, g, m)
             hits += want
     assert hits > 0
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_o_torus_group_equals_groupelt_sum(p):
-    """o_torus_group is vol K times the GroupElt count over the same
-    translates, bit for bit: the counts are integers summed in one order."""
+    """o_torus_group is vol K times the GroupElt count summed over a wider
+    span of translates, bit for bit: the counts are integers summed in one
+    order, and the translates outside the derived interval add exact zeros."""
     ctx = LocalFieldCtx(p)
     rng = random.Random(200 + p)
     volK = float(ctx.vol_K)
@@ -456,7 +474,7 @@ def test_o_torus_group_equals_groupelt_sum(p):
             dc = hecke_to_coset_basis(ctx, h)
             for xi in _seeded_xis(rng, p, 4):
                 if kind == "split":
-                    span = _torus_span(ctx, xi, n_h)
+                    span = _wide_span(ctx, xi, n_h)
                     bases = [_split_translate(ctx, xi, n) for n in range(-span, span + 1)]
                 elif inert_fiber_is_trivial(ext, xi):
                     bases = [GroupElt.of(ctx, *inert_rep_for(ext, xi))]
@@ -470,6 +488,80 @@ def test_o_torus_group_equals_groupelt_sum(p):
                         tot += cm * _oracle_count(ext, g, m)
                     total += tot
                 assert o_torus_group(ctx, kind, h, xi) == volK * total, (kind, n_h, xi)
+
+
+def test_pair_profile_matches_residue_scan():
+    """The distance profile of c mod p^a against two residues equals the scan
+    over every c, at every e = min(a, val(r1 - r2))."""
+    rng = random.Random(700)
+    for p in (3, 5, 7):
+        for a in range(5):
+            for _ in range(6):
+                r1 = rng.randrange(p ** a)
+                r2 = (r1 + rng.randrange(p ** a) * p ** rng.randrange(a + 1)) % p ** a
+                e = min(a, _val_int(r1 - r2, p))
+                want = {}
+                for c in range(p ** a):
+                    key = (min(a, _val_int(c - r1, p)), min(a, _val_int(c - r2, p)))
+                    want[key] = want.get(key, 0) + 1
+                got = {}
+                for k1, k2, n in _pair_profile(p, a, e):
+                    got[k1, k2] = got.get((k1, k2), 0) + n
+                assert {k: n for k, n in got.items() if n} == want, (p, a, r1, r2)
+
+
+@pytest.mark.parametrize("p,count", [(3, 130), (5, 50), (7, 24)])
+def test_split_interval_holds_every_counting_translate(p, count):
+    """No coset of degree m <= D counts outside the derived interval of deg h = D,
+    by the enumerating count, over a range 6 wider on each side than the old
+    span; each end of the interval counts for some xi.  Every xi is read at
+    D = 0..4, so the three primes give 1,020 cases."""
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(500 + p)
+    terms = [coset_terms(ctx, {m: 1}) for m in range(5)]
+    ends = {}
+    for xi in _seeded_xis(rng, p, count):
+        span = _wide_span(ctx, xi, 4) + 6
+        counts = {n: [enumerated_x1_count(p, True, t, *_split_integer_translate(p, xi, n))
+                      for t in terms] for n in range(-span, span + 1)}
+        for depth in range(5):
+            lo, hi = _split_interval(p, xi, depth)
+            assert lo == -depth
+            for n, by_m in counts.items():
+                hit = any(by_m[: depth + 1])
+                if n < lo or n > hi:
+                    assert not hit, (xi, depth, n)
+                elif n in (lo, hi) and hit:
+                    ends[depth, n == lo] = ends.get((depth, n == lo), 0) + 1
+    assert sorted(ends) == [(d, end) for d in range(5) for end in (False, True)]
+
+
+@pytest.mark.parametrize("p,n_xi", [(3, 8), (5, 2)])
+def test_x1_count_matches_enumeration_on_translates(p, n_xi):
+    """Degree by degree up to 6, the profile count equals the enumerating count
+    on every translate o_torus_group reads for h0 ... h6: the split translates
+    lo - 1 .. hi + 1 of deg h = 6 (which hold those of lower degree) and the
+    inert representative."""
+    ctx = LocalFieldCtx(p)
+    ext = QuadExt(ctx, "inert")
+    rng = random.Random(600 + p)
+    terms = [coset_terms(ctx, {m: 1}) for m in range(7)]
+    xis = _seeded_xis(rng, p, n_xi) + [Fraction(1, p), -1 + Fraction(p ** 2)]
+    cases = []
+    for xi in xis:
+        lo, hi = _split_interval(p, xi, 6)
+        cases += [(True, _split_integer_translate(p, xi, n)) for n in range(lo - 1, hi + 2)]
+    for xi in _seeded_xis(rng, p, 6 * n_xi):
+        if inert_fiber_is_trivial(ext, xi):
+            cases.append((False, list(inert_rep_for(ext, xi))))
+    assert any(not split for split, _ in cases)
+    hits = 0
+    for split, b in cases:
+        for m, t in enumerate(terms):
+            want = enumerated_x1_count(p, split, t, *b)
+            assert _x1_count(p, split, {m: 1}, *b) == want, (split, b, m)
+            hits += want != 0
+    assert hits > 0
 
 
 def _tree_count(delta: int, m: int) -> int:
@@ -1279,30 +1371,50 @@ def test_torus_window_reads_two_units_per_valuation_class(monkeypatch, p, kind, 
     assert 0 < spent["window"] <= 2 * sum(classes)
 
 
-def test_stabilization_idempotence(ctx3, monkeypatch):
-    import padicorb.orbital as orbital
+def _shifted_interval(monkeypatch, dlo: int, dhi: int):
+    """Make o_torus_group sum over [lo + dlo, hi + dhi] for its derived [lo, hi]."""
 
-    h1 = HeckeElt.basis(1)
-    xi = Fraction(2)
-    monkeypatch.setattr(orbital, "_TORUS_MARGIN", 3)
-    a = o_torus_group(ctx3, "split", h1, xi)
-    monkeypatch.setattr(orbital, "_TORUS_MARGIN", 6)
-    b = o_torus_group(ctx3, "split", h1, xi)
-    assert abs(a - b) < 1e-14
+    def shifted(p, xi, depth):
+        lo, hi = _split_interval(p, xi, depth)
+        return lo + dlo, hi + dhi
+
+    monkeypatch.setattr(orbital, "_split_interval", shifted)
+
+
+def test_hecke_apply_W_refuses_a_degree_past_float_range(ctx3):
+    """The Kuznetsov side's q^((n - k)/2) reaches q^(deg h / 2): a degree past
+    the float range raises DomainError, not OverflowError."""
+    with pytest.raises(DomainError):
+        hecke_apply_W(ctx3, "split", HeckeElt.of({0: 1, 1400: 1}))
+    assert math.isfinite(abs(hecke_apply_W(ctx3, "split", HeckeElt.basis(1292))(Fraction(3))))
+
+
+def test_stabilization_idempotence(ctx3, monkeypatch):
+    """Widening the derived interval of the split sum adds exact zeros: the
+    value stays bit-identical."""
+    h = HeckeElt.of({0: 1, 1: 2, 2: 3})
+    for xi in (Fraction(2), Fraction(1, 9), Fraction(-10, 9)):
+        monkeypatch.undo()
+        want = o_torus_group(ctx3, "split", h, xi)
+        assert want != 0
+        for dlo, dhi in ((-3, 0), (0, 3), (-6, 6)):
+            _shifted_interval(monkeypatch, dlo, dhi)
+            assert o_torus_group(ctx3, "split", h, xi) == want, (xi, dlo, dhi)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-15])
 def test_torus_margin_certificate_counts_cosets(ctx3, monkeypatch, scale):
-    """A margin too small for h = h0 + 2 h1 at xi = 2 leaves cosets at the
-    boundary translates; the certificate counts them exactly, so the Hecke
-    element's scale cannot hide them (at 1e-15 the cut sum reads 6.91e-15,
-    the orbital 7.94e-15)."""
+    """For h = h0 + 2 h1 at xi = 2 a coset of degree 1 counts at each end of
+    the derived interval [-1, 2]; an interval one translate shorter at either
+    end leaves it at a boundary translate, and the certificate counts it
+    exactly, so the Hecke element's scale cannot hide it."""
     h = HeckeElt.of({0: scale, 1: 2 * scale})
     want = o_torus_group(ctx3, "split", h, Fraction(2))
     assert abs(want - 7.94 * scale) < 0.01 * scale
-    monkeypatch.setattr(orbital, "_TORUS_MARGIN", -2)
-    with pytest.raises(RepresentationError, match="not stabilized"):
-        o_torus_group(ctx3, "split", h, Fraction(2))
+    for dlo, dhi in ((1, 0), (0, -1)):
+        _shifted_interval(monkeypatch, dlo, dhi)
+        with pytest.raises(RepresentationError, match="not stabilized"):
+            o_torus_group(ctx3, "split", h, Fraction(2))
 
 
 # The two paths share no code: the torus side counts lattices in o_torus_group
@@ -1350,8 +1462,10 @@ def test_torus_group_reaches_no_chart_function(ctx3, kind):
     assert [name for name in CHART_FUNCTIONS
             if functools.reduce(getattr, name.split("."), orbital).__code__ in seen] == []
     assert [name for name in SATAKE_FUNCTIONS if getattr(groups, name).__code__ in seen] == []
-    # the engine counts on integers: GroupElt is the oracles' type only
-    assert [f for f in (GroupElt.of, GroupElt.mul) if f.__code__ in seen] == []
+    # the engine counts on integers: GroupElt is the oracles' type only, and
+    # the cosets are counted by valuation profile, never listed one by one
+    oracles = (GroupElt.of, GroupElt.mul, double_coset_reps, coset_terms, enumerated_x1_count)
+    assert [f for f in oracles if f.__code__ in seen] == []
 
 
 def test_closed_kuznetsov_forms_never_reach_direct_engine(ctx3):
