@@ -238,7 +238,8 @@ def _refine(entries, level: int, p: int, dim: int) -> dict:
     """Coset table at `level` of the sum of the weights w on the cosets with
     `_coset_key`s keys at level n <= `level`, (keys, n, w) in `entries`: the
     cosets counted before any is built, then refined on integer residues;
-    entries at most 1e-14 dropped, the rest ordered by center."""
+    sums at most 1e-14 times the largest |w| dropped (so cancellation, not
+    scale, empties a coset), the rest ordered by center."""
     cosets = sum(p ** (dim * (level - n)) for _, n, _ in entries)
     if cosets > _MAX_REFINEMENT:
         raise RepresentationError(
@@ -251,7 +252,8 @@ def _refine(entries, level: int, p: int, dim: int) -> dict:
                      for s in range(p ** (level - n))] for v, res in keys]
         for key in itertools.product(*children):
             acc[key] = acc.get(key, 0j) + w
-    kept = sorted(((key, w) for key, w in acc.items() if abs(w) > 1e-14),
+    floor = 1e-14 * max((abs(w) for _, _, w in entries), default=0.0)
+    kept = sorted(((key, w) for key, w in acc.items() if abs(w) > floor),
                   key=lambda kw: str(tuple(_key_ratio(k, p) for k in kw[0])))
     return dict(kept)
 
@@ -483,9 +485,3 @@ def gamma_factor(chi: MellinCharacter) -> RationalFnT:
     rhs = zhat.subs_recip_scaled(1.0 / ctx.q)
     return rhs / z
 
-
-def gamma_star_eta(ext: QuadExt) -> tuple[complex, int]:
-    """Leading Laurent term of gamma(eta, s, psi) at s = 0: (coefficient, order)."""
-    chi = MellinCharacter(ext, "eta" if ext.kind == "inert" else "trivial")
-    g = gamma_factor(chi)
-    return g.leading_at(1.0, lnq=math.log(ext.ctx.q))

@@ -25,15 +25,7 @@ from .errors import (
     RepresentationError,
     UnsupportedSectionError,
 )
-from .bruhat import (
-    BruhatFn,
-    MellinCharacter,
-    _residue_key,
-    fourier_E,
-    fourier_F2,
-    gamma_star_eta,
-    tate_zeta,
-)
+from .bruhat import BruhatFn, _residue_key, fourier_E, fourier_F2
 from .groups import (
     HeckeElt,
     KSection,
@@ -106,34 +98,9 @@ def o_baby_split(phi: BruhatFn, xi) -> complex:
 
 
 def split_germ_data(phi: BruhatFn) -> Germ:
-    """Exact germ of the split baby orbital: O~_0 and O~_u from the lifts.
-
-    O~_0 = Vol(T(F)_0) Phi(0); O~_u is the constant Laurent term at t=1 of
-    zeta_x(t) + zeta_y(1/t), the Tate integrals of Phi restricted to the axes.
-    Stored against the {1, val} basis; the onset level is derived from the
-    atom level and re-certified by residual probes in every consumer (a too
-    shallow onset fails loudly, never silently).
-    """
-    ctx = phi.ctx
-    O0 = phi.eval((0, 0)) * float(ctx.vol_Ox)  # (ln q)^-1 folded in extract_O0
-    chi = MellinCharacter(QuadExt(ctx, "split"), "trivial")
-    zx = tate_zeta(_axis_restriction(phi, 0), chi)
-    zy = tate_zeta(_axis_restriction(phi, 1), chi)
-    total = zx + zy.subs_recip_scaled(1.0)  # z_x(t) + z_y(1/t): t = q^{-s}
-    lead, order = total.leading_at(1.0, lnq=math.log(ctx.q))
-    if order < 0:
-        raise RepresentationError("axis zeta sum kept a pole; germ data invalid")
-    Ou = lead if order == 0 else 0j
-    b = O0  # multiplies val(xi); O~_0 = b / ln q
-    return Germ(Ou, b, max(2 * phi.level + 1, 1))
-
-
-def _axis_restriction(phi: BruhatFn, axis: int) -> BruhatFn:
-    """Phi(x, 0) or Phi(0, y) as a one-variable BruhatFn."""
-    # the cosets whose other coordinate has the key (level, 0) of the ball around 0
-    return BruhatFn(phi.ctx, "F", tuple(
-        ((keys[axis],), n, w) for keys, n, w in phi.canonicalize().entries
-        if keys[1 - axis][0] >= n))
+    """Exact germ O~_u + b*val(xi) of the split baby orbital, b = Vol(T(F)_0)
+    Phi(0) (O~_0 = b / ln q), fitted on the deep shells of `split_image`."""
+    return _baby_germ("split", phi, split_image(phi))
 
 
 @dataclass(frozen=True)
@@ -226,6 +193,8 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
         return 0j
     p, table, level = ctx.p, data.coset_table, data.level
     w = rational_valuation(target, p) // 2
+    if w < -max(data.axis_radii):
+        return 0j  # every z t has val w, outside the support
     m = max(1, level - w + 1)
     # z = p^w (ia + ib sqrt(u)); the keys of z*t need ia, ib mod p^(level - w)
     mod_pow = max(level - w, 1)
@@ -243,15 +212,10 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
 
 
 def nonsplit_germ_data(inp: BabyInput) -> Germ:
-    """Germ C1 + C2*eta at 0 per the half-volume formulas."""
-    ctx = inp.ext.ctx
-    volT = float(ctx.vol_T_inert())
-    phi_at_0X = inp.phi0.eval((0, 0))
-    phi_at_0Xa = inp.phi_alpha.eval((0, 0))
-    c1 = 0.5 * volT * (phi_at_0X + phi_at_0Xa)
-    c2 = 0.5 * volT * (phi_at_0X - phi_at_0Xa)
-    lvl = max(inp.phi0.level, inp.phi_alpha.level, 0)
-    return Germ(c1, c2, 2 * lvl + 2)
+    """Exact germ C1 + C2*eta(xi) of the inert baby orbital, C1 and C2 the half
+    sum and half difference of Vol(T(F)) Phi(0) on the two copies, fitted on
+    the deep shells of `nonsplit_image`."""
+    return _baby_germ("inert", inp, nonsplit_image(inp))
 
 
 def _baby_ctx(kind: str, data) -> LocalFieldCtx:
@@ -271,10 +235,18 @@ def baby_orbital(kind: str, data, xi) -> complex:
     return o_baby_nonsplit(data, xi)
 
 
-def _baby_germ(kind: str, data) -> Germ:
+def _baby_germ(kind: str, data, image: ChartImage) -> Germ:
+    """The germ of the baby orbital of `data`, fitted (`_deep_germ`) on the
+    shells of its chart image from a depth past every unit-shell term and the
+    first shell of every deep term (L the level of the coset tables): split,
+    unit terms up to 2L - 2 and deep terms from 2L - 1 at the latest; inert,
+    2L - 1 and 2L + 1.  The fit so reads only the deep terms, and the
+    consumers' onset walk (`_certified_onset`) lowers the level it returns."""
     if kind == "split":
-        return split_germ_data(data)
-    return nonsplit_germ_data(data)
+        depth = max(2 * data.level + 1, 1)
+    else:
+        depth = 2 * max(data.phi0.level, data.phi_alpha.level, 0) + 2
+    return _deep_germ(kind, lambda u, v: image.value(v, u), depth)
 
 
 def baby_support_floor(kind: str, data) -> int:
@@ -305,8 +277,9 @@ def sx_from_baby(data, kind: str) -> SXElem:
     p = ctx.p
     level = _FIRST_LEVEL
     lo = baby_support_floor(kind, data)
-    germ = _baby_germ(kind, data)
-    charts = ((chart_image(kind, data), 1, 0),)
+    image = chart_image(kind, data)
+    germ = _baby_germ(kind, data, image)
+    charts = ((image, 1, 0),)
     shells = {v: _image_shell(ctx, charts, 0, v, max(level, baby_xi_level(kind, data, v)))
               for v in range(lo, germ.level)}
     germ = _certified_onset(kind, germ, shells)
@@ -588,8 +561,9 @@ def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
     """
     ctx = _baby_ctx(kind, phi1)
     _baby_ctx(kind, phi2)
-    g0 = _baby_germ(kind, phi2)
-    g1 = _baby_germ(kind, phi1)
+    image2, image1 = chart_image(kind, phi2), chart_image(kind, phi1)
+    g0 = _baby_germ(kind, phi2, image2)
+    g1 = _baby_germ(kind, phi1, image1)
     lo = min(baby_support_floor(kind, phi2), baby_support_floor(kind, phi1)) - 1
     depth0 = g0.level
     depth1 = g1.level
@@ -604,13 +578,13 @@ def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
     # stability probes (level-certified local constancy of the opposite chart)
     chk0 = baby_orbital(kind, phi1, Fraction(-1) - Fraction(ctx.p) ** (depth0 + 3))
     chk1 = baby_orbital(kind, phi2, Fraction(-1) + Fraction(ctx.p) ** (depth1 + 3))
-    if abs(other_at_0 - chk0) > 1e-10 or abs(other_at_m1 - chk1) > 1e-10:
+    if not (_same_value(other_at_0, chk0) and _same_value(other_at_m1, chk1)):
         raise RepresentationError("chart cross-terms not stabilized; germ level too small")
     germ0 = Germ(g0.a + other_at_0, g0.b, depth0)
     germ_m1 = Germ(g1.a + other_at_m1, g1.b, depth1)
 
     # chart 2 reads xi, chart 1 reads -1 - xi
-    charts = ((chart_image(kind, phi2), 1, 0), (chart_image(kind, phi1), -1, -1))
+    charts = ((image2, 1, 0), (image1, -1, -1))
 
     def shell(center: int, v: int, cut: int | None):
         # both chart terms contribute structure: valuations v(xi) = v, v(1+xi);
@@ -1104,9 +1078,15 @@ def _class_shell(ctx: LocalFieldCtx, raw, center: int, v: int, cut: int | None):
 
 
 def gamma_star(ctx: LocalFieldCtx, kind: str) -> complex:
-    """Leading Laurent coefficient of gamma(eta, s, psi) at s = 0."""
-    lead, _ = gamma_star_eta(QuadExt(ctx, kind))
-    return lead
+    """Leading Laurent coefficient of gamma(eta, s, psi) at s = 0, psi unramified
+    (Tate's thesis): gamma(chi, s) = L(chi^-1, 1 - s) / L(chi, s) with
+    L(chi, s) = 1 / (1 - chi(p) q^-s).  Split, eta = 1 and gamma has a simple
+    zero, (1 - q^-s) / (1 - q^(s-1)) = s ln q / (1 - 1/q) + O(s^2); inert,
+    eta(p) = -1 and gamma(eta, 0) = 2 / (1 + 1/q)."""
+    q = ctx.q
+    if kind == "split":
+        return complex(math.log(q) / (1 - 1 / q))
+    return complex(2 / (1 + 1 / q))
 
 
 # --- verification harnesses --------------------------------------------------------

@@ -1,7 +1,7 @@
 """Rational functions in t = q^(-s) with complex coefficients.
 
-These carry Tate zeta values, L-factors and gamma factors; Laurent leading
-terms at a point are extracted by numerically certified deflation.
+These carry Tate zeta values, L-factors and gamma factors, evaluated at points
+of t.
 """
 
 from __future__ import annotations
@@ -72,24 +72,6 @@ class Poly:
             acc = acc * t + c
         return acc
 
-    def deflate_at(self, t0: complex) -> tuple["Poly", int]:
-        """Factor out the maximal (t - t0)^r; returns (quotient, r)."""
-        poly = self
-        r = 0
-        scale = max((abs(c) for c in self.coeffs), default=0.0)
-        tol = 1e-9 * max(scale, 1.0)
-        while not poly.is_zero() and abs(poly.eval(t0)) <= tol and poly.degree() >= 1:
-            # synthetic division by (t - t0); remainder certified tiny above
-            coefs = list(poly.coeffs)
-            quot = [0j] * poly.degree()
-            acc = coefs[-1]
-            for k in range(poly.degree() - 1, -1, -1):
-                quot[k] = acc
-                acc = coefs[k] + acc * t0
-            poly = Poly(_trim(quot))
-            r += 1
-        return poly, r
-
 
 @dataclass(frozen=True)
 class RationalFnT:
@@ -143,23 +125,6 @@ class RationalFnT:
             return Poly(_trim(out))
 
         return RationalFnT(lift(self.num), lift(self.den))
-
-    def leading_at(self, t0: complex, lnq: float | None = None) -> tuple[complex, int]:
-        """Laurent leading term at t = t0: (coefficient, order in (t - t0)).
-
-        With lnq given, the answer is converted to the s-variable at t0 = 1:
-        1 - t = s*ln(q)(1+O(s)), so the returned coefficient multiplies s^order.
-        """
-        if self.num.is_zero():
-            return 0j, 0
-        num, rn = self.num.deflate_at(t0)
-        den, rd = self.den.deflate_at(t0)
-        order = rn - rd
-        lead = num.eval(t0) / den.eval(t0)
-        if lnq is not None:
-            # convert (t - 1)^order to the s-variable: t - 1 = -s ln q + O(s^2)
-            lead = lead * ((-lnq) ** order)
-        return lead, order
 
     def agrees_with(self, other: "RationalFnT", points: list[complex], tol: float = 1e-9) -> bool:
         for t in points:

@@ -18,7 +18,6 @@ from padicorb.bruhat import (
     fourier_E,
     fourier_F2,
     gamma_factor,
-    gamma_star_eta,
     inner_product,
     integral,
     mellin_component,
@@ -26,6 +25,7 @@ from padicorb.bruhat import (
     tate_zeta,
 )
 from padicorb.localfield import LocalFieldCtx, QuadExt, psi_eval_frac, rational_valuation, unit_mod
+from padicorb.orbital import gamma_star
 
 
 def random_fn(ctx, rng, domain="F", n_atoms=4, max_level=2, center_den=2):
@@ -85,6 +85,19 @@ def test_coset_key_properties(p):
         center = _key_center(kx, p)
         assert rational_valuation(center - x, p) >= level
         assert _coset_key(center, level, p) == kx
+
+
+def test_refine_drops_relative_to_the_largest_weight(ctx3):
+    """The canonical form drops a coset sum only when it is at most 1e-14 of
+    the largest input weight: 1e-15 * (1_o + 1_{po}) keeps its three cosets,
+    and f - f has an empty table."""
+    f = BruhatFn.from_atoms(ctx3, "F", [(0, 0, 1.0), (0, 1, 1.0)])
+    small = f.scale(1e-15)
+    assert {k: w * 1e-15 for k, w in f.coset_table.items()} == small.coset_table
+    assert len(small.coset_table) == 3
+    assert (f - f).coset_table == {}
+    g = random_fn(ctx3, random.Random(3), domain="F2")
+    assert (g - g).coset_table == {} and (g - g).level == 0
 
 
 def test_canonical_form_memoized(ctx3):
@@ -492,13 +505,23 @@ def test_gamma_examples(ctx3, ctx5):
 
 
 def test_gamma_star_values(ctx3, ctx5):
-    lead, order = gamma_star_eta(QuadExt(ctx3, "inert"))
-    assert order == 0 and abs(lead - 1.5) < 1e-10
-    lead5, order5 = gamma_star_eta(QuadExt(ctx5, "inert"))
-    assert order5 == 0 and abs(lead5 - Fraction(5, 3)) < 1e-10
-    lead_s, order_s = gamma_star_eta(QuadExt(ctx3, "split"))
-    assert order_s == 1
-    assert abs(lead_s - math.log(3) / (1 - Fraction(1, 3))) < 1e-10
+    assert abs(gamma_star(ctx3, "inert") - 1.5) < 1e-10
+    assert abs(gamma_star(ctx5, "inert") - Fraction(5, 3)) < 1e-10
+    assert abs(gamma_star(ctx3, "split") - math.log(3) / (1 - Fraction(1, 3))) < 1e-10
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("kind,order", [("split", 1), ("inert", 0)])
+def test_gamma_star_leads_the_solved_gamma_factor(p, kind, order):
+    """The closed-form gamma* against gamma(eta, s, psi) / s^order near s = 0,
+    gamma solved from the local functional equation (`gamma_factor`): split,
+    a simple zero; inert, a finite nonzero value.  The gap is O(s)."""
+    ctx = LocalFieldCtx(p)
+    chi = MellinCharacter(QuadExt(ctx, kind), "eta" if kind == "inert" else "trivial")
+    s = 1e-7
+    got = gamma_factor(chi).eval(p ** -s) / s ** order
+    want = gamma_star(ctx, kind)
+    assert abs(got - want) <= 1e-6 * abs(want)
 
 
 def test_mellin_component_examples(ctx3, ext3i):

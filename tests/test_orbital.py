@@ -1005,6 +1005,11 @@ def test_baby_windows_reach_the_support_floor(ctx3):
 # --- germs at their certified onset ------------------------------------------------
 
 
+def _chart_germ(kind, data):
+    """The germ of a chart before its onset walk, as the chart builders fit it."""
+    return orbital._baby_germ(kind, data, orbital.chart_image(kind, data))
+
+
 def _seeded_charts(ctx, kind, seed):
     """Two seeded baby charts: `random_baby_data` at p = 3; at p = 5 three atoms
     of level 0 or 1 each, since level-2 inert charts take seconds there."""
@@ -1056,7 +1061,7 @@ def _check_onset(elem, raw, kind, germ, chart_level, center, floor, start):
 def test_germs_start_at_their_certified_onset(p, kind, seed):
     ctx = LocalFieldCtx(p)
     phi1, phi2 = _seeded_charts(ctx, kind, seed)
-    L0, L1 = orbital._baby_germ(kind, phi2).level, orbital._baby_germ(kind, phi1).level
+    L0, L1 = _chart_germ(kind, phi2).level, _chart_germ(kind, phi1).level
 
     def sx_raw(xi):
         return baby_orbital(kind, phi2, xi)
@@ -1120,7 +1125,7 @@ def test_absorption_keeps_inner_product_and_tail(ctx3, source):
         def raw(xi):
             return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
 
-        L0, L1 = orbital._baby_germ(kind, phi2).level, orbital._baby_germ(kind, phi1).level
+        L0, L1 = _chart_germ(kind, phi2).level, _chart_germ(kind, phi1).level
         start = max(2, *(orbital.baby_xi_level(kind, phi, 0) for phi in (phi1, phi2)))
     before = _unabsorbed(f, raw, L0, L1, start)
     assert len(before.window.atoms) > len(f.window.atoms) and f.germ_m1.b != 0
@@ -1172,13 +1177,95 @@ def test_chart_image_matches_pointwise_orbitals(p, kind):
     for data in charts:
         image = orbital.chart_image(kind, data)
         floor = orbital.baby_support_floor(kind, data)
-        for v in range(floor - 2, orbital._baby_germ(kind, data).level + 2):
+        for v in range(floor - 2, _chart_germ(kind, data).level + 2):
             level = max(2, orbital.baby_xi_level(kind, data, v))
             assert image.level(v) <= level
             for u in unit_reps(p, level):
                 want = baby_orbital(kind, data, Fraction(u) * Fraction(p) ** v)
                 got = image.value(v, u)
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (v, u)
+
+
+def _scaled(kind, data, c):
+    if kind == "split":
+        return data.scale(c)
+    return BabyInput(data.ext, data.phi0.scale(c), data.phi_alpha.scale(c))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_chart_germs_are_scale_equivariant(p, kind):
+    """germ(c Phi) = c germ(Phi) from c = 1e-15 to 1e15, to 1e-14 of the germ's
+    largest term on its first shell: the germ is fitted on the chart image,
+    which keeps every coset of c Phi."""
+    ctx = LocalFieldCtx(p)
+    germ_data = split_germ_data if kind == "split" else nonsplit_germ_data
+    rng = random.Random(p)
+    for _ in range(6):
+        data = random_baby_data(ctx, kind, rng)
+        g = germ_data(data)
+        size = max(abs(g.a), abs(g.b) * g.level)
+        for c in (1e-15, 1e-9, 1.0, 1e15):
+            gc = germ_data(_scaled(kind, data, c))
+            assert gc.level == g.level
+            assert abs(gc.a - c * g.a) <= 1e-14 * c * size, c
+            assert abs(gc.b - c * g.b) <= 1e-14 * c * size, c
+
+
+def test_sz_from_charts_is_scale_equivariant(ctx3):
+    """The S(Z) element of the seed-4 split charts scaled by 1e-9 is 1e-9 times
+    the unscaled element on shells -6..8 around 0 and -1, with the same 35
+    window entries."""
+    rng = random.Random(4)
+    phi1, phi2 = random_baby_data(ctx3, "split", rng), random_baby_data(ctx3, "split", rng)
+    base = sz_from_charts(phi1, phi2, "split")
+    c = 1e-9
+    f = sz_from_charts(phi1.scale(c), phi2.scale(c), "split")
+    assert len(f.window.entries) == len(base.window.entries) == 35
+    points = [u * Fraction(3) ** v for v in range(-6, 9) for u in unit_reps(3, 3)]
+    for xi in points + [-1 + x for x in points if rational_valuation(x, 3) > 0]:
+        want = c * base.eval(xi)
+        assert abs(f.eval(xi) - want) <= 1e-14 * abs(want), xi
+
+
+@pytest.mark.parametrize("kind,seed", [("split", 4), ("inert", 2)])
+def test_cross_term_probe_is_scale_relative(ctx3, monkeypatch, kind, seed):
+    """With both chart germs lowered to level -4, the cross-term probes read the
+    other chart at -1 -/+ p^-2 and -1 -/+ p^-1, where it is not constant; the
+    check compares the two relatively, so a scale of 1e-12 does not pass it."""
+    rng = random.Random(seed)
+    phi1, phi2 = random_baby_data(ctx3, kind, rng), random_baby_data(ctx3, kind, rng)
+    fitted = orbital._baby_germ
+    monkeypatch.setattr(orbital, "_baby_germ",
+                        lambda *args: Germ(*fitted(*args)[:2], -4))
+    for c in (1.0, 1e-12):
+        with pytest.raises(RepresentationError, match="cross-terms not stabilized"):
+            sz_from_charts(_scaled(kind, phi1, c), _scaled(kind, phi2, c), kind)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_o_baby_nonsplit_is_zero_below_the_support(p):
+    """The inert orbital equals the closed-form image at seeded units on shells
+    -8..5; below the support (val(xi)/2 < -R, R the support radius) every z t
+    has that valuation, so a probe there is 0 and reads no norm-one table."""
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(p)
+    for _ in range(3):
+        inp = random_baby_data(ctx, "inert", rng)
+        image = orbital.nonsplit_image(inp)
+        for v in range(-8, 6):
+            for _ in range(4):
+                u = rng.randrange(1, p ** 3)
+                if u % p:
+                    want = image.value(v, u)
+                    got = o_baby_nonsplit(inp, Fraction(u) * Fraction(p) ** v)
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (v, u)
+    radius = max(inp.phi0.axis_radii)
+    before = orbital._norm_one.cache_info()
+    assert o_baby_nonsplit(inp, Fraction(p) ** (-2 * radius - 2)) == 0
+    after = orbital._norm_one.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses,
+                                                          before.currsize)
 
 
 def _sampled_elements(kind, phi1, phi2):
@@ -1189,7 +1276,7 @@ def _sampled_elements(kind, phi1, phi2):
     (window entries, germs) of each."""
     ctx = orbital._baby_ctx(kind, phi2)
     p = ctx.p
-    L0, L1 = orbital._baby_germ(kind, phi2).level, orbital._baby_germ(kind, phi1).level
+    L0, L1 = _chart_germ(kind, phi2).level, _chart_germ(kind, phi1).level
 
     def sx_raw(xi):
         return baby_orbital(kind, phi2, xi)

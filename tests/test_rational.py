@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from padicorb.errors import DomainError, PoleError
@@ -31,19 +29,6 @@ def test_subs_recip_scaled():
     s = r.subs_recip_scaled(0.25)  # r(0.25/t)
     for t in (0.3, 1.7, -0.9):
         assert abs(s.eval(t) - r.eval(0.25 / t)) < 1e-12
-
-
-def test_laurent_leading_orders():
-    # (1-t)^2 (2+t) / (1-t): order 1, coefficient -3*ln q in s at q with lnq given
-    num = Poly.of(1, -1) * Poly.of(1, -1) * Poly.of(2, 1)
-    den = Poly.of(1, -1)
-    r = RationalFnT(num, den)
-    lead, order = r.leading_at(1.0)
-    assert order == 1
-    assert abs(lead - (-3.0)) < 1e-9  # d/dt[(1-t)(2+t)] style leading in (t-1)
-    lead_s, order_s = r.leading_at(1.0, lnq=math.log(3))
-    assert order_s == 1
-    assert abs(lead_s - 3 * math.log(3)) < 1e-9
 
 
 def test_geometric_tails_vs_brute():
