@@ -52,9 +52,11 @@ from .spaces import (
     SWElem,
     SXElem,
     SZElem,
+    _DROP,
     _certify,
     _certify_kl_tail,
     _deep_germ,
+    _norm,
     _value_atoms,
     g_value_Z_to_W,
     g_transform_Z_to_W,
@@ -246,7 +248,7 @@ def _baby_germ(kind: str, data, image: ChartImage) -> Germ:
         depth = max(2 * data.level + 1, 1)
     else:
         depth = 2 * max(data.phi0.level, data.phi_alpha.level, 0) + 2
-    return _deep_germ(kind, lambda u, v: image.value(v, u), depth)
+    return _deep_germ(kind, lambda u, v: image.value(v, u), depth, image.norm)
 
 
 def baby_support_floor(kind: str, data) -> int:
@@ -283,12 +285,13 @@ def sx_from_baby(data, kind: str) -> SXElem:
     shells = {v: _image_shell(ctx, charts, 0, v, max(level, baby_xi_level(kind, data, v)))
               for v in range(lo, germ.level)}
     germ = _certified_onset(kind, germ, shells)
-    entries = [e for v in range(lo, germ.level) for e in _value_atoms(ctx, 0, v, *shells[v])]
+    entries = [e for v in range(lo, germ.level)
+               for e in _value_atoms(ctx, 0, v, *shells[v], image.norm)]
     out = SXElem(ctx, kind, BruhatFn(ctx, "F", tuple(entries)), germ)
     for x in (Fraction(1 + p ** level), Fraction(p) ** (germ.level + 1),
               2 * Fraction(p) ** germ.level, Fraction(1 + p ** level, p)):
-        _certify(out.eval(x), raw(x), 1e-9, f"S(X) representation mismatch at {x}")
-    _certify_floor(ctx, raw, lo)
+        _certify(out.eval(x), raw(x), 1e-9, f"S(X) representation mismatch at {x}", image.norm)
+    _certify_floor(ctx, raw, lo, image.norm)
     return out
 
 
@@ -317,12 +320,14 @@ class ChartImage:
     On the shell val x = v its value at a unit u of x is the sum of
     c (v - first)^n over the `deep` terms (first, step, n) -> c with
     v = first, first + step, ..., plus, for each k in `units[v]`, the weight
-    of u mod p^k there: u needs to be known mod p^`level(v)`.
+    of u mod p^k there: u needs to be known mod p^`level(v)`.  `norm` is the
+    largest |weight| of the chart's coset table(s).
     """
 
     p: int
     units: dict[int, dict[int, dict[int, complex]]]  # v -> k -> unit mod p^k -> weight
     deep: dict[tuple[int, int, int], complex]
+    norm: float
 
     def level(self, v: int) -> int:
         return max(self.units.get(v, ()), default=0)
@@ -381,7 +386,7 @@ def split_image(phi: BruhatFn) -> ChartImage:
             _add(deep, (L + v, 1, 0), w * q ** (v - L))
         else:
             _add(deep, (2 * L - 1, 1, 1), w * float(ctx.vol_Ox))
-    return ChartImage(p, units, deep)
+    return ChartImage(p, units, deep, _norm(phi.coset_table.values()))
 
 
 def nonsplit_image(inp: BabyInput) -> ChartImage:
@@ -411,7 +416,8 @@ def nonsplit_image(inp: BabyInput) -> ChartImage:
             a, b = r1 * p ** (v1 - wv), r2 * p ** (v2 - wv)  # a key (L, 0) has r = 0
             _add(units.setdefault(2 * wv + parity, {}).setdefault(k, {}),
                  (a * a - u * b * b) % p ** k, w * q ** -k)
-    return ChartImage(p, units, deep)
+    tables = (inp.phi0.coset_table, inp.phi_alpha.coset_table)
+    return ChartImage(p, units, deep, _norm(w for t in tables for w in t.values()))
 
 
 def chart_image(kind: str, data) -> ChartImage:
@@ -500,12 +506,12 @@ def _certified_onset(kind: str, germ: Germ, shells: dict[int, tuple[dict, int]])
     return Germ(germ.a, germ.b, level)
 
 
-def _certify_floor(ctx: LocalFieldCtx, raw, lo: int):
-    """Support certificate: raw vanishes on the two shells below the window
-    floor, one of each parity (a support may skip a parity)."""
+def _certify_floor(ctx: LocalFieldCtx, raw, lo: int, norm: float):
+    """Support certificate: raw vanishes (up to _DROP * norm) on the two shells
+    below the window floor, one of each parity (a support may skip a parity)."""
     for v in (lo - 1, lo - 2):
         for u in (1, ctx.p - 1):
-            if abs(raw(Fraction(u) * Fraction(ctx.p) ** v)) > 1e-12:
+            if abs(raw(Fraction(u) * Fraction(ctx.p) ** v)) > _DROP * norm:
                 raise RepresentationError("window floor too high; support leaked")
 
 
@@ -525,7 +531,7 @@ def baby_xi_level(kind: str, data, v: int) -> int:
 
 
 def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
-                 lo: int, shell) -> SZElem:
+                 lo: int, shell, norm: float) -> SZElem:
     """Window atoms on regions disjoint from both germ neighborhoods.
 
     `shell(center, v, cut)` gives the (values, level) table of the shell
@@ -544,11 +550,11 @@ def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
     germ0 = _certified_onset(kind, germ0, {v: s for v, s in xi_shells.items() if v > 0})
     germ_m1 = _certified_onset(kind, germ_m1, zeta_shells)
     entries = [e for v in range(lo, germ0.level)
-               for e in _value_atoms(ctx, 0, v, *xi_shells[v])]
+               for e in _value_atoms(ctx, 0, v, *xi_shells[v], norm)]
     entries += [e for vz in range(zeta_cut, germ_m1.level)
-                for e in _value_atoms(ctx, -1, vz, *zeta_shells[vz])]
+                for e in _value_atoms(ctx, -1, vz, *zeta_shells[vz], norm)]
     out = SZElem(ctx, kind, BruhatFn(ctx, "F", tuple(entries)), germ0, germ_m1)
-    _certify_sz(out, raw, lo)
+    _certify_sz(out, raw, lo, norm)
     return out
 
 
@@ -594,10 +600,11 @@ def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
                     baby_xi_level(kind, phi1, min(vx, 0)))
         return _image_shell(ctx, charts, center, v, start, cut)
 
-    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, shell)
+    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, shell,
+                        max(image1.norm, image2.norm))
 
 
-def _certify_sz(f: SZElem, raw, lo: int):
+def _certify_sz(f: SZElem, raw, lo: int, norm: float):
     p = f.ctx.p
     level = _FIRST_LEVEL
     z0, g0 = f.germ_m1.level, f.germ0.level
@@ -611,8 +618,8 @@ def _certify_sz(f: SZElem, raw, lo: int):
                Fraction(2 * p ** level - 1)]
     for x in probes:
         if x != 0 and x != -1:
-            _certify(f.eval(x), raw(x), 1e-9, f"S(Z) representation mismatch at {x}")
-    _certify_floor(f.ctx, raw, lo)
+            _certify(f.eval(x), raw(x), 1e-9, f"S(Z) representation mismatch at {x}", norm)
+    _certify_floor(f.ctx, raw, lo, norm)
 
 
 # --- torus-quotient invariant and group-level orbitals -----------------------------
@@ -992,21 +999,21 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     window shell each at level 1; deeper lies the |xi|^{s+1}-weighted zero
     germ, fitted with residuals."""
     value = hecke_apply_W(ctx, kind, h, s)
-    q = ctx.q
+    q, norm = ctx.q, _norm(h.as_dict().values())
     depth = h.max_degree() + 3
     germ = _deep_germ(kind, lambda u, v: value(u * Fraction(ctx.p) ** v) * q ** (v * (s + 1)),
-                      depth)
+                      depth, norm)
     C = hecke_apply_W_tail(ctx, kind, h, s)
-    _certify_kl_tail(ctx, value, C, (-2, -4), (1, 2), 1e-9)
+    _certify_kl_tail(ctx, value, C, (-2, -4), (1, 2), 1e-9, norm)
     entries = []
     for v in range(-1, depth):
         w = value(Fraction(ctx.p) ** v)
-        entries += _value_atoms(ctx, 0, v, dict.fromkeys(unit_reps(ctx.p, 1), w), 1)
+        entries += _value_atoms(ctx, 0, v, dict.fromkeys(unit_reps(ctx.p, 1), w), 1, norm)
     out = SWElem(ctx, kind, s, BruhatFn(ctx, "F", tuple(entries)), germ, KLTail(C, 2))
     for xi in (Fraction(1 + ctx.p), Fraction(ctx.p) ** (depth + 1),
                Fraction(2) * Fraction(ctx.p) ** -6):
         _certify(out.eval(xi), value(xi), 1e-9,
-                 f"assembled SWElem disagrees with the evaluator at {xi}")
+                 f"assembled SWElem disagrees with the evaluator at {xi}", norm)
     return out
 
 
@@ -1035,13 +1042,15 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt) -> SZElem:
     depth = 2 * h.max_degree() + 3
     lo = -(2 * h.max_degree() + 1)
     dc = hecke_to_coset_basis(ctx, h)
+    norm = _norm(h.as_dict().values())
 
     def raw(xi) -> complex:
         return o_torus_group(ctx, kind, h, xi, dc)
 
-    germ0 = _deep_germ(kind, lambda u, j: raw(u * Fraction(ctx.p) ** j), depth)
-    germ_m1 = _deep_germ(kind, lambda u, j: raw(-1 + u * Fraction(ctx.p) ** j), depth)
-    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, partial(_class_shell, ctx, raw))
+    germ0 = _deep_germ(kind, lambda u, j: raw(u * Fraction(ctx.p) ** j), depth, norm)
+    germ_m1 = _deep_germ(kind, lambda u, j: raw(-1 + u * Fraction(ctx.p) ** j), depth, norm)
+    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, partial(_class_shell, ctx, raw),
+                        norm)
 
 
 def _class_shell(ctx: LocalFieldCtx, raw, center: int, v: int, cut: int | None):

@@ -15,8 +15,7 @@ _TRIM = 1e-13
 
 def _trim(coeffs: list[complex]) -> tuple[complex, ...]:
     c = list(coeffs)
-    scale = max((abs(x) for x in c), default=0.0)
-    tol = _TRIM * max(scale, 1.0)
+    tol = _TRIM * max((abs(x) for x in c), default=0.0)
     while c and abs(c[-1]) <= tol:
         c.pop()
     return tuple(c) if c else (0j,)

@@ -211,9 +211,19 @@ def _check_kind(kind: str):
         raise KindError(f"kind must be split or inert, got {kind!r}")
 
 
-def _certify(got: complex, want: complex, tol: float, what: str):
-    """The probe certificate |got - want| <= tol * max(1, |want|)."""
-    if abs(got - want) > tol * max(1.0, abs(want)):
+# The one tolerance policy: every threshold of a builder is a tolerance times
+# the `norm` of its input, the largest |coefficient| (`_norm`), so a builder
+# is linear, rep(c f) = c rep(f), and a zero input makes every comparison exact.
+_DROP = 1e-12  # a window value, or a value below the support, at most _DROP * norm is 0
+
+
+def _norm(coefs) -> float:
+    return max(map(abs, coefs), default=0.0)
+
+
+def _certify(got: complex, want: complex, tol: float, what: str, norm: float):
+    """The probe certificate |got - want| <= tol * max(norm, |want|)."""
+    if abs(got - want) > tol * max(norm, abs(want)):
         raise RepresentationError(f"{what}: {got} vs {want}")
 
 
@@ -322,13 +332,13 @@ class SWElem:
 
 
 def _certify_kl_tail(ctx: LocalFieldCtx, value, C: complex, shells, units,
-                     tol: float):
+                     tol: float, norm: float):
     """value(xi) == C * KL(xi) on the given tail shells and units."""
     for v in shells:
         for u in units:
             xi = Fraction(u) * Fraction(ctx.p) ** v
             _certify(value(xi), C * kloosterman_germ(ctx, xi), tol,
-                     f"Kloosterman tail mismatch at {xi}")
+                     f"Kloosterman tail mismatch at {xi}", norm)
 
 
 def kloosterman_germ(ctx: LocalFieldCtx, xi) -> complex:
@@ -444,7 +454,7 @@ def _shell_plan(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...],
     def read(m: int, bn: int, bd: int, c: complex):
         # q^-k and the q^k of K stay apart, and the entries in term order: deep
         # windows then carry the rounding of the term-by-term sum, which decides
-        # the atoms near the 1e-12 drop of `_window`
+        # the atoms near the `_DROP` of `_window`
         k, mod = v + m, p ** m
         entries.append((m, -bn * pow(bd, -1, mod) % mod, c * float(q) ** (-k), float(p) ** k))
 
@@ -508,7 +518,7 @@ def _germ_depth(terms: tuple[_Term, ...]) -> int:
     return depth
 
 
-def _fit_germ(kind: str, values: dict[int, complex]) -> Germ:
+def _fit_germ(kind: str, values: dict[int, complex], norm: float) -> Germ:
     """Fit a + b*val (split) or a + b*eta (inert) to exact deep-shell values."""
     vs = sorted(values)
     if len(vs) < 4:
@@ -524,7 +534,7 @@ def _fit_germ(kind: str, values: dict[int, complex]) -> Germ:
         b = (values[v0] - values[v1]) / (e0 - e1)
         a = values[v0] - b * e0
     g = Germ(a, b, vs[0])
-    scale = max(1.0, max(abs(x) for x in values.values()))
+    scale = max(norm, _norm(values.values()))
     for v in vs[2:]:
         pred = g.eval(kind, v)
         if abs(pred - values[v]) > 1e-9 * scale:
@@ -534,7 +544,7 @@ def _fit_germ(kind: str, values: dict[int, complex]) -> Germ:
     return g
 
 
-def _deep_germ(kind: str, value, depth: int) -> Germ:
+def _deep_germ(kind: str, value, depth: int, norm: float) -> Germ:
     """Germ on val >= depth fitted to value(1, v) on the shells depth..depth+3.
 
     value(u, v) is the function at the unit u on the shell v of the germ's
@@ -544,22 +554,29 @@ def _deep_germ(kind: str, value, depth: int) -> Germ:
     for v in range(depth, depth + 4):
         values[v] = value(1, v)
         _certify(value(2, v), values[v], 1e-9,
-                 f"germ region not unit-independent at val={v}")
-    return _fit_germ(kind, values)
+                 f"germ region not unit-independent at val={v}", norm)
+    return _fit_germ(kind, values, norm)
 
 
 def _value_atoms(ctx: LocalFieldCtx, center: int, v: int,
-                 vals: dict[int, complex], level: int) -> list:
+                 vals: dict[int, complex], level: int, norm: float) -> list:
     """Window entries of the values `vals` at the units u mod p^level on the
     shell center + (units)*p^v (center 0, or an integer with v >= 0), one per
-    coset whose value exceeds 1e-12."""
+    coset whose value exceeds _DROP * norm."""
     return [(((v, u) if center == 0 else
               _residue_key(0, center + u * ctx.p ** v, v + level, ctx.p),), v + level, w)
-            for u, w in vals.items() if abs(w) > 1e-12]
+            for u, w in vals.items() if abs(w) > _DROP * norm]
+
+
+def _elem_norm(f: SXElem | SZElem) -> float:
+    """The norm of an S(X) or S(Z) element: its largest |window weight| or germ
+    coefficient."""
+    germs = (f.germ0, f.germ_m1) if isinstance(f, SZElem) else (f.germ0,)
+    return _norm([w for _, _, w in f.window.entries] + [c for g in germs for c in g[:2]])
 
 
 def _window(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...], shells: range,
-            weighted: bool) -> BruhatFn:
+            norm: float, weighted: bool) -> BruhatFn:
     """Window of G f, or of |.|G f when `weighted`, on the given shells: one plan
     per shell, evaluated at every unit coset of its level."""
     entries = []
@@ -568,25 +585,25 @@ def _window(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...], shells: ran
         weight = float(ctx.q) ** (-v)
         vals = {u: weight * plan.value(ctx, u) if weighted else plan.value(ctx, u)
                 for u in unit_reps(ctx.p, plan.level)}
-        entries += _value_atoms(ctx, 0, v, vals, plan.level)
+        entries += _value_atoms(ctx, 0, v, vals, plan.level, norm)
     return BruhatFn(ctx, "F", tuple(entries))
 
 
 def g_transform_SX(f: SXElem) -> SXElem:
     """G f for f in S(X); output is again an S(X) element (shape closure)."""
     ctx, kind = f.ctx, f.kind
-    terms = f._terms
+    terms, norm = f._terms, _elem_norm(f)
     vmin = _support_bound(terms)
     depth = _germ_depth(terms)
     germ = _deep_germ(kind, lambda u, v: _g_value(ctx, kind, terms, u * Fraction(ctx.p) ** v),
-                      depth)
-    window = _window(ctx, kind, terms, range(vmin, depth), weighted=False)
+                      depth, norm)
+    window = _window(ctx, kind, terms, range(vmin, depth), norm, weighted=False)
     out = SXElem(ctx, kind, window, germ)
     # representation guard: window+germ reproduces the engine at sample points
     for v in (vmin, depth - 1, depth + 1):
         x = Fraction(ctx.p) ** v
         _certify(out.eval(x), _g_value(ctx, kind, terms, x), 1e-8,
-                 f"assembled S(X) element disagrees with the engine at {x}")
+                 f"assembled S(X) element disagrees with the engine at {x}", norm)
     return out
 
 
@@ -598,13 +615,13 @@ def g_value_SX(f: SXElem, xi) -> complex:
 def g_transform_Z_to_W(f: SZElem) -> SWElem:
     """|.|G f in S(W) with s = 0: the matching transform S(Z) -> S(W)."""
     ctx, kind = f.ctx, f.kind
-    terms = f._terms
+    terms, norm = f._terms, _elem_norm(f)
     q = ctx.q
 
     depth = _germ_depth(terms)
     # germ of G f (before the |xi| factor)
     germ = _deep_germ(kind, lambda u, v: _g_value(ctx, kind, terms, u * Fraction(ctx.p) ** v),
-                      depth)
+                      depth, norm)
 
     def abs_g_value(xi: Fraction) -> complex:  # (|.|G f)(xi)
         return float(q) ** (-rational_valuation(xi, ctx.p)) * _g_value(ctx, kind, terms, xi)
@@ -615,10 +632,10 @@ def g_transform_Z_to_W(f: SZElem) -> SWElem:
     g1 = [ft for (_, first, ft) in terms if first == -INF]
     tail_val = min(-4, _support_bound(terms) - 1, *(-2 * (ft.L + 1) for ft in g1))
     C = g1[0].c_tail if g1 else 0j
-    _certify_kl_tail(ctx, abs_g_value, C, (tail_val, tail_val - 2), (1,), 1e-8)
+    _certify_kl_tail(ctx, abs_g_value, C, (tail_val, tail_val - 2), (1,), 1e-8, norm)
     tail = KLTail(C, -tail_val)
 
-    window = _window(ctx, kind, terms, range(tail_val + 1, depth), weighted=True)
+    window = _window(ctx, kind, terms, range(tail_val + 1, depth), norm, weighted=True)
     return SWElem(ctx, kind, 0.0, window, germ, tail)
 
 

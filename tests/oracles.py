@@ -24,7 +24,7 @@ from padicorb.orbital import (
     hecke_apply_W_tail,
     o_torus_group,
 )
-from padicorb.spaces import KLTail, SWElem, _deep_germ, _value_atoms
+from padicorb.spaces import KLTail, SWElem, _deep_germ, _norm, _value_atoms
 
 
 def _shell_values(ctx, raw, center: Fraction, v: int, start_level: int, skip=None):
@@ -73,23 +73,23 @@ def sampled_hecke_apply_Z(ctx, kind, h):
     def raw(xi):
         return o_torus_group(ctx, kind, h, xi)
 
-    depth = 2 * h.max_degree() + 3
-    germ0 = _deep_germ(kind, lambda u, j: raw(u * Fraction(ctx.p) ** j), depth)
-    germ_m1 = _deep_germ(kind, lambda u, j: raw(-1 + u * Fraction(ctx.p) ** j), depth)
+    depth, norm = 2 * h.max_degree() + 3, _norm(h.as_dict().values())
+    germ0 = _deep_germ(kind, lambda u, j: raw(u * Fraction(ctx.p) ** j), depth, norm)
+    germ_m1 = _deep_germ(kind, lambda u, j: raw(-1 + u * Fraction(ctx.p) ** j), depth, norm)
     return _assemble_sz(ctx, kind, raw, germ0, germ_m1, -(2 * h.max_degree() + 1),
-                        sampled_shell(ctx, raw))
+                        sampled_shell(ctx, raw), norm)
 
 
 def sampled_hecke_apply_W_elem(ctx, kind, h, s=0.0):
     """`orbital.hecke_apply_W_elem` with the sampler's window, sampled from
     level 1 on the shells val -1 .. depth - 1, and the same germ fit and tail."""
     value = hecke_apply_W(ctx, kind, h, s)
-    depth = h.max_degree() + 3
+    depth, norm = h.max_degree() + 3, _norm(h.as_dict().values())
     germ = _deep_germ(kind, lambda u, v: value(u * Fraction(ctx.p) ** v) * ctx.q ** (v * (s + 1)),
-                      depth)
+                      depth, norm)
     entries = []
     for v in range(-1, depth):
-        entries += _value_atoms(ctx, 0, v, *_shell_values(ctx, value, Fraction(0), v, 1))
+        entries += _value_atoms(ctx, 0, v, *_shell_values(ctx, value, Fraction(0), v, 1), norm)
     return SWElem(ctx, kind, s, BruhatFn(ctx, "F", tuple(entries)), germ,
                   KLTail(hecke_apply_W_tail(ctx, kind, h, s), 2))
 

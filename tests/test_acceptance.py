@@ -247,6 +247,20 @@ def test_criterion_8_matching():
     assert elapsed < 300 * 3
 
 
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_criterion_8_matching_at_more_primes(p, kind):
+    """Matching at p = 5, 7, 11, 2 seeded samples each (seed 7): the Salie root,
+    `inert_rep_for`'s and `norm_lift`'s searches and `norm_one_reps` depend on
+    p.  A vacuous leg (every inner product 0) would check only the shapes."""
+    t0 = time.time()
+    rep = verify_matching(LocalFieldCtx(p), kind, samples=2, seed=7, tolerance=1e-8)
+    nonzero = sum(c.ip_rhs != 0 for c in rep.cases)
+    report(f"criterion 8 (matching, p={p} {kind}, 2 samples)", rep.passed and nonzero > 0,
+           f"shape {rep.max_shape_residual:.2e}, inner product {rep.max_ip_error:.2e} <= 1e-8,"
+           f" {nonzero} nonzero", time.time() - t0)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_criterion_9_fundamental_lemma(p):
     """FL: h in {h0, h1, h2, 1_{K pi K}}, both kinds, val in [-4,4], const = 1."""

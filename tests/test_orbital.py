@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -73,6 +74,7 @@ from padicorb.spaces import (
     Germ,
     SZElem,
     _value_atoms,
+    g_transform_SX,
     g_transform_Z_to_W,
     g_value_SX,
     g_value_Z_to_W,
@@ -869,6 +871,17 @@ def test_verify_fl_reads_its_constant_at_the_same_point_at_every_scale(ctx3):
     assert first[0] == first[1]
 
 
+@pytest.mark.parametrize("kind,h", [("split", HeckeElt.of({0: 1e-13, 1: 2e-13})),
+                                    ("inert", HeckeElt.of({0: 1e-15}))], ids=["split", "inert"])
+def test_verify_fl_at_a_scaled_hecke_element(ctx3, kind, h):
+    """The fundamental lemma is linear in h: at 1e-13 (h0 + 2 h1) and 1e-15 h0
+    both sides agree to 1e-12 of the largest |rhs|, with the constant 1, where
+    absolute drops and probes lost the window (the split constant read 2.80)."""
+    rep = verify_fl(ctx3, kind, h)
+    assert rep.passed and abs(rep.fitted_constant - 1) <= 1e-12
+    assert rep.max_error <= 1e-12 * max(abs(pt.rhs) for pt in rep.points)
+
+
 @pytest.mark.parametrize("p,n", [(3, 5), (3, 6), (5, 5)])
 def test_verify_fl_inert_deep_hecke(p, n):
     """From h_5 on, the torus side meets xi with val disc < 0, where the
@@ -1091,15 +1104,16 @@ def test_germs_start_at_their_certified_onset(p, kind, seed):
                  lambda vz: start(0))
 
 
-def _unabsorbed(f, raw, L0, L1, start):
+def _unabsorbed(f, raw, L0, L1, start, norm):
     """`f` with its germs back at the chart levels L0 and L1 and the shells they
-    absorbed sampled into the window again: the element before absorption."""
+    absorbed sampled into the window again: the element before absorption,
+    with the builder's `norm`."""
     ctx = f.ctx
     entries = list(f.window.entries)
     for center, lo, hi in ((0, f.germ0.level, L0), (-1, f.germ_m1.level, L1)):
         for v in range(lo, hi):
             entries += _value_atoms(ctx, center, v,
-                                    *_shell_values(ctx, raw, Fraction(center), v, start))
+                                    *_shell_values(ctx, raw, Fraction(center), v, start), norm)
     return SZElem(ctx, f.kind, BruhatFn(ctx, "F", tuple(entries)),
                   Germ(f.germ0.a, f.germ0.b, L0), Germ(f.germ_m1.a, f.germ_m1.b, L1))
 
@@ -1117,7 +1131,7 @@ def test_absorption_keeps_inner_product_and_tail(ctx3, source):
             return o_torus_group(ctx3, kind, h, xi)
 
         L0 = L1 = 2 * h.max_degree() + 3
-        start = 2
+        start, norm = 2, max(map(abs, h.as_dict().values()))
     else:
         phi1, phi2 = _seeded_charts(ctx3, kind, 1 if kind == "split" else 2)
         f = sz_from_charts(phi1, phi2, kind)
@@ -1127,7 +1141,8 @@ def test_absorption_keeps_inner_product_and_tail(ctx3, source):
 
         L0, L1 = _chart_germ(kind, phi2).level, _chart_germ(kind, phi1).level
         start = max(2, *(orbital.baby_xi_level(kind, phi, 0) for phi in (phi1, phi2)))
-    before = _unabsorbed(f, raw, L0, L1, start)
+        norm = max(orbital.chart_image(kind, phi).norm for phi in (phi1, phi2))
+    before = _unabsorbed(f, raw, L0, L1, start, norm)
     assert len(before.window.atoms) > len(f.window.atoms) and f.germ_m1.b != 0
     assert ip_torus(before) == ip_torus(f)
     w_before, w_after = g_transform_Z_to_W(before), g_transform_Z_to_W(f)
@@ -1212,20 +1227,57 @@ def test_chart_germs_are_scale_equivariant(p, kind):
             assert abs(gc.b - c * g.b) <= 1e-14 * c * size, c
 
 
-def test_sz_from_charts_is_scale_equivariant(ctx3):
-    """The S(Z) element of the seed-4 split charts scaled by 1e-9 is 1e-9 times
-    the unscaled element on shells -6..8 around 0 and -1, with the same 35
-    window entries."""
+def _scaled_elem(f, c):
+    """c f for an S(X) or S(Z) element f."""
+
+    def times_c(g):
+        return Germ(c * g.a, c * g.b, g.level)
+
+    germs = ("germ0", "germ_m1") if isinstance(f, SZElem) else ("germ0",)
+    return dataclasses.replace(f, window=f.window.scale(c),
+                               **{name: times_c(getattr(f, name)) for name in germs})
+
+
+_SCALED_H = HeckeElt.of({0: 1, 1: 2})
+
+# builder(kind, c): the builder's representation of c times its seeded input,
+# the seed-4 charts (phi1, phi2) at p = 3 or h0 + 2 h1
+_SCALE_BUILDERS = {
+    "sx_from_baby": lambda kind, c, phi1, phi2: sx_from_baby(_scaled(kind, phi2, c), kind),
+    "sz_from_charts": lambda kind, c, phi1, phi2: sz_from_charts(
+        _scaled(kind, phi1, c), _scaled(kind, phi2, c), kind),
+    "hecke_apply_Z": lambda kind, c, phi1, phi2: hecke_apply_Z(
+        LocalFieldCtx(3), kind, _SCALED_H.scale(c)),
+    "hecke_apply_W_elem": lambda kind, c, phi1, phi2: orbital.hecke_apply_W_elem(
+        LocalFieldCtx(3), kind, _SCALED_H.scale(c)),
+    "g_transform_SX": lambda kind, c, phi1, phi2: g_transform_SX(
+        _scaled_elem(sx_from_baby(phi2, kind), c)),
+    "g_transform_Z_to_W": lambda kind, c, phi1, phi2: g_transform_Z_to_W(
+        _scaled_elem(sz_from_charts(phi1, phi2, kind), c)),
+}
+
+
+@pytest.mark.parametrize("c", [1e-15, 1e-12, 1e15], ids=["1e-15", "1e-12", "1e15"])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+@pytest.mark.parametrize("builder", list(_SCALE_BUILDERS))
+def test_builders_are_scale_equivariant(ctx3, builder, kind, c):
+    """rep(c f) = c rep(f) for every builder, since every drop, probe and germ
+    fit scales with the input's norm: the same number of window entries, and
+    values c times the unscaled ones on shells -6..8 around 0 and -1, to 1e-14
+    relative, or for G to 1e-14 of the largest there (a G value that cancels
+    keeps its terms' rounding)."""
     rng = random.Random(4)
-    phi1, phi2 = random_baby_data(ctx3, "split", rng), random_baby_data(ctx3, "split", rng)
-    base = sz_from_charts(phi1, phi2, "split")
-    c = 1e-9
-    f = sz_from_charts(phi1.scale(c), phi2.scale(c), "split")
-    assert len(f.window.entries) == len(base.window.entries) == 35
+    phi1, phi2 = random_baby_data(ctx3, kind, rng), random_baby_data(ctx3, kind, rng)
+    build = _SCALE_BUILDERS[builder]
+    base, f = build(kind, 1.0, phi1, phi2), build(kind, c, phi1, phi2)
+    assert len(f.window.entries) == len(base.window.entries)
     points = [u * Fraction(3) ** v for v in range(-6, 9) for u in unit_reps(3, 3)]
-    for xi in points + [-1 + x for x in points if rational_valuation(x, 3) > 0]:
-        want = c * base.eval(xi)
-        assert abs(f.eval(xi) - want) <= 1e-14 * abs(want), xi
+    points += [-1 + x for x in points if rational_valuation(x, 3) > 0]
+    want = {xi: c * base.eval(xi) for xi in points}
+    top = max(map(abs, want.values()))
+    for xi in points:
+        scale = top if builder.startswith("g_transform") else abs(want[xi])
+        assert abs(f.eval(xi) - want[xi]) <= 1e-14 * scale, xi
 
 
 @pytest.mark.parametrize("kind,seed", [("split", 4), ("inert", 2)])
@@ -1240,6 +1292,21 @@ def test_cross_term_probe_is_scale_relative(ctx3, monkeypatch, kind, seed):
                         lambda *args: Germ(*fitted(*args)[:2], -4))
     for c in (1.0, 1e-12):
         with pytest.raises(RepresentationError, match="cross-terms not stabilized"):
+            sz_from_charts(_scaled(kind, phi1, c), _scaled(kind, phi2, c), kind)
+
+
+@pytest.mark.parametrize("level", [0, -1])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_a_too_low_germ_fails_the_probes_at_every_scale(ctx3, monkeypatch, kind, level):
+    """With both chart germs lowered to level 0 or -1 the cross-term probes
+    still agree, and the S(Z) probes catch the germ: they compare against the
+    input's norm, not 1, so a scale of 1e-12 does not pass it."""
+    phi1, phi2 = _seeded_charts(ctx3, kind, 1)
+    fitted = orbital._baby_germ
+    monkeypatch.setattr(orbital, "_baby_germ",
+                        lambda *args: Germ(*fitted(*args)[:2], level))
+    for c in (1.0, 1e-12):
+        with pytest.raises(RepresentationError, match="S\\(Z\\) representation mismatch"):
             sz_from_charts(_scaled(kind, phi1, c), _scaled(kind, phi2, c), kind)
 
 
@@ -1287,7 +1354,9 @@ def _sampled_elements(kind, phi1, phi2):
                                max(2, orbital.baby_xi_level(kind, phi2, v)))
               for v in range(lo, L0)}
     g = orbital._certified_onset(kind, Germ(sx.germ0.a, sx.germ0.b, L0), shells)
-    sx_entries = [e for v in range(lo, g.level) for e in _value_atoms(ctx, 0, v, *shells[v])]
+    norm = orbital.chart_image(kind, phi2).norm
+    sx_entries = [e for v in range(lo, g.level)
+                  for e in _value_atoms(ctx, 0, v, *shells[v], norm)]
 
     def raw(xi):
         return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
@@ -1306,9 +1375,11 @@ def _sampled_elements(kind, phi1, phi2):
     g0 = orbital._certified_onset(kind, Germ(f.germ0.a, f.germ0.b, L0),
                                   {v: s for v, s in xi_shells.items() if v > 0})
     g1 = orbital._certified_onset(kind, Germ(f.germ_m1.a, f.germ_m1.b, L1), zeta_shells)
-    sz_entries = [e for v in range(lo, g0.level) for e in _value_atoms(ctx, 0, v, *xi_shells[v])]
+    norm = max(norm, orbital.chart_image(kind, phi1).norm)
+    sz_entries = [e for v in range(lo, g0.level)
+                  for e in _value_atoms(ctx, 0, v, *xi_shells[v], norm)]
     sz_entries += [e for vz in range(cut, g1.level)
-                   for e in _value_atoms(ctx, -1, vz, *zeta_shells[vz])]
+                   for e in _value_atoms(ctx, -1, vz, *zeta_shells[vz], norm)]
     return (sx_entries, (g,)), (sz_entries, (g0, g1))
 
 

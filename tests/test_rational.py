@@ -12,6 +12,15 @@ def test_poly_basics():
     assert Poly.monomial(3, 2.0).eval(2.0) == 16.0
 
 
+def test_trim_is_relative_to_the_largest_coefficient():
+    """A top coefficient is dropped at 1e-13 of the largest, with no floor, so
+    c * p keeps the degree of p at every scale and only 0 trims to 0."""
+    for c in (1e-15, 1.0, 1e15):
+        assert Poly.of(c, 2 * c, 3 * c).coeffs == (c, 2 * c, 3 * c)
+        assert Poly.of(c, 1e-14 * c).coeffs == (c,)
+    assert Poly.of(0, 0).coeffs == (0j,)
+
+
 def test_rational_arithmetic_and_eval():
     r = RationalFnT(Poly.of(1, 1), Poly.of(1, 0, -1))  # (1+t)/(1-t^2) = 1/(1-t)
     for t in (0.3, -0.4, 2.0):
