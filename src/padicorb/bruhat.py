@@ -4,7 +4,8 @@ A function is a sum of weighted cosets c + p^n*o^d stored by integer coset
 keys; all transforms are closed form (finite character sums), so a BruhatFn is
 closed under Fourier transform and the double transform is exactly f(-x).  Each
 key enters the transform as an integer phase against one table of roots of
-unity, so the transform is a plain-Python discrete Fourier transform.
+unity, so the transform is a plain-Python discrete Fourier transform, summed
+from each phase's cached power row of roots in the order of a direct sum.
 Tate zeta integrals, Mellin components and gamma factors are produced as
 rational functions in t = q^(-s), the gamma factor always by solving the local
 functional equation with a test function rather than from a hard-coded formula.
@@ -18,6 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress, repeat
 
 from .errors import (
     DomainError,
@@ -36,6 +38,9 @@ from .rational import Poly, RationalFnT, geometric_tail
 Point = tuple[Fraction, ...]
 
 _DOMAIN_DIM = {"F": 1, "F2": 2, "E": 2, "Ealpha": 2}
+
+# Copies of the roots of unity a Fourier power row is sliced from (`_fourier_nd`)
+_POWER_REPS = 16
 
 # Most cosets a canonical form may be refined into, counted before any is built:
 # about 10 times the 98,414 that the test suite reaches, or some 0.7 GB at the
@@ -105,7 +110,7 @@ class BruhatFn:
     def from_table(ctx, domain, level, table, torsor_scale=None) -> "BruhatFn":
         """Its own canonical form: coefficient w on the coset at `level` with
         the `_coset_key`s key, for (key, w) in the table, in the table's order."""
-        out = BruhatFn(ctx, domain, tuple((key, level, w) for key, w in table.items()),
+        out = BruhatFn(ctx, domain, tuple(zip(table, repeat(level), table.values())),
                        torsor_scale)
         out.__dict__.update(_canonical_form=out, coset_table=table)  # seeds the memos
         return out
@@ -297,8 +302,9 @@ def fourier_E(f: BruhatFn, ext: QuadExt) -> BruhatFn:
     level = hat0.level
     depth = max([1] + [level - v for key in hat0.coset_table for v, _ in key])
     inv = pow(unit_mod(a, va, p, depth), -1, p ** depth)
-    table = {tuple((v - va, res * inv % p ** (level - v)) for v, res in key): w * abs_a
-             for key, w in hat0.coset_table.items()}
+    mod = {v: p ** (level - v) for v in range(level - depth, level + 1)}
+    table = {((v1 - va, r1 * inv % mod[v1]), (v2 - va, r2 * inv % mod[v2])): w * abs_a
+             for ((v1, r1), (v2, r2)), w in hat0.coset_table.items()}
     return BruhatFn.from_table(f.ctx, "Ealpha", level - va, table, a)
 
 
@@ -309,9 +315,12 @@ def _fourier_nd(f: BruhatFn, scales: tuple[int, ...]) -> BruhatFn:
     integers r = 0..p^M - 1 (centers r p^-n).  Each coset coordinate c of the
     table contributes psi^{-1}(s c r p^-n) = z^(k r), z = e(-1/p^M), with an
     integer phase k read off its key, so the weights are summed per phase and
-    the sum is one discrete Fourier transform from the table of the p^M roots
-    z^j: over the last coordinate, then over the first.  Entries at most
-    1e-12 times the largest are dropped.
+    the sum is one discrete Fourier transform: over the last coordinate, then
+    over the first.  Each phase's power row z^(k r), r = 0..p^M - 1, is read
+    once per call from the table of the p^M roots, and each output is its sum
+    over the phases in table order, row by row (`_power_sum`); the 2-D output
+    is one flat row-major grid.  Entries at most 1e-12 times the largest are
+    dropped.
     """
     ctx, table = f.ctx, f.coset_table
     p = ctx.p
@@ -335,22 +344,45 @@ def _fourier_nd(f: BruhatFn, scales: tuple[int, ...]) -> BruhatFn:
         row[ks[-1]] = row.get(ks[-1], 0j) + w * vol
     roots = [complex(math.cos(t), math.sin(t))
              for t in (-2 * math.pi * j / span for j in range(span))]
-    last = {k: _dft(row, roots) for k, row in rows.items()}
-    if f.dim == 1:
-        total = {(r,): w for r, w in enumerate(last[0])}
-    else:
-        cols = [_dft({k: t[r2] for k, t in last.items()}, roots) for r2 in range(span)]
-        total = {(r1, r2): cols[r2][r1] for r1 in range(span) for r2 in range(span)}
-    thresh = 1e-12 * max(map(abs, total.values()))
+    # a strided slice of the roots repeated _POWER_REPS times reads z^(k r)
+    # for consecutive r until it runs off the end, so the row of a phase k is
+    # at most k / _POWER_REPS + 1 slices
+    cycle = roots * _POWER_REPS
+    powers: dict[int, list[complex]] = {0: roots[:1] * span}
+
+    def power_row(k: int) -> list[complex]:
+        row = powers.get(k)
+        if row is None:
+            row = powers[k] = []
+            while len(row) < span:
+                start = k * len(row) % span
+                row += cycle[start:start + k * (span - len(row)):k]
+        return row
+
+    last = {k: _power_sum(((repeat(w), power_row(k2)) for k2, w in row.items()), span)
+            for k, row in rows.items()}
     keys = [_residue_key(-n, r, out_level, p) for r in range(span)]  # of r p^-n
-    table = {tuple(keys[r] for r in idx): w for idx, w in total.items() if abs(w) > thresh}
+    if f.dim == 1:
+        grid, index = last[0], zip(keys)
+    else:
+        # grid[r1 span + r2] = sum_k1 last[k1][r2] z^(k1 r1): the row last[k1]
+        # tiled span times against each z^(k1 r1) repeated span times
+        grid = _power_sum(((t * span, chain.from_iterable(map(repeat, power_row(k), repeat(span))))
+                           for k, t in last.items()), span * span)
+        index = itertools.product(keys, keys)
+    thresh = 1e-12 * max(map(abs, grid))
+    table = dict(compress(zip(index, grid), map(thresh.__lt__, map(abs, grid))))
     return BruhatFn.from_table(ctx, f.domain, out_level, table, f.torsor_scale)
 
 
-def _dft(weights: dict[int, complex], roots: list[complex]) -> list[complex]:
-    """sum_k w_k z^(k r) for r = 0..len(roots) - 1, given roots[j] = z^j."""
-    span = len(roots)
-    return [sum(w * roots[k * r % span] for k, w in weights.items()) for r in range(span)]
+def _power_sum(products, size: int) -> list[complex]:
+    """Elementwise sum of the products a * b over the pairs (a, b) of
+    iterables of `size` entries in `products`: each output starts at 0j and
+    adds its product from one pair after the other, as the direct sum would."""
+    total = [0j] * size
+    for a, b in products:
+        total = list(map(operator.add, total, map(operator.mul, a, b)))
+    return total
 
 
 def negate_argument(f: BruhatFn) -> BruhatFn:

@@ -85,15 +85,27 @@ def o_baby_split(phi: BruhatFn, xi) -> complex:
     lvl, rad = phi.level, max(phi.axis_radii)
     # a = u p^n: a*xi has valuation n + vxi and unit u*xu, 1/a has -n and 1/u
     xu = unit_mod(xi, vxi, p, max(1, lvl + rad))
+    ball = (lvl, 0)
     total = 0j
     # contributing valuations: |a xi| <= q^rad and |1/a| <= q^rad
     for n in range(-rad - vxi, rad + 1):
         m = max(1, lvl - (vxi + n), lvl + n)
-        mod = p ** m
         mass = float(ctx.q) ** (-m)
-        for u in unit_reps(p, m):
-            hit = table.get((_residue_key(n + vxi, u * xu % mod, lvl, p),
-                             _residue_key(-n, pow(u, -1, mod), lvl, p)))
+        units = unit_reps(p, m)
+        # both coordinates are units at val n + vxi and -n: a coordinate at
+        # val >= lvl keys the ball, any other its unit mod p^(lvl - val)
+        v1, v2 = n + vxi, -n
+        if v1 < lvl:
+            mod1 = p ** (lvl - v1)
+            first = [(v1, u * xu % mod1) for u in units]
+        else:
+            first = [ball] * len(units)
+        if v2 < lvl:
+            mod2 = p ** (lvl - v2)
+            second = [(v2, pow(u, -1, mod2)) for u in units]
+        else:
+            second = [ball] * len(units)
+        for hit in map(table.get, zip(first, second)):
             if hit is not None:
                 total += hit * mass
     return total
@@ -205,9 +217,11 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
     total = 0j
     mass = float(ctx.q) ** (-m)
     ub = ext.u * ib % mod
-    for (ta, tb) in _norm_one(p, m):
-        hit = table.get((_residue_key(w, (ia * ta + ub * tb) % mod, level, p),
-                         _residue_key(w, (ia * tb + ib * ta) % mod, level, p)))
+    # both coordinates of z*t are res p^w for a residue res mod p^(level - w)
+    key = [_residue_key(w, res, level, p) for res in range(mod)]
+    pairs = [(key[(ia * ta + ub * tb) % mod], key[(ia * tb + ib * ta) % mod])
+             for (ta, tb) in _norm_one(p, m)]
+    for hit in map(table.get, pairs):
         if hit is not None:
             total += hit * mass
     return total
@@ -1130,7 +1144,11 @@ class FLReport:
 
     @property
     def passed(self) -> bool:
-        ok = self.max_error <= self.tolerance
+        """Every point within `tolerance` times the largest |rhs| on the
+        window (so exactly equal where that is 0), and the fitted constant
+        within `tolerance` of 1: the verdict does not depend on the scale of h."""
+        scale = max((abs(pt.rhs) for pt in self.points), default=0.0)
+        ok = self.max_error <= self.tolerance * scale
         return ok and abs(self.fitted_constant - 1) <= self.tolerance
 
     def to_json_dict(self) -> dict:

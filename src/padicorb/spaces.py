@@ -11,11 +11,13 @@ with explicit vanishing bounds (the truncation bound of the matching proof);
 b = 0 gives the plain shell integral of psi(a y).  The sum is planned once per
 shell val xi = v (`_shell_plan`): every shell integral that reads no digit of
 the unit of xi folds into one constant, and what is left are Kloosterman and
-Salie sums p^-m S(1, n; p^m), memoized once per (p, m, n).  A window evaluates
-each shell's plan at every unit of its level; a point value is the same plan
-at one unit.  Output windows, their levels and germ depths are closed forms of
-the same terms, re-checked by residual fits and probes; a germ read below its
-level raises WindowError.
+Salie sums p^-m S(1, n; p^m), memoized once per (p, m, n).  An S(X) or S(Z)
+element keeps its plans next to its shell terms (`_plans`), so the germ fit,
+the window, the probes and the point values plan each shell once per element.
+A window evaluates each shell's plan at every unit of its level; a point value
+is the same plan at one unit.  Output windows, their levels and germ depths
+are closed forms of the same terms, re-checked by residual fits and probes; a
+germ read below its level raises WindowError.
 """
 
 from __future__ import annotations
@@ -252,6 +254,11 @@ class SXElem:
         """F f as the G engine reads it (`_shell_terms`), built once per element."""
         return _shell_terms(self.ctx, self.kind, self.window.entries, self.germ0, None)
 
+    @cached_property
+    def _plans(self) -> dict[int, _ShellPlan]:
+        """G f's shell plans by shell val xi, each built on its first read (`_plan`)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class SZElem:
@@ -285,6 +292,11 @@ class SZElem:
     def _terms(self) -> tuple[_Term, ...]:
         """F f as the G engine reads it (`_shell_terms`), built once per element."""
         return _shell_terms(self.ctx, self.kind, self.window.entries, self.germ0, self.germ_m1)
+
+    @cached_property
+    def _plans(self) -> dict[int, _ShellPlan]:
+        """G f's shell plans by shell val xi, each built on its first read (`_plan`)."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -486,15 +498,24 @@ def _shell_plan(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...],
                       max([1] + [m for (m, _, _, _) in entries]))
 
 
-def _g_value(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...],
-             xi: Fraction) -> complex:
+def _plan(f: SXElem | SZElem, v: int) -> _ShellPlan:
+    """The plan of G f on the shell val xi = v, built once per element and
+    shell and kept in `f._plans`: the germ fit, the window, the probes and the
+    pointwise values all read it from there."""
+    plan = f._plans.get(v)
+    if plan is None:
+        plan = f._plans[v] = _shell_plan(f.ctx, f.kind, f._terms, v)
+    return plan
+
+
+def _g_value(f: SXElem | SZElem, xi: Fraction) -> complex:
     """G f(xi): the plan of the shell val xi at the unit of xi."""
-    v, num, den = _val_and_unit_key(ctx, xi)
+    v, num, den = _val_and_unit_key(f.ctx, xi)
     if v >= INF:
         raise DomainError("G is evaluated on F^x")
-    plan = _shell_plan(ctx, kind, terms, v)
-    mod = ctx.p ** plan.level
-    return plan.value(ctx, num * pow(den, -1, mod) % mod)
+    plan = _plan(f, v)
+    mod = f.ctx.p ** plan.level
+    return plan.value(f.ctx, num * pow(den, -1, mod) % mod)
 
 
 def _support_bound(terms: tuple[_Term, ...]) -> int:
@@ -575,13 +596,13 @@ def _elem_norm(f: SXElem | SZElem) -> float:
     return _norm([w for _, _, w in f.window.entries] + [c for g in germs for c in g[:2]])
 
 
-def _window(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...], shells: range,
-            norm: float, weighted: bool) -> BruhatFn:
-    """Window of G f, or of |.|G f when `weighted`, on the given shells: one plan
-    per shell, evaluated at every unit coset of its level."""
+def _window(f: SXElem | SZElem, shells: range, norm: float, weighted: bool) -> BruhatFn:
+    """Window of G f, or of |.|G f when `weighted`, on the given shells: each
+    shell's plan evaluated at every unit coset of its level."""
+    ctx = f.ctx
     entries = []
     for v in shells:
-        plan = _shell_plan(ctx, kind, terms, v)
+        plan = _plan(f, v)
         weight = float(ctx.q) ** (-v)
         vals = {u: weight * plan.value(ctx, u) if weighted else plan.value(ctx, u)
                 for u in unit_reps(ctx.p, plan.level)}
@@ -595,21 +616,20 @@ def g_transform_SX(f: SXElem) -> SXElem:
     terms, norm = f._terms, _elem_norm(f)
     vmin = _support_bound(terms)
     depth = _germ_depth(terms)
-    germ = _deep_germ(kind, lambda u, v: _g_value(ctx, kind, terms, u * Fraction(ctx.p) ** v),
-                      depth, norm)
-    window = _window(ctx, kind, terms, range(vmin, depth), norm, weighted=False)
+    germ = _deep_germ(kind, lambda u, v: _g_value(f, u * Fraction(ctx.p) ** v), depth, norm)
+    window = _window(f, range(vmin, depth), norm, weighted=False)
     out = SXElem(ctx, kind, window, germ)
     # representation guard: window+germ reproduces the engine at sample points
     for v in (vmin, depth - 1, depth + 1):
         x = Fraction(ctx.p) ** v
-        _certify(out.eval(x), _g_value(ctx, kind, terms, x), 1e-8,
+        _certify(out.eval(x), _g_value(f, x), 1e-8,
                  f"assembled S(X) element disagrees with the engine at {x}", norm)
     return out
 
 
 def g_value_SX(f: SXElem, xi) -> complex:
     """Pointwise G f(xi) without assembling the output element."""
-    return _g_value(f.ctx, f.kind, f._terms, Fraction(xi))
+    return _g_value(f, Fraction(xi))
 
 
 def g_transform_Z_to_W(f: SZElem) -> SWElem:
@@ -620,11 +640,10 @@ def g_transform_Z_to_W(f: SZElem) -> SWElem:
 
     depth = _germ_depth(terms)
     # germ of G f (before the |xi| factor)
-    germ = _deep_germ(kind, lambda u, v: _g_value(ctx, kind, terms, u * Fraction(ctx.p) ** v),
-                      depth, norm)
+    germ = _deep_germ(kind, lambda u, v: _g_value(f, u * Fraction(ctx.p) ** v), depth, norm)
 
     def abs_g_value(xi: Fraction) -> complex:  # (|.|G f)(xi)
-        return float(q) ** (-rational_valuation(xi, ctx.p)) * _g_value(ctx, kind, terms, xi)
+        return float(q) ** (-rational_valuation(xi, ctx.p)) * _g_value(f, xi)
 
     # Kloosterman tail: the pure-tail constant of the -1 germ's transform,
     # certified on deep shells below the other terms' support, where the -1
@@ -635,7 +654,7 @@ def g_transform_Z_to_W(f: SZElem) -> SWElem:
     _certify_kl_tail(ctx, abs_g_value, C, (tail_val, tail_val - 2), (1,), 1e-8, norm)
     tail = KLTail(C, -tail_val)
 
-    window = _window(ctx, kind, terms, range(tail_val + 1, depth), norm, weighted=True)
+    window = _window(f, range(tail_val + 1, depth), norm, weighted=True)
     return SWElem(ctx, kind, 0.0, window, germ, tail)
 
 
@@ -643,7 +662,7 @@ def g_value_Z_to_W(f: SZElem, xi) -> complex:
     """Pointwise (|.|G f)(xi)."""
     xi = Fraction(xi)
     v = rational_valuation(xi, f.ctx.p)
-    return float(f.ctx.q) ** (-v) * _g_value(f.ctx, f.kind, f._terms, xi)
+    return float(f.ctx.q) ** (-v) * _g_value(f, xi)
 
 
 # --- singular-coefficient extractors ----------------------------------------------

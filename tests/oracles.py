@@ -7,22 +7,29 @@ valuation classes, one value per Kuznetsov shell); the sampler is kept here
 as the independent reference those readings are tested against.  The torus
 engine counts cosets by their valuation profile (`orbital._x1_count`); the
 count that visits the cosets of `double_coset_reps` one by one is kept here
-as its bit-for-bit reference.  Nothing under `src/` imports this module
-(`tests/test_stdlib_only.py`).
+as its bit-for-bit reference.  The Fourier kernel sums rows of cached
+powers of its root of unity, and the baby orbitals key their units inline;
+the direct sums they replace, one generator per output value and one
+`_residue_key` per coordinate, are kept here as their bit-for-bit references.
+Nothing under `src/` imports this module (`tests/test_stdlib_only.py`).
 """
 
+import math
 from fractions import Fraction
 
-from padicorb.bruhat import BruhatFn
-from padicorb.errors import RepresentationError
+from padicorb.bruhat import BruhatFn, _residue_key
+from padicorb.errors import DomainError, IrregularPointError, RepresentationError
 from padicorb.groups import double_coset_reps
-from padicorb.localfield import _val_int, rational_valuation, unit_reps
+from padicorb.localfield import INF, _val_int, rational_valuation, unit_mod, unit_reps
 from padicorb.orbital import (
     _FIRST_LEVEL,
     _assemble_sz,
+    _norm_one,
     hecke_apply_W,
     hecke_apply_W_tail,
+    norm_lift,
     o_torus_group,
+    torsor_scale,
 )
 from padicorb.spaces import KLTail, SWElem, _deep_germ, _norm, _value_atoms
 
@@ -126,3 +133,123 @@ def enumerated_x1_count(p, split, terms, b11, b12, b21, b22):
                 cnt += vdet + m == 2 * min(w1, w2)
         tot += cm * cnt
     return tot
+
+
+def direct_fourier_nd(f, scales):
+    """`bruhat._fourier_nd` as a direct sum: each output value one generator
+    over the phases (`direct_dft`), the last coordinate first."""
+    ctx, table = f.ctx, f.coset_table
+    p = ctx.p
+    if not table:
+        return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
+    n = f.level
+    out_level = max([-n] + [-v for key in table for v, _ in key if v < n])
+    span = p ** (out_level + n)
+    vol = float(Fraction(ctx.q) ** (-n * f.dim))
+
+    def phase(key, s):
+        v, res = key
+        return s * res % p ** (n - v) * (span // p ** (n - v)) if v < n else 0
+
+    rows = {}  # first phase -> last phase -> weight
+    for key, w in table.items():
+        ks = [phase(k, s) for k, s in zip(key, scales)]
+        row = rows.setdefault(ks[0] if f.dim > 1 else 0, {})
+        row[ks[-1]] = row.get(ks[-1], 0j) + w * vol
+    roots = [complex(math.cos(t), math.sin(t))
+             for t in (-2 * math.pi * j / span for j in range(span))]
+    last = {k: direct_dft(row, roots) for k, row in rows.items()}
+    if f.dim == 1:
+        total = {(r,): w for r, w in enumerate(last[0])}
+    else:
+        cols = [direct_dft({k: t[r2] for k, t in last.items()}, roots) for r2 in range(span)]
+        total = {(r1, r2): cols[r2][r1] for r1 in range(span) for r2 in range(span)}
+    thresh = 1e-12 * max(map(abs, total.values()))
+    keys = [_residue_key(-n, r, out_level, p) for r in range(span)]
+    table = {tuple(keys[r] for r in idx): w for idx, w in total.items() if abs(w) > thresh}
+    return BruhatFn.from_table(ctx, f.domain, out_level, table, f.torsor_scale)
+
+
+def direct_dft(weights, roots):
+    """sum_k w_k z^(k r) for r = 0..len(roots) - 1, given roots[j] = z^j."""
+    span = len(roots)
+    return [sum(w * roots[k * r % span] for k, w in weights.items()) for r in range(span)]
+
+
+def direct_fourier_E(f, ext):
+    """`bruhat.fourier_E` on `direct_fourier_nd`, the torsor substitution
+    taking its moduli coset by coset."""
+    hat0 = direct_fourier_nd(f, (2, -2 * ext.u))
+    if f.domain == "E":
+        return hat0
+    a, p = f.torsor_scale, f.ctx.p
+    va = rational_valuation(a, p)
+    abs_a = float(Fraction(f.ctx.q) ** (-va))
+    level = hat0.level
+    depth = max([1] + [level - v for key in hat0.coset_table for v, _ in key])
+    inv = pow(unit_mod(a, va, p, depth), -1, p ** depth)
+    table = {tuple((v - va, res * inv % p ** (level - v)) for v, res in key): w * abs_a
+             for key, w in hat0.coset_table.items()}
+    return BruhatFn.from_table(f.ctx, "Ealpha", level - va, table, a)
+
+
+def keyed_o_baby_split(phi, xi):
+    """`orbital.o_baby_split` with both coordinates of every unit keyed by
+    `_residue_key`."""
+    if phi.domain != "F2":
+        raise DomainError("o_baby_split expects data on F^2 = V x V*")
+    xi = Fraction(xi)
+    ctx = phi.ctx
+    vxi = rational_valuation(xi, ctx.p)
+    if vxi >= INF:
+        raise IrregularPointError("xi = 0 is the irregular point")
+    if phi.is_zero():
+        return 0j
+    p, table = ctx.p, phi.coset_table
+    lvl, rad = phi.level, max(phi.axis_radii)
+    xu = unit_mod(xi, vxi, p, max(1, lvl + rad))
+    total = 0j
+    for n in range(-rad - vxi, rad + 1):
+        m = max(1, lvl - (vxi + n), lvl + n)
+        mod = p ** m
+        mass = float(ctx.q) ** (-m)
+        for u in unit_reps(p, m):
+            hit = table.get((_residue_key(n + vxi, u * xu % mod, lvl, p),
+                             _residue_key(-n, pow(u, -1, mod), lvl, p)))
+            if hit is not None:
+                total += hit * mass
+    return total
+
+
+def keyed_o_baby_nonsplit(inp, xi):
+    """`orbital.o_baby_nonsplit` with both coordinates of every norm-one
+    residue keyed by `_residue_key`."""
+    ext = inp.ext
+    ctx = ext.ctx
+    xi = Fraction(xi)
+    vxi = rational_valuation(xi, ctx.p)
+    if vxi >= INF:
+        raise IrregularPointError("xi = 0 is the irregular point")
+    if vxi % 2 == 0:
+        data, target = inp.phi0, xi
+    else:
+        data, target = inp.phi_alpha, xi / torsor_scale(ctx)
+    if data.is_zero():
+        return 0j
+    p, table, level = ctx.p, data.coset_table, data.level
+    w = rational_valuation(target, p) // 2
+    if w < -max(data.axis_radii):
+        return 0j
+    m = max(1, level - w + 1)
+    mod_pow = max(level - w, 1)
+    mod = p ** mod_pow
+    ia, ib = norm_lift(ext, target, mod_pow)
+    total = 0j
+    mass = float(ctx.q) ** (-m)
+    ub = ext.u * ib % mod
+    for (ta, tb) in _norm_one(p, m):
+        hit = table.get((_residue_key(w, (ia * ta + ub * tb) % mod, level, p),
+                         _residue_key(w, (ia * tb + ib * ta) % mod, level, p)))
+        if hit is not None:
+            total += hit * mass
+    return total

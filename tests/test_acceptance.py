@@ -261,7 +261,7 @@ def test_criterion_8_matching_at_more_primes(p, kind):
            f" {nonzero} nonzero", time.time() - t0)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_criterion_9_fundamental_lemma(p):
     """FL: h in {h0, h1, h2, 1_{K pi K}}, both kinds, val in [-4,4], const = 1."""
     t0 = time.time()

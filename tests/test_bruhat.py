@@ -425,6 +425,34 @@ def test_fourier_matches_numpy_oracle(p, monkeypatch):
                 assert abs(a.coef - b.coef) <= 1e-12 * max(1.0, abs(b.coef))
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fourier_kernel_equals_direct_sum(p):
+    """The power-row kernel gives the direct sum's tables bit for bit, in the
+    same entry order, on F, F^2, E and E^alpha: for random data, whose few
+    phases reuse their power rows across the rows of a 2-D table, and for
+    their transforms, whose phases fill the span."""
+    from oracles import direct_fourier_E, direct_fourier_nd
+
+    ctx = LocalFieldCtx(p)
+    ext = QuadExt(ctx, "inert")
+    direct = {"F": lambda f: direct_fourier_nd(f, (1,)),
+              "F2": lambda f: direct_fourier_nd(f, (1, 1)),
+              "E": lambda f: direct_fourier_E(f, ext),
+              "Ealpha": lambda f: direct_fourier_E(f, ext)}
+    rng = random.Random(2400 + p)
+    for domain, transform, ts in _transforms(ctx):
+        flat = p > 3 and domain != "F"  # keeps the 2-D span at most p^2 per axis
+        for _ in range(6):
+            f = _random_on(ctx, rng, domain, ts, n_atoms=rng.randint(1, 5),
+                           max_level=1 if flat else 2, center_den=1 if flat and p == 7 else 2)
+            for g in (f, transform(f)):
+                got, want = transform(g), direct[domain](g)
+                assert (got.domain, got.level, got.torsor_scale) == \
+                    (want.domain, want.level, want.torsor_scale)
+                assert got.entries == want.entries
+                assert list(got.coset_table.items()) == list(want.coset_table.items())
+
+
 @pytest.mark.parametrize("domain", ["F", "F2", "E", "Ealpha"])
 def test_fourier_commutes_with_scaling(ctx3, domain):
     """fourier(c f) = c fourier(f) atom for atom, however small or large c:

@@ -154,6 +154,20 @@ def test_verify_fl_cli_smoke(tmp_path):
     assert doc["results"][0]["fittedConstant"][0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_verify_fl_passes_at_a_large_hecke_element(tmp_path):
+    """The FL gate is relative to the window's largest |rhs|: 1e15 h0 passes
+    with an error of a few units at |rhs| about 6e15, and the report keeps
+    every field of a passing run."""
+    out = tmp_path / "fl.json"
+    assert run(["verify-fl", "--p", "3", "--ext", "split", "--hecke", "0:1e15",
+                "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    result = doc["results"][0]
+    assert doc["pass"] and result["pass"] and 1.0 < result["maxError"] < 1e3
+    assert set(result) == {"p", "kind", "hecke", "window", "points", "fittedConstant",
+                           "maxError", "pass"}
+
+
 def test_window_past_float_range_is_a_computation_failure(tmp_path, capsys):
     """A window whose q-power overflows a float (q^-lo for verify-fl, its square
     for the s = 1 basic vector of tables) exits 3 with a typed error, before any

@@ -86,6 +86,8 @@ from oracles import (
     _shell_values,
     coset_terms,
     enumerated_x1_count,
+    keyed_o_baby_nonsplit,
+    keyed_o_baby_split,
     sampled_hecke_apply_W_elem,
     sampled_hecke_apply_Z,
 )
@@ -179,6 +181,29 @@ def test_o_baby_split_matches_atom_scan(p):
                             want += phi.eval((a * xi, 1 / a)) * float(p) ** (-m)
                 got = o_baby_split(phi, xi)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (seed, xi)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_baby_orbitals_equal_keyed_reference(p):
+    """Both baby orbitals, keying their units inline (split) or by one lookup
+    per residue (inert), equal the references that key every coordinate with
+    `_residue_key`, bit for bit, on val -4..4 at the units 1 and 2, on Phi and
+    on Phi-hat."""
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(70 + p)
+    for kind, orbit, keyed in (("split", o_baby_split, keyed_o_baby_split),
+                               ("inert", o_baby_nonsplit, keyed_o_baby_nonsplit)):
+        nonzero = 0
+        for _ in range(3 if p < 7 else 1):
+            phi = random_baby_data(ctx, kind, rng)
+            for data in (phi, fourier_baby(phi, kind)):
+                for v in range(-4, 5):
+                    for u in (1, 2):
+                        xi = Fraction(u) * Fraction(p) ** v
+                        got = orbit(data, xi)
+                        assert got == keyed(data, xi), (kind, v, u)
+                        nonzero += got != 0
+        assert nonzero > 0, kind
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -872,14 +897,36 @@ def test_verify_fl_reads_its_constant_at_the_same_point_at_every_scale(ctx3):
 
 
 @pytest.mark.parametrize("kind,h", [("split", HeckeElt.of({0: 1e-13, 1: 2e-13})),
-                                    ("inert", HeckeElt.of({0: 1e-15}))], ids=["split", "inert"])
+                                    ("inert", HeckeElt.of({0: 1e-15})),
+                                    ("split", HeckeElt.of({0: 1e15}))],
+                         ids=["split", "inert", "split-1e15"])
 def test_verify_fl_at_a_scaled_hecke_element(ctx3, kind, h):
-    """The fundamental lemma is linear in h: at 1e-13 (h0 + 2 h1) and 1e-15 h0
-    both sides agree to 1e-12 of the largest |rhs|, with the constant 1, where
-    absolute drops and probes lost the window (the split constant read 2.80)."""
+    """The fundamental lemma is linear in h: at 1e-13 (h0 + 2 h1), 1e-15 h0
+    and 1e15 h0 both sides agree to 1e-12 of the largest |rhs|, with the
+    constant 1, where absolute drops and probes lost the window (the split
+    constant read 2.80) and an absolute gate failed 1e15 h0 on an error of
+    7e-16 relative."""
     rep = verify_fl(ctx3, kind, h)
     assert rep.passed and abs(rep.fitted_constant - 1) <= 1e-12
     assert rep.max_error <= 1e-12 * max(abs(pt.rhs) for pt in rep.points)
+
+
+def test_fl_report_gate_is_relative_to_the_window():
+    """`FLReport.passed` bounds the largest error by the tolerance times the
+    largest |rhs| on the window, and asks for exact agreement where every rhs
+    is 0; the fitted constant keeps its own gate."""
+    from padicorb.orbital import FLPoint, FLReport
+
+    def passed(pairs, constant=1 + 0j):
+        points = [FLPoint(1, v, lhs, rhs) for v, (lhs, rhs) in enumerate(pairs)]
+        return FLReport(3, "split", {0: 1 + 0j}, (0, len(pairs) - 1), points, constant,
+                        1e-8, 0.0).passed
+
+    assert passed([(1e15 + 4.0, 1e15), (2.0, 2.0)])
+    assert not passed([(1e15 + 4e8, 1e15)])
+    assert passed([(1e-13 + 1e-22, 1e-13)]) and not passed([(1e-13 + 1e-20, 1e-13)])
+    assert passed([(0j, 0j), (0j, 0j)]) and not passed([(1e-300, 0j)])
+    assert not passed([(1.0, 1.0)], constant=1 + 1e-7)
 
 
 @pytest.mark.parametrize("p,n", [(3, 5), (3, 6), (5, 5)])

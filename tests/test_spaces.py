@@ -6,7 +6,8 @@ import pytest
 
 from padicorb.errors import DomainError, KindError, WindowError
 from padicorb.bruhat import BruhatFn, MellinCharacter, gamma_factor
-from padicorb.localfield import LocalFieldCtx, QuadExt, psi_eval_frac, unit_reps
+from padicorb.localfield import (LocalFieldCtx, QuadExt, psi_eval_frac, rational_valuation,
+                                 unit_reps)
 from padicorb.spaces import (
     Germ,
     KLTail,
@@ -265,9 +266,42 @@ def test_pointwise_values_build_the_shell_terms_once(ctx3, monkeypatch):
     fz = SZElem(ctx3, "inert", window, Germ(0.25, 0.5, 2), Germ(0.75, -0.25, 3))
     for v in range(-3, 4):
         xi = Fraction(2) * Fraction(3) ** v
-        assert spaces.g_value_SX(fx, xi) == spaces._g_value(ctx3, "split", fx._terms, xi)
+        assert spaces.g_value_SX(fx, xi) == _fresh_g_value(ctx3, "split", fx._terms, xi)
         spaces.g_value_Z_to_W(fz, xi)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_one_shell_plan_per_shell(kind, monkeypatch):
+    """One `g_transform_Z_to_W` and the ten probe points of `verify_matching`
+    (units 1 and p - 1 on five shells) build one plan per distinct shell: the
+    germ fit, the Kloosterman tail, the window and the pointwise values read
+    each other's plans off the element.  Every probe value equals the value
+    of a plan built afresh, exactly."""
+    import padicorb.spaces as spaces
+
+    ctx = LocalFieldCtx(3)
+    f = _seeded_sz(ctx, kind, 4)
+    shells = []
+    build = spaces._shell_plan
+
+    def counted(ctx_, kind_, terms, v):
+        shells.append(v)
+        return build(ctx_, kind_, terms, v)
+
+    monkeypatch.setattr(spaces, "_shell_plan", counted)
+    w = spaces.g_transform_Z_to_W(f)
+    values = {}
+    for v in (-4, 0, 1, w.zero_germ.level + 1, -w.inf_tail.M - 2):
+        for u in (1, 2):
+            xi = Fraction(u) * Fraction(3) ** v
+            values[xi] = spaces.g_value_Z_to_W(f, xi)
+    assert len(shells) == len(set(shells)) > 0
+    assert set(shells) == set(f._plans)
+    monkeypatch.undo()
+    for xi, got in values.items():
+        v = rational_valuation(xi, 3)
+        assert got == float(ctx.q) ** (-v) * _fresh_g_value(ctx, kind, f._terms, xi), xi
 
 
 def test_extractors(ctx3):
@@ -480,21 +514,30 @@ def test_window_atom_at_zero_raises_fast(ctx3):
 
 
 def _seeded_windows(p, kind, seed):
-    """Shell terms of F f for seeded `sx_from_baby` and `sz_from_charts`
-    inputs, each with the shells of its G window."""
+    """Seeded `sx_from_baby` and `sz_from_charts` elements, each with the
+    shells of its G window."""
     from padicorb.orbital import random_baby_data, sx_from_baby, sz_from_charts
-    from padicorb.spaces import _germ_depth, _shell_terms, _support_bound, g_transform_Z_to_W
+    from padicorb.spaces import _germ_depth, _support_bound, g_transform_Z_to_W
 
     ctx = LocalFieldCtx(p)
     rng = random.Random(seed)
     sx = sx_from_baby(random_baby_data(ctx, kind, rng), kind)
     sz = sz_from_charts(random_baby_data(ctx, kind, rng), random_baby_data(ctx, kind, rng),
                         kind)
-    tx = _shell_terms(ctx, kind, sx.window.entries, sx.germ0, None)
-    tz = _shell_terms(ctx, kind, sz.window.entries, sz.germ0, sz.germ_m1)
     tail_m = g_transform_Z_to_W(sz).inf_tail.M
-    return ((tx, range(_support_bound(tx), _germ_depth(tx))),
-            (tz, range(1 - tail_m, _germ_depth(tz))))
+    return ((sx, range(_support_bound(sx._terms), _germ_depth(sx._terms))),
+            (sz, range(1 - tail_m, _germ_depth(sz._terms))))
+
+
+def _fresh_g_value(ctx, kind, terms, xi):
+    """G f(xi) from the shell terms alone: a plan of the shell val xi built
+    afresh (`_shell_plan`), read at the unit of xi."""
+    from padicorb.spaces import _shell_plan, _val_and_unit_key
+
+    v, num, den = _val_and_unit_key(ctx, xi)
+    plan = _shell_plan(ctx, kind, terms, v)
+    mod = ctx.p ** plan.level
+    return plan.value(ctx, num * pow(den, -1, mod) % mod)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -508,7 +551,8 @@ def test_window_level_is_enough(p, kind):
     from padicorb.spaces import _shell_plan
 
     ctx = LocalFieldCtx(p)
-    for terms, shells in _seeded_windows(p, kind, 42):
+    for f, shells in _seeded_windows(p, kind, 42):
+        terms = f._terms
         for v in shells:
             level = _shell_plan(ctx, kind, terms, v).level
             for u in unit_reps(p, level):
@@ -571,9 +615,10 @@ def test_shell_plan_matches_term_loop(p, kind, seed):
 
     ctx = LocalFieldCtx(p)
     windows = _seeded_windows(p, kind, seed)
-    assert any(first == -INF for (_, first, _) in windows[1][0])
+    assert any(first == -INF for (_, first, _) in windows[1][0]._terms)
     resonant = 0
-    for terms, shells in windows:
+    for f, shells in windows:
+        terms = f._terms
         for v in shells:
             plan = _shell_plan(ctx, kind, terms, v)
             resonant += sum(1 for (m, _, _, _) in plan.entries if m >= 2)
@@ -584,7 +629,7 @@ def test_shell_plan_matches_term_loop(p, kind, seed):
                 got = plan.value(ctx, u)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (v, u, got, want)
                 if u in (units[0], units[-1]):
-                    assert _g_value(ctx, kind, terms, xi) == got
+                    assert _g_value(f, xi) == got
     assert resonant > 0
 
 
@@ -680,7 +725,7 @@ def test_shell_terms_from_keys_match_full_centres(p, kind):
     centres, bit for bit: the plans read the unit of a centre only to the
     digits its key keeps.  Checked on windows with many-digit caller centres
     and on a seeded chart element, shells -8..8, units 1, 2 and 4."""
-    from padicorb.spaces import _g_value, _shell_terms
+    from padicorb.spaces import _shell_terms
 
     ctx = LocalFieldCtx(p)
     rng = random.Random(50 + p)
@@ -701,4 +746,5 @@ def test_shell_terms_from_keys_match_full_centres(p, kind):
         for v in range(-8, 9):
             for u in (1, 2, 4):
                 xi = u * Fraction(p) ** v
-                assert _g_value(ctx, kind, keyed, xi) == _g_value(ctx, kind, full, xi), (v, u)
+                assert _fresh_g_value(ctx, kind, keyed, xi) == \
+                    _fresh_g_value(ctx, kind, full, xi), (v, u)
