@@ -21,7 +21,6 @@ from .errors import (
     IrregularPointError,
     KindError,
     PoleError,
-    PrecisionError,
     RepresentationError,
     UnsupportedSectionError,
 )
@@ -39,9 +38,8 @@ from .localfield import (
     LocalFieldCtx,
     QuadExt,
     _val_int,
-    is_rational_square,
-    padic_sqrt,
     rational_valuation,
+    smallest_nonresidue,
     sqrt_unit_mod,
     unit_mod,
     unit_reps,
@@ -636,73 +634,69 @@ def _certify_sz(f: SZElem, raw, lo: int, norm: float):
     _certify_floor(f.ctx, raw, lo, norm)
 
 
-# --- torus-quotient invariant and group-level orbitals -----------------------------
+# --- group-level torus orbitals -------------------------------------------------
 
 
-def torus_pair_invariant(m, ext: QuadExt) -> Fraction:
-    """GIT invariant of (T g, T e) for g = [[a, b], [c, d]], m = (a, b, c, d)
-    rational: split chart value -1 - bc/det; diagonal -> -1.  Scale-free."""
-    a, b, c, d = m
-    det = Fraction(a * d - b * c)
-    if ext.kind == "split":
-        val = -1 - b * c / det
-    else:
-        u = ext.u
-        # conjugate into the split frame over E: bc/det of h^-1 g h
-        num = u * (d - a) ** 2 - (b - u * c) ** 2
-        val = -1 - num / (4 * u * det)
-    return val
+def inert_rep_for(ctx: LocalFieldCtx, xi) -> tuple[int, int, int, int] | None:
+    """An integer matrix in g_xi K, g_xi = [[1, 0], [gam, del]] of inert invariant
+    xi, as (s, 0, s gam, s del'), or None on a nontrivial-torsor fiber
+    (val xi + val(1 + xi) odd), which has no F-rational point.
 
+    del is a root of F(x) = x^2 + 2(1 + 2 xi) x + 1 - u gam^2, i.e.
+    del = A +- sqrt(D + u gam^2) with A = -(1 + 2 xi) and D = 4 xi (1 + xi).
+    Only gam = b p^w0, b = 0..p-1, w0 = val(D)/2, are tried: for gam = c p^w,
+    w < w0, D + u gam^2 has unit u c^2 mod p, a nonresidue; at w0 some b makes
+    the residue of D/p^(2 w0) + u b^2 a nonzero square mod p, since over F_p
+    x^2 - u b^2 = d has p + 1 solutions and at most 2 have x = 0, and the
+    first such b is taken.  Then, p odd, sqrt(D + u gam^2) lies in F with
+    valuation w0 and leading digit r, a root of that residue mod p.
 
-def inert_fiber_is_trivial(ext: QuadExt, xi: Fraction) -> bool:
-    """Regular xi carries F-rational (trivial-torsor) orbits iff
-    val(xi) + val(1+xi) is even."""
-    p = ext.ctx.p
-    return (rational_valuation(xi, p) + rational_valuation(1 + xi, p)) % 2 == 0
-
-
-_INERT_REP_PREC = 28  # absolute p-adic digits of the square roots in inert_rep_for
-
-
-def inert_rep_for(ext: QuadExt, xi: Fraction) -> tuple[int, int, int, int]:
-    """F-rational g = [[1,0],[gam,del]] with inert invariant xi (trivial fiber),
-    as the integers (1, 0, gam, del) times the lcm of their denominators.
-
-    (del-1)^2 - u gam^2 = -4 del (1+xi) gives del = -(1+2xi) +- sqrt(D + u gam^2),
-    D = 4 xi (1+xi).  Only gam = b p^w0, b = 0..p-1, w0 = val(D)/2, are tried:
-    for gam = c p^w, w < w0, D + u gam^2 has unit u c^2 mod p, a nonresidue; at
-    w0 some b makes D/p^(2 w0) + u b^2 a nonzero square mod p, since over F_p
-    x^2 - u b^2 = d has p + 1 solutions and at most 2 have x = 0.  Roots are
-    Hensel lifts; a square whose root misses the invariant test raises PrecisionError.
+    With m0 = min(val A, w0), del' = t p^m0 keeps only the leading digit t of
+    A + r p^w0, or of A - r p^w0 when the first cancels mod p^(m0 + 1) (they
+    cannot both, p odd).  Then val(del' - del) > val del, so
+    g_xi^-1 [[1, 0], [gam, del']] = diag(1, del'/del) lies in K, and every
+    right-K-invariant count (`_x1_count`) is that of g_xi.  Certificate, in
+    integers: val F(del') >= 2 m0 + 1 + [w0 > m0].  The roots differ by
+    2 sqrt(D + u gam^2), of valuation w0.  If val(del' - del_i) <= m0 for both
+    roots, val F(del') = val(del' - del1) + val(del' - del2) is at most 2 m0
+    (w0 = m0), or twice val(del' - del1) (w0 > m0, where the two agree); so
+    one root has val(del' - del) >= m0 + 1.  A failed certificate raises
+    RepresentationError.
     """
-    ctx, u = ext.ctx, ext.u
-    if not inert_fiber_is_trivial(ext, xi):
-        raise DomainError("no F-rational representative on a nontrivial-torsor fiber")
-    d = 4 * xi * (1 + xi)
-    step = Fraction(ctx.p) ** (rational_valuation(d, ctx.p) // 2)
-    short = False
-    for b in range(ctx.p):
-        gam = b * step
-        disc = d + u * gam * gam
-        if disc == 0:
-            continue
-        if is_rational_square(ctx, disc):
-            # relative digits, so that the root is known to _INERT_REP_PREC absolute ones
-            prec = _INERT_REP_PREC + max(0, -rational_valuation(disc, ctx.p) // 2)
-            root = padic_sqrt(ctx, disc, prec)
-            for sgn in (1, -1):
-                dl = -(1 + 2 * xi) + sgn * root
-                if dl == 0:
-                    continue
-                scale = math.lcm(gam.denominator, dl.denominator)
-                g = (scale, 0, int(gam * scale), int(dl * scale))
-                got = torus_pair_invariant(g, ext)
-                if rational_valuation(got - xi, ctx.p) >= _INERT_REP_PREC - 8:
-                    return g
-            short = True
-    if short:
-        raise PrecisionError(f"square roots too short for a representative at xi={xi}")
-    raise RepresentationError(f"no representative found for xi={xi}")
+    xi = Fraction(xi)
+    num, den = xi.numerator, xi.denominator
+    if num == 0 or num == -den:
+        raise IrregularPointError(f"xi = {xi} is irregular")
+    p = ctx.p
+    # none of den, num, num + den is 0, so no valuation is the sentinel INF
+    ed, vx, vz = _val_int(den, p), _val_int(num, p), _val_int(num + den, p)
+    if (vx + vz) % 2:
+        return None
+    w0 = (vx + vz - 2 * ed) // 2
+    inv = pow(den // p ** ed, -1, p)
+    d0 = 4 * (num // p ** vx) * ((num + den) // p ** vz) * inv * inv  # D p^(-2 w0) mod p
+    u = smallest_nonresidue(p)
+    for b in range(p):
+        c = (d0 + u * b * b) % p
+        if c and pow(c, (p - 1) // 2, p) == 1:
+            break
+    r = sqrt_unit_mod(ctx, c, 1)
+    a = -(den + 2 * num)  # A = a / den
+    m0, a0 = w0, 0
+    if a:
+        va = _val_int(a, p)
+        if va - ed <= w0:
+            m0, a0 = va - ed, a // p ** va * inv
+    r0 = r if m0 == w0 else 0
+    t = (a0 + r0) % p or (a0 - r0) % p
+    # s = p^k clears the denominators of gam = b p^w0 and del' = t p^m0, m0 <= w0
+    k = max(0, -m0)
+    s, sg, sd = p ** k, b * p ** (w0 + k), t * p ** (m0 + k)
+    # den s^2 F(del') in integers; val(den s^2) = ed + 2k
+    f = sd * sd * den + 2 * (den + 2 * num) * sd * s + (s * s - u * sg * sg) * den
+    if f % p ** (2 * m0 + 1 + (w0 > m0) + ed + 2 * k):
+        raise RepresentationError(f"leading digit {t} misses a root at xi={xi}")
+    return s, 0, sg, sd
 
 
 def _pair_profile(p: int, a: int, e: int) -> list[tuple[int, int, int]]:
@@ -831,16 +825,21 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
     xi = Fraction(xi)
     if xi == 0 or xi == -1:
         raise IrregularPointError(f"xi = {xi} is irregular")
-    ext = QuadExt(ctx, kind)
-    if h.is_zero() or (kind == "inert" and not inert_fiber_is_trivial(ext, xi)):
+    if kind not in ("split", "inert"):
+        raise KindError(f"kind must be split or inert, got {kind!r}")
+    if h.is_zero():
         return 0j
+    if kind == "inert":
+        rep = inert_rep_for(ctx, xi)  # None on a nontrivial-torsor fiber
+        if rep is None:
+            return 0j
     p = ctx.p
     if dc is None:
         dc = hecke_to_coset_basis(ctx, h)
     volK = float(ctx.vol_K)
 
     if kind == "inert":
-        return volK * _x1_count(p, False, dc, *inert_rep_for(ext, xi))
+        return volK * _x1_count(p, False, dc, *rep)
 
     # g_xi diag(p^n, 1) = [[p^n, x], [p^n, 1 + x]], x = -1 - xi = num/den,
     # made integral by the factor den p^max(-n, 0)
@@ -1081,15 +1080,19 @@ def _class_shell(ctx: LocalFieldCtx, raw, center: int, v: int, cut: int | None):
     unit of the class takes the first value.
     """
     p, level = ctx.p, _FIRST_LEVEL
+    # xi = (center p^e + u p^(v + e)) / p^e, e = max(0, -v); xi = 0 occurs only
+    # at v = 0 about -1, where e = 0 keeps its key val INF
+    e = max(0, -v)
+    den, base, step = p ** e, center * p ** e, p ** (v + e)
     classes: dict[tuple[int, int], list[int]] = {}
     for u in unit_reps(p, level):
-        x = center + u * Fraction(p) ** v
-        vz = rational_valuation(x + 1, p)
+        num = base + u * step
+        vz = _val_int(num + den, p) - e
         if cut is None or vz < min(level, cut):
-            classes.setdefault((rational_valuation(x, p), vz), []).append(u)
+            classes.setdefault((_val_int(num, p) - e, vz), []).append(u)
     vals = {}
     for (vx, vz), units in classes.items():
-        first, last = (raw(center + u * Fraction(p) ** v) for u in (units[0], units[-1]))
+        first, last = (raw(Fraction(base + u * step, den)) for u in (units[0], units[-1]))
         if not _same_value(first, last):
             raise RepresentationError(
                 f"orbital not constant on the class val xi = {vx}, val(xi + 1) = {vz}")

@@ -7,10 +7,14 @@ valuation classes, one value per Kuznetsov shell); the sampler is kept here
 as the independent reference those readings are tested against.  The torus
 engine counts cosets by their valuation profile (`orbital._x1_count`); the
 count that visits the cosets of `double_coset_reps` one by one is kept here
-as its bit-for-bit reference.  The Fourier kernel sums rows of cached
-powers of its root of unity, and the baby orbitals key their units inline;
-the direct sums they replace, one generator per output value and one
-`_residue_key` per coordinate, are kept here as their bit-for-bit references.
+as its bit-for-bit reference, and the inert representative built from
+28-digit Hensel square roots (`hensel_inert_rep`, with the GIT invariant
+`torus_pair_invariant` and the fiber test it uses) as the reference for the
+integer leading-digit one (`orbital.inert_rep_for`).  The Fourier kernel
+sums rows of cached powers of its root of unity, and the baby orbitals key
+their units inline; the direct sums they replace, one generator per output
+value and one `_residue_key` per coordinate, are kept here as their
+bit-for-bit references.
 Nothing under `src/` imports this module (`tests/test_stdlib_only.py`).
 """
 
@@ -18,9 +22,22 @@ import math
 from fractions import Fraction
 
 from padicorb.bruhat import BruhatFn, _residue_key
-from padicorb.errors import DomainError, IrregularPointError, RepresentationError
+from padicorb.errors import (
+    DomainError,
+    IrregularPointError,
+    PrecisionError,
+    RepresentationError,
+)
 from padicorb.groups import double_coset_reps
-from padicorb.localfield import INF, _val_int, rational_valuation, unit_mod, unit_reps
+from padicorb.localfield import (
+    INF,
+    _val_int,
+    is_rational_square,
+    padic_sqrt,
+    rational_valuation,
+    unit_mod,
+    unit_reps,
+)
 from padicorb.orbital import (
     _FIRST_LEVEL,
     _assemble_sz,
@@ -133,6 +150,76 @@ def enumerated_x1_count(p, split, terms, b11, b12, b21, b22):
                 cnt += vdet + m == 2 * min(w1, w2)
         tot += cm * cnt
     return tot
+
+
+def torus_pair_invariant(m, ext):
+    """GIT invariant of (T g, T e) for g = [[a, b], [c, d]], m = (a, b, c, d)
+    rational: split chart value -1 - bc/det; diagonal -> -1.  Scale-free."""
+    a, b, c, d = m
+    det = Fraction(a * d - b * c)
+    if ext.kind == "split":
+        val = -1 - b * c / det
+    else:
+        u = ext.u
+        # conjugate into the split frame over E: bc/det of h^-1 g h
+        num = u * (d - a) ** 2 - (b - u * c) ** 2
+        val = -1 - num / (4 * u * det)
+    return val
+
+
+def inert_fiber_is_trivial(ext, xi):
+    """Regular xi carries F-rational (trivial-torsor) orbits iff
+    val(xi) + val(1+xi) is even; xi = 0, -1 raise IrregularPointError."""
+    xi = Fraction(xi)
+    if xi == 0 or xi == -1:
+        raise IrregularPointError(f"xi = {xi} is irregular")
+    p = ext.ctx.p
+    return (rational_valuation(xi, p) + rational_valuation(1 + xi, p)) % 2 == 0
+
+
+HENSEL_DIGITS = 28  # absolute p-adic digits of the square roots in hensel_inert_rep
+
+
+def hensel_inert_rep(ext, xi, bs=None):
+    """F-rational g = [[1,0],[gam,del]] with inert invariant xi to 28 digits
+    (trivial fiber), as the integers (1, 0, gam, del) times the lcm of their
+    denominators.
+
+    del = -(1+2xi) +- sqrt(D + u gam^2), D = 4 xi (1+xi), tried at gam =
+    b p^w0, w0 = val(D)/2, for b = 0..p-1 (or the b in `bs`), + root first:
+    the first b whose D + u gam^2 is a rational square of any valuation, and
+    the first root whose representative meets xi to 20 digits.  Roots are
+    Hensel lifts; a square whose root misses the invariant test raises
+    PrecisionError.
+    """
+    ctx, u = ext.ctx, ext.u
+    if not inert_fiber_is_trivial(ext, xi):
+        raise DomainError("no F-rational representative on a nontrivial-torsor fiber")
+    d = 4 * xi * (1 + xi)
+    step = Fraction(ctx.p) ** (rational_valuation(d, ctx.p) // 2)
+    short = False
+    for b in range(ctx.p) if bs is None else bs:
+        gam = b * step
+        disc = d + u * gam * gam
+        if disc == 0:
+            continue
+        if is_rational_square(ctx, disc):
+            # relative digits, so that the root is known to HENSEL_DIGITS absolute ones
+            prec = HENSEL_DIGITS + max(0, -rational_valuation(disc, ctx.p) // 2)
+            root = padic_sqrt(ctx, disc, prec)
+            for sgn in (1, -1):
+                dl = -(1 + 2 * xi) + sgn * root
+                if dl == 0:
+                    continue
+                scale = math.lcm(gam.denominator, dl.denominator)
+                g = (scale, 0, int(gam * scale), int(dl * scale))
+                got = torus_pair_invariant(g, ext)
+                if rational_valuation(got - xi, ctx.p) >= HENSEL_DIGITS - 8:
+                    return g
+            short = True
+    if short:
+        raise PrecisionError(f"square roots too short for a representative at xi={xi}")
+    raise RepresentationError(f"no representative found for xi={xi}")
 
 
 def direct_fourier_nd(f, scales):

@@ -1,9 +1,12 @@
 import dataclasses
 import functools
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -50,7 +53,6 @@ from padicorb.orbital import (
     hecke_apply_W,
     hecke_apply_W_tail,
     hecke_apply_Z,
-    inert_fiber_is_trivial,
     inert_rep_for,
     kloosterman,
     nonsplit_germ_data,
@@ -65,7 +67,6 @@ from padicorb.orbital import (
     split_germ_data,
     sx_from_baby,
     sz_from_charts,
-    torus_pair_invariant,
     verify_fl,
     verify_matching,
     whittaker_unfolding_check,
@@ -82,14 +83,18 @@ from padicorb.spaces import (
     ip_torus,
 )
 
+import oracles
 from oracles import (
     _shell_values,
     coset_terms,
     enumerated_x1_count,
+    hensel_inert_rep,
+    inert_fiber_is_trivial,
     keyed_o_baby_nonsplit,
     keyed_o_baby_split,
     sampled_hecke_apply_W_elem,
     sampled_hecke_apply_Z,
+    torus_pair_invariant,
 )
 
 
@@ -299,8 +304,10 @@ def test_torus_pair_invariant_chart(ctx3, ext3s, ext3i):
 
 
 def test_inert_parity_criterion():
-    """Inert invariants of F-rational g carry val xi + val(1+xi) even, and on
-    each such fiber inert_rep_for finds gam = 0 or gam at valuation w0."""
+    """Inert invariants of F-rational g carry val xi + val(1+xi) even.  On each
+    such fiber the 28-digit reference meets xi to 16 digits, and it and
+    inert_rep_for both take gam = 0 or gam at valuation w0; inert_rep_for
+    returns None on every other fiber."""
     for p in (3, 5, 7):
         ext = QuadExt(LocalFieldCtx(p), "inert")
         rng = random.Random(7)
@@ -317,16 +324,20 @@ def test_inert_parity_criterion():
             assert s % 2 == 0
         for _ in range(60):
             xi = Fraction(rng.randrange(-50, 51), rng.choice([1, p, p * p, p ** 3]))
-            if xi in (0, -1) or not inert_fiber_is_trivial(ext, xi):
+            if xi in (0, -1):
                 continue
-            g = inert_rep_for(ext, xi)
-            assert all(type(e) is int for e in g) and math.gcd(*g) == 1
-            assert g[1] == 0 and g[0] > 0
-            got = torus_pair_invariant(g, ext)
+            if not inert_fiber_is_trivial(ext, xi):
+                assert inert_rep_for(ext.ctx, xi) is None
+                continue
+            ref = hensel_inert_rep(ext, xi)
+            got = torus_pair_invariant(ref, ext)
             assert rational_valuation(got - xi, p) >= 16
-            gam = Fraction(g[2], g[0])  # g = g[0] [[1, 0], [gam, del]]
             w0 = (rational_valuation(xi, p) + rational_valuation(1 + xi, p)) // 2
-            assert gam == 0 or rational_valuation(gam, p) == w0, (p, xi)
+            for g in (ref, inert_rep_for(ext.ctx, xi)):
+                assert all(type(e) is int for e in g) and math.gcd(*g) == 1
+                assert g[1] == 0 and g[0] > 0
+                gam = Fraction(g[2], g[0])  # g = g[0] [[1, 0], [gam, del]]
+                assert gam == 0 or rational_valuation(gam, p) == w0, (p, xi)
 
 
 def test_inert_search_finds_a_square_at_one_valuation():
@@ -450,8 +461,9 @@ def _seeded_xis(rng, p: int, count: int) -> list[Fraction]:
 @pytest.mark.parametrize("p,m_max", [(3, 3), (5, 3), (7, 2)])
 def test_x1_count_matches_groupelt_oracle(p, m_max):
     """The profile count equals the GroupElt count and the enumerating count,
-    coset by coset summed, on seeded rational bases, on 28-digit inert
-    representatives and on the split boundary translates lo - 1 and hi + 1."""
+    coset by coset summed, on seeded rational bases, on the 28-digit reference
+    inert representatives, on inert_rep_for's leading-digit ones and on the
+    split boundary translates lo - 1 and hi + 1."""
     ctx = LocalFieldCtx(p)
     rng = random.Random(100 + p)
     bases = []
@@ -463,11 +475,12 @@ def test_x1_count_matches_groupelt_oracle(p, m_max):
         except DomainError:
             continue
     inert = QuadExt(ctx, "inert")
-    inert_bases = [GroupElt.of(ctx, *inert_rep_for(inert, xi)) for xi in _seeded_xis(rng, p, 30)
-                   if inert_fiber_is_trivial(inert, xi)][:4]
+    xis = [xi for xi in _seeded_xis(rng, p, 30) if inert_fiber_is_trivial(inert, xi)][:4]
+    inert_bases = [GroupElt.of(ctx, *hensel_inert_rep(inert, xi)) for xi in xis]
     assert inert_bases
     # Hensel-lifted entries carry 28 p-adic digits: past int64 from p = 5 on
     assert max(abs(x.numerator) for g in inert_bases for x in g.m) > p ** 20
+    inert_bases += [GroupElt.of(ctx, *inert_rep_for(ctx, xi)) for xi in xis]
     split_bases = []
     for xi in _seeded_xis(rng, p, 3):
         lo, hi = _split_interval(p, xi, m_max)
@@ -504,7 +517,7 @@ def test_o_torus_group_equals_groupelt_sum(p):
                     span = _wide_span(ctx, xi, n_h)
                     bases = [_split_translate(ctx, xi, n) for n in range(-span, span + 1)]
                 elif inert_fiber_is_trivial(ext, xi):
-                    bases = [GroupElt.of(ctx, *inert_rep_for(ext, xi))]
+                    bases = [GroupElt.of(ctx, *inert_rep_for(ctx, xi))]
                 else:
                     assert o_torus_group(ctx, kind, h, xi) == 0
                     continue
@@ -580,7 +593,7 @@ def test_x1_count_matches_enumeration_on_translates(p, n_xi):
         cases += [(True, _split_integer_translate(p, xi, n)) for n in range(lo - 1, hi + 2)]
     for xi in _seeded_xis(rng, p, 6 * n_xi):
         if inert_fiber_is_trivial(ext, xi):
-            cases.append((False, list(inert_rep_for(ext, xi))))
+            cases.append((False, list(inert_rep_for(ctx, xi))))
     assert any(not split for split, _ in cases)
     hits = 0
     for split, b in cases:
@@ -646,7 +659,7 @@ def test_o_torus_group_inert_vertex_distance(p):
             if not inert_fiber_is_trivial(ext, xi):
                 assert got == 0
                 continue
-            g = inert_rep_for(ext, xi)
+            g = inert_rep_for(ctx, xi)
             d = (rational_valuation(Fraction(g[0] * g[3] - g[1] * g[2]), p)
                  - 2 * min(rational_valuation(Fraction(x), p) for x in g))
             assert got == float(ctx.vol_K) * hecke_to_coset_basis(ctx, h).get(d, 0), (xi, h)
@@ -932,20 +945,163 @@ def test_fl_report_gate_is_relative_to_the_window():
 @pytest.mark.parametrize("p,n", [(3, 5), (3, 6), (5, 5)])
 def test_verify_fl_inert_deep_hecke(p, n):
     """From h_5 on, the torus side meets xi with val disc < 0, where the
-    representative's square root needs digits past its relative 28."""
+    representative's leading digit sits at a negative valuation m0 and the
+    matrix is scaled by p^-m0."""
     rep = verify_fl(LocalFieldCtx(p), "inert", HeckeElt.basis(n))
     assert rep.passed and abs(rep.fitted_constant - 1) < 1e-10
 
 
 def test_inert_rep_short_root_raises_precision_error(ext3i, monkeypatch):
-    import padicorb.orbital as orbital
-
-    real = orbital.padic_sqrt
-    monkeypatch.setattr(orbital, "padic_sqrt", lambda ctx, x, prec: real(ctx, x, 3))
+    real = oracles.padic_sqrt
+    monkeypatch.setattr(oracles, "padic_sqrt", lambda ctx, x, prec: real(ctx, x, 3))
     xi = Fraction(1, 9)  # no candidate discriminant is a rational square
     assert inert_fiber_is_trivial(ext3i, xi)
     with pytest.raises(PrecisionError):
-        inert_rep_for(ext3i, xi)
+        hensel_inert_rep(ext3i, xi)
+
+
+def _in_K(m, p: int) -> bool:
+    """The rational 2x2 matrix m = (a, b, c, d) lies in F^x GL2(o): val det =
+    2 min val(entries)."""
+    a, b, c, d = m
+    return rational_valuation(a * d - b * c, p) == 2 * min(rational_valuation(x, p) for x in m)
+
+
+def _adj_mul(g, h):
+    """adj(g) h = det(g) g^-1 h, a scalar multiple of g^-1 h."""
+    a, b, c, d = (Fraction(x) for x in g)
+    e, f, k, m = h
+    return d * e - b * k, d * f - b * m, a * k - c * e, a * m - c * f
+
+
+def _inert_grid(rng, p: int, count: int) -> list[Fraction]:
+    """Seeded regular xi with denominators 1, 2, 7, p, p^2 and valuations -6..6,
+    and xi = -1/2 (A = 0) and -1/2 + p^j (val A = j > w0 = 0)."""
+    xis = [Fraction(-1, 2)] + [Fraction(-1, 2) + Fraction(p) ** j for j in (1, 2, 3)]
+    while len(xis) < count:
+        xi = (Fraction(rng.randrange(-400, 401), rng.choice([1, 2, 7, p, p * p]))
+              * Fraction(p) ** rng.randrange(-6, 7))
+        if xi not in (0, -1):
+            xis.append(xi)
+    return xis
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_inert_rep_lies_in_the_reference_coset(p):
+    """reference^-1 inert_rep_for(xi) lies in K, exactly, on seeded xi with
+    denominators prime to p and in every leading-digit case (A = -(1 + 2 xi),
+    m0 = min(val A, w0)): val A < w0, val A = w0 with and without the + root
+    cancelling mod p^(m0 + 1), and val A > w0.
+
+    The reference takes the first b whose D + u gam^2 is a square of any
+    valuation and the + root when it meets xi to 20 digits; inert_rep_for
+    takes the first b whose residue is a nonzero square and the + root unless
+    it cancels.  Where the reference's b is another (xi = -47 at p = 5, 218 at
+    p = 13: a D + u gam^2 of residue 0 is a square deeper), it is read at
+    inert_rep_for's b; where its + root cancelled, inert_rep_for lies in the
+    coset of the other root 2A - del, known to the same 28 digits."""
+    ctx = LocalFieldCtx(p)
+    ext = QuadExt(ctx, "inert")
+    deeper = {5: Fraction(-47), 13: Fraction(218)}
+    seen = set()
+    xis = _inert_grid(random.Random(800 + p), p, 240) + ([deeper[p]] if p in deeper else [])
+    for xi in xis:
+        if not inert_fiber_is_trivial(ext, xi):
+            continue
+        new = inert_rep_for(ctx, xi)
+        gam = Fraction(new[2], new[0])
+        w0 = (rational_valuation(xi, p) + rational_valuation(1 + xi, p)) // 2
+        a = -(1 + 2 * xi)
+        va = rational_valuation(a, p)
+        ref = hensel_inert_rep(ext, xi)
+        if Fraction(ref[2], ref[0]) != gam:
+            seen.add("deeper square")
+            ref = hensel_inert_rep(ext, xi, bs=[int(gam / Fraction(p) ** w0)])
+        assert Fraction(ref[2], ref[0]) == gam
+        dl = Fraction(ref[3], ref[0])
+        if rational_valuation(dl, p) != min(va, w0):
+            assert va == w0 and gam == 0, (p, xi)
+            seen.add("val A = w0, + root cancelled")
+            ref = (1, 0, gam, 2 * a - dl)
+        else:
+            seen.add("val A < w0" if va < w0 else "val A = w0" if va == w0 else "val A > w0")
+        if xi.denominator > 1 and xi.denominator % p:
+            seen.add("denominator prime to p")
+        assert _in_K(_adj_mul(ref, new), p), (p, xi)
+    assert seen >= {"val A < w0", "val A = w0", "val A = w0, + root cancelled", "val A > w0",
+                    "denominator prime to p"}, seen
+    assert ("deeper square" in seen) == (p in deeper)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_o_torus_group_inert_equals_reference_count(p):
+    """o_torus_group's inert value is vol K times the profile count at the
+    28-digit reference representative, bit for bit, for h0 ... h4 and a mixed
+    element on a seeded grid, and 0 on every nontrivial-torsor fiber."""
+    ctx = LocalFieldCtx(p)
+    ext = QuadExt(ctx, "inert")
+    volK = float(ctx.vol_K)
+    hs = [HeckeElt.basis(n) for n in range(5)] + [HeckeElt.of({0: 2, 1: 5, 2: 8})]
+    dcs = [hecke_to_coset_basis(ctx, h) for h in hs]
+    trivial = 0
+    for xi in _inert_grid(random.Random(900 + p), p, 80):
+        ref = hensel_inert_rep(ext, xi) if inert_fiber_is_trivial(ext, xi) else None
+        trivial += ref is not None
+        for h, dc in zip(hs, dcs):
+            want = 0j if ref is None else volK * _x1_count(p, False, dc, *ref)
+            assert o_torus_group(ctx, "inert", h, xi) == want, (xi, h)
+    assert 0 < trivial < 80
+
+
+def test_inert_rep_wrong_leading_digit_raises(monkeypatch):
+    """A residue square root that is no root (2r for the root r, p = 7) gives
+    a wrong leading digit wherever it reaches p^m0 (val A >= w0), and the
+    integer certificate raises RepresentationError there; where val A < w0
+    the digit is A's alone and the representative still stands."""
+    p = 7
+    ctx = LocalFieldCtx(p)
+    real = orbital.sqrt_unit_mod
+    monkeypatch.setattr(orbital, "sqrt_unit_mod", lambda c, a, prec: 2 * real(c, a, prec) % p)
+    ext = QuadExt(ctx, "inert")
+    raised = kept = 0
+    for xi in _inert_grid(random.Random(1000), p, 60):
+        if not inert_fiber_is_trivial(ext, xi):
+            continue
+        w0 = (rational_valuation(xi, p) + rational_valuation(1 + xi, p)) // 2
+        if rational_valuation(1 + 2 * xi, p) < w0:
+            assert inert_rep_for(ctx, xi) is not None
+            kept += 1
+        else:
+            with pytest.raises(RepresentationError, match="leading digit"):
+                inert_rep_for(ctx, xi)
+            raised += 1
+    assert raised and kept
+
+
+def test_inert_rep_at_irregular_points_is_immediate():
+    """xi = 0 and -1 have val INF, an even sentinel, so a fiber test on
+    valuations calls them trivial and a square root there computes p^INF;
+    inert_rep_for and the reference raise IrregularPointError at once, run in
+    a child process to fail instead of hanging."""
+    code = (
+        "from padicorb.errors import IrregularPointError\n"
+        "from padicorb.localfield import LocalFieldCtx, QuadExt\n"
+        "from padicorb.orbital import inert_rep_for\n"
+        "from oracles import hensel_inert_rep, inert_fiber_is_trivial\n"
+        "ext = QuadExt(LocalFieldCtx(5), 'inert')\n"
+        "for f in (lambda x: inert_rep_for(ext.ctx, x), lambda x: hensel_inert_rep(ext, x),\n"
+        "          lambda x: inert_fiber_is_trivial(ext, x)):\n"
+        "    for xi in (0, -1):\n"
+        "        try:\n"
+        "            f(xi)\n"
+        "        except IrregularPointError:\n"
+        "            continue\n"
+        "        raise SystemExit(f'no IrregularPointError at xi = {xi}')\n")
+    paths = [str(Path(orbital.__file__).resolve().parent.parent),
+             str(Path(__file__).resolve().parent)]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
 
 
 def test_empty_verifications_raise(ctx3):
