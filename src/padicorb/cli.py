@@ -7,15 +7,15 @@ Subcommands:
 
 Reports serialize to JSON (schemaVersion 1) or CSV; a fixed seed gives
 byte-identical report files (wall-clock timings go to the console only).
-Each subcommand takes only the options it reads (`OPTIONS`); an unread flag
-is a usage error.  Flags override a key=value config file, which may also
+Each subcommand takes only the options it reads (`OPTIONS`), as exact
+`--flag value` or `--flag=value` pairs; an unread or abbreviated flag is a
+usage error.  Flags override a key=value config file, which may also
 carry the other subcommands' options; exit codes: 0 pass, 1 fail, 2 usage
 error, 3 computation failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import csv
 import io
@@ -26,7 +26,7 @@ import time
 from fractions import Fraction
 
 from .errors import PadicOrbError
-from .groups import HeckeElt
+from .groups import HeckeElt, KSection
 from .localfield import LocalFieldCtx, is_prime
 from .orbital import (
     basic_fW0,
@@ -36,7 +36,6 @@ from .orbital import (
     verify_fl,
     verify_matching,
 )
-from .groups import KSection
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 3
@@ -172,23 +171,22 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """The options `args.command` reads: its flag, else the config file's
+def resolve_config(args: dict) -> dict:
+    """The options `args["command"]` reads: its flag, else the config file's
     value, else the default.  A config file may carry the options of the
     other commands, so one file serves all three; an unknown key is an error."""
-    from_file = read_config_file(args.config) if args.config else {}
+    from_file = read_config_file(args["config"]) if args.get("config") else {}
     unknown = sorted(set(from_file) - set(OPTIONS))
     if unknown:
         raise UsageError(f"unknown config keys {unknown}")
     cfg = {}
     for key, (convert, default, commands, _) in OPTIONS.items():
-        if args.command in commands:
-            text = getattr(args, key)
-            text = from_file.get(key, default) if text is None else text
+        if args["command"] in commands:
+            text = args.get(key, from_file.get(key, default))
             try:
                 cfg[key] = convert(text)
             except (UsageError, ValueError) as exc:
-                raise UsageError(f"--{key.replace('_', '-')} {text!r}: {exc}") from exc
+                raise UsageError(f"{_flag(key)} {text!r}: {exc}") from exc
     return cfg
 
 
@@ -353,50 +351,55 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, holding only the options it reads."""
-    ap = argparse.ArgumentParser(
-        prog="padicorb",
-        description="Exact nonarchimedean orbital-integral verification suites",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        for key, (_, default, commands, what) in OPTIONS.items():
-            if name in commands:
-                sp.add_argument("--" + key.replace("_", "-"), dest=key,
-                                help=f"{what} (default {default})" if default else what)
-        sp.add_argument("--config", help="key=value config file (flags take precedence)")
-    return ap
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _fold_value_flags(argv: list[str]) -> list[str]:
-    """Glue values that begin with '-' onto their flag (e.g. --val-window -4:4)."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--val-window", "--hecke", "--out") and i + 1 < len(argv) \
-                and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def usage(commands) -> str:
+    """The grammar, then each of `commands` with the options it reads."""
+    lines = ["usage: padicorb COMMAND [--flag value | --flag=value]...",
+             "exact flag names; a value may begin with '-'; the last occurrence wins"]
+    for name in commands:
+        lines.append(f"\n{name}: {COMMANDS[name][1]}")
+        lines += [f"  {_flag(key):14} {what}" + (f" (default {default})" if default else "")
+                  for key, (_, default, readers, what) in OPTIONS.items() if name in readers]
+        lines.append(f"  {'--config':14} key=value config file (flags take precedence)")
+    return "\n".join(lines)
+
+
+def parse_args(argv: list[str]) -> dict:
+    """`COMMAND --flag value ...` as {"command": COMMAND, option: text}, or
+    {"help": commands} for -h or --help in the place of COMMAND or of a flag.
+
+    A flag is the exact name of an option COMMAND reads, or --config; its
+    value is the next word, which may begin with '-', or the text after '='."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return {"help": tuple(COMMANDS)}
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError(f"the first word must be a command: {', '.join(COMMANDS)}")
+    args = {"command": argv[0]}
+    flags = {_flag(key): key for key, (_, _, readers, _) in OPTIONS.items() if argv[0] in readers}
+    flags["--config"] = "config"
+    words = iter(argv[1:])
+    for word in words:
+        if word in ("-h", "--help"):
+            return {"help": (argv[0],)}
+        flag, eq, value = word.partition("=")
+        if flag not in flags:
+            raise UsageError(f"{argv[0]} takes no {flag!r} (see padicorb {argv[0]} --help)")
+        if not eq and (value := next(words, None)) is None:
+            raise UsageError(f"{flag} needs a value")
+        args[flags[flag]] = value
+    return args
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _fold_value_flags(list(argv))
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
-        return COMMANDS[args.command][0](resolve_config(args))
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if "help" in args:
+            print(usage(args["help"]))
+            return 0
+        return COMMANDS[args["command"]][0](resolve_config(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,9 +1,10 @@
 import csv
 import json
+import re
 
 import pytest
 
-from padicorb.cli import main, parse_hecke_list, parse_window, UsageError
+from padicorb.cli import COMMANDS, OPTIONS, main, parse_hecke_list, parse_window, UsageError
 
 
 def run(args):
@@ -30,6 +31,15 @@ def test_usage_errors(tmp_path):
     assert run(["tables", "--p", "3", "--val-window", "0:0", "--tolerance", "1e-30",
                 "--out", str(tmp_path / "t.json")]) == 1
     assert run(["nonsense"]) == 2
+    # the grammar: COMMAND first, then exact flag names, each with a value; an
+    # abbreviation, a stray word and a flag with no value exit 2 before any work
+    out = tmp_path / "grammar.json"
+    for argv in ([], ["--p", "3", "tables"], ["stray", "tables"], ["tables", "stray"],
+                 ["tables", "--out", str(out), "--p"], ["tables", "--out", str(out), "--tol", "1"],
+                 ["tables", "--out", str(out), "--val_window", "0:0"],
+                 ["tables", "--out", str(out), "--", "--p", "3"]):
+        assert run(argv) == 2, argv
+        assert not out.exists()
     # each command takes only the options it reads: an unread flag exits 2
     # before any work starts
     out = tmp_path / "unread.json"
@@ -41,6 +51,31 @@ def test_usage_errors(tmp_path):
                                  ("tables", "--jobs", "2"), ("tables", "--samples", "2")):
         assert run([command, "--p", "3", flag, value, "--out", str(out)]) == 2, (command, flag)
         assert not out.exists()
+
+
+def test_value_may_follow_the_flag_or_an_equals_sign(tmp_path):
+    """`--val-window -4:4` and `--val-window=-4:4` give the same report bytes; a
+    value that begins with '-' is the flag's value, not a flag."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["verify-fl", "--p", "3", "--val-window", "-4:4", "--out", str(a)]) == 0
+    assert run(["verify-fl", "--p", "3", "--val-window=-4:4", f"--out={b}"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_every_option_a_command_reads(command, flag, capsys):
+    """-h and --help, at the top level or after a command, print usage and exit 0:
+    each command with exactly the options it reads, and --config."""
+    commands = list(COMMANDS) if command is None else [command]
+    assert run([*commands[:1], flag] if command else [flag]) == 0
+    printed = capsys.readouterr().out
+    blocks = printed.strip().split("\n\n")[1:]  # after the grammar, one per command
+    assert [block.split(":")[0] for block in blocks] == commands
+    for name, block in zip(commands, blocks):
+        want = {"--" + key.replace("_", "-") for key, (_, _, readers, _) in OPTIONS.items()
+                if name in readers}
+        assert set(re.findall(r"^  (--\S+)", block, flags=re.M)) == want | {"--config"}, name
 
 
 def test_config_block_holds_the_command_options(tmp_path):

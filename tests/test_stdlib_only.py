@@ -17,11 +17,22 @@ print(json.dumps(sorted({name.split('.')[0] for name in set(sys.modules) - befor
 """
 
 
+RUN_PROBE = """
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))
+sys.argv = ["padicorb", *sys.argv[1:]]
+runpy.run_module("padicorb.cli", run_name="__main__")
+"""
+
+
+def _env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_imports() -> list[str]:
     """Top-level modules a fresh interpreter loads to import padicorb and padicorb.cli."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", PROBE], env=_env(), capture_output=True,
                          text=True, check=True).stdout
     return json.loads(out)
 
@@ -41,6 +52,20 @@ def test_cli_start_loads_no_multiprocessing():
     """Only `verify-fl --jobs N` with N > 1 and several tasks starts a pool, so
     only that path imports multiprocessing."""
     assert "multiprocessing" not in _fresh_imports()
+
+
+def test_verify_fl_run_loads_no_argument_parser(tmp_path):
+    """A whole `python -m padicorb.cli verify-fl` run exits 0 without argparse,
+    gettext or locale in `sys.modules`: building argparse parsers (and the
+    locale import of its first gettext call) cost about 4 ms of every run."""
+    proc = subprocess.run([sys.executable, "-c", RUN_PROBE, "verify-fl", "--p", "3",
+                           "--hecke", "0:1", "--out", str(tmp_path / "fl.json")],
+                          env=_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert "padicorb.orbital" in loaded
+    found = {"argparse", "gettext", "locale"} & set(loaded)
+    assert not found, found
 
 
 def test_library_imports_no_test_oracle():
