@@ -373,7 +373,7 @@ def parse_args(argv: list[str]) -> dict:
 
     A flag is the exact name of an option COMMAND reads, or --config; its
     value is the next word, which may begin with '-', or the text after '='."""
-    if argv[:1] in (["-h"], ["--help"]):
+    if argv and argv[0] in ("-h", "--help"):
         return {"help": tuple(COMMANDS)}
     if not argv or argv[0] not in COMMANDS:
         raise UsageError(f"the first word must be a command: {', '.join(COMMANDS)}")

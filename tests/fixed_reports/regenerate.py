@@ -10,6 +10,8 @@ the same commit and names every moved report and field in CHANGES.md.
 import sys
 from pathlib import Path
 
+from padicorb.cli import main
+
 HERE = Path(__file__).resolve().parent
 
 # report file -> CLI argv (without --format and --out); no report carries a
@@ -40,8 +42,6 @@ RUNS = {
 
 def write(name: str, out_dir: Path) -> int:
     """Run `RUNS[name]` through the CLI into `out_dir / name`; the exit code."""
-    from padicorb.cli import main
-
     return main([*RUNS[name], "--format", "json", "--out", str(out_dir / name)])
 
 

@@ -68,7 +68,7 @@ def test_help_lists_every_option_a_command_reads(command, flag, capsys):
     """-h and --help, at the top level or after a command, print usage and exit 0:
     each command with exactly the options it reads, and --config."""
     commands = list(COMMANDS) if command is None else [command]
-    assert run([*commands[:1], flag] if command else [flag]) == 0
+    assert run([flag] if command is None else [command, flag]) == 0
     printed = capsys.readouterr().out
     blocks = printed.strip().split("\n\n")[1:]  # after the grammar, one per command
     assert [block.split(":")[0] for block in blocks] == commands

@@ -20,7 +20,6 @@ print(json.dumps(sorted({name.split('.')[0] for name in set(sys.modules) - befor
 RUN_PROBE = """
 import atexit, json, runpy, sys
 atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))
-sys.argv = ["padicorb", *sys.argv[1:]]
 runpy.run_module("padicorb.cli", run_name="__main__")
 """
 
