@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -65,15 +65,42 @@ def _as_level(n) -> int:
         raise DomainError(f"atom level {n!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     center: Point
     level: int
     coef: complex
 
 
-@dataclass(frozen=True)
-class BruhatFn:
+class _Frozen:
+    """A read-only value: `__init__` stores the `_fields` in `__dict__` once;
+    equality (within one class) and the hash read their values in order.  A
+    `cached_property` memo writes `__dict__` directly and stays out of both."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BruhatFn(_Frozen):
     """Finite sum of weighted cosets on the tagged domain: `entries` holds one
     (keys, level, coef) per coset, keys its `_coset_key` per coordinate; cosets
     may overlap and keep their order.  `atoms` views them as `Atom`s, with the
@@ -82,16 +109,16 @@ class BruhatFn:
     at one common level: `from_table` builds its own canonical form, and
     `canonicalize` refines any other's entries to their deepest level."""
 
-    ctx: LocalFieldCtx
-    domain: str
-    entries: tuple[tuple[tuple[tuple[int, int], ...], int, complex], ...]
-    torsor_scale: Fraction | None = None  # E^alpha: a = N(e) of the base point
+    _fields = ("ctx", "domain", "entries", "torsor_scale")
 
-    def __post_init__(self):
-        if self.domain not in _DOMAIN_DIM:
-            raise DomainError(f"unknown domain tag {self.domain!r}")
-        if (self.domain == "Ealpha") != (self.torsor_scale is not None):
+    def __init__(self, ctx: LocalFieldCtx, domain: str,
+                 entries: tuple[tuple[tuple[tuple[int, int], ...], int, complex], ...],
+                 torsor_scale: Fraction | None = None):  # E^alpha: a = N(e) of the base point
+        if domain not in _DOMAIN_DIM:
+            raise DomainError(f"unknown domain tag {domain!r}")
+        if (domain == "Ealpha") != (torsor_scale is not None):
             raise DomainError("E^alpha data, and only E^alpha data, has a torsor scale")
+        self.__dict__.update(ctx=ctx, domain=domain, entries=entries, torsor_scale=torsor_scale)
 
     # --- constructors ---
 
@@ -422,19 +449,17 @@ def _table_at(f: BruhatFn, level: int) -> dict:
 # --- Mellin characters and Tate integrals ----------------------------------------
 
 
-@dataclass(frozen=True)
-class MellinCharacter:
+class MellinCharacter(_Frozen):
     """Unramified-or-eta character component: conductor <= 1."""
 
-    ext: QuadExt
-    quadratic: str = "trivial"  # "trivial" | "eta"
+    _fields = ("ext", "quadratic")
 
-    def __post_init__(self):
-        if self.quadratic not in ("trivial", "eta"):
+    def __init__(self, ext: QuadExt, quadratic: str = "trivial"):  # "trivial" | "eta"
+        if quadratic not in ("trivial", "eta"):
             raise UnsupportedAtomError("only trivial and eta components are in scope")
-        if self.quadratic == "eta" and self.ext.kind == "split":
-            # eta = 1 in the split case; normalize to the trivial tag
-            object.__setattr__(self, "quadratic", "trivial")
+        if ext.kind == "split":
+            quadratic = "trivial"  # eta = 1 in the split case; normalize to the trivial tag
+        self.__dict__.update(ext=ext, quadratic=quadratic)
 
     def sign_of_val(self, v: int) -> int:
         if self.quadratic == "trivial":

@@ -17,7 +17,6 @@ error, 3 computation failure.
 from __future__ import annotations
 
 import cmath
-import csv
 import io
 import json
 import os
@@ -201,6 +200,7 @@ def _write_report(cfg: dict, doc: dict, csv_rows: list[dict], name: str) -> str:
     if cfg["format"] == "json":
         text = json.dumps(doc, sort_keys=True, indent=1)
     else:
+        import csv  # only a CSV report pays for the import
         buf = io.StringIO()
         if csv_rows:
             writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))

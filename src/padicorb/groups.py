@@ -11,8 +11,10 @@ double cosets, Casselman-Shalika action, L-function series coefficients).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, PoleError
 from .localfield import LocalFieldCtx, psi_eval_frac, rational_valuation, unit_mod
@@ -24,8 +26,7 @@ def _vals(ctx: LocalFieldCtx, m: Mat) -> list[int]:
     return [rational_valuation(x, ctx.p) for x in m]
 
 
-@dataclass(frozen=True)
-class GroupElt:
+class GroupElt(NamedTuple):
     """Element of PGL2(F) as a content-normalized 2x2 rational matrix."""
 
     ctx: LocalFieldCtx
@@ -153,19 +154,34 @@ def double_coset_reps(ctx: LocalFieldCtx, m: int) -> list[tuple[int, int, int]]:
 # --- Hecke algebra on the Satake basis --------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeckeElt:
+def _basis_items(data: dict[int, complex], negative: str) -> tuple[tuple[int, complex], ...]:
+    """The nonzero (n, c) of `data` sorted by n.  DomainError for an index that
+    is not an integer (`operator.index`: 1.5 is not read as 1), a coefficient
+    that is not finite, or a negative index of a nonzero coefficient (`negative`)."""
+    items = []
+    for n, c in data.items():
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise DomainError(f"basis index {n!r} is not an integer") from None
+        c = complex(c)
+        if not cmath.isfinite(c):
+            raise DomainError(f"coefficient {c} of index {n} is not finite")
+        if c != 0:
+            if n < 0:
+                raise DomainError(negative)
+            items.append((n, c))
+    return tuple(sorted(items))
+
+
+class HeckeElt(NamedTuple):
     """Finitely supported coefficient vector on the Satake basis {h_n}."""
 
     coeffs: tuple[tuple[int, complex], ...]  # sorted by n
 
     @staticmethod
     def of(data: dict[int, complex]) -> "HeckeElt":
-        items = tuple(sorted((int(n), complex(c)) for n, c in data.items() if complex(c) != 0))
-        for n, _ in items:
-            if n < 0:
-                raise DomainError("h_n needs n >= 0")
-        return HeckeElt(items)
+        return HeckeElt(_basis_items(data, "h_n needs n >= 0"))
 
     @staticmethod
     def basis(n: int, c=1.0) -> "HeckeElt":
@@ -207,8 +223,7 @@ class HeckeElt:
 # --- Satake transform --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymLaurent:
+class SymLaurent(NamedTuple):
     """Symmetric Laurent polynomial in alpha: c_0 + sum_{k>=1} c_k (alpha^k + alpha^-k)."""
 
     coeffs: tuple[complex, ...]
@@ -336,19 +351,14 @@ def hecke_to_coset_basis(ctx: LocalFieldCtx, h: HeckeElt) -> dict[int, complex]:
 # --- sections, Casselman-Shalika, Whittaker ---------------------------------------
 
 
-@dataclass(frozen=True)
-class KSection:
+class KSection(NamedTuple):
     """K-invariant compactly supported section on the {1_{x_nK}} basis."""
 
     coeffs: tuple[tuple[int, complex], ...]
 
     @staticmethod
     def of(data: dict[int, complex]) -> "KSection":
-        items = tuple(sorted((int(n), complex(c)) for n, c in data.items() if complex(c) != 0))
-        for n, _ in items:
-            if n < 0:
-                raise DomainError("sections are supported on n >= 0")
-        return KSection(items)
+        return KSection(_basis_items(data, "sections are supported on n >= 0"))
 
     @staticmethod
     def basic() -> "KSection":

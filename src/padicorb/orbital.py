@@ -12,9 +12,9 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -24,7 +24,7 @@ from .errors import (
     RepresentationError,
     UnsupportedSectionError,
 )
-from .bruhat import BruhatFn, _residue_key, fourier_E, fourier_F2
+from .bruhat import BruhatFn, _Frozen, _residue_key, fourier_E, fourier_F2
 from .groups import (
     HeckeElt,
     KSection,
@@ -115,21 +115,20 @@ def split_germ_data(phi: BruhatFn) -> Germ:
     return _baby_germ("split", phi, split_image(phi))
 
 
-@dataclass(frozen=True)
-class BabyInput:
+class BabyInput(_Frozen):
     """Inert baby data: a pair of functions on E and on the torsor E^alpha.
 
     Both components are stored in pullback coordinates on E = F + F*sqrt(u);
     the torsor carries the scale a0 = N(e) (an odd-valuation element).
     """
 
-    ext: QuadExt
-    phi0: BruhatFn   # on E
-    phi_alpha: BruhatFn  # on E^alpha (pullback data)
+    _fields = ("ext", "phi0", "phi_alpha")
 
-    def __post_init__(self):
-        if self.ext.kind != "inert":
+    def __init__(self, ext: QuadExt, phi0: BruhatFn, phi_alpha: BruhatFn):
+        # phi0 on E, phi_alpha on E^alpha (pullback data)
+        if ext.kind != "inert":
             raise KindError("BabyInput is the inert-case container")
+        self.__dict__.update(ext=ext, phi0=phi0, phi_alpha=phi_alpha)
 
 
 def torsor_scale(ctx: LocalFieldCtx) -> Fraction:
@@ -325,8 +324,7 @@ def fourier_baby(data, kind: str):
 # --- chart orbitals in closed form ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChartImage:
+class ChartImage(NamedTuple):
     """A baby orbital in closed form, the pushforward of its chart's coset table.
 
     On the shell val x = v its value at a unit u of x is the sum of
@@ -1118,8 +1116,7 @@ def gamma_star(ctx: LocalFieldCtx, kind: str) -> complex:
 # --- verification harnesses --------------------------------------------------------
 
 
-@dataclass
-class FLPoint:
+class FLPoint(NamedTuple):
     xi_num: int
     xi_val: int
     lhs: complex
@@ -1130,8 +1127,7 @@ class FLPoint:
         return abs(self.lhs - self.rhs)
 
 
-@dataclass
-class FLReport:
+class FLReport(NamedTuple):
     p: int
     kind: str
     hecke: dict[int, complex]
@@ -1196,8 +1192,7 @@ def verify_fl(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
                     time.perf_counter() - start)
 
 
-@dataclass
-class MatchingCase:
+class MatchingCase(NamedTuple):
     index: int
     shape_residual: float
     ip_lhs: complex
@@ -1208,8 +1203,7 @@ class MatchingCase:
         return abs(self.ip_lhs - self.ip_rhs)
 
 
-@dataclass
-class MatchingReport:
+class MatchingReport(NamedTuple):
     p: int
     kind: str
     samples: int

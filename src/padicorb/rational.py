@@ -6,7 +6,7 @@ of t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, PoleError
 
@@ -21,8 +21,7 @@ def _trim(coeffs: list[complex]) -> tuple[complex, ...]:
     return tuple(c) if c else (0j,)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(NamedTuple):
     """Dense polynomial in t, low degree first."""
 
     coeffs: tuple[complex, ...]
@@ -72,8 +71,7 @@ class Poly:
         return acc
 
 
-@dataclass(frozen=True)
-class RationalFnT:
+class RationalFnT(NamedTuple):
     """num/den in t = q^(-s); not necessarily reduced."""
 
     num: Poly

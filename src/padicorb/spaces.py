@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -37,7 +36,7 @@ from .errors import (
     UnsupportedAtomError,
     WindowError,
 )
-from .bruhat import (BruhatFn, MellinCharacter, _key_center, _laurent_to_rational,
+from .bruhat import (BruhatFn, MellinCharacter, _Frozen, _key_center, _laurent_to_rational,
                      _residue_key, mellin_component)
 from .localfield import (
     INF,
@@ -164,8 +163,7 @@ class Germ(NamedTuple):
         return self.a + self.b * (-1) ** v
 
 
-@dataclass(frozen=True)
-class _GermTransform:
+class _GermTransform(NamedTuple):
     """F(germ) is shellwise constant: `const` for val z >= -L, and the pure
     tail c_tail * sigma^k q^k for val z <= -(L+1), sigma = +1/-1 split/inert."""
 
@@ -229,17 +227,14 @@ def _certify(got: complex, want: complex, tol: float, what: str, norm: float):
         raise RepresentationError(f"{what}: {got} vs {want}")
 
 
-@dataclass(frozen=True)
-class SXElem:
+class SXElem(_Frozen):
     """Element of S(X): window on F^x plus the germ at 0."""
 
-    ctx: LocalFieldCtx
-    kind: str
-    window: BruhatFn
-    germ0: Germ
+    _fields = ("ctx", "kind", "window", "germ0")
 
-    def __post_init__(self):
-        _check_kind(self.kind)
+    def __init__(self, ctx: LocalFieldCtx, kind: str, window: BruhatFn, germ0: Germ):
+        _check_kind(kind)
+        self.__dict__.update(ctx=ctx, kind=kind, window=window, germ0=germ0)
 
     def eval(self, xi) -> complex:
         v = rational_valuation(Fraction(xi), self.ctx.p)
@@ -260,20 +255,17 @@ class SXElem:
         return {}
 
 
-@dataclass(frozen=True)
-class SZElem:
+class SZElem(_Frozen):
     """Element of S(Z): window on F minus {0,-1}, germs at 0 and at -1.
 
     The germ at -1 is stored in the local coordinate zeta = xi + 1."""
 
-    ctx: LocalFieldCtx
-    kind: str
-    window: BruhatFn
-    germ0: Germ
-    germ_m1: Germ
+    _fields = ("ctx", "kind", "window", "germ0", "germ_m1")
 
-    def __post_init__(self):
-        _check_kind(self.kind)
+    def __init__(self, ctx: LocalFieldCtx, kind: str, window: BruhatFn, germ0: Germ,
+                 germ_m1: Germ):
+        _check_kind(kind)
+        self.__dict__.update(ctx=ctx, kind=kind, window=window, germ0=germ0, germ_m1=germ_m1)
 
     def eval(self, xi) -> complex:
         xi = Fraction(xi)
@@ -299,35 +291,31 @@ class SZElem:
         return {}
 
 
-@dataclass(frozen=True)
-class KLTail:
+class KLTail(_Frozen):
     """C * KL(xi) for |xi| >= q^M, KL the Kloosterman germ at infinity."""
 
-    C: complex
-    M: int
+    _fields = ("C", "M")
 
-    def __post_init__(self):
-        if self.M < 1:
-            raise DomainError(f"the Kloosterman tail starts on |xi| > 1, got M = {self.M}")
+    def __init__(self, C: complex, M: int):
+        if M < 1:
+            raise DomainError(f"the Kloosterman tail starts on |xi| > 1, got M = {M}")
+        self.__dict__.update(C=C, M=M)
 
 
-@dataclass(frozen=True)
-class SWElem:
+class SWElem(_Frozen):
     """Element of S(W^s): window, the |xi|^{s+1}-weighted germ at 0, KL tail.
 
     `zero_germ` is the germ of |xi|^{-(s+1)} f: on val(xi) >= its level, f adds
     |xi|^{s+1} zero_germ.eval(kind, val xi).
     """
 
-    ctx: LocalFieldCtx
-    kind: str
-    s: complex
-    window: BruhatFn
-    zero_germ: Germ
-    inf_tail: KLTail
+    _fields = ("ctx", "kind", "s", "window", "zero_germ", "inf_tail")
 
-    def __post_init__(self):
-        _check_kind(self.kind)
+    def __init__(self, ctx: LocalFieldCtx, kind: str, s: complex, window: BruhatFn,
+                 zero_germ: Germ, inf_tail: KLTail):
+        _check_kind(kind)
+        self.__dict__.update(ctx=ctx, kind=kind, s=s, window=window, zero_germ=zero_germ,
+                             inf_tail=inf_tail)
 
     def eval(self, xi) -> complex:
         xi = Fraction(xi)
@@ -421,8 +409,7 @@ def _shell_terms(ctx: LocalFieldCtx, kind: str, entries, germ0: Germ | None,
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class _ShellPlan:
+class _ShellPlan(NamedTuple):
     """G f on the shell val xi = v, as a function of the unit u of xi: const
     plus c q^k p^-m S(1, u nb; p^m) over the entries (m, nb, c, q^k), one per
     Kloosterman or Salie shell k = v + m of a term; `level` = max(1, largest m)

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import math
 import random
 import time
@@ -114,7 +114,7 @@ def test_table_sums_overlapping_atoms(ctx3):
     them, agrees with eval, and integrates to 4/3."""
     from padicorb.errors import DomainError
 
-    assert "canonical" not in {fld.name for fld in dataclasses.fields(BruhatFn)}
+    assert "canonical" not in inspect.signature(BruhatFn).parameters
     entries = ((((0, 0),), 0, 1.0), (((1, 0),), 1, 1.0))  # the keys of 0 at levels 0, 1
     with pytest.raises(DomainError):  # an old positional flag lands on torsor_scale
         BruhatFn(ctx3, "F", entries, True)
@@ -139,9 +139,9 @@ def test_entries_are_the_stored_form(ctx3):
     coordinate; `atoms` is a view, not a field, and is read-only."""
     f = BruhatFn.from_atoms(ctx3, "F2", [((5, Fraction(7, 3)), 0, 1.0)])
     assert f.entries == ((((0, 0), (-1, 1)), 0, 1.0 + 0j),)
-    assert "atoms" not in {fld.name for fld in dataclasses.fields(BruhatFn)}
+    assert "atoms" not in inspect.signature(BruhatFn).parameters
     assert BruhatFn(ctx3, "F2", f.entries).atoms == (Atom((Fraction(0), Fraction(1, 3)), 0, 1.0),)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         f.atoms = ()
 
 

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -276,3 +277,25 @@ def test_l_factor_pole(ctx3):
 def test_sym_laurent_asymmetry_guard():
     with pytest.raises(DomainError):
         SymLaurent.of({-1: 1.0})
+
+
+@pytest.mark.parametrize("cls", [HeckeElt, KSection], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("data", [{1.5: 2}, {2.7: 1}, {2.0: 1}, {"1": 1}, {0: math.nan},
+                                  {0: 1, 1: math.inf}, {2: complex(0, -math.inf)}])
+def test_basis_elements_refuse_non_integer_indices_and_non_finite_coefficients(cls, data):
+    """An index is read with `operator.index`, not truncated by `int` (1.5 was
+    read as 1 and 2.7 as 2), and a NaN or infinite coefficient is refused
+    here instead of failing far downstream."""
+    with pytest.raises(DomainError):
+        cls.of(data)
+
+
+@pytest.mark.parametrize("cls", [HeckeElt, KSection], ids=lambda cls: cls.__name__)
+def test_basis_elements_read_integer_indices(cls):
+    """Any integer index is read (bool and numpy integers included); zero
+    coefficients are dropped, even at a negative index, and a nonzero one at a
+    negative index is refused."""
+    np = pytest.importorskip("numpy")
+    assert cls.of({np.int64(2): 1, True: 0.5, 3: 0, -1: 0}).coeffs == ((1, 0.5 + 0j), (2, 1 + 0j))
+    with pytest.raises(DomainError, match=">= 0"):
+        cls.of({-1: 1})

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import os
@@ -73,6 +72,7 @@ from padicorb.orbital import (
 )
 from padicorb.spaces import (
     Germ,
+    SXElem,
     SZElem,
     _value_atoms,
     g_transform_SX,
@@ -1436,9 +1436,9 @@ def _scaled_elem(f, c):
     def times_c(g):
         return Germ(c * g.a, c * g.b, g.level)
 
-    germs = ("germ0", "germ_m1") if isinstance(f, SZElem) else ("germ0",)
-    return dataclasses.replace(f, window=f.window.scale(c),
-                               **{name: times_c(getattr(f, name)) for name in germs})
+    if isinstance(f, SZElem):
+        return SZElem(f.ctx, f.kind, f.window.scale(c), times_c(f.germ0), times_c(f.germ_m1))
+    return SXElem(f.ctx, f.kind, f.window.scale(c), times_c(f.germ0))
 
 
 _SCALED_H = HeckeElt.of({0: 1, 1: 2})

@@ -53,6 +53,15 @@ def test_cli_start_loads_no_multiprocessing():
     assert "multiprocessing" not in _fresh_imports()
 
 
+def test_import_loads_no_dataclasses():
+    """padicorb defines no dataclass: importing `dataclasses` (with the
+    `inspect`, `ast`, `dis` and `tokenize` it loads) and decorating each class,
+    which `exec`s generated source on every import, were about a fifth of a
+    run's set-up.  `csv` is imported by a CSV report alone."""
+    found = {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"} & set(_fresh_imports())
+    assert not found, found
+
+
 def test_verify_fl_run_loads_no_argument_parser(tmp_path):
     """A whole `python -m padicorb.cli verify-fl` run exits 0 without argparse,
     gettext or locale in `sys.modules`: building argparse parsers (and the
