@@ -30,12 +30,13 @@ from .errors import (
 from .localfield import (
     LocalFieldCtx,
     QuadExt,
+    as_rational,
     rational_valuation,
     unit_mod,
 )
 from .rational import Poly, RationalFnT, geometric_tail
 
-Point = tuple[Fraction, ...]
+Point = tuple[Fraction | int, ...]
 
 _DOMAIN_DIM = {"F": 1, "F2": 2, "E": 2, "Ealpha": 2}
 
@@ -52,10 +53,10 @@ def _as_point(x, dim: int) -> Point:
     if isinstance(x, (tuple, list)):
         if len(x) != dim:
             raise DomainError(f"point has {len(x)} coordinates, expected {dim}")
-        return tuple(Fraction(c) for c in x)
+        return tuple(map(as_rational, x))
     if dim != 1:
         raise DomainError("scalar point given for a 2-dimensional domain")
-    return (Fraction(x),)
+    return (as_rational(x),)
 
 
 def _as_level(n) -> int:
@@ -104,10 +105,11 @@ class BruhatFn(_Frozen):
     """Finite sum of weighted cosets on the tagged domain: `entries` holds one
     (keys, level, coef) per coset, keys its `_coset_key` per coordinate; cosets
     may overlap and keep their order.  `atoms` views them as `Atom`s, with the
-    caller's `Fraction` centres for `from_atoms`, else each key's `_key_center`.
-    The canonical form is the coset table, one coefficient per disjoint coset
-    at one common level: `from_table` builds its own canonical form, and
-    `canonicalize` refines any other's entries to their deepest level."""
+    caller's centres (`Fraction`s or ints) for `from_atoms`, else each key's
+    `_key_center`.  The canonical form is the coset table, one coefficient per
+    disjoint coset at one common level: `from_table` builds its own canonical
+    form, and `canonicalize` refines any other's entries to their deepest
+    level."""
 
     _fields = ("ctx", "domain", "entries", "torsor_scale")
 
@@ -136,10 +138,13 @@ class BruhatFn(_Frozen):
     @staticmethod
     def from_table(ctx, domain, level, table, torsor_scale=None) -> "BruhatFn":
         """Its own canonical form: coefficient w on the coset at `level` with
-        the `_coset_key`s key, for (key, w) in the table, in the table's order."""
+        the `_coset_key`s key, for (key, w) in the table, in the table's order;
+        a nonempty table's `level` is the given one."""
         out = BruhatFn(ctx, domain, tuple(zip(table, repeat(level), table.values())),
                        torsor_scale)
         out.__dict__.update(_canonical_form=out, coset_table=table)  # seeds the memos
+        if table:
+            out.__dict__["level"] = level
         return out
 
     @staticmethod
@@ -232,7 +237,7 @@ class BruhatFn(_Frozen):
         return self.eval
 
 
-def _coset_key(c: Fraction, level: int, p: int) -> tuple[int, int]:
+def _coset_key(c: Fraction | int, level: int, p: int) -> tuple[int, int]:
     """Key of the coset c + p^level*o: (val c, unit of c mod p^(level - val c))
     when val c < level, else (level, 0)."""
     v = rational_valuation(c, p)

@@ -1,9 +1,11 @@
 """Arithmetic in F = Q_p (p odd) and its unramified quadratic extension.
 
-Points of F are exact rationals (`Fraction`).  The engines work on them through
-integer residue helpers: valuations, units mod p^m (`unit_mod`) and Hensel
-square roots (`sqrt_unit_mod`, `padic_sqrt`).  The additive character psi, the
-quadratic character eta and the Weil-measure constants also live here.
+Points of F are exact rationals: a `Fraction` or an int, taken as it is
+(`as_rational`).  The engines work on them through integer residue helpers:
+valuations memoized on (numerator, denominator, p), units mod p^m
+(`unit_mod`) and Hensel square roots (`sqrt_unit_mod`, `padic_sqrt`).  The
+additive character psi, the quadratic character eta and the Weil-measure
+constants also live here.
 """
 
 from __future__ import annotations
@@ -42,15 +44,28 @@ def _val_int(n: int, p: int) -> int:
     return v
 
 
+def as_rational(x) -> Fraction | int:
+    """The exact rational point x: a Fraction or an int as it is, anything else
+    through Fraction(x) (0.75, "5/9", a Decimal); DomainError where that fails."""
+    if type(x) is Fraction or type(x) is int:
+        return x
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise DomainError(f"{x!r} is not a rational point") from None
+
+
 @lru_cache(maxsize=1 << 18)
-def _rational_valuation_cached(x: Fraction, p: int) -> int:
-    if x == 0:
+def _rational_valuation_cached(num: int, den: int, p: int) -> int:
+    """val(num/den), keyed on integers so that a hit hashes no Fraction."""
+    if num == 0:
         return INF
-    return _val_int(x.numerator, p) - _val_int(x.denominator, p)
+    return _val_int(num, p) - _val_int(den, p)
 
 
 def rational_valuation(x: Fraction | int, p: int) -> int:
-    return _rational_valuation_cached(Fraction(x), p)
+    x = as_rational(x)
+    return _rational_valuation_cached(x.numerator, x.denominator, p)
 
 
 def unit_mod(x: Fraction, v: int, p: int, m: int) -> int:
@@ -141,7 +156,7 @@ class LocalFieldCtx:
 
 def psi_frac_of_rational(ctx: LocalFieldCtx, x: Fraction | int) -> Fraction:
     """The p-adic fractional part of an exact rational."""
-    x = Fraction(x)
+    x = as_rational(x)
     if x == 0:
         return Fraction(0)
     dp = _val_int(x.denominator, ctx.p)

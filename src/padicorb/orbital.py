@@ -38,6 +38,7 @@ from .localfield import (
     LocalFieldCtx,
     QuadExt,
     _val_int,
+    as_rational,
     rational_valuation,
     smallest_nonresidue,
     sqrt_unit_mod,
@@ -72,7 +73,7 @@ def o_baby_split(phi: BruhatFn, xi) -> complex:
     """O_xi(Phi) = int_{F^x} Phi(a*xi, 1/a) d^x a for Phi on F^2, exact."""
     if phi.domain != "F2":
         raise DomainError("o_baby_split expects data on F^2 = V x V*")
-    xi = Fraction(xi)
+    xi = as_rational(xi)
     ctx = phi.ctx
     vxi = rational_valuation(xi, ctx.p)
     if vxi >= INF:
@@ -191,7 +192,7 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
     """O_xi over T(F) on the copy whose norm class contains xi; 0 on the other."""
     ext = inp.ext
     ctx = ext.ctx
-    xi = Fraction(xi)
+    xi = as_rational(xi)
     vxi = rational_valuation(xi, ctx.p)
     if vxi >= INF:
         raise IrregularPointError("xi = 0 is the irregular point")
@@ -661,7 +662,7 @@ def inert_rep_for(ctx: LocalFieldCtx, xi) -> tuple[int, int, int, int] | None:
     one root has val(del' - del) >= m0 + 1.  A failed certificate raises
     RepresentationError.
     """
-    xi = Fraction(xi)
+    xi = as_rational(xi)
     num, den = xi.numerator, xi.denominator
     if num == 0 or num == -den:
         raise IrregularPointError(f"xi = {xi} is irregular")
@@ -750,10 +751,19 @@ def _in_p(p: int, w: int, r: int | None) -> tuple[int, int | None]:
     return w + 1, r // p
 
 
+def _matrix_vals(p: int, b11: int, b12: int, b21: int, b22: int) -> tuple[int, ...]:
+    """The valuations `_x1_count` reads of the integer matrix [[b11, b12], [b21, b22]]:
+    those of its four entries and of its determinant."""
+    return (_val_int(b11, p), _val_int(b12, p), _val_int(b21, p), _val_int(b22, p),
+            _val_int(b11 * b22 - b12 * b21, p))
+
+
 def _x1_count(p: int, split: bool, dc: dict[int, complex],
-              b11: int, b12: int, b21: int, b22: int) -> complex:
+              b: tuple[int, int, int, int], vals: tuple[int, ...]) -> complex:
     """sum_m c_m #{cosets of K diag(pi^m,1) K / K that B carries into T(F)K}
-    for the integer matrix B = [[b11, b12], [b21, b22]] and dc = {m: c_m}.
+    for the integer matrix B = [[b11, b12], [b21, b22]], b = (b11, b12, b21, b22),
+    with the valuations vals of its entries and of det B (`_matrix_vals`), and
+    dc = {m: c_m}.
 
     The cosets are [[p^a, c], [0, p^d]]K with a + d = m, c mod p^a, and c a
     unit when a, d > 0 (q^m + q^(m-1) of them for m >= 1).  Membership is read
@@ -768,8 +778,8 @@ def _x1_count(p: int, split: bool, dc: dict[int, complex],
     (`_in_p`): O(m^2) profile entries, not q^m cosets.  Both rules are
     invariant under scaling B, so B needs no normalization.
     """
-    v11, v12, v21, v22 = _val_int(b11, p), _val_int(b12, p), _val_int(b21, p), _val_int(b22, p)
-    vdet = _val_int(b11 * b22 - b12 * b21, p)
+    b11, b12, b21, b22 = b
+    v11, v12, v21, v22, vdet = vals
     tot = 0j
     for m, cm in dc.items():
         # a = 0: the one coset diag(1, p^m)
@@ -785,10 +795,28 @@ def _x1_count(p: int, split: bool, dc: dict[int, complex],
     return tot
 
 
-def _split_interval(p: int, xi: Fraction, depth: int) -> tuple[int, int]:
+def _split_interval(vals: tuple[int, int, int], depth: int) -> tuple[int, int]:
     """The split translates n that can count for deg h = depth: lo <= n <= hi
-    (proof in `o_torus_group`)."""
-    return -depth, max(rational_valuation(xi, p), rational_valuation(1 + xi, p)) + depth
+    (proof in `o_torus_group`), from vals = (val den, val num, val(num + den))
+    of x = -1 - xi = num/den, where val(1 + xi) = val num - val den and
+    val xi = val(num + den) - val den."""
+    ed, vx, vz = vals
+    return -depth, max(vx, vz) - ed + depth
+
+
+def _integral_translate(p: int, num: int, den: int, vals: tuple[int, int, int],
+                        n: int) -> tuple[tuple[int, int, int, int], tuple[int, ...]]:
+    """The split translate g_xi diag(p^n, 1) = [[p^n, x], [p^n, 1 + x]], x = -1 - xi
+    = num/den, made integral: B = [[t den, s num], [t den, s (num + den)]] with
+    s = p^max(-n, 0), t = p^max(n, 0), and its `_matrix_vals`, read off
+    vals = (val den, val num, val(num + den)).  det B = s t den^2, so
+    val det B = |n| + 2 val den."""
+    ed, vx, vz = vals
+    if n >= 0:
+        t = p ** n
+        return (t * den, num, t * den, num + den), (n + ed, vx, n + ed, vz, n + 2 * ed)
+    s = p ** -n
+    return (den, s * num, den, s * (num + den)), (ed, vx - n, ed, vz - n, 2 * ed - n)
 
 
 def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
@@ -820,7 +848,7 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
         row 2 (num = -(1+xi) den), which forces val(1+xi) + d >= n or
         val xi + d >= n, and d <= m <= deg h.
     """
-    xi = Fraction(xi)
+    xi = as_rational(xi)
     if xi == 0 or xi == -1:
         raise IrregularPointError(f"xi = {xi} is irregular")
     if kind not in ("split", "inert"):
@@ -837,24 +865,20 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
     volK = float(ctx.vol_K)
 
     if kind == "inert":
-        return volK * _x1_count(p, False, dc, *rep)
+        return volK * _x1_count(p, False, dc, rep, _matrix_vals(p, *rep))
 
-    # g_xi diag(p^n, 1) = [[p^n, x], [p^n, 1 + x]], x = -1 - xi = num/den,
-    # made integral by the factor den p^max(-n, 0)
+    # every translate's valuations come from these three, read once per xi;
+    # none is INF, as xi != 0, -1
     x = -1 - xi
     num, den = x.numerator, x.denominator
-
-    def translate(n: int, dc: dict[int, complex]) -> complex:
-        s, t = (1, p ** n) if n >= 0 else (p ** -n, 1)  # p^max(-n, 0), p^max(n, 0)
-        return _x1_count(p, True, dc, t * den, s * num, t * den, s * (num + den))
-
-    lo, hi = _split_interval(p, xi, h.max_degree())
+    vals = (_val_int(den, p), _val_int(num, p), _val_int(num + den, p))
+    lo, hi = _split_interval(vals, h.max_degree())
     total = 0j
     for n in range(lo, hi + 1):
-        total += translate(n, dc)
+        total += _x1_count(p, True, dc, *_integral_translate(p, num, den, vals, n))
     counts = dict.fromkeys(dc, 1)
     for n in (lo - 1, hi + 1):
-        if translate(n, counts) != 0:
+        if _x1_count(p, True, counts, *_integral_translate(p, num, den, vals, n)) != 0:
             raise RepresentationError("T(F)/T(o) sum not stabilized")
     return volK * total
 
@@ -870,7 +894,7 @@ def o_kuz_closed(ctx: LocalFieldCtx, m: int, xi) -> complex:
     """
     if m < 0:
         raise DomainError("m >= 0")
-    xi = Fraction(xi)
+    xi = as_rational(xi)
     v = rational_valuation(xi, ctx.p)
     if v >= INF:
         raise DomainError("xi = 0")
@@ -891,7 +915,7 @@ def o_kuz_direct(ctx: LocalFieldCtx, sec1: KSection, sec2: KSection, xi) -> comp
     The second section must be a multiple of 1_{y_0K}^- (the only case the
     closed reduction of the paper-level computation covers).
     """
-    xi = Fraction(xi)
+    xi = as_rational(xi)
     v = rational_valuation(xi, ctx.p)
     if v >= INF:
         raise DomainError("xi = 0")
@@ -939,7 +963,7 @@ def basic_fW0(ctx: LocalFieldCtx, kind: str, s: complex = 0.0):
         return 1.0 if v % 2 == 0 else 0j
 
     def value(xi) -> complex:
-        xi = Fraction(xi)
+        xi = as_rational(xi)
         v = rational_valuation(xi, ctx.p)
         if v >= INF:
             raise DomainError("xi = 0")
@@ -984,7 +1008,7 @@ def hecke_apply_W(ctx: LocalFieldCtx, kind: str, h: HeckeElt, s: complex = 0.0):
         return _hs_expansion_coeff(ctx, kind, h, s, k)
 
     def value(xi) -> complex:
-        xi = Fraction(xi)
+        xi = as_rational(xi)
         v = rational_valuation(xi, ctx.p)
         if v >= INF:
             raise DomainError("xi = 0")

@@ -42,6 +42,8 @@ from .localfield import (
     INF,
     LocalFieldCtx,
     QuadExt,
+    _val_int,
+    as_rational,
     rational_valuation,
     sqrt_unit_mod,
     unit_reps,
@@ -52,23 +54,20 @@ from .rational import RationalFnT, geometric_tail, weighted_geometric_tail
 
 
 @lru_cache(maxsize=1 << 18)
-def _frac_unit_key(x: Fraction, p: int) -> tuple[int, int, int]:
-    """(val x, numerator, denominator) of the unit x p^-val(x); (INF, 0, 1) for 0."""
-    v = rational_valuation(x, p)
-    if v >= INF:
+def _frac_unit_key(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(val x, numerator, denominator) of the unit x p^-val(x) of x = num/den in
+    lowest terms; (INF, 0, 1) for 0.  Keyed on integers: a hit hashes no Fraction."""
+    if num == 0:
         return INF, 0, 1
-    num, den = x.numerator, x.denominator
-    if v > 0:
-        num //= p ** v
-    elif v < 0:
-        den //= p ** -v
-    return v, num, den
+    vn, vd = _val_int(num, p), _val_int(den, p)
+    return vn - vd, num // p ** vn, den // p ** vd
 
 
 def _val_and_unit_key(ctx: LocalFieldCtx, x) -> tuple[int, int, int]:
     """(valuation, unit numerator, unit denominator) of a rational: the integer
     form in which the shell integrals take their arguments."""
-    return _frac_unit_key(Fraction(x), ctx.p)
+    x = as_rational(x)
+    return _frac_unit_key(x.numerator, x.denominator, ctx.p)
 
 
 _osc_cache: dict[tuple[int, int, int], complex] = {}
@@ -237,7 +236,8 @@ class SXElem(_Frozen):
         self.__dict__.update(ctx=ctx, kind=kind, window=window, germ0=germ0)
 
     def eval(self, xi) -> complex:
-        v = rational_valuation(Fraction(xi), self.ctx.p)
+        xi = as_rational(xi)
+        v = rational_valuation(xi, self.ctx.p)
         if v >= INF:
             raise DomainError("S(X) elements live on F^x")
         if v >= self.germ0.level:
@@ -268,7 +268,7 @@ class SZElem(_Frozen):
         self.__dict__.update(ctx=ctx, kind=kind, window=window, germ0=germ0, germ_m1=germ_m1)
 
     def eval(self, xi) -> complex:
-        xi = Fraction(xi)
+        xi = as_rational(xi)
         v = rational_valuation(xi, self.ctx.p)
         vz = rational_valuation(xi + 1, self.ctx.p)
         if v >= INF or vz >= INF:
@@ -318,7 +318,7 @@ class SWElem(_Frozen):
                              inf_tail=inf_tail)
 
     def eval(self, xi) -> complex:
-        xi = Fraction(xi)
+        xi = as_rational(xi)
         v = rational_valuation(xi, self.ctx.p)
         if v >= INF:
             raise DomainError("S(W) elements live on F^x")
@@ -343,7 +343,7 @@ def _certify_kl_tail(ctx: LocalFieldCtx, value, C: complex, shells, units,
 
 def kloosterman_germ(ctx: LocalFieldCtx, xi) -> complex:
     """KL(xi) = int_{|x|^2=|xi|} psi(xi/x - x) dx; zero on odd shells."""
-    xi = Fraction(xi)
+    xi = as_rational(xi)
     v = rational_valuation(xi, ctx.p)
     if v >= 0:
         raise DomainError("the Kloosterman germ lives on |xi| > 1")
@@ -372,11 +372,11 @@ def iota_window(ext: QuadExt, f: BruhatFn) -> BruhatFn:
 
 
 def iota_eval(ext: QuadExt, f_eval, xi) -> complex:
-    xi = Fraction(xi)
+    xi = as_rational(xi)
     v = rational_valuation(xi, ext.ctx.p)
     if v >= INF:
         raise DomainError("iota at 0")
-    return ext.eta_of_val(v) * float(Fraction(ext.ctx.q) ** v) * f_eval(1 / xi)
+    return ext.eta_of_val(v) * float(Fraction(ext.ctx.q) ** v) * f_eval(Fraction(1) / xi)
 
 
 # --- the transform engine ----------------------------------------------------------
@@ -616,7 +616,7 @@ def g_transform_SX(f: SXElem) -> SXElem:
 
 def g_value_SX(f: SXElem, xi) -> complex:
     """Pointwise G f(xi) without assembling the output element."""
-    return _g_value(f, Fraction(xi))
+    return _g_value(f, xi)
 
 
 def g_transform_Z_to_W(f: SZElem) -> SWElem:
@@ -647,7 +647,7 @@ def g_transform_Z_to_W(f: SZElem) -> SWElem:
 
 def g_value_Z_to_W(f: SZElem, xi) -> complex:
     """Pointwise (|.|G f)(xi)."""
-    xi = Fraction(xi)
+    xi = as_rational(xi)
     v = rational_valuation(xi, f.ctx.p)
     return float(f.ctx.q) ** (-v) * _g_value(f, xi)
 

@@ -108,6 +108,18 @@ def test_canonical_form_memoized(ctx3):
     assert list(f.coset_table.values()) == [a.coef for a in fc.atoms]
 
 
+def test_from_table_seeds_its_level(ctx3):
+    """A nonempty table's `level` is the level it was given, seeded rather than
+    derived by a max over its entries; the empty table's is 0.  Fourier outputs
+    read the same level as the max over their entries."""
+    f = BruhatFn.from_table(ctx3, "F", 3, {((0, 1),): 1.0, ((2, 1),): 2.0})
+    assert f.__dict__["level"] == 3 == max(n for _, n, _ in f.entries)
+    assert BruhatFn.from_table(ctx3, "F", 3, {}).level == 0
+    for g in (fourier(random_fn(ctx3, random.Random(7))),
+              fourier_F2(random_fn(ctx3, random.Random(7), domain="F2"))):
+        assert "level" in g.__dict__ and g.level == max(n for _, n, _ in g.entries)
+
+
 def test_table_sums_overlapping_atoms(ctx3):
     """1_o + 1_{po} given as two atoms: BruhatFn takes no `canonical` field
     (and only E^alpha data a torsor scale), so the table refines and sums

@@ -41,6 +41,8 @@ from padicorb.localfield import (
 from padicorb.orbital import (
     BabyInput,
     _ONSET_RTOL,
+    _integral_translate,
+    _matrix_vals,
     _pair_profile,
     _split_interval,
     _x1_count,
@@ -441,6 +443,14 @@ def _split_integer_translate(p: int, xi: Fraction, n: int) -> list[int]:
     return [t * den, s * num, t * den, s * (num + den)]
 
 
+def _xi_vals(p: int, xi: Fraction) -> tuple[int, int, int]:
+    """(val den, val num, val(num + den)) of x = -1 - xi = num/den, the
+    valuations o_torus_group reads once per xi."""
+    x = -1 - xi
+    return (_val_int(x.denominator, p), _val_int(x.numerator, p),
+            _val_int(x.numerator + x.denominator, p))
+
+
 def _wide_span(ctx: LocalFieldCtx, xi: Fraction, depth: int) -> int:
     """A support estimate wider than the derived interval: the split sum once
     ran over n in [-span, span] with this span (a hand-set margin of 3)."""
@@ -483,7 +493,7 @@ def test_x1_count_matches_groupelt_oracle(p, m_max):
     inert_bases += [GroupElt.of(ctx, *inert_rep_for(ctx, xi)) for xi in xis]
     split_bases = []
     for xi in _seeded_xis(rng, p, 3):
-        lo, hi = _split_interval(p, xi, m_max)
+        lo, hi = _split_interval(_xi_vals(p, xi), m_max)
         split_bases += [_split_translate(ctx, xi, n) for n in (lo - 1, hi + 1)]
     cases = [(kind, g) for g in bases for kind in ("split", "inert")]
     cases += [("inert", g) for g in inert_bases] + [("split", g) for g in split_bases]
@@ -493,7 +503,7 @@ def test_x1_count_matches_groupelt_oracle(p, m_max):
         split, b = kind == "split", _integer_matrix(g)
         for m in range(m_max + 1):
             want = _oracle_count(ext, g, m)
-            assert _x1_count(p, split, {m: 1}, *b) == want, (kind, g, m)
+            assert _x1_count(p, split, {m: 1}, b, _matrix_vals(p, *b)) == want, (kind, g, m)
             assert enumerated_x1_count(p, split, coset_terms(ctx, {m: 1}), *b) == want, (kind, g, m)
             hits += want
     assert hits > 0
@@ -565,7 +575,7 @@ def test_split_interval_holds_every_counting_translate(p, count):
         counts = {n: [enumerated_x1_count(p, True, t, *_split_integer_translate(p, xi, n))
                       for t in terms] for n in range(-span, span + 1)}
         for depth in range(5):
-            lo, hi = _split_interval(p, xi, depth)
+            lo, hi = _split_interval(_xi_vals(p, xi), depth)
             assert lo == -depth
             for n, by_m in counts.items():
                 hit = any(by_m[: depth + 1])
@@ -580,8 +590,9 @@ def test_split_interval_holds_every_counting_translate(p, count):
 def test_x1_count_matches_enumeration_on_translates(p, n_xi):
     """Degree by degree up to 6, the profile count equals the enumerating count
     on every translate o_torus_group reads for h0 ... h6: the split translates
-    lo - 1 .. hi + 1 of deg h = 6 (which hold those of lower degree) and the
-    inert representative."""
+    lo - 1 .. hi + 1 of deg h = 6 (which hold those of lower degree), with the
+    valuations `_integral_translate` reads off the three of xi, and the inert
+    representative.  Each translate's valuations are its `_matrix_vals`."""
     ctx = LocalFieldCtx(p)
     ext = QuadExt(ctx, "inert")
     rng = random.Random(600 + p)
@@ -589,17 +600,23 @@ def test_x1_count_matches_enumeration_on_translates(p, n_xi):
     xis = _seeded_xis(rng, p, n_xi) + [Fraction(1, p), -1 + Fraction(p ** 2)]
     cases = []
     for xi in xis:
-        lo, hi = _split_interval(p, xi, 6)
-        cases += [(True, _split_integer_translate(p, xi, n)) for n in range(lo - 1, hi + 2)]
+        x, vals = -1 - xi, _xi_vals(p, xi)
+        lo, hi = _split_interval(vals, 6)
+        for n in range(lo - 1, hi + 2):
+            b, bvals = _integral_translate(p, x.numerator, x.denominator, vals, n)
+            assert list(b) == _split_integer_translate(p, xi, n), (xi, n)
+            assert bvals == _matrix_vals(p, *b), (xi, n)
+            cases.append((True, b, bvals))
     for xi in _seeded_xis(rng, p, 6 * n_xi):
         if inert_fiber_is_trivial(ext, xi):
-            cases.append((False, list(inert_rep_for(ctx, xi))))
-    assert any(not split for split, _ in cases)
+            b = inert_rep_for(ctx, xi)
+            cases.append((False, b, _matrix_vals(p, *b)))
+    assert any(not split for split, _, _ in cases)
     hits = 0
-    for split, b in cases:
+    for split, b, vals in cases:
         for m, t in enumerate(terms):
             want = enumerated_x1_count(p, split, t, *b)
-            assert _x1_count(p, split, {m: 1}, *b) == want, (split, b, m)
+            assert _x1_count(p, split, {m: 1}, b, vals) == want, (split, b, m)
             hits += want != 0
     assert hits > 0
 
@@ -1048,7 +1065,8 @@ def test_o_torus_group_inert_equals_reference_count(p):
         ref = hensel_inert_rep(ext, xi) if inert_fiber_is_trivial(ext, xi) else None
         trivial += ref is not None
         for h, dc in zip(hs, dcs):
-            want = 0j if ref is None else volK * _x1_count(p, False, dc, *ref)
+            want = 0j if ref is None else volK * _x1_count(p, False, dc, ref,
+                                                            _matrix_vals(p, *ref))
             assert o_torus_group(ctx, "inert", h, xi) == want, (xi, h)
     assert 0 < trivial < 80
 
@@ -1735,8 +1753,8 @@ def test_torus_window_reads_two_units_per_valuation_class(monkeypatch, p, kind, 
 def _shifted_interval(monkeypatch, dlo: int, dhi: int):
     """Make o_torus_group sum over [lo + dlo, hi + dhi] for its derived [lo, hi]."""
 
-    def shifted(p, xi, depth):
-        lo, hi = _split_interval(p, xi, depth)
+    def shifted(vals, depth):
+        lo, hi = _split_interval(vals, depth)
         return lo + dlo, hi + dhi
 
     monkeypatch.setattr(orbital, "_split_interval", shifted)
