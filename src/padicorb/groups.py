@@ -248,9 +248,6 @@ class SymLaurent(NamedTuple):
             total += self.coeffs[k] * (alpha ** k + alpha ** (-k))
         return total
 
-    def top(self) -> int:
-        return len(self.coeffs) - 1
-
     def __add__(self, other: "SymLaurent") -> "SymLaurent":
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [0j] * (n - len(self.coeffs))

@@ -222,6 +222,7 @@ def sqrt_unit_mod(ctx: LocalFieldCtx, a: int, prec: int) -> int:
 
 def padic_sqrt(ctx: LocalFieldCtx, x: Fraction, prec: int) -> Fraction:
     """A rational r with val(r^2 - x) >= val x + prec, for x a square in F."""
+    x = as_rational(x)
     if x == 0:
         return Fraction(0)
     v = rational_valuation(x, ctx.p)
@@ -232,6 +233,7 @@ def padic_sqrt(ctx: LocalFieldCtx, x: Fraction, prec: int) -> Fraction:
 
 
 def is_rational_square(ctx: LocalFieldCtx, x: Fraction) -> bool:
+    x = as_rational(x)
     v = rational_valuation(x, ctx.p)
     if v >= INF:
         return True

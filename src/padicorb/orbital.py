@@ -112,8 +112,8 @@ def o_baby_split(phi: BruhatFn, xi) -> complex:
 
 def split_germ_data(phi: BruhatFn) -> Germ:
     """Exact germ O~_u + b*val(xi) of the split baby orbital, b = Vol(T(F)_0)
-    Phi(0) (O~_0 = b / ln q), fitted on the deep shells of `split_image`."""
-    return _baby_germ("split", phi, split_image(phi))
+    Phi(0) (O~_0 = b / ln q), read off the deep terms of `split_image`."""
+    return split_image(phi).germ("split")
 
 
 class BabyInput(_Frozen):
@@ -227,9 +227,9 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
 
 def nonsplit_germ_data(inp: BabyInput) -> Germ:
     """Exact germ C1 + C2*eta(xi) of the inert baby orbital, C1 and C2 the half
-    sum and half difference of Vol(T(F)) Phi(0) on the two copies, fitted on
-    the deep shells of `nonsplit_image`."""
-    return _baby_germ("inert", inp, nonsplit_image(inp))
+    sum and half difference of Vol(T(F)) Phi(0) on the two copies, read off
+    the deep terms of `nonsplit_image`."""
+    return nonsplit_image(inp).germ("inert")
 
 
 def _baby_ctx(kind: str, data) -> LocalFieldCtx:
@@ -249,20 +249,6 @@ def baby_orbital(kind: str, data, xi) -> complex:
     return o_baby_nonsplit(data, xi)
 
 
-def _baby_germ(kind: str, data, image: ChartImage) -> Germ:
-    """The germ of the baby orbital of `data`, fitted (`_deep_germ`) on the
-    shells of its chart image from a depth past every unit-shell term and the
-    first shell of every deep term (L the level of the coset tables): split,
-    unit terms up to 2L - 2 and deep terms from 2L - 1 at the latest; inert,
-    2L - 1 and 2L + 1.  The fit so reads only the deep terms, and the
-    consumers' onset walk (`_certified_onset`) lowers the level it returns."""
-    if kind == "split":
-        depth = max(2 * data.level + 1, 1)
-    else:
-        depth = 2 * max(data.phi0.level, data.phi_alpha.level, 0) + 2
-    return _deep_germ(kind, lambda u, v: image.value(v, u), depth, image.norm)
-
-
 def baby_support_floor(kind: str, data) -> int:
     """Sharp lower bound on val(xi) over the support of the baby orbital."""
     if kind == "split":
@@ -278,8 +264,8 @@ def baby_support_floor(kind: str, data) -> int:
 def sx_from_baby(data, kind: str) -> SXElem:
     """S(X) element (window + exact germ at 0) of the baby orbital of `data`.
 
-    Each shell's values come from the closed-form `chart_image` at the level
-    `baby_xi_level` gives; the germ starts at its certified onset
+    Each shell's values and level, and the germ, come from the closed-form
+    `chart_image`; the germ starts at its certified onset
     (`_certified_onset`), and the probes and the floor certificate check the
     element against the pointwise `baby_orbital`.
     """
@@ -292,10 +278,9 @@ def sx_from_baby(data, kind: str) -> SXElem:
     level = _FIRST_LEVEL
     lo = baby_support_floor(kind, data)
     image = chart_image(kind, data)
-    germ = _baby_germ(kind, data, image)
+    germ = image.germ(kind)
     charts = ((image, 1, 0),)
-    shells = {v: _image_shell(ctx, charts, 0, v, max(level, baby_xi_level(kind, data, v)))
-              for v in range(lo, germ.level)}
+    shells = {v: _image_shell(ctx, charts, 0, v) for v in range(lo, germ.level)}
     germ = _certified_onset(kind, germ, shells)
     entries = [e for v in range(lo, germ.level)
                for e in _value_atoms(ctx, 0, v, *shells[v], image.norm)]
@@ -342,6 +327,21 @@ class ChartImage(NamedTuple):
 
     def level(self, v: int) -> int:
         return max(self.units.get(v, ()), default=0)
+
+    def germ(self, kind: str) -> Germ:
+        """The image as a + b val (split) or a + b eta (inert), exact from the
+        first shell past every unit shell and every deep term's first shell.
+        Split, the deep terms c (v - first)^n give a = sum c_0 - sum c_1 first
+        and b = sum c_1; inert, a and b are the half sum and half difference
+        of the constants on the even and on the odd shells."""
+        level = 1 + max([*self.units, *(first for first, _, _ in self.deep)], default=0)
+        deep = self.deep.items()
+        if kind == "split":
+            a = sum((c if n == 0 else -c * first for (first, _, n), c in deep), 0j)
+            return Germ(a, sum((c for (_, _, n), c in deep if n == 1), 0j), level)
+        even = sum((c for (first, _, _), c in deep if first % 2 == 0), 0j)
+        odd = sum((c for (first, _, _), c in deep if first % 2), 0j)
+        return Germ((even + odd) / 2, (even - odd) / 2, level)
 
     def value(self, v: int, u: int) -> complex:
         total = 0j
@@ -437,13 +437,12 @@ def chart_image(kind: str, data) -> ChartImage:
     return nonsplit_image(data)
 
 
-def _image_shell(ctx: LocalFieldCtx, charts, center: int, v: int, start: int,
-                 cut: int | None = None):
+def _image_shell(ctx: LocalFieldCtx, charts, center: int, v: int, cut: int | None = None):
     """The values of the sum of image(s x + t) over the charts (image, s, t)
     at the units u of the shell x = center + u p^v (center an integer, 0 when
     v < 0), and their level.
 
-    The level is the first from `start` on which every chart image is
+    The level is the first from `_FIRST_LEVEL` on which every chart image is
     constant on every coset (`ChartImage.coset_value`).  With `cut`, the units
     with val(x + 1) >= min(level, cut) are left out.
     """
@@ -467,7 +466,7 @@ def _image_shell(ctx: LocalFieldCtx, charts, center: int, v: int, start: int,
             total += w
         return total
 
-    for level in itertools.count(start):
+    for level in itertools.count(_FIRST_LEVEL):
         n = v + level
         vals = {}
         for u in unit_reps(p, level):
@@ -526,21 +525,6 @@ def _certify_floor(ctx: LocalFieldCtx, raw, lo: int, norm: float):
                 raise RepresentationError("window floor too high; support leaked")
 
 
-def baby_xi_level(kind: str, data, v: int) -> int:
-    """Exact local-constancy level in xi of the baby orbital at shell val = v.
-
-    Split: atoms at level l meet a xi(unit)-condition through cosets
-    c1/a + p^(l - val a) with val a >= -R1 - val xi, so the unit of xi enters
-    mod p^(l + R1) independently of the shell.  Nonsplit: the norm lift uses
-    the unit of the target mod p^(l - vt//2).
-    """
-    if kind == "split":
-        return max(1, data.level + data.axis_radii[0])
-    lvl = max(data.phi0.level, data.phi_alpha.level)
-    vt = v if v % 2 == 0 else v - 1
-    return max(1, lvl - vt // 2)
-
-
 def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
                  lo: int, shell, norm: float) -> SZElem:
     """Window atoms on regions disjoint from both germ neighborhoods.
@@ -569,50 +553,35 @@ def _assemble_sz(ctx: LocalFieldCtx, kind: str, raw, germ0: Germ, germ_m1: Germ,
     return out
 
 
+def _sz_germ(kind: str, image: ChartImage, other: ChartImage) -> Germ:
+    """The germ of f at the irregular point of `image`'s chart: that chart's
+    germ plus the other chart's value there.  The other chart reads a unit
+    = -1 mod p^val, constant once val >= k = other.level(0), so the germ
+    starts no lower than max(its own level, k, 1)."""
+    own = image.germ(kind)
+    return Germ(own.a + other.value(0, -1), own.b, max(own.level, other.level(0), 1))
+
+
 def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
     """f(xi) = O^baby(phi2)(xi) + O^baby(phi1)(-1-xi), window plus exact germs.
 
     phi1 carries the germ at -1 (the diagonal chart), phi2 the germ at 0.  The
-    window's shells come from the closed-form `chart_image` of both charts;
-    the cross-term probes and `_certify_sz` read the pointwise `baby_orbital`.
+    window's shells and both germs come from the closed-form `chart_image` of
+    both charts; only `_certify_sz` reads the pointwise `baby_orbital`.
     """
     ctx = _baby_ctx(kind, phi1)
     _baby_ctx(kind, phi2)
     image2, image1 = chart_image(kind, phi2), chart_image(kind, phi1)
-    g0 = _baby_germ(kind, phi2, image2)
-    g1 = _baby_germ(kind, phi1, image1)
     lo = min(baby_support_floor(kind, phi2), baby_support_floor(kind, phi1)) - 1
-    depth0 = g0.level
-    depth1 = g1.level
 
     def raw(xi: Fraction) -> complex:
         return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
 
-    # the germ data of the assembled element includes the smooth contribution
-    # of the other chart near each irregular point
-    other_at_0 = baby_orbital(kind, phi1, Fraction(-1) - Fraction(ctx.p) ** (depth0 + 2))
-    other_at_m1 = baby_orbital(kind, phi2, Fraction(-1) + Fraction(ctx.p) ** (depth1 + 2))
-    # stability probes (level-certified local constancy of the opposite chart)
-    chk0 = baby_orbital(kind, phi1, Fraction(-1) - Fraction(ctx.p) ** (depth0 + 3))
-    chk1 = baby_orbital(kind, phi2, Fraction(-1) + Fraction(ctx.p) ** (depth1 + 3))
-    if not (_same_value(other_at_0, chk0) and _same_value(other_at_m1, chk1)):
-        raise RepresentationError("chart cross-terms not stabilized; germ level too small")
-    germ0 = Germ(g0.a + other_at_0, g0.b, depth0)
-    germ_m1 = Germ(g1.a + other_at_m1, g1.b, depth1)
-
     # chart 2 reads xi, chart 1 reads -1 - xi
     charts = ((image2, 1, 0), (image1, -1, -1))
-
-    def shell(center: int, v: int, cut: int | None):
-        # both chart terms contribute structure: valuations v(xi) = v, v(1+xi);
-        # a zeta-shell starts at the level of the unit shell
-        vx = v if center == 0 else 0
-        start = max(_FIRST_LEVEL, baby_xi_level(kind, phi2, vx),
-                    baby_xi_level(kind, phi1, min(vx, 0)))
-        return _image_shell(ctx, charts, center, v, start, cut)
-
-    return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, shell,
-                        max(image1.norm, image2.norm))
+    return _assemble_sz(ctx, kind, raw, _sz_germ(kind, image2, image1),
+                        _sz_germ(kind, image1, image2), lo,
+                        partial(_image_shell, ctx, charts), max(image1.norm, image2.norm))
 
 
 def _certify_sz(f: SZElem, raw, lo: int, norm: float):

@@ -78,10 +78,6 @@ class RationalFnT(NamedTuple):
     den: Poly
 
     @staticmethod
-    def const(c) -> "RationalFnT":
-        return RationalFnT(Poly.of(c), Poly.of(1))
-
-    @staticmethod
     def zero() -> "RationalFnT":
         return RationalFnT(Poly.of(0), Poly.of(1))
 

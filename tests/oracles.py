@@ -4,7 +4,12 @@ The shell sampler reads a raw orbital at every unit coset of a level and
 checks each coset against one child coset, raising the level until they
 agree.  The library reads its windows in closed form instead (chart images,
 valuation classes, one value per Kuznetsov shell); the sampler is kept here
-as the independent reference those readings are tested against.  The torus
+as the independent reference those readings are tested against.  The chart
+builders read their shell levels, germs and cross-terms off the chart image
+(`orbital.ChartImage`); the sampled chart elements here start each shell at
+a hand-derived safe level (`baby_xi_level`), fit each germ on four deep
+shells of the image (`fitted_chart_germ`) and read each cross-term off the
+pointwise orbital next to -1.  The torus
 engine counts cosets by their valuation profile (`orbital._x1_count`); the
 count that visits the cosets of `double_coset_reps` one by one is kept here
 as its bit-for-bit reference, and the inert representative built from
@@ -41,14 +46,29 @@ from padicorb.localfield import (
 from padicorb.orbital import (
     _FIRST_LEVEL,
     _assemble_sz,
+    _baby_ctx,
+    _certified_onset,
     _norm_one,
+    _same_value,
+    baby_orbital,
+    baby_support_floor,
+    chart_image,
     hecke_apply_W,
     hecke_apply_W_tail,
     norm_lift,
     o_torus_group,
     torsor_scale,
 )
-from padicorb.spaces import KLTail, SWElem, _deep_germ, _norm, _value_atoms
+from padicorb.spaces import (
+    Germ,
+    KLTail,
+    SWElem,
+    SXElem,
+    SZElem,
+    _deep_germ,
+    _norm,
+    _value_atoms,
+)
 
 
 def _shell_values(ctx, raw, center: Fraction, v: int, start_level: int, skip=None):
@@ -77,17 +97,105 @@ def _shell_values(ctx, raw, center: Fraction, v: int, start_level: int, skip=Non
     raise RepresentationError(f"shell at val {v} did not stabilize below level 9")
 
 
-def sampled_shell(ctx, raw):
+def sampled_shell(ctx, raw, start=lambda center, v: _FIRST_LEVEL):
     """The `shell(center, v, cut)` argument of `orbital._assemble_sz` that
-    samples raw from `_FIRST_LEVEL`, leaving out the units with
+    samples raw from the level `start(center, v)`, leaving out the units with
     val(xi + 1) >= min(level, cut)."""
 
     def shell(center: int, v: int, cut: int | None):
         skip = None if cut is None else (
             lambda x, lvl: rational_valuation(x + 1, ctx.p) >= min(lvl, cut))
-        return _shell_values(ctx, raw, Fraction(center), v, _FIRST_LEVEL, skip)
+        return _shell_values(ctx, raw, Fraction(center), v, start(center, v), skip)
 
     return shell
+
+
+def baby_xi_level(kind, data, v: int) -> int:
+    """A safe local-constancy level in xi of the baby orbital at shell val = v.
+
+    Split: atoms at level l meet a xi(unit)-condition through cosets
+    c1/a + p^(l - val a) with val a >= -R1 - val xi, so the unit of xi enters
+    mod p^(l + R1) independently of the shell.  Nonsplit: the norm lift uses
+    the unit of the target mod p^(l - vt//2).
+    """
+    if kind == "split":
+        return max(1, data.level + data.axis_radii[0])
+    lvl = max(data.phi0.level, data.phi_alpha.level)
+    vt = v if v % 2 == 0 else v - 1
+    return max(1, lvl - vt // 2)
+
+
+def fitted_chart_germ(kind, data) -> Germ:
+    """The germ of the baby orbital of `data`, fitted (`_deep_germ`) on four
+    shells of its chart image from a depth past every unit-shell term and the
+    first shell of every deep term (L the level of the coset tables): split,
+    unit terms up to 2L - 2 and deep terms from 2L - 1 at the latest; inert,
+    2L - 1 and 2L + 1."""
+    image = chart_image(kind, data)
+    if kind == "split":
+        depth = max(2 * data.level + 1, 1)
+    else:
+        depth = 2 * max(data.phi0.level, data.phi_alpha.level, 0) + 2
+    return _deep_germ(kind, lambda u, v: image.value(v, u), depth, image.norm)
+
+
+def sampled_sx_from_baby(data, kind) -> SXElem:
+    """`orbital.sx_from_baby` with the sampler's window: each shell sampled
+    from `baby_xi_level`, the fitted germ lowered to its certified onset."""
+    ctx = _baby_ctx(kind, data)
+
+    def raw(xi):
+        return baby_orbital(kind, data, xi)
+
+    lo, germ = baby_support_floor(kind, data), fitted_chart_germ(kind, data)
+    shells = {v: _shell_values(ctx, raw, Fraction(0), v,
+                               max(_FIRST_LEVEL, baby_xi_level(kind, data, v)))
+              for v in range(lo, germ.level)}
+    germ = _certified_onset(kind, germ, shells)
+    norm = chart_image(kind, data).norm
+    entries = [e for v in range(lo, germ.level) for e in _value_atoms(ctx, 0, v, *shells[v], norm)]
+    return SXElem(ctx, kind, BruhatFn(ctx, "F", tuple(entries)), germ)
+
+
+def sampled_sz_from_charts(phi1, phi2, kind) -> SZElem:
+    """`orbital.sz_from_charts` with the sampler's window and no certificate:
+    each shell sampled from `baby_xi_level` of both charts, the fitted germs
+    plus the other chart read pointwise at -1 -/+ p^(level + 2) (the same at
+    p^(level + 3), else RepresentationError), each lowered to its certified
+    onset as `orbital._assemble_sz` does."""
+    ctx = _baby_ctx(kind, phi2)
+    p = ctx.p
+
+    def raw(xi):
+        return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
+
+    def start(center, v):
+        vx = v if center == 0 else 0
+        return max(_FIRST_LEVEL, baby_xi_level(kind, phi2, vx),
+                   baby_xi_level(kind, phi1, min(vx, 0)))
+
+    germs = []
+    for own, other, sign in ((phi2, phi1, -1), (phi1, phi2, 1)):
+        g = fitted_chart_germ(kind, own)
+        near, check = (baby_orbital(kind, other, -1 + sign * Fraction(p) ** (g.level + k))
+                       for k in (2, 3))
+        if not _same_value(near, check):
+            raise RepresentationError("chart cross-terms not stabilized")
+        germs.append(Germ(g.a + near, g.b, g.level))
+    germ0, germ_m1 = germs
+    shell = sampled_shell(ctx, raw, start)
+    lo = min(baby_support_floor(kind, phi) for phi in (phi1, phi2)) - 1
+    xi_shells = {v: shell(0, v, germ_m1.level if v == 0 else None) for v in range(lo, germ0.level)}
+    cut = min(xi_shells[0][1], germ_m1.level)
+    zeta_shells = {vz: shell(-1, vz, None) for vz in range(cut, germ_m1.level)}
+    germ0 = _certified_onset(kind, germ0, {v: s for v, s in xi_shells.items() if v > 0})
+    germ_m1 = _certified_onset(kind, germ_m1, zeta_shells)
+    norm = max(chart_image(kind, phi).norm for phi in (phi1, phi2))
+    entries = [e for v in range(lo, germ0.level)
+               for e in _value_atoms(ctx, 0, v, *xi_shells[v], norm)]
+    entries += [e for vz in range(cut, germ_m1.level)
+                for e in _value_atoms(ctx, -1, vz, *zeta_shells[vz], norm)]
+    return SZElem(ctx, kind, BruhatFn(ctx, "F", tuple(entries)), germ0, germ_m1)
 
 
 def sampled_hecke_apply_Z(ctx, kind, h):

@@ -247,10 +247,10 @@ def test_criterion_8_matching():
     assert elapsed < 300 * 3
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 @pytest.mark.parametrize("kind", ["split", "inert"])
 def test_criterion_8_matching_at_more_primes(p, kind):
-    """Matching at p = 5, 7, 11, 2 seeded samples each (seed 7): the Salie root,
+    """Matching at p = 5, 7, 11, 13, 2 seeded samples each (seed 7): the Salie root,
     `inert_rep_for`'s and `norm_lift`'s searches and `norm_one_reps` depend on
     p.  A vacuous leg (every inner product 0) would check only the shapes."""
     t0 = time.time()

@@ -88,14 +88,18 @@ from padicorb.spaces import (
 import oracles
 from oracles import (
     _shell_values,
+    baby_xi_level,
     coset_terms,
     enumerated_x1_count,
+    fitted_chart_germ,
     hensel_inert_rep,
     inert_fiber_is_trivial,
     keyed_o_baby_nonsplit,
     keyed_o_baby_split,
     sampled_hecke_apply_W_elem,
     sampled_hecke_apply_Z,
+    sampled_sx_from_baby,
+    sampled_sz_from_charts,
     torus_pair_invariant,
 )
 
@@ -1240,8 +1244,31 @@ def test_baby_windows_reach_the_support_floor(ctx3):
 
 
 def _chart_germ(kind, data):
-    """The germ of a chart before its onset walk, as the chart builders fit it."""
-    return orbital._baby_germ(kind, data, orbital.chart_image(kind, data))
+    """The germ of a chart before its onset walk, as `sx_from_baby` reads it."""
+    return orbital.chart_image(kind, data).germ(kind)
+
+
+def _sz_germs(kind, phi1, phi2):
+    """The germs at 0 and at -1 of (phi1, phi2) before their onset walk, as
+    `sz_from_charts` reads them, with the other chart's value added."""
+    image1, image2 = (orbital.chart_image(kind, phi) for phi in (phi1, phi2))
+    return orbital._sz_germ(kind, image2, image1), orbital._sz_germ(kind, image1, image2)
+
+
+def _recorded_shells(monkeypatch, build):
+    """build() and every window shell it emits (`_value_atoms`), as
+    {(center, v): (kept units, level)}."""
+    shells = {}
+    inner = orbital._value_atoms
+
+    def record(ctx, center, v, vals, level, norm):
+        shells[center, v] = (sorted(vals), level)
+        return inner(ctx, center, v, vals, level, norm)
+
+    monkeypatch.setattr(orbital, "_value_atoms", record)
+    out = build()
+    monkeypatch.setattr(orbital, "_value_atoms", inner)
+    return out, shells
 
 
 def _seeded_charts(ctx, kind, seed):
@@ -1292,10 +1319,14 @@ def _check_onset(elem, raw, kind, germ, chart_level, center, floor, start):
 
 @pytest.mark.parametrize("p,kind,seed", [(3, "split", 1), (3, "inert", 2),
                                          (5, "split", 6), (5, "inert", 1)])
-def test_germs_start_at_their_certified_onset(p, kind, seed):
+def test_germs_start_at_their_certified_onset(p, kind, seed, monkeypatch):
+    """Each germ lies below the depth a four-shell fit starts at, the shells
+    from its level to that depth (or the level it is read at, if deeper) are
+    its formula at every unit of a level the sampler certifies from
+    `baby_xi_level`, and the window shell below it is not."""
     ctx = LocalFieldCtx(p)
     phi1, phi2 = _seeded_charts(ctx, kind, seed)
-    L0, L1 = _chart_germ(kind, phi2).level, _chart_germ(kind, phi1).level
+    L0 = max(_chart_germ(kind, phi2).level, fitted_chart_germ(kind, phi2).level)
 
     def sx_raw(xi):
         return baby_orbital(kind, phi2, xi)
@@ -1304,24 +1335,24 @@ def test_germs_start_at_their_certified_onset(p, kind, seed):
     assert sx.germ0.level < L0
     _check_onset(sx, sx_raw, kind, sx.germ0, L0, Fraction(0),
                  orbital.baby_support_floor(kind, phi2),
-                 lambda v: max(2, orbital.baby_xi_level(kind, phi2, v)))
+                 lambda v: max(2, baby_xi_level(kind, phi2, v)))
 
     def raw(xi):
         return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
 
-    def start(v):  # the start level of `sz_from_charts` on the shell val xi = v
-        return max(2, orbital.baby_xi_level(kind, phi2, v),
-                   orbital.baby_xi_level(kind, phi1, min(v, 0)))
+    def start(v):  # a safe sampler level on the shell val xi = v
+        return max(2, baby_xi_level(kind, phi2, v), baby_xi_level(kind, phi1, min(v, 0)))
 
-    f = sz_from_charts(phi1, phi2, kind)
+    read0, read1 = (g.level for g in _sz_germs(kind, phi1, phi2))
+    L0 = max(read0, fitted_chart_germ(kind, phi2).level)
+    L1 = max(read1, fitted_chart_germ(kind, phi1).level)
+    f, shells = _recorded_shells(monkeypatch, lambda: sz_from_charts(phi1, phi2, kind))
     assert f.germ0.level < L0 and f.germ_m1.level < L1
     _check_onset(f, raw, kind, f.germ0, L0, Fraction(0), 1, start)
-    # the zeta-shells start at the level the unit shell certifies, cut at the
-    # chart level of the germ at -1
-    _, unit_level = _shell_values(
-        ctx, raw, Fraction(0), 0, start(0),
-        lambda x, lvl: rational_valuation(x + 1, p) >= min(lvl, L1))
-    _check_onset(f, raw, kind, f.germ_m1, L1, Fraction(-1), min(unit_level, L1),
+    # the zeta-shells start at the level of the unit shell, cut at the level
+    # the germ at -1 is read at
+    unit_level = shells[0, 0][1]
+    _check_onset(f, raw, kind, f.germ_m1, L1, Fraction(-1), min(unit_level, read1),
                  lambda vz: start(0))
 
 
@@ -1360,8 +1391,8 @@ def test_absorption_keeps_inner_product_and_tail(ctx3, source):
         def raw(xi):
             return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
 
-        L0, L1 = _chart_germ(kind, phi2).level, _chart_germ(kind, phi1).level
-        start = max(2, *(orbital.baby_xi_level(kind, phi, 0) for phi in (phi1, phi2)))
+        L0, L1 = (g.level for g in _sz_germs(kind, phi1, phi2))
+        start = max(2, *(baby_xi_level(kind, phi, 0) for phi in (phi1, phi2)))
         norm = max(orbital.chart_image(kind, phi).norm for phi in (phi1, phi2))
     before = _unabsorbed(f, raw, L0, L1, start, norm)
     assert len(before.window.atoms) > len(f.window.atoms) and f.germ_m1.b != 0
@@ -1400,8 +1431,8 @@ def _ball_charts(ctx, kind):
 @pytest.mark.parametrize("kind", ["split", "inert"])
 def test_chart_image_matches_pointwise_orbitals(p, kind):
     """The closed-form image against the pointwise orbital at every unit of the
-    level `sx_from_baby` certifies, on every shell from the support floor - 2
-    to the chart germ's level + 1, on seeded charts and on the ball charts."""
+    safe level `baby_xi_level`, on every shell from the support floor - 2 to
+    the fitted germ's depth + 1, on seeded charts and on the ball charts."""
     ctx = LocalFieldCtx(p)
     balls = _ball_charts(ctx, kind)
     deep = orbital.chart_image(kind, balls).deep
@@ -1413,8 +1444,8 @@ def test_chart_image_matches_pointwise_orbitals(p, kind):
     for data in charts:
         image = orbital.chart_image(kind, data)
         floor = orbital.baby_support_floor(kind, data)
-        for v in range(floor - 2, _chart_germ(kind, data).level + 2):
-            level = max(2, orbital.baby_xi_level(kind, data, v))
+        for v in range(floor - 2, fitted_chart_germ(kind, data).level + 2):
+            level = max(2, baby_xi_level(kind, data, v))
             assert image.level(v) <= level
             for u in unit_reps(p, level):
                 want = baby_orbital(kind, data, Fraction(u) * Fraction(p) ** v)
@@ -1432,7 +1463,7 @@ def _scaled(kind, data, c):
 @pytest.mark.parametrize("kind", ["split", "inert"])
 def test_chart_germs_are_scale_equivariant(p, kind):
     """germ(c Phi) = c germ(Phi) from c = 1e-15 to 1e15, to 1e-14 of the germ's
-    largest term on its first shell: the germ is fitted on the chart image,
+    largest term on its first shell: the germ is read off the chart image,
     which keeps every coset of c Phi."""
     ctx = LocalFieldCtx(p)
     germ_data = split_germ_data if kind == "split" else nonsplit_germ_data
@@ -1501,34 +1532,47 @@ def test_builders_are_scale_equivariant(ctx3, builder, kind, c):
         assert abs(f.eval(xi) - want[xi]) <= 1e-14 * scale, xi
 
 
-@pytest.mark.parametrize("kind,seed", [("split", 4), ("inert", 2)])
+@pytest.mark.parametrize("kind,seed", [("split", 4), ("inert", 6)])
 def test_cross_term_probe_is_scale_relative(ctx3, monkeypatch, kind, seed):
-    """With both chart germs lowered to level -4, the cross-term probes read the
-    other chart at -1 -/+ p^-2 and -1 -/+ p^-1, where it is not constant; the
-    check compares the two relatively, so a scale of 1e-12 does not pass it."""
+    """With the other chart's value next to -1 off by 1e-6 of itself in both
+    germs (both values are nonzero on these charts), the S(Z) probes catch
+    it: they compare against the input's norm, so a scale of 1e-12 does not
+    pass it."""
     rng = random.Random(seed)
     phi1, phi2 = random_baby_data(ctx3, kind, rng), random_baby_data(ctx3, kind, rng)
-    fitted = orbital._baby_germ
-    monkeypatch.setattr(orbital, "_baby_germ",
-                        lambda *args: Germ(*fitted(*args)[:2], -4))
-    for c in (1.0, 1e-12):
-        with pytest.raises(RepresentationError, match="cross-terms not stabilized"):
-            sz_from_charts(_scaled(kind, phi1, c), _scaled(kind, phi2, c), kind)
+    read = orbital._sz_germ
 
+    def off(kind, image, other):
+        g = read(kind, image, other)
+        return g._replace(a=g.a + 1e-6 * other.value(0, -1))
 
-@pytest.mark.parametrize("level", [0, -1])
-@pytest.mark.parametrize("kind", ["split", "inert"])
-def test_a_too_low_germ_fails_the_probes_at_every_scale(ctx3, monkeypatch, kind, level):
-    """With both chart germs lowered to level 0 or -1 the cross-term probes
-    still agree, and the S(Z) probes catch the germ: they compare against the
-    input's norm, not 1, so a scale of 1e-12 does not pass it."""
-    phi1, phi2 = _seeded_charts(ctx3, kind, 1)
-    fitted = orbital._baby_germ
-    monkeypatch.setattr(orbital, "_baby_germ",
-                        lambda *args: Germ(*fitted(*args)[:2], level))
+    monkeypatch.setattr(orbital, "_sz_germ", off)
     for c in (1.0, 1e-12):
         with pytest.raises(RepresentationError, match="S\\(Z\\) representation mismatch"):
             sz_from_charts(_scaled(kind, phi1, c), _scaled(kind, phi2, c), kind)
+
+
+@pytest.mark.parametrize("point", [0, -1])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_a_too_low_germ_fails_the_probes_at_every_scale(ctx3, monkeypatch, kind, point):
+    """With the germ at 0 or at -1 one shell below its certified onset, the
+    S(Z) probes catch it: they compare against the input's norm, not 1, so a
+    scale of 1e-12 does not pass it.  The probes read units 1, 2 and 1 + p
+    next to each germ; on these charts the function leaves the formula there
+    on the shell below each onset."""
+    phi1, phi2 = _seeded_charts(ctx3, kind, 1 if kind == "split" else 4)
+    onset = orbital._certified_onset
+    for c in (1.0, 1e-12):
+        charts = _scaled(kind, phi1, c), _scaled(kind, phi2, c)
+        target = _sz_germs(kind, *charts)[0 if point == 0 else 1]
+
+        def too_low(kind, germ, shells):
+            g = onset(kind, germ, shells)
+            return g._replace(level=g.level - 1) if germ == target else g
+
+        monkeypatch.setattr(orbital, "_certified_onset", too_low)
+        with pytest.raises(RepresentationError, match="S\\(Z\\) representation mismatch"):
+            sz_from_charts(*charts, kind)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -1556,74 +1600,63 @@ def test_o_baby_nonsplit_is_zero_below_the_support(p):
                                                           before.currsize)
 
 
-def _sampled_elements(kind, phi1, phi2):
-    """The S(X) element of phi2 and the S(Z) element of (phi1, phi2) as the
-    sampler builds them: `_shell_values` from each shell's start level, the
-    germs at their certified onset, `_value_atoms`; the germ coefficients are
-    those of the chart builders, which no sampler computes.  Returns
-    (window entries, germs) of each."""
-    ctx = orbital._baby_ctx(kind, phi2)
-    p = ctx.p
-    L0, L1 = _chart_germ(kind, phi2).level, _chart_germ(kind, phi1).level
+def _finer_points(p, elems, center, v):
+    """The points center + u p^v, u the units mod p^n for the finest level n
+    any of the elements' windows keys the shell with (2 when none keys it)."""
+    level = 2
+    for elem in elems:
+        for keys, n, _ in elem.window.entries:
+            (va, r), = keys
+            if center == 0 and va == v or center == -1 and rational_valuation(r + 1, p) == v:
+                level = max(level, n - va)
+    return [center + Fraction(u) * Fraction(p) ** v for u in unit_reps(p, level)]
 
-    def sx_raw(xi):
-        return baby_orbital(kind, phi2, xi)
 
-    lo = orbital.baby_support_floor(kind, phi2)
-    sx = sx_from_baby(phi2, kind)
-    shells = {v: _shell_values(ctx, sx_raw, Fraction(0), v,
-                               max(2, orbital.baby_xi_level(kind, phi2, v)))
-              for v in range(lo, L0)}
-    g = orbital._certified_onset(kind, Germ(sx.germ0.a, sx.germ0.b, L0), shells)
-    norm = orbital.chart_image(kind, phi2).norm
-    sx_entries = [e for v in range(lo, g.level)
-                  for e in _value_atoms(ctx, 0, v, *shells[v], norm)]
+def _assert_same_function(f, g, shells):
+    """f and g agree to 1e-13 relative at every unit coset of the finer of
+    their levels on each (center, v) of `shells`."""
+    p = f.ctx.p
+    for center, v in shells:
+        for x in _finer_points(p, (f, g), center, v):
+            want = g.eval(x)
+            assert abs(f.eval(x) - want) <= 1e-13 * max(abs(want), 1e-300), x
 
-    def raw(xi):
-        return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
 
-    def start(v):
-        return max(2, orbital.baby_xi_level(kind, phi2, v),
-                   orbital.baby_xi_level(kind, phi1, min(v, 0)))
-
-    f = sz_from_charts(phi1, phi2, kind)
-    lo = min(orbital.baby_support_floor(kind, phi) for phi in (phi1, phi2)) - 1
-    xi_shells = {v: _shell_values(ctx, raw, Fraction(0), v, start(v), None if v else (
-        lambda x, lvl: rational_valuation(x + 1, p) >= min(lvl, L1))) for v in range(lo, L0)}
-    cut = min(xi_shells[0][1], L1)
-    zeta_shells = {vz: _shell_values(ctx, raw, Fraction(-1), vz, start(0))
-                   for vz in range(cut, L1)}
-    g0 = orbital._certified_onset(kind, Germ(f.germ0.a, f.germ0.b, L0),
-                                  {v: s for v, s in xi_shells.items() if v > 0})
-    g1 = orbital._certified_onset(kind, Germ(f.germ_m1.a, f.germ_m1.b, L1), zeta_shells)
-    norm = max(norm, orbital.chart_image(kind, phi1).norm)
-    sz_entries = [e for v in range(lo, g0.level)
-                  for e in _value_atoms(ctx, 0, v, *xi_shells[v], norm)]
-    sz_entries += [e for vz in range(cut, g1.level)
-                   for e in _value_atoms(ctx, -1, vz, *zeta_shells[vz], norm)]
-    return (sx_entries, (g,)), (sz_entries, (g0, g1))
+def _same_germ(got, want):
+    """The same coefficients to 1e-12, and got no deeper than want."""
+    scale = max(abs(want.a), abs(want.b))
+    return (got.level <= want.level and abs(got.a - want.a) <= 1e-12 * scale
+            and abs(got.b - want.b) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("p,kind,seed", [(3, "split", 1), (3, "split", 2), (3, "inert", 1),
                                          (3, "inert", 2), (5, "split", 6), (5, "inert", 1)])
 def test_chart_elements_match_the_sampled_elements(p, kind, seed):
     """`sx_from_baby` and `sz_from_charts` from the closed-form image against
-    the elements the sampler builds: the same keys, levels and germs, with
-    weights within 1e-14 relative."""
+    the elements the sampler builds from the pointwise orbital (`oracles`):
+    the same values at every unit coset of the finer of the two levels on
+    every shell from the support floor to the deeper germ, around 0 and -1,
+    and the same germ coefficients (to 1e-12).  A germ of the image starts
+    no deeper than the sampler's: the image certifies the unit shell at a
+    level no finer, so its zeta-shells, which the germ at -1 may absorb,
+    start no deeper."""
     ctx = LocalFieldCtx(p)
     phi1, phi2 = _seeded_charts(ctx, kind, seed)
-    sx, sz = sx_from_baby(phi2, kind), sz_from_charts(phi1, phi2, kind)
-    for elem, (entries, germs) in zip((sx, sz), _sampled_elements(kind, phi1, phi2)):
-        got = elem.window.entries
-        assert [(k, n) for k, n, _ in got] == [(k, n) for k, n, _ in entries]
-        for (_, _, w), (_, _, want) in zip(got, entries):
-            assert abs(w - want) <= 1e-14 * max(abs(w), abs(want))
-        assert (elem.germ0,) + ((elem.germ_m1,) if elem is sz else ()) == germs
+    sx, sampled = sx_from_baby(phi2, kind), sampled_sx_from_baby(phi2, kind)
+    assert _same_germ(sx.germ0, sampled.germ0)
+    lo = orbital.baby_support_floor(kind, phi2)
+    _assert_same_function(sx, sampled, [(0, v) for v in range(lo, sx.germ0.level + 1)])
+    sz, sampled = sz_from_charts(phi1, phi2, kind), sampled_sz_from_charts(phi1, phi2, kind)
+    assert _same_germ(sz.germ0, sampled.germ0) and _same_germ(sz.germ_m1, sampled.germ_m1)
+    lo = min(orbital.baby_support_floor(kind, phi) for phi in (phi1, phi2)) - 1
+    shells = [(0, v) for v in range(lo, sz.germ0.level + 1)]
+    shells += [(-1, vz) for vz in range(1, sz.germ_m1.level + 1)]
+    _assert_same_function(sz, sampled, shells)
 
 
 def test_inert_unit_shell_is_constant_on_every_window_coset(ctx3):
     """Next to -1, an inert chart reads more digits of xi + 1 than the unit
-    shell's start level fixes.  The sampler checked one child per coset and
+    shell's sampled level fixes.  The sampler checked one child per coset and
     kept level 2 here, where the function is not constant (its element is off
     by more than 0.1); the image raises the level until it is, so the element
     equals the orbital at every unit mod 3^6 of the unit shell and the
@@ -1634,14 +1667,124 @@ def test_inert_unit_shell_is_constant_on_every_window_coset(ctx3):
         return baby_orbital("inert", phi2, xi) + baby_orbital("inert", phi1, -1 - xi)
 
     f = sz_from_charts(phi1, phi2, "inert")
-    _, (entries, germs) = _sampled_elements("inert", phi1, phi2)
-    sampled = SZElem(ctx3, "inert", BruhatFn(ctx3, "F", tuple(entries)), *germs)
+    sampled = sampled_sz_from_charts(phi1, phi2, "inert")
     points = [Fraction(u) for u in unit_reps(3, 6) if (u + 1) % 3 ** 6]
     points += [-1 + Fraction(u) * Fraction(3) ** vz for vz in range(1, 5) for u in unit_reps(3, 2)]
     assert max(abs(sampled.eval(x) - raw(x)) for x in points) > 0.1
     for x in points:
         want = raw(x)
         assert abs(f.eval(x) - want) <= 1e-12 * max(1.0, abs(want)), x
+
+
+def _image_sum(p, charts):
+    """x -> the sum of image(s x + t) over the charts (image, s, t), each read
+    off its closed form (`ChartImage.value`) at the unit of s x + t."""
+
+    def value(x):
+        total = 0j
+        for image, s, t in charts:
+            y = s * x + t
+            va = rational_valuation(y, p)
+            total += image.value(va, unit_mod(y, va, p, image.level(va)))
+        return total
+
+    return value
+
+
+def _is_constant_on_cosets(values, p, level, kept) -> bool:
+    """Whether `values` ({unit: value}) is one value (`_same`) on each coset
+    mod p^level of the units `kept` mod p^level."""
+    first = {}
+    for u, w in values.items():
+        c = u % p ** level
+        if c in kept and not _same(first.setdefault(c, w), w):
+            return False
+    return True
+
+
+def _assert_one_level_rule(p, charts, shells, cut):
+    """Each recorded window shell (center, v) -> (kept units, level) of the
+    chart sum sits at the lowest level >= 2 on which the sum is constant on
+    every kept coset: values at every unit mod p^(level + K), K the finest
+    level of any image, fix it on every coset at the levels compared.  The
+    unit shell about 0 keeps the units with val(xi + 1) < min(level, cut)."""
+    value = _image_sum(p, charts)
+    top = max((k for image, _, _ in charts for ks in image.units.values() for k in ks),
+              default=0)
+
+    def kept(center, v, level):
+        units = unit_reps(p, level)
+        if cut is None or (center, v) != (0, 0):
+            return set(units)
+        return {u for u in units if rational_valuation(u + 1, p) < min(level, cut)}
+
+    for (center, v), (units, level) in shells.items():
+        assert level >= 2 and set(units) == kept(center, v, level), (center, v)
+        values = {u: value(center + Fraction(u) * Fraction(p) ** v)
+                  for u in unit_reps(p, level + top) if u % p ** level in set(units)}
+        assert _is_constant_on_cosets(values, p, level, set(units)), (center, v)
+        if level > 2:
+            coarse = kept(center, v, level - 1)
+            assert not _is_constant_on_cosets(values, p, level - 1, coarse), (center, v)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_chart_elements_keep_one_level_rule_and_equal_the_orbitals(p, kind, monkeypatch):
+    """Every window shell of `sx_from_baby` and `sz_from_charts` sits at the
+    lowest level >= 2 on which its chart image is constant; both elements
+    equal the pointwise orbitals at every unit mod p^4 (p = 3) or p^3 on the
+    xi-shells -4..4 and the zeta-shells 1..5; and the germ each image reads
+    off its deep terms (`ChartImage.germ`) is the four-shell fit of the image
+    (`oracles.fitted_chart_germ`) to 1e-12."""
+    ctx = LocalFieldCtx(p)
+    digits = 4 if p == 3 else 3
+    points = [Fraction(u) * Fraction(p) ** v for v in range(-4, 5) for u in unit_reps(p, digits)]
+    points += [-1 + Fraction(u) * Fraction(p) ** vz for vz in range(1, 6)
+               for u in unit_reps(p, digits)]
+    for seed in (3, 7) if p == 3 else (3,):
+        phi1, phi2 = _seeded_charts(ctx, kind, seed)
+        image1, image2 = (orbital.chart_image(kind, phi) for phi in (phi1, phi2))
+        for data in (phi1, phi2):
+            got, want = _chart_germ(kind, data), fitted_chart_germ(kind, data)
+            assert _same_germ(got, want), (got, want)
+        sx, shells = _recorded_shells(monkeypatch, lambda: sx_from_baby(phi2, kind))
+        _assert_one_level_rule(p, ((image2, 1, 0),), shells, None)
+        sz, shells = _recorded_shells(monkeypatch, lambda: sz_from_charts(phi1, phi2, kind))
+        cut = _sz_germs(kind, phi1, phi2)[1].level
+        _assert_one_level_rule(p, ((image2, 1, 0), (image1, -1, -1)), shells, cut)
+        for x in points:
+            o2 = baby_orbital(kind, phi2, x)
+            want = o2 + baby_orbital(kind, phi1, -1 - x)
+            assert abs(sx.eval(x) - o2) <= 1e-14 * max(1.0, abs(o2)), (seed, x)
+            assert abs(sz.eval(x) - want) <= 1e-14 * max(1.0, abs(want)), (seed, x)
+
+
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_sz_germ_starts_where_the_other_chart_is_constant(ctx3, kind):
+    """The chart of the germ at 0 is a unit coset, so its own germ (zero)
+    holds from shell 1; the other chart is an atom of level 3 whose product
+    (split) or norm (inert, 1 + sqrt(2) at u = 2) is -1, so it reads q^-3 on
+    the units = -1 mod 3^3 of its unit shell and 0 elsewhere.  The germ at 0
+    adds that value and starts at shell k = 3, not 1, and the element equals
+    the orbitals at every unit mod 3^4 of the shells 1..5."""
+    if kind == "split":
+        phi1 = BruhatFn.from_atoms(ctx3, "F2", [((-1, 1), 3, 1.0)])
+        phi2 = BruhatFn.from_atoms(ctx3, "F2", [((1, 1), 1, 0.5)])
+    else:
+        ext, zero = QuadExt(ctx3, "inert"), BruhatFn.zero(ctx3, "E")
+        assert ext.u == 2
+        phi1 = BabyInput(ext, BruhatFn.from_atoms(ctx3, "E", [((1, 1), 3, 1.0)]), zero)
+        phi2 = BabyInput(ext, BruhatFn.from_atoms(ctx3, "E", [((1, 0), 1, 0.5)]), zero)
+    germ0, _ = _sz_germs(kind, phi1, phi2)
+    assert _chart_germ(kind, phi2).level == 1 and germ0.level == 3 and germ0.a != 0
+    f = sz_from_charts(phi1, phi2, kind)
+    assert f.germ0.level == 3
+    for v in range(1, 6):
+        for u in unit_reps(3, 4):
+            x = u * Fraction(3) ** v
+            want = baby_orbital(kind, phi2, x) + baby_orbital(kind, phi1, -1 - x)
+            assert abs(f.eval(x) - want) <= 1e-14, x
 
 
 def _counting(monkeypatch, name):
@@ -1658,17 +1801,17 @@ def _counting(monkeypatch, name):
 
 def test_chart_builders_evaluate_orbitals_only_at_their_probes(monkeypatch):
     """The closed-form image leaves the pointwise orbital to the certificates:
-    4 cross-term probes, then 11 S(Z) probes and 4 floor points per S(Z)
-    element, each read on both charts (34 calls), and 4 probes and 4 floor points per
-    S(X) element.  This p = 5 inert element took 3,626 `o_baby_nonsplit`
-    calls from the sampler."""
+    11 S(Z) probes and 4 floor points per S(Z) element, each read on both
+    charts (30 calls), and 4 probes and 4 floor points per S(X) element.  This
+    p = 5 inert element took 3,626 `o_baby_nonsplit` calls from the sampler,
+    and 34 while the cross-terms were read pointwise."""
     ctx = LocalFieldCtx(5)
     rng = random.Random(42)
     random_baby_data(ctx, "inert", rng)
     phi1, phi2 = random_baby_data(ctx, "inert", rng), random_baby_data(ctx, "inert", rng)
     calls = _counting(monkeypatch, "o_baby_nonsplit")
     f = sz_from_charts(phi1, phi2, "inert")
-    assert len(calls) == 34 and f.window.entries
+    assert len(calls) == 30 and f.window.entries
     del calls[:]
     sx_from_baby(phi2, "inert")
     assert len(calls) == 8
@@ -1676,7 +1819,7 @@ def test_chart_builders_evaluate_orbitals_only_at_their_probes(monkeypatch):
     rng = random.Random(1)
     sz_from_charts(random_baby_data(ctx, "split", rng), random_baby_data(ctx, "split", rng),
                    "split")
-    assert len(calls) == 34
+    assert len(calls) == 30
 
 
 def _parts(elem):
@@ -1805,7 +1948,7 @@ CHART_FUNCTIONS = (
     "o_baby_split", "split_germ_data", "o_baby_nonsplit", "nonsplit_germ_data",
     "baby_orbital", "sx_from_baby", "fourier_baby", "sz_from_charts",
     "chart_image", "split_image", "nonsplit_image", "ChartImage.value",
-    "ChartImage.coset_value", "_image_shell",
+    "ChartImage.coset_value", "ChartImage.germ", "_image_shell", "_sz_germ",
 )
 # the Satake machinery is the test oracle for the closed-form change of basis
 SATAKE_FUNCTIONS = ("satake_transform", "coset_basis_to_hecke", "iwasawa_decompose")

@@ -16,7 +16,14 @@ from padicorb import cli
 from padicorb.bruhat import BruhatFn
 from padicorb.errors import DomainError
 from padicorb.groups import HeckeElt
-from padicorb.localfield import INF, LocalFieldCtx, as_rational, rational_valuation
+from padicorb.localfield import (
+    INF,
+    LocalFieldCtx,
+    as_rational,
+    is_rational_square,
+    padic_sqrt,
+    rational_valuation,
+)
 from padicorb.orbital import (
     baby_orbital,
     fourier_baby,
@@ -36,8 +43,10 @@ GOOD_POINTS = ((0.75, Fraction(3, 4)), ("5/9", Fraction(5, 9)))
 
 @pytest.fixture(scope="module")
 def entries():
-    """Every public entry that takes xi or a point, as a one-argument function."""
-    ctx = LocalFieldCtx(3)
+    """Every public entry that takes xi or a point, as a one-argument function;
+    the square roots at p = 11, where 3, 5 and -2 are squares, so that every
+    good point has one."""
+    ctx, ctx11 = LocalFieldCtx(3), LocalFieldCtx(11)
     rng = random.Random(17)
     split, inert = random_baby_data(ctx, "split", rng), random_baby_data(ctx, "inert", rng)
     sx = sx_from_baby(split, "split")
@@ -60,13 +69,16 @@ def entries():
         "BruhatFn.eval F2": lambda x: split.eval((x, 1)),
         "BruhatFn.from_atoms F": lambda x: BruhatFn.from_atoms(ctx, "F", [(x, 2, 1.0)]),
         "BruhatFn.from_atoms F2": lambda x: BruhatFn.from_atoms(ctx, "F2", [((1, x), 2, 1.0)]),
+        "padic_sqrt": lambda x: padic_sqrt(ctx11, x, 5),
+        "is_rational_square": lambda x: is_rational_square(ctx11, x),
     }
 
 
 ENTRY_NAMES = ("o_baby_split", "o_baby_nonsplit", "o_torus_group split",
                "o_torus_group inert", "o_kuz_closed", "g_value_Z_to_W", "g_value_SX",
                "SXElem.eval", "SZElem.eval", "SWElem.eval", "BruhatFn.eval F",
-               "BruhatFn.eval F2", "BruhatFn.from_atoms F", "BruhatFn.from_atoms F2")
+               "BruhatFn.eval F2", "BruhatFn.from_atoms F", "BruhatFn.from_atoms F2",
+               "padic_sqrt", "is_rational_square")
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
