@@ -2,10 +2,12 @@
 
 A function is a sum of weighted cosets c + p^n*o^d stored by integer coset
 keys; all transforms are closed form (finite character sums), so a BruhatFn is
-closed under Fourier transform and the double transform is exactly f(-x).  Each
-key enters the transform as an integer phase against one table of roots of
-unity, so the transform is a plain-Python discrete Fourier transform, summed
-from each phase's cached power row of roots in the order of a direct sum.
+closed under Fourier transform and the double transform is exactly f(-x).  The
+transform is taken level by level on a function's own entries, with no
+canonical refinement: each key enters as an integer phase against one table
+of roots of unity per level, so each level's sum is a plain-Python discrete
+Fourier transform on its dual ball, summed from each phase's cached power row
+of roots in the order of a direct sum, and added into the output grid.
 Tate zeta integrals, Mellin components and gamma factors are produced as
 rational functions in t = q^(-s), the gamma factor always by solving the local
 functional equation with a test function rather than from a hard-coded formula.
@@ -43,9 +45,9 @@ _DOMAIN_DIM = {"F": 1, "F2": 2, "E": 2, "Ealpha": 2}
 # Copies of the roots of unity a Fourier power row is sliced from (`_fourier_nd`)
 _POWER_REPS = 16
 
-# Most cosets a canonical form may be refined into, counted before any is built:
-# about 10 times the 98,414 that the test suite reaches, or some 0.7 GB at the
-# measured 680 bytes per coset.
+# Most cosets a canonical form may be refined into, or a Fourier transform's
+# grid may hold, counted before any is built: about 10 times the 98,414 that
+# the test suite refines, or some 0.7 GB at the measured 680 bytes per coset.
 _MAX_REFINEMENT = 10 ** 6
 
 
@@ -317,62 +319,110 @@ def fourier_E(f: BruhatFn, ext: QuadExt) -> BruhatFn:
 
     In coordinates x = x1 + x2*sqrt(u): tr(x*conj(y)) = 2(x1 y1 - u x2 y2).
     On the torsor the pairing acquires the scale a = N(e) and the measure a
-    factor |a|, giving hat(Phi^alpha)(y) = |a| * hat(Phi^0)(a y).
+    factor |a|, giving hat(Phi^alpha)(y) = |a| * hat(Phi^0)(a y); `_fourier_nd`
+    makes that substitution on its one-coordinate output keys.
     """
     if ext.kind != "inert":
         raise KindError("fourier_E needs an inert extension (split is coordinatewise)")
     if f.domain not in ("E", "Ealpha"):
         raise DomainError("fourier_E expects E or E^alpha data")
-    hat0 = _fourier_nd(f, scales=(2, -2 * ext.u))
-    if f.domain == "E":
-        return hat0
-    a, p = f.torsor_scale, f.ctx.p
-    va = rational_valuation(a, p)
-    abs_a = float(Fraction(f.ctx.q) ** (-va))
-    # substitute y -> a*y and multiply by |a|: with a = p^va * ua, the coset
-    # (v, res) at level L becomes (v - va, res / ua) at level L - va
-    level = hat0.level
-    depth = max([1] + [level - v for key in hat0.coset_table for v, _ in key])
-    inv = pow(unit_mod(a, va, p, depth), -1, p ** depth)
-    mod = {v: p ** (level - v) for v in range(level - depth, level + 1)}
-    table = {((v1 - va, r1 * inv % mod[v1]), (v2 - va, r2 * inv % mod[v2])): w * abs_a
-             for ((v1, r1), (v2, r2)), w in hat0.coset_table.items()}
-    return BruhatFn.from_table(f.ctx, "Ealpha", level - va, table, a)
+    return _fourier_nd(f, scales=(2, -2 * ext.u))
 
 
 def _fourier_nd(f: BruhatFn, scales: tuple[int, ...]) -> BruhatFn:
-    """Product-kernel transform psi^{-1}(sum_i s_i x_i y_i) for units s_i in Z.
+    """Product-kernel transform psi^{-1}(sum_i s_i x_i y_i) for units s_i in Z,
+    taken on the entries of f level by level, with no canonical refinement.
 
-    Output cosets at the common conductor level are indexed and keyed by
-    integers r = 0..p^M - 1 (centers r p^-n).  Each coset coordinate c of the
-    table contributes psi^{-1}(s c r p^-n) = z^(k r), z = e(-1/p^M), with an
-    integer phase k read off its key, so the weights are summed per phase and
-    the sum is one discrete Fourier transform: over the last coordinate, then
-    over the first.  Each phase's power row z^(k r), r = 0..p^M - 1, is read
-    once per call from the table of the p^M roots, and each output is its sum
-    over the phases in table order, row by row (`_power_sum`); the 2-D output
-    is one flat row-major grid.  Entries at most 1e-12 times the largest are
-    dropped.
+    With n the deepest entry level, output cosets at the common conductor
+    level M are indexed and keyed by integers r = 0..p^(M+n) - 1 per
+    coordinate (centers r p^-n).  The transform is linear, and an entry at
+    level m transforms to a function on its dual ball p^-m o, whose cosets
+    are the r = 0 mod p^(n - m): so each level's grid is its own sum at
+    p^(M+m) points per coordinate (`_level_grid`), added into the full grid
+    at those indices, deepest level first.  A single-level input is that one
+    sum.  The 2-D output is one flat row-major grid.  Entries at most 1e-12
+    times the largest are dropped, and all of them when the largest is at
+    most 1e-12 times the input's mass, the sum of |w| vol over its entries:
+    that is the rounding an input which cancels leaves.  On E^alpha data
+    with torsor scale a = p^va ua the output is |a| hat(a y): the output
+    coset (v, res) at level M becomes (v - va, res / ua) at level M - va.
     """
-    ctx, table = f.ctx, f.coset_table
-    p = ctx.p
-    if not table:
+    ctx, entries = f.ctx, f.entries
+    p, dim = ctx.p, f.dim
+    if not entries:
         return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
-    n = f.level
-    out_level = max([-n] + [-v for key in table for v, _ in key if v < n])
+    by_level: dict[int, list] = {}
+    for entry in entries:
+        by_level.setdefault(entry[1], []).append(entry)
+    n = max(by_level)
+    out_level = max([-n] + [-v for keys, _, _ in entries for v, _ in keys if v < n])
     span = p ** (out_level + n)
-    vol = float(Fraction(ctx.q) ** (-n * f.dim))
+    if span ** dim > _MAX_REFINEMENT:
+        raise RepresentationError(
+            f"Fourier transform needs {span ** dim} cosets at level {out_level}, "
+            f"past the limit {_MAX_REFINEMENT}")
+    grid, mass = [], 0.0
+    for m in sorted(by_level, reverse=True):
+        group, vol = by_level[m], float(Fraction(ctx.q) ** (-m * dim))
+        mass += vol * sum(abs(w) for _, _, w in group)
+        sub = p ** (out_level + m)
+        part = _level_grid(group, m, sub, scales, p, vol, dim)
+        if not grid:  # the deepest level fills the whole grid
+            grid = part
+            continue
+        # row j of the level's grid lands on every (span / sub)-th entry of
+        # the full grid's row j span / sub
+        step = span // sub
+        for j in range(sub ** (dim - 1)):
+            at = slice(j * step * span, j * step * span + span, step)
+            grid[at] = map(operator.add, grid[at], part[j * sub:(j + 1) * sub])
+    peak = max(map(abs, grid))
+    if peak <= 1e-12 * mass:
+        return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
+    keys = [_residue_key(-n, r, out_level, p) for r in range(span)]  # of r p^-n
+    a = f.torsor_scale
+    if a is not None:
+        va = rational_valuation(a, p)
+        depth = max(1, out_level + n)
+        inv = pow(unit_mod(a, va, p, depth), -1, p ** depth)
+        keys = [(v - va, res * inv % p ** (out_level - v)) for v, res in keys]
+        out_level -= va
+    index = zip(keys) if dim == 1 else itertools.product(keys, keys)
+    thresh = 1e-12 * peak
+    kept = compress(zip(index, grid), map(thresh.__lt__, map(abs, grid)))
+    if a is None:
+        table = dict(kept)
+    else:
+        abs_a = float(Fraction(ctx.q) ** (-va))
+        table = {key: w * abs_a for key, w in kept}
+    return BruhatFn.from_table(ctx, f.domain, out_level, table, f.torsor_scale)
+
+
+def _level_grid(entries, level: int, span: int, scales: tuple[int, ...], p: int,
+                vol: float, dim: int) -> list[complex]:
+    """Values at the points r p^-level, r = 0..span - 1 per coordinate (one
+    flat row-major grid in 2-D), of the transform of the weights w on the
+    cosets (keys, `level`, w) in `entries`, each coset of volume `vol`.
+
+    Each coset coordinate c contributes psi^{-1}(s c r p^-level) = z^(k r),
+    z = e(-1/span), with an integer phase k read off its key, so the weights
+    are summed per phase and the sum is one discrete Fourier transform: over
+    the last coordinate, then over the first.  Each phase's power row z^(k r),
+    r = 0..span - 1, is read once per call from the table of the span roots,
+    and each output is its sum over the phases in entry order, row by row
+    (`_power_sum`).
+    """
 
     def phase(key: tuple[int, int], s: int) -> int:
-        # k with psi^{-1}(s c r p^-n) = z^(k r) for c = res p^v: s c has the
-        # unit s res, and p^(n - v) is the conductor exponent in r
+        # k with psi^{-1}(s c r p^-level) = z^(k r) for c = res p^v: s c has
+        # the unit s res, and p^(level - v) is the conductor exponent in r
         v, res = key
-        return s * res % p ** (n - v) * (span // p ** (n - v)) if v < n else 0
+        return s * res % p ** (level - v) * (span // p ** (level - v)) if v < level else 0
 
     rows: dict[int, dict[int, complex]] = {}  # first phase -> last phase -> weight
-    for key, w in table.items():
-        ks = [phase(k, s) for k, s in zip(key, scales)]
-        row = rows.setdefault(ks[0] if f.dim > 1 else 0, {})
+    for keys, _, w in entries:
+        ks = [phase(k, s) for k, s in zip(keys, scales)]
+        row = rows.setdefault(ks[0] if dim > 1 else 0, {})
         row[ks[-1]] = row.get(ks[-1], 0j) + w * vol
     roots = [complex(math.cos(t), math.sin(t))
              for t in (-2 * math.pi * j / span for j in range(span))]
@@ -393,18 +443,12 @@ def _fourier_nd(f: BruhatFn, scales: tuple[int, ...]) -> BruhatFn:
 
     last = {k: _power_sum(((repeat(w), power_row(k2)) for k2, w in row.items()), span)
             for k, row in rows.items()}
-    keys = [_residue_key(-n, r, out_level, p) for r in range(span)]  # of r p^-n
-    if f.dim == 1:
-        grid, index = last[0], zip(keys)
-    else:
-        # grid[r1 span + r2] = sum_k1 last[k1][r2] z^(k1 r1): the row last[k1]
-        # tiled span times against each z^(k1 r1) repeated span times
-        grid = _power_sum(((t * span, chain.from_iterable(map(repeat, power_row(k), repeat(span))))
-                           for k, t in last.items()), span * span)
-        index = itertools.product(keys, keys)
-    thresh = 1e-12 * max(map(abs, grid))
-    table = dict(compress(zip(index, grid), map(thresh.__lt__, map(abs, grid))))
-    return BruhatFn.from_table(ctx, f.domain, out_level, table, f.torsor_scale)
+    if dim == 1:
+        return last[0]
+    # grid[r1 span + r2] = sum_k1 last[k1][r2] z^(k1 r1): the row last[k1]
+    # tiled span times against each z^(k1 r1) repeated span times
+    return _power_sum(((t * span, chain.from_iterable(map(repeat, power_row(k), repeat(span))))
+                       for k, t in last.items()), span * span)
 
 
 def _power_sum(products, size: int) -> list[complex]:

@@ -301,9 +301,7 @@ def fourier_baby(data, kind: str):
     ext = data.ext
     ctx = ext.ctx
     hat0 = fourier_E(data.phi0, ext)
-    phi = data.phi_alpha
-    hat = fourier_E(BruhatFn.from_table(ctx, "Ealpha", phi.level, phi.coset_table,
-                                        torsor_scale(ctx)), ext)
+    hat = fourier_E(BruhatFn(ctx, "Ealpha", data.phi_alpha.entries, torsor_scale(ctx)), ext)
     return BabyInput(ext, hat0, BruhatFn.from_table(ctx, "E", hat.level, hat.coset_table))
 
 

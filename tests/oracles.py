@@ -16,10 +16,13 @@ as its bit-for-bit reference, and the inert representative built from
 28-digit Hensel square roots (`hensel_inert_rep`, with the GIT invariant
 `torus_pair_invariant` and the fiber test it uses) as the reference for the
 integer leading-digit one (`orbital.inert_rep_for`).  The Fourier kernel
-sums rows of cached powers of its root of unity, and the baby orbitals key
-their units inline; the direct sums they replace, one generator per output
-value and one `_residue_key` per coordinate, are kept here as their
-bit-for-bit references.
+sums rows of cached powers of its root of unity, level by level on a
+function's own entries, and the baby orbitals key their units inline; the
+direct sums they replace, one generator per output value and one
+`_residue_key` per coordinate, are kept here as their bit-for-bit
+references.  The direct sum over the canonical table refined to its deepest
+level, which the kernel took before it worked level by level, is kept as a
+second Fourier reference, equal up to rounding.
 Nothing under `src/` imports this module (`tests/test_stdlib_only.py`).
 """
 
@@ -331,37 +334,80 @@ def hensel_inert_rep(ext, xi, bs=None):
 
 
 def direct_fourier_nd(f, scales):
-    """`bruhat._fourier_nd` as a direct sum: each output value one generator
-    over the phases (`direct_dft`), the last coordinate first."""
+    """`bruhat._fourier_nd` before any torsor substitution, as a direct sum
+    taken level by level: each level's values one generator over its phases
+    (`direct_dft`), the last coordinate first, added into the full grid
+    deepest level first; all of it dropped when its largest value is at most
+    1e-12 of the input's mass."""
+    ctx, entries = f.ctx, f.entries
+    p = ctx.p
+    if not entries:
+        return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
+    n = max(a for _, a, _ in entries)
+    out_level = max([-n] + [-v for keys, _, _ in entries for v, _ in keys if v < n])
+    span = p ** (out_level + n)
+    total, mass = {}, 0.0
+    for a in sorted({a for _, a, _ in entries}, reverse=True):
+        level = [(keys, w) for keys, b, w in entries if b == a]
+        vol = float(Fraction(ctx.q) ** (-a * f.dim))
+        mass += vol * sum(abs(w) for _, w in level)
+        step = p ** (n - a)
+        for idx, w in direct_level_sum(level, a, out_level, scales, p, vol).items():
+            at = tuple(i * step for i in idx)
+            total[at] = total[at] + w if at in total else w
+    return _direct_table(f, n, out_level, span, total, mass)
+
+
+def refined_fourier_nd(f, scales):
+    """The transform as one direct sum over the canonical table, refined to
+    its deepest level: the sum `bruhat._fourier_nd` took before it worked
+    level by level, before any torsor substitution."""
     ctx, table = f.ctx, f.coset_table
     p = ctx.p
     if not table:
         return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
     n = f.level
     out_level = max([-n] + [-v for key in table for v, _ in key if v < n])
-    span = p ** (out_level + n)
     vol = float(Fraction(ctx.q) ** (-n * f.dim))
+    total = direct_level_sum(list(table.items()), n, out_level, scales, p, vol)
+    return _direct_table(f, n, out_level, p ** (out_level + n), total, 0.0)
+
+
+def direct_level_sum(level, n, out_level, scales, p, vol):
+    """{index: value} of the transform at the points r p^-n, r = 0..p^(M+n) - 1
+    per coordinate (M = `out_level`), of the weights w on the cosets at level
+    n with `_coset_key`s keys, (keys, w) in `level`, each of volume `vol`."""
+    span = p ** (out_level + n)
 
     def phase(key, s):
         v, res = key
         return s * res % p ** (n - v) * (span // p ** (n - v)) if v < n else 0
 
     rows = {}  # first phase -> last phase -> weight
-    for key, w in table.items():
+    for key, w in level:
         ks = [phase(k, s) for k, s in zip(key, scales)]
-        row = rows.setdefault(ks[0] if f.dim > 1 else 0, {})
+        row = rows.setdefault(ks[0] if len(key) > 1 else 0, {})
         row[ks[-1]] = row.get(ks[-1], 0j) + w * vol
     roots = [complex(math.cos(t), math.sin(t))
              for t in (-2 * math.pi * j / span for j in range(span))]
     last = {k: direct_dft(row, roots) for k, row in rows.items()}
-    if f.dim == 1:
-        total = {(r,): w for r, w in enumerate(last[0])}
-    else:
-        cols = [direct_dft({k: t[r2] for k, t in last.items()}, roots) for r2 in range(span)]
-        total = {(r1, r2): cols[r2][r1] for r1 in range(span) for r2 in range(span)}
-    thresh = 1e-12 * max(map(abs, total.values()))
+    if len(scales) == 1:
+        return {(r,): w for r, w in enumerate(last[0])}
+    cols = [direct_dft({k: t[r2] for k, t in last.items()}, roots) for r2 in range(span)]
+    return {(r1, r2): cols[r2][r1] for r1 in range(span) for r2 in range(span)}
+
+
+def _direct_table(f, n, out_level, span, total, mass):
+    """The function with the values `total` on the cosets r p^-n + p^M o,
+    r in its indices, row-major; values at most 1e-12 of the largest dropped,
+    and all of them when the largest is at most 1e-12 of `mass`."""
+    ctx, p = f.ctx, f.ctx.p
+    peak = max(map(abs, total.values()))
+    if peak <= 1e-12 * mass:
+        return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
     keys = [_residue_key(-n, r, out_level, p) for r in range(span)]
-    table = {tuple(keys[r] for r in idx): w for idx, w in total.items() if abs(w) > thresh}
+    table = {tuple(keys[r] for r in idx): w for idx, w in total.items()
+             if abs(w) > 1e-12 * peak}
     return BruhatFn.from_table(ctx, f.domain, out_level, table, f.torsor_scale)
 
 
@@ -371,21 +417,27 @@ def direct_dft(weights, roots):
     return [sum(w * roots[k * r % span] for k, w in weights.items()) for r in range(span)]
 
 
-def direct_fourier_E(f, ext):
-    """`bruhat.fourier_E` on `direct_fourier_nd`, the torsor substitution
-    taking its moduli coset by coset."""
-    hat0 = direct_fourier_nd(f, (2, -2 * ext.u))
-    if f.domain == "E":
+def direct_fourier_E(f, ext, transform=direct_fourier_nd):
+    """`bruhat.fourier_E` on `transform` (`direct_fourier_nd` or
+    `refined_fourier_nd`), then on E^alpha the torsor substitution."""
+    hat0 = transform(f, (2, -2 * ext.u))
+    return hat0 if f.domain == "E" else torsor_substitution(hat0)
+
+
+def torsor_substitution(hat0):
+    """hat(y) = |a| hat0(a y) for E^alpha data hat0 with torsor scale a, taking
+    its moduli coset by coset."""
+    a, p = hat0.torsor_scale, hat0.ctx.p
+    if hat0.is_zero():
         return hat0
-    a, p = f.torsor_scale, f.ctx.p
     va = rational_valuation(a, p)
-    abs_a = float(Fraction(f.ctx.q) ** (-va))
+    abs_a = float(Fraction(hat0.ctx.q) ** (-va))
     level = hat0.level
     depth = max([1] + [level - v for key in hat0.coset_table for v, _ in key])
     inv = pow(unit_mod(a, va, p, depth), -1, p ** depth)
     table = {tuple((v - va, res * inv % p ** (level - v)) for v, res in key): w * abs_a
              for key, w in hat0.coset_table.items()}
-    return BruhatFn.from_table(f.ctx, "Ealpha", level - va, table, a)
+    return BruhatFn.from_table(hat0.ctx, "Ealpha", level - va, table, a)
 
 
 def keyed_o_baby_split(phi, xi):

@@ -133,27 +133,45 @@ def test_criterion_3_baby_germs():
            f"max germ residual {worst:.2e} <= 1e-9", elapsed)
 
 
-def test_criterion_4_fourier_baby():
-    """O_xi(Phi-hat) = G(O_.(Phi))(xi) on |val| <= 4, both sides independent."""
-    t0 = time.time()
-    ctx = LocalFieldCtx(3)
+def _dual_path_worst(p: int, count: int) -> float:
+    """Worst |O_xi(Phi-hat) - G(O_.(Phi))(xi)| over `count` seeded Phi (seed 44,
+    split and inert in turn) and xi = u p^v, u in {1, 2}, |v| <= 4."""
+    ctx = LocalFieldCtx(p)
     rng = random.Random(44)
     worst = 0.0
-    for i in range(50):
+    for i in range(count):
         kind = "split" if i % 2 == 0 else "inert"
         phi = random_baby_data(ctx, kind, rng)
         sx = sx_from_baby(phi, kind)
         phihat = fourier_baby(phi, kind)
         for v in range(-4, 5):
             for u in (1, 2):
-                xi = Fraction(u) * Fraction(3) ** v
+                xi = Fraction(u) * Fraction(p) ** v
                 lhs = baby_orbital(kind, phihat, xi)
                 rhs = g_value_SX(sx, xi)
                 worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def test_criterion_4_fourier_baby():
+    """O_xi(Phi-hat) = G(O_.(Phi))(xi) on |val| <= 4, both sides independent."""
+    t0 = time.time()
+    worst = _dual_path_worst(3, 50)
     elapsed = time.time() - t0
     report("criterion 4 (Prop Fourier-baby dual path, 50 Phi)", worst <= 1e-9,
            f"max |O(Phi-hat) - G f| {worst:.2e} <= 1e-9", elapsed)
     assert elapsed < 120 * 3
+
+
+@pytest.mark.parametrize("p, count", [(5, 10), (7, 6)])
+def test_criterion_4_fourier_baby_at_more_primes(p, count):
+    """The dual path at p = 5 (10 Phi) and p = 7 (6 Phi): p sets the size of
+    each level's transform grid, p^(2(M+m)), and of the baby orbitals' unit
+    sums."""
+    t0 = time.time()
+    worst = _dual_path_worst(p, count)
+    report(f"criterion 4 (Fourier-baby dual path, p={p}, {count} Phi)", worst <= 1e-9,
+           f"max |O(Phi-hat) - G f| {worst:.2e} <= 1e-9", time.time() - t0)
 
 
 def test_criterion_5_kuznetsov_oracles():

@@ -362,8 +362,10 @@ def test_fourier_E_torsor_scaling(ctx3, ext3i):
 def _numpy_fourier_nd(f, scales):
     """The library's earlier numpy transform, outer products of vectorized
     one-dimensional character sums, with the relative drop rule, its cosets
-    keyed by `_coset_key` of the centers r p^-n: the oracle for
-    `bruhat._fourier_nd`."""
+    keyed by `_coset_key` of the centers r p^-n, then on E^alpha the torsor
+    substitution coset by coset: the oracle for `bruhat._fourier_nd`."""
+    from oracles import torsor_substitution
+
     f = f.canonicalize()
     ctx = f.ctx
     p = ctx.p
@@ -399,7 +401,8 @@ def _numpy_fourier_nd(f, scales):
     pn = Fraction(p) ** n
     table = {tuple(_coset_key(Fraction(int(r)) / pn, out_level, p) for r in idx):
              complex(total[idx]) for idx in zip(*np.nonzero(np.abs(total) > thresh))}
-    return BruhatFn.from_table(ctx, f.domain, out_level, table, f.torsor_scale)
+    hat0 = BruhatFn.from_table(ctx, f.domain, out_level, table, f.torsor_scale)
+    return hat0 if f.domain != "Ealpha" else torsor_substitution(hat0)
 
 
 def _transforms(ctx):
@@ -437,32 +440,170 @@ def test_fourier_matches_numpy_oracle(p, monkeypatch):
                 assert abs(a.coef - b.coef) <= 1e-12 * max(1.0, abs(b.coef))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_fourier_kernel_equals_direct_sum(p):
-    """The power-row kernel gives the direct sum's tables bit for bit, in the
-    same entry order, on F, F^2, E and E^alpha: for random data, whose few
-    phases reuse their power rows across the rows of a 2-D table, and for
-    their transforms, whose phases fill the span."""
-    from oracles import direct_fourier_E, direct_fourier_nd
+def _direct_transforms(ctx, nd):
+    """{domain: the transform on `nd`} for `nd` one of the direct sums of
+    `tests/oracles.py`, the torsor substitution taken coset by coset."""
+    from oracles import direct_fourier_E
 
-    ctx = LocalFieldCtx(p)
     ext = QuadExt(ctx, "inert")
-    direct = {"F": lambda f: direct_fourier_nd(f, (1,)),
-              "F2": lambda f: direct_fourier_nd(f, (1, 1)),
-              "E": lambda f: direct_fourier_E(f, ext),
-              "Ealpha": lambda f: direct_fourier_E(f, ext)}
+    return {"F": lambda f: nd(f, (1,)),
+            "F2": lambda f: nd(f, (1, 1)),
+            "E": lambda f: direct_fourier_E(f, ext, nd),
+            "Ealpha": lambda f: direct_fourier_E(f, ext, nd)}
+
+
+def _kernel_cases(p):
+    """(domain, transform, input) over F, F^2, E and E^alpha: random data at
+    mixed levels, whose few phases reuse their power rows across the rows of
+    a 2-D table, its canonical form, and its transform, whose phases fill the
+    span; the last two are single-level tables."""
+    ctx = LocalFieldCtx(p)
     rng = random.Random(2400 + p)
     for domain, transform, ts in _transforms(ctx):
         flat = p > 3 and domain != "F"  # keeps the 2-D span at most p^2 per axis
         for _ in range(6):
             f = _random_on(ctx, rng, domain, ts, n_atoms=rng.randint(1, 5),
                            max_level=1 if flat else 2, center_den=1 if flat and p == 7 else 2)
-            for g in (f, transform(f)):
-                got, want = transform(g), direct[domain](g)
-                assert (got.domain, got.level, got.torsor_scale) == \
-                    (want.domain, want.level, want.torsor_scale)
-                assert got.entries == want.entries
-                assert list(got.coset_table.items()) == list(want.coset_table.items())
+            for g in (f, f.canonicalize(), transform(f)):
+                yield domain, transform, g
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fourier_kernel_equals_direct_sum(p):
+    """The level-by-level power-row kernel gives the level-by-level direct
+    sum's tables bit for bit, in the same entry order, on F, F^2, E and
+    E^alpha, inputs at one level and at several."""
+    from oracles import direct_fourier_nd
+
+    direct = _direct_transforms(LocalFieldCtx(p), direct_fourier_nd)
+    for domain, transform, g in _kernel_cases(p):
+        got, want = transform(g), direct[domain](g)
+        assert (got.domain, got.level, got.torsor_scale) == \
+            (want.domain, want.level, want.torsor_scale)
+        assert got.entries == want.entries
+        assert list(got.coset_table.items()) == list(want.coset_table.items())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fourier_kernel_keeps_the_refined_sum(p):
+    """Against the one direct sum over the refined canonical table, which the
+    kernel took before it worked level by level: the same level, keys and
+    entry order, and values within 1e-13 of the largest output weight; bit for
+    bit when the input is a single-level table."""
+    from oracles import refined_fourier_nd
+
+    refined = _direct_transforms(LocalFieldCtx(p), refined_fourier_nd)
+    single = 0
+    for domain, transform, g in _kernel_cases(p):
+        got, want = transform(g), refined[domain](g)
+        assert (got.domain, got.level, got.torsor_scale) == \
+            (want.domain, want.level, want.torsor_scale)
+        assert list(got.coset_table) == list(want.coset_table)
+        wmax = max(map(abs, want.coset_table.values()))
+        for a, b in zip(got.coset_table.values(), want.coset_table.values()):
+            assert abs(a - b) <= 1e-13 * wmax
+        if len({n for _, n, _ in g.entries}) == 1 and g.canonicalize() is g:
+            single += 1
+            assert got.entries == want.entries
+    assert single == 48
+
+
+def test_fourier_of_a_cancelled_input_is_zero(ctx3):
+    """An input whose canonical table is empty transforms to the zero
+    function: f - f at mixed levels, and 1_o minus its p cosets at level 1,
+    whose level-by-level sum leaves rounding (about 1e-17) where 1_o's grid
+    does not reach."""
+    ext = QuadExt(ctx3, "inert")
+    rng = random.Random(29)
+    for domain, transform, ts in _transforms(ctx3):
+        f = _random_on(ctx3, rng, domain, ts, n_atoms=5)
+        assert len({n for _, n, _ in f.entries}) > 1
+        assert transform(f - f) == BruhatFn.zero(ctx3, domain, ts)
+    one = BruhatFn.indicator_ball(ctx3, "F", 0, 0)
+    cosets = BruhatFn.from_atoms(ctx3, "F", [(c, 1, 1.0) for c in range(3)])
+    assert (one - cosets).coset_table == {}
+    assert fourier(one - cosets) == BruhatFn.zero(ctx3, "F")
+    for domain in ("F2", "E", "Ealpha"):
+        ts = Fraction(3) if domain == "Ealpha" else None
+        ball = BruhatFn.indicator_ball(ctx3, domain, (0, 0), 0, ts)
+        cells = BruhatFn.from_atoms(ctx3, domain, [((c1, c2), 1, 1.0) for c1 in range(3)
+                                                   for c2 in range(3)], ts)
+        hat = fourier_F2(ball - cells) if domain == "F2" else fourier_E(ball - cells, ext)
+        assert hat == BruhatFn.zero(ctx3, domain, ts)
+
+
+def test_fourier_of_a_partly_cancelled_input(ctx3):
+    """Inputs that cancel in part across levels transform to the same function
+    as the refined direct sum: 1_o minus one or two of its cosets at level 1,
+    and random data plus the negatives of some of its own atoms, compared
+    coset by coset at a common level to 1e-13 of the largest value."""
+    from oracles import refined_fourier_nd
+
+    one = BruhatFn.indicator_ball(ctx3, "F", 0, 0)
+    cases = [(one - BruhatFn.from_atoms(ctx3, "F", [(c, 1, 1.0) for c in cs]), (1,))
+             for cs in ((1,), (0, 2))]
+    rng = random.Random(41)
+    for domain in ("F", "F2"):
+        f = random_fn(ctx3, rng, domain, n_atoms=5)
+        part = BruhatFn(ctx3, domain, f.entries[1:3]).scale(-1.0)
+        cases.append((f + part, (1,) if domain == "F" else (1, 1)))
+    for f, scales in cases:
+        got = bruhat._fourier_nd(f, scales)
+        want = refined_fourier_nd(f, scales)
+        level = max(got.level, want.level)
+        a, b = bruhat._table_at(got, level), bruhat._table_at(want, level)
+        assert a.keys() == b.keys() and a
+        wmax = max(map(abs, b.values()))
+        assert all(abs(a[k] - b[k]) <= 1e-13 * wmax for k in b)
+
+
+def test_fourier_work_is_per_level(ctx3, monkeypatch):
+    """The `_power_sum` passes of a mixed-level input add up to the rows of
+    each level times its own grid, p^(dim (M + a)) at level a, not to the
+    rows of the refined table times the full grid.  1_{o^2} + 1_{(1/3, 0) +
+    p^2 o^2} at levels 0 and 2 has M = 1: level 0 one row of 3 and one pass of
+    9; level 2 one row of 27 and one pass of 729."""
+    calls = []
+    power_sum = bruhat._power_sum
+
+    def counted(products, size):
+        products = list(products)
+        calls.append(len(products) * size)
+        return power_sum(products, size)
+
+    monkeypatch.setattr(bruhat, "_power_sum", counted)
+    f = BruhatFn.from_atoms(ctx3, "F2", [((0, 0), 0, 1.0), ((Fraction(1, 3), 0), 2, 1.0)])
+    fourier_F2(f)
+    assert sum(calls) == 3 + 9 + 27 + 729
+    for seed in range(6):
+        f = random_fn(ctx3, random.Random(seed), "F2", n_atoms=4)
+        entries = f.entries
+        n = max(a for _, a, _ in entries)
+        m = max([-n] + [-v for keys, _, _ in entries for v, _ in keys if v < n])
+        want = 0
+        for a in {a for _, a, _ in entries}:
+            span = 3 ** (m + a)
+            rows = {}
+            for keys, b, _ in entries:
+                if b == a:
+                    k1, k2 = ((res * 3 ** (m + v) % span if v < a else 0) for v, res in keys)
+                    rows.setdefault(k1, set()).add(k2)
+            want += sum(len(r) for r in rows.values()) * span + len(rows) * span ** 2
+        calls.clear()
+        fourier_F2(f)
+        assert sum(calls) == want
+
+
+def test_fourier_grid_limit(ctx3):
+    """A transform whose grid would pass `_MAX_REFINEMENT` cosets is refused
+    before any is built: levels -6 and 9 on F^2 ask for 3^30."""
+    from padicorb.errors import RepresentationError
+
+    deep = BruhatFn.from_atoms(ctx3, "F2", [((0, 0), -6, 1.0), ((1, 1), 9, 1.0)])
+    start = time.perf_counter()
+    with pytest.raises(RepresentationError):
+        fourier_F2(deep)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("domain", ["F", "F2", "E", "Ealpha"])
