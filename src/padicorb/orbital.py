@@ -207,11 +207,11 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
     w = rational_valuation(target, p) // 2
     if w < -max(data.axis_radii):
         return 0j  # every z t has val w, outside the support
-    m = max(1, level - w + 1)
-    # z = p^w (ia + ib sqrt(u)); the keys of z*t need ia, ib mod p^(level - w)
-    mod_pow = max(level - w, 1)
-    mod = p ** mod_pow
-    ia, ib = norm_lift(ext, target, mod_pow)
+    # z = p^w (ia + ib sqrt(u)); the keys of z*t need ia, ib and t mod
+    # p^(level - w), so T(o) is enumerated at that level, each class with mass q^-m
+    m = max(level - w, 1)
+    mod = p ** m
+    ia, ib = norm_lift(ext, target, m)
     total = 0j
     mass = float(ctx.q) ** (-m)
     ub = ext.u * ib % mod

@@ -1,9 +1,9 @@
 """Window-plus-germ models of S(X), S(Z), S(W^s) and the transform G = F.iota.F.
 
-The engine never truncates.  F f is one tuple of shell terms, one per window
-atom and one per germ, each a closed form ft(k) psi(b/y) on the shells
-|y| = q^k, so G f evaluates at any regular point as one finite sum of shell
-integrals
+The engine never truncates.  F f is a tuple of shell terms, one flat term per
+window atom and one germ term per germ, each a closed form c(k) psi(b/y) on
+the shells |y| = q^k, so G f evaluates at any regular point as one finite sum
+of shell integrals
 
     K(a, b, k) = int_{|y|=q^k} psi(a y + b/y) dy
 
@@ -245,7 +245,7 @@ class SXElem(_Frozen):
         return self.window.eval(xi)
 
     @cached_property
-    def _terms(self) -> tuple[_Term, ...]:
+    def _terms(self) -> _Terms:
         """F f as the G engine reads it (`_shell_terms`), built once per element."""
         return _shell_terms(self.ctx, self.kind, self.window.entries, self.germ0, None)
 
@@ -281,7 +281,7 @@ class SZElem(_Frozen):
         return out
 
     @cached_property
-    def _terms(self) -> tuple[_Term, ...]:
+    def _terms(self) -> _Terms:
         """F f as the G engine reads it (`_shell_terms`), built once per element."""
         return _shell_terms(self.ctx, self.kind, self.window.entries, self.germ0, self.germ_m1)
 
@@ -349,6 +349,7 @@ def kloosterman_germ(ctx: LocalFieldCtx, xi) -> complex:
         raise DomainError("the Kloosterman germ lives on |xi| > 1")
     if v % 2:
         return 0j
+    ctx.check_float_power(-v // 2, f"the Kloosterman shell of val xi = {v}")
     return oscillatory_shell_integral(ctx, -1, xi, -v // 2)
 
 
@@ -376,37 +377,45 @@ def iota_eval(ext: QuadExt, f_eval, xi) -> complex:
     v = rational_valuation(xi, ext.ctx.p)
     if v >= INF:
         raise DomainError("iota at 0")
+    ext.ctx.check_float_power(v, f"|xi|^-1 at val xi = {v}")
     return ext.eta_of_val(v) * float(Fraction(ext.ctx.q) ** v) * f_eval(Fraction(1) / xi)
 
 
 # --- the transform engine ----------------------------------------------------------
 
-# A shell term (b, first, ft) of F = fourier(f): on the shell |y| = q^k of the
-# G integral, k >= first, (F f)(1/y) = ft(k) psi(b/y), with b in the integer
-# form of _val_and_unit_key.  Below `first` the term is ft's pure tail, zero for
-# a window atom; first = -INF for a term read on every shell.  A window atom's b
-# is its key, the unit of -c mod p^(n - val c): the plan reads it mod p^m, with
-# m = 1 on the top shell and m <= n - val c on the resonant shell k0 >= -n.
-_Term = tuple[tuple[int, int, int], int, _GermTransform]
+# F = fourier(f) as the G engine reads it: on the shell |y| = q^k of the G
+# integral, each term adds c(k) psi(b/y) to (F f)(1/y), b in the integer form
+# of _val_and_unit_key.  A window term (vb, nb, first, c) is one entry
+# w 1_{c0 + p^n o}: c(k) = c = w q^-n on k >= first = -n and 0 below, and
+# b = -c0 of valuation vb = val c0 and unit nb, the unit of -c0 as an integer
+# (minus the entry's key res mod p^(n - val c0)): the plan reads it mod p^m,
+# with m = 1 on the top shell and m <= n - val c0 on the resonant shell
+# k0 >= -n.  A germ term (b, first, ft) is the germ at 0 (b = 0,
+# first = -level) or at -1 (b = 1, first = -INF, read on every shell):
+# c(k) = ft(k) on k >= first and ft's pure tail below.
+_WindowTerm = tuple[int, int, int, complex]
+_GermTerm = tuple[tuple[int, int, int], int, _GermTransform]
+_Terms = tuple[tuple[_WindowTerm, ...], tuple[_GermTerm, ...]]
 
 
 def _shell_terms(ctx: LocalFieldCtx, kind: str, entries, germ0: Germ | None,
-                 germ_m1: Germ | None) -> tuple[_Term, ...]:
-    """F = fourier(f) as the G engine reads it: the window entry w 1_{c + p^n o},
-    keyed (val c, res), is the term (-c, -n, (w q^-n, 0, n)), the germ at 0 is
-    (0, -L, F germ0) and the germ at -1 is (1, -INF, F germ_m1)."""
-    terms = []
+                 germ_m1: Germ | None) -> _Terms:
+    """F = fourier(f) as the G engine reads it, as (window terms, germ terms):
+    the window entry w 1_{c + p^n o}, keyed (val c, res), is the window term
+    (val c, -res, -n, w q^-n), the germ at 0 the germ term (0, -L, F germ0)
+    and the germ at -1 the germ term (1, -INF, F germ_m1)."""
+    window = []
     for ((vc, res),), n, w in entries:
         if vc >= n:
             raise UnsupportedAtomError("window atom touches 0; G needs F^x support")
-        ft = _GermTransform(complex(w) * float(ctx.q) ** (-n), 0j, n)
-        terms.append(((vc, -res, 1), -n, ft))
+        window.append((vc, -res, -n, complex(w) * float(ctx.q) ** (-n)))
+    germs = []
     if germ0 and not germ0.is_zero():
-        terms.append((_val_and_unit_key(ctx, 0), -germ0.level,
+        germs.append((_val_and_unit_key(ctx, 0), -germ0.level,
                       _germ_transform(ctx, kind, germ0)))
     if germ_m1 and not germ_m1.is_zero():
-        terms.append((_val_and_unit_key(ctx, 1), -INF, _germ_transform(ctx, kind, germ_m1)))
-    return tuple(terms)
+        germs.append((_val_and_unit_key(ctx, 1), -INF, _germ_transform(ctx, kind, germ_m1)))
+    return tuple(window), tuple(germs)
 
 
 class _ShellPlan(NamedTuple):
@@ -427,13 +436,12 @@ class _ShellPlan(NamedTuple):
         return total
 
 
-def _shell_plan(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...],
-                v: int) -> _ShellPlan:
+def _shell_plan(ctx: LocalFieldCtx, kind: str, terms: _Terms, v: int) -> _ShellPlan:
     """The plan of G f = (F . iota . F f) on the shell val xi = v.
 
-    A term (b, first, ft) adds sigma^k q^-k ft(k) K(-xi, b, k) on the shells
-    k >= first of the G integral, where q^-k (the measure of iota) cancels the
-    volume q^k of the shell.  With A = -xi pi^-k and B = b pi^k, the bound of
+    A term adds sigma^k q^-k c(k) K(-xi, b, k) on the shells k >= first of
+    the G integral, where q^-k (the measure of iota) cancels the volume q^k of
+    the shell.  With A = -xi pi^-k and B = b pi^k, the bound of
     `_shell_integral` leaves the shells max(first, -val b - 1)..v + 1 and the
     resonant shell k0 = (v - val b)/2.  On k <= v, val A >= 0, so K reads no
     digit of the unit of xi: the volume (p - 1)/p where val B >= 0 and the
@@ -443,26 +451,55 @@ def _shell_plan(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...],
     val A = val B = -m with m = k - v, stay as entries, in term order, with
     nb the unit of -b mod p^m.  val b = INF (the germ at 0) takes the volume
     and Ramanujan branches alone.
+
+    Every range a window term reads starts at or above its `first`, where
+    c(k) = c, so each piece is c times the integer sum of sigma^k over the
+    range, taken inline; a germ term sums through `_GermTransform.signed_sum`.
+    Each piece is (0j + c count) times its shell integral, as the germ terms
+    give it, and an empty range adds nothing: `const` starts at +0j and so is
+    never -0.0, so adding a zero would not change it.
     """
     p, q = ctx.p, ctx.q
-    sigma = -1 if kind == "inert" else 1
+    qf, pf = float(q), float(p)
+    window, germs = terms
+    inert = kind == "inert"
+    sigma = -1 if inert else 1
     volume, ramanujan = (p - 1) / p, _unit_integral(ctx, 1, 0)
     const = 0j
     entries = []
 
-    def read(m: int, bn: int, bd: int, c: complex):
+    def read(m: int, nb: int, c: complex):
         # q^-k and the q^k of K stay apart, and the entries in term order: deep
         # windows then carry the rounding of the term-by-term sum, which decides
         # the atoms near the `_DROP` of `_window`
         k, mod = v + m, p ** m
-        entries.append((m, -bn * pow(bd, -1, mod) % mod, c * float(q) ** (-k), float(p) ** k))
+        entries.append((m, nb % mod, c * qf ** (-k), pf ** k))
 
-    for (b, first, ft) in terms:
+    for (vb, nb, first, c) in window:
+        lo = first if first > -vb else -vb
+        if v >= lo:
+            n = v - lo + 1
+            const += (0j + c * (n % 2 * (-1) ** lo if inert else n)) * volume
+        k = -vb - 1
+        if first <= k <= v:
+            const += (0j + c * ((-1) ** k if inert else 1)) * ramanujan
+        k = v + 1
+        if k >= first and vb + k >= -1:
+            top = 0j + c * ((-1) ** k if inert else 1)
+            if vb + k >= 0:
+                const += top * ramanujan
+            else:
+                read(1, -nb, top)
+        if v + vb <= -4 and not (v - vb) % 2:  # the resonant shell k0 >= v + 2
+            k = (v - vb) // 2
+            if k >= first:
+                read(k - v, -nb, 0j + c * ((-1) ** k if inert else 1))
+    for (b, first, ft) in germs:
         vb, bn, bd = b
         if vb >= INF and v >= first - 1:
             # psi(b/y) = 1: the shells below `first` carry the pure tail, which
             # integrates to c_tail times their volume q^(first - 1)
-            const += ft.c_tail * float(q) ** (first - 1)
+            const += ft.c_tail * qf ** (first - 1)
         const += ft.signed_sum(max(first, -vb), v, sigma, q) * volume
         if first <= -vb - 1 <= v:
             const += ft.signed_sum(-vb - 1, -vb - 1, sigma, q) * ramanujan
@@ -471,16 +508,16 @@ def _shell_plan(ctx: LocalFieldCtx, kind: str, terms: tuple[_Term, ...],
             if vb + v + 1 >= 0:
                 const += top * ramanujan
             else:
-                read(1, bn, bd, top)
+                read(1, -bn * pow(bd, -1, p), top)
         if vb < INF:
             k0, odd = divmod(v - vb, 2)
             if not odd and k0 >= max(first, v + 2):
-                read(k0 - v, bn, bd, ft.signed_sum(k0, k0, sigma, q))
+                read(k0 - v, -bn * pow(bd, -1, p ** (k0 - v)), ft.signed_sum(k0, k0, sigma, q))
     # G carries the eta(xi) twist in the inert case: with the plain composition
     # F.iota.F the Mellin conjugation would land on eta*chi^-1 instead of
     # chi^-1, contradicting the E-side transform (checked against the torsor
     # functional equation).
-    twist = -1.0 if kind == "inert" and v % 2 else 1.0
+    twist = -1.0 if inert and v % 2 else 1.0
     return _ShellPlan(twist * const, tuple((m, nb, twist * c, qk) for (m, nb, c, qk) in entries),
                       max([1] + [m for (m, _, _, _) in entries]))
 
@@ -505,24 +542,26 @@ def _g_value(f: SXElem | SZElem, xi: Fraction) -> complex:
     return plan.value(f.ctx, num * pow(den, -1, mod) % mod)
 
 
-def _support_bound(terms: tuple[_Term, ...]) -> int:
+def _support_bound(terms: _Terms) -> int:
     """G f less its Kloosterman tail vanishes on val(xi) < this bound: there each
     term's shell range is empty and its resonant shell lies below `first`."""
-    return min((min(max(first, -b[0] - 1) - 1, b[0] + 2 * first)
-                for (b, first, _) in terms if first > -INF), default=0)
+    window, germs = terms
+    bounds = [min(max(first, -vb - 1) - 1, vb + 2 * first) for (vb, _, first, _) in window]
+    bounds += [first - 1 for (_, first, _) in germs if first > -INF]  # the germ at 0
+    return min(bounds, default=0)
 
 
-def _germ_depth(terms: tuple[_Term, ...]) -> int:
+def _germ_depth(terms: _Terms) -> int:
     """val(xi) >= this depth puts G f exactly in germ form (a' + b' val/eta)."""
+    window, germs = terms
     depth = 2
-    for (b, first, ft) in terms:
-        vb = b[0]
+    for (vb, _, first, _) in window:
+        depth = max(depth, vb - 2 * first + 2, -vb + 2, -first + 2)
+    for (_, first, ft) in germs:
         if first == -INF:  # the germ at -1
             depth = max(depth, ft.L + 2)
-        elif vb >= INF:  # the germ at 0
+        else:  # the germ at 0
             depth = max(depth, first + 1)
-        else:
-            depth = max(depth, vb - 2 * first + 2, -vb + 2, -first + 2)
     return depth
 
 
@@ -635,7 +674,7 @@ def g_transform_Z_to_W(f: SZElem) -> SWElem:
     # Kloosterman tail: the pure-tail constant of the -1 germ's transform,
     # certified on deep shells below the other terms' support, where the -1
     # germ's resonant shell lies in its pure tail
-    g1 = [ft for (_, first, ft) in terms if first == -INF]
+    g1 = [ft for (_, first, ft) in terms[1] if first == -INF]
     tail_val = min(-4, _support_bound(terms) - 1, *(-2 * (ft.L + 1) for ft in g1))
     C = g1[0].c_tail if g1 else 0j
     _certify_kl_tail(ctx, abs_g_value, C, (tail_val, tail_val - 2), (1,), 1e-8, norm)
@@ -649,6 +688,7 @@ def g_value_Z_to_W(f: SZElem, xi) -> complex:
     """Pointwise (|.|G f)(xi)."""
     xi = as_rational(xi)
     v = rational_valuation(xi, f.ctx.p)
+    f.ctx.check_float_power(-v, f"|xi| at val xi = {v}")
     return float(f.ctx.q) ** (-v) * _g_value(f, xi)
 
 

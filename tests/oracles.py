@@ -22,7 +22,14 @@ direct sums they replace, one generator per output value and one
 `_residue_key` per coordinate, are kept here as their bit-for-bit
 references.  The direct sum over the canonical table refined to its deepest
 level, which the kernel took before it worked level by level, is kept as a
-second Fourier reference, equal up to rounding.
+second Fourier reference, equal up to rounding.  The G engine sums a window
+term's shells as integer counts inline (`spaces._shell_plan`); the plan that
+read every term, window entries included, through a germ transform
+(`reference_shell_terms`, `reference_shell_plan`) is kept here as its
+bit-for-bit reference.  The inert baby orbital enumerates the norm-one
+residues at the level its keys read; the enumeration one level deeper, every
+key pair read p times, is kept as `keyed_o_baby_nonsplit(deep=True)`, equal
+up to rounding.
 Nothing under `src/` imports this module (`tests/test_stdlib_only.py`).
 """
 
@@ -35,6 +42,7 @@ from padicorb.errors import (
     IrregularPointError,
     PrecisionError,
     RepresentationError,
+    UnsupportedAtomError,
 )
 from padicorb.groups import double_coset_reps
 from padicorb.localfield import (
@@ -69,7 +77,12 @@ from padicorb.spaces import (
     SXElem,
     SZElem,
     _deep_germ,
+    _germ_transform,
+    _GermTransform,
     _norm,
+    _ShellPlan,
+    _unit_integral,
+    _val_and_unit_key,
     _value_atoms,
 )
 
@@ -468,9 +481,11 @@ def keyed_o_baby_split(phi, xi):
     return total
 
 
-def keyed_o_baby_nonsplit(inp, xi):
+def keyed_o_baby_nonsplit(inp, xi, deep=False):
     """`orbital.o_baby_nonsplit` with both coordinates of every norm-one
-    residue keyed by `_residue_key`."""
+    residue keyed by `_residue_key`.  With `deep`, T(o) is enumerated as the
+    orbital did before it read the keys' own level: at m = L - w + 1 with mass
+    q^-m, so each key pair is read p times."""
     ext = inp.ext
     ctx = ext.ctx
     xi = Fraction(xi)
@@ -487,8 +502,8 @@ def keyed_o_baby_nonsplit(inp, xi):
     w = rational_valuation(target, p) // 2
     if w < -max(data.axis_radii):
         return 0j
-    m = max(1, level - w + 1)
     mod_pow = max(level - w, 1)
+    m = max(1, level - w + 1) if deep else mod_pow
     mod = p ** mod_pow
     ia, ib = norm_lift(ext, target, mod_pow)
     total = 0j
@@ -500,3 +515,56 @@ def keyed_o_baby_nonsplit(inp, xi):
         if hit is not None:
             total += hit * mass
     return total
+
+
+def reference_shell_terms(ctx, kind, entries, germ0, germ_m1):
+    """F f as one kind of term (b, first, ft): the window entry w 1_{c + p^n o},
+    keyed (val c, res), is ((val c, -res, 1), -n, (w q^-n, 0, n)), the germ at
+    0 is (0, -L, F germ0) and the germ at -1 is (1, -INF, F germ_m1)."""
+    terms = []
+    for ((vc, res),), n, w in entries:
+        if vc >= n:
+            raise UnsupportedAtomError("window atom touches 0; G needs F^x support")
+        ft = _GermTransform(complex(w) * float(ctx.q) ** (-n), 0j, n)
+        terms.append(((vc, -res, 1), -n, ft))
+    if germ0 and not germ0.is_zero():
+        terms.append((_val_and_unit_key(ctx, 0), -germ0.level,
+                      _germ_transform(ctx, kind, germ0)))
+    if germ_m1 and not germ_m1.is_zero():
+        terms.append((_val_and_unit_key(ctx, 1), -INF, _germ_transform(ctx, kind, germ_m1)))
+    return tuple(terms)
+
+
+def reference_shell_plan(ctx, kind, terms, v):
+    """`spaces._shell_plan` on the terms of `reference_shell_terms`, every
+    term summed through `_GermTransform.signed_sum`."""
+    p, q = ctx.p, ctx.q
+    sigma = -1 if kind == "inert" else 1
+    volume, ramanujan = (p - 1) / p, _unit_integral(ctx, 1, 0)
+    const = 0j
+    entries = []
+
+    def read(m, bn, bd, c):
+        k, mod = v + m, p ** m
+        entries.append((m, -bn * pow(bd, -1, mod) % mod, c * float(q) ** (-k), float(p) ** k))
+
+    for (b, first, ft) in terms:
+        vb, bn, bd = b
+        if vb >= INF and v >= first - 1:
+            const += ft.c_tail * float(q) ** (first - 1)
+        const += ft.signed_sum(max(first, -vb), v, sigma, q) * volume
+        if first <= -vb - 1 <= v:
+            const += ft.signed_sum(-vb - 1, -vb - 1, sigma, q) * ramanujan
+        if v + 1 >= first and vb + v + 1 >= -1:
+            top = ft.signed_sum(v + 1, v + 1, sigma, q)
+            if vb + v + 1 >= 0:
+                const += top * ramanujan
+            else:
+                read(1, bn, bd, top)
+        if vb < INF:
+            k0, odd = divmod(v - vb, 2)
+            if not odd and k0 >= max(first, v + 2):
+                read(k0 - v, bn, bd, ft.signed_sum(k0, k0, sigma, q))
+    twist = -1.0 if kind == "inert" and v % 2 else 1.0
+    return _ShellPlan(twist * const, tuple((m, nb, twist * c, qk) for (m, nb, c, qk) in entries),
+                      max([1] + [m for (m, _, _, _) in entries]))

@@ -217,6 +217,28 @@ def test_baby_orbitals_equal_keyed_reference(p):
         assert nonzero > 0, kind
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_inert_baby_orbital_reads_t_at_its_key_level(p):
+    """The inert baby orbital enumerates T(o) at the level its keys read,
+    m = max(L - w, 1) with mass q^-m.  The enumeration one level deeper, which
+    reads each key pair p times, gives the same orbital up to rounding: within
+    1e-13 of the data's norm on Phi and Phi-hat of seeds 0-3, val -5..5, units
+    1 and 2."""
+    ctx = LocalFieldCtx(p)
+    nonzero = 0
+    for seed in range(4):
+        phi = random_baby_data(ctx, "inert", random.Random(seed))
+        for data in (phi, fourier_baby(phi, "inert")):
+            norm = max(abs(w) for fn in (data.phi0, data.phi_alpha) for _, _, w in fn.entries)
+            for v in range(-5, 6):
+                for u in (1, 2):
+                    xi = Fraction(u) * Fraction(p) ** v
+                    got = o_baby_nonsplit(data, xi)
+                    assert abs(got - keyed_o_baby_nonsplit(data, xi, deep=True)) <= 1e-13 * norm
+                    nonzero += got != 0
+    assert nonzero > 0
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_norm_lift_residues(p):
     """norm_lift gives integer residues with a^2 - u b^2 = unit(target) mod p^prec."""

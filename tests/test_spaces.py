@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -570,11 +571,13 @@ def test_window_error_on_uncertified_range():
 
 
 def _term_loop_oracle(ctx, kind, terms, xi):
-    """G f(xi) summed term by term and shell by shell: each shell term
-    (b, first, ft) of F f adds sign(k) q^-k ft(k) K(-xi, b, k) on the shells
-    k from max(first, -val b - 1) to val xi + 1 and on its resonant shell
-    (val xi - val b)/2 >= first, and the germ at 0 adds its pure tail; the
-    inert case carries the eta(xi) twist.  The reference for the shell plans."""
+    """G f(xi) summed term by term and shell by shell: each term of F f adds
+    sign(k) q^-k c(k) K(-xi, b, k) on the shells k from max(first, -val b - 1)
+    to val xi + 1 and on its resonant shell (val xi - val b)/2 >= first, and
+    the germ at 0 adds its pure tail; the inert case carries the eta(xi)
+    twist.  c(k) is c for a window term (vb, nb, first, c), whose b is
+    (vb, nb, 1), and ft(k) for a germ term (b, first, ft).  The reference for
+    the shell plans."""
     from padicorb.localfield import INF
     from padicorb.spaces import _shell_integral, _val_and_unit_key
 
@@ -582,23 +585,29 @@ def _term_loop_oracle(ctx, kind, terms, xi):
     vxi, num, den = _val_and_unit_key(ctx, xi)
     minus_xi = (vxi, -num, den)
     sigma = -1 if kind == "inert" else 1
-    total = 0j
-    for (b, first, ft) in terms:
-        vb = b[0]
+    window, germs = terms
+
+    def shells(vb, first):
         ks = range(max(first, -vb - 1), vxi + 2)
-        if vb >= INF:
-            if vxi >= first - 1:
-                total += ft.c_tail * float(q) ** (first - 1)
-        else:
-            k0, odd = divmod(vxi - vb, 2)
-            if not odd and k0 >= first and k0 not in ks:
-                ks = (*ks, k0)
-        for k in ks:
-            kk = _shell_integral(ctx, minus_xi, b, k)
-            if kk:
-                fk = (ft.const if k >= -ft.L
-                      else ft.c_tail * sigma ** (k % 2) * float(q) ** k)
-                total += (-1.0 if sigma < 0 and k % 2 else 1.0) * float(q) ** (-k) * fk * kk
+        k0, odd = divmod(vxi - vb, 2)
+        if vb < INF and not odd and k0 >= first and k0 not in ks:
+            ks = (*ks, k0)
+        return ks
+
+    def add(b, k, fk):
+        kk = _shell_integral(ctx, minus_xi, b, k)
+        return (-1.0 if sigma < 0 and k % 2 else 1.0) * float(q) ** (-k) * fk * kk if kk else 0j
+
+    total = 0j
+    for (vb, nb, first, c) in window:
+        for k in shells(vb, first):
+            total += add((vb, nb, 1), k, c)
+    for (b, first, ft) in germs:
+        if b[0] >= INF and vxi >= first - 1:
+            total += ft.c_tail * float(q) ** (first - 1)
+        for k in shells(b[0], first):
+            total += add(b, k, ft.const if k >= -ft.L
+                         else ft.c_tail * sigma ** (k % 2) * float(q) ** k)
     if kind == "inert" and vxi % 2:
         total = -total
     return total
@@ -615,7 +624,7 @@ def test_shell_plan_matches_term_loop(p, kind, seed):
 
     ctx = LocalFieldCtx(p)
     windows = _seeded_windows(p, kind, seed)
-    assert any(first == -INF for (_, first, _) in windows[1][0]._terms)
+    assert any(first == -INF for (_, first, _) in windows[1][0]._terms[1])
     resonant = 0
     for f, shells in windows:
         terms = f._terms
@@ -631,6 +640,116 @@ def test_shell_plan_matches_term_loop(p, kind, seed):
                 if u in (units[0], units[-1]):
                     assert _g_value(f, xi) == got
     assert resonant > 0
+
+
+def _read_every_plan(f):
+    """Build the G output of f and read G f at the probe points of
+    `verify_matching` and `verify_fl`, so that `f._plans` holds every window,
+    germ-fit, tail and probe shell."""
+    from padicorb.spaces import g_transform_Z_to_W, g_value_Z_to_W
+
+    p = f.ctx.p
+    if isinstance(f, SXElem):
+        g_transform_SX(f)
+        probes = [(v, u) for v in range(-4, 5) for u in (1, 2)]
+    else:
+        w = g_transform_Z_to_W(f)
+        probes = [(v, u) for v in (-4, 0, 1, w.zero_germ.level + 1, -w.inf_tail.M - 2)
+                  for u in (1, max(2, p - 1))]
+        probes += [(v, u) for v in range(-4, 5) for u in (1, 2)]
+    for v, u in probes:
+        (g_value_SX if isinstance(f, SXElem) else g_value_Z_to_W)(f, u * Fraction(p) ** v)
+    return f._plans
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("kind", ["split", "inert"])
+def test_shell_plans_equal_the_reference_plan(p, kind):
+    """Every shell plan that G reads off seeded S(X) and S(Z) chart elements
+    and off h_0 .. h_2 applied on the torus side equals the plan that sums
+    every term, window entries included, through a germ transform
+    (`oracles.reference_shell_plan`): const, entries and level, bit for bit."""
+    from oracles import reference_shell_plan, reference_shell_terms
+
+    from padicorb.groups import HeckeElt
+    from padicorb.orbital import hecke_apply_Z, random_baby_data, sx_from_baby, sz_from_charts
+
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(80 + p)
+    elems = []
+    for _ in range(3 if p < 7 else 1):
+        elems.append(sx_from_baby(random_baby_data(ctx, kind, rng), kind))
+        elems.append(sz_from_charts(random_baby_data(ctx, kind, rng),
+                                    random_baby_data(ctx, kind, rng), kind))
+    elems += [hecke_apply_Z(ctx, kind, HeckeElt.of({j: 1.0})) for j in range(3)]
+    plans = 0
+    for f in elems:
+        terms = reference_shell_terms(ctx, kind, f.window.entries, f.germ0,
+                                      getattr(f, "germ_m1", None))
+        for v, plan in _read_every_plan(f).items():
+            want = reference_shell_plan(ctx, kind, terms, v)
+            assert plan == want and repr(plan) == repr(want), (v, plan, want)
+            plans += 1
+    assert plans >= 10 * len(elems)
+
+
+def test_shell_plan_sums_window_terms_without_germ_transforms(ctx3, monkeypatch):
+    """A plan calls `_GermTransform.signed_sum` at most four times per germ
+    term (its volume, Ramanujan, top and resonant shells), however many
+    window terms it sums."""
+    import padicorb.spaces as spaces
+
+    calls = []
+    signed_sum = spaces._GermTransform.signed_sum
+
+    def counted(self, *args):
+        calls.append(args)
+        return signed_sum(self, *args)
+
+    monkeypatch.setattr(spaces._GermTransform, "signed_sum", counted)
+    atoms = [(Fraction(u) * Fraction(3) ** vc, vc + n, complex(u, -vc))
+             for vc in range(-4, 3) for n in (1, 2, 3) for u in (1, 2, 4, 5)
+             if (vc, n) != (0, 1)]
+    for kind in ("split", "inert"):
+        f = SZElem(ctx3, kind, BruhatFn.from_atoms(ctx3, "F", atoms),
+                   Germ(0.5, -0.25, 3), Germ(-1.5, 0.75, 2))
+        window, germs = f._terms
+        assert len(window) > 50 and len(germs) == 2
+        for v in range(-12, 12):
+            before = len(calls)
+            spaces._shell_plan(ctx3, kind, f._terms, v)
+            assert len(calls) - before <= 4 * len(germs), (kind, v)
+
+
+@pytest.mark.parametrize("v", [-5000, -700, 700, 5000])
+def test_extreme_valuations_are_finite_or_typed(ctx3, v):
+    """Each pointwise entry point that takes a power of q at val xi returns a
+    finite value or raises a PadicOrbError at |val xi| = 700 and 5000, where
+    q^|val| leaves the float range."""
+    from padicorb.errors import PadicOrbError
+    from padicorb.groups import HeckeElt
+    from padicorb.orbital import hecke_apply_W, o_kuz_closed, random_baby_data, sz_from_charts
+    from padicorb.spaces import g_value_Z_to_W
+
+    xi = Fraction(3) ** v
+    rng = random.Random(1)
+    calls = []
+    for kind in ("split", "inert"):
+        fz = sz_from_charts(random_baby_data(ctx3, kind, rng), random_baby_data(ctx3, kind, rng),
+                            kind)
+        fx = SXElem(ctx3, kind, fz.window, fz.germ0)
+        sw = SWElem(ctx3, kind, 0.0, fz.window, Germ(1, 1, 0), KLTail(1.0, 2))
+        ext = QuadExt(ctx3, kind)
+        calls += [lambda: g_value_Z_to_W(fz, xi), lambda: g_value_SX(fx, xi), lambda: sw.eval(xi),
+                  lambda: hecke_apply_W(ctx3, kind, HeckeElt.of({0: 1.0, 1: 0.5}))(xi),
+                  lambda: iota_eval(ext, lambda y: 1.0, xi)]
+    calls += [lambda: kloosterman_germ(ctx3, xi), lambda: o_kuz_closed(ctx3, 0, xi)]
+    for call in calls:
+        try:
+            value = call()
+        except PadicOrbError:
+            continue
+        assert cmath.isfinite(value), value
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
@@ -707,15 +826,17 @@ def test_window_eval_keys_once_per_level(ctx3, monkeypatch):
 
 def _terms_from_centres(ctx, kind, f):
     """The shell terms of an S(Z) element read off its window's `Atom`
-    centres with `_val_and_unit_key`, every digit of the centre kept."""
-    from padicorb.spaces import _GermTransform, _shell_terms, _val_and_unit_key
+    centres with `_val_and_unit_key`: each window term's unit of -c is the
+    centre's unit read to 40 digits, far more than its key keeps."""
+    from padicorb.spaces import _shell_terms, _val_and_unit_key
 
-    terms = []
+    digits = ctx.p ** 40
+    window = []
     for a in f.window.atoms:
         vc, num, den = _val_and_unit_key(ctx, a.center[0])
-        ft = _GermTransform(a.coef * float(ctx.q) ** (-a.level), 0j, a.level)
-        terms.append(((vc, -num, den), -a.level, ft))
-    return tuple(terms) + _shell_terms(ctx, kind, (), f.germ0, f.germ_m1)
+        window.append((vc, -num * pow(den, -1, digits) % digits, -a.level,
+                       a.coef * float(ctx.q) ** (-a.level)))
+    return tuple(window), _shell_terms(ctx, kind, (), f.germ0, f.germ_m1)[1]
 
 
 @pytest.mark.parametrize("p", [3, 5])
