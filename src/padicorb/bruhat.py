@@ -227,6 +227,13 @@ class BruhatFn(_Frozen):
         return self.canonicalize().coset_table
 
     @cached_property
+    def coset_valuations(self) -> set[tuple[int, ...]]:
+        """The valuation tuples (v_i) of the coset keys (v_i, res_i) of the
+        table: a point can lie in the support only if its coordinates key at
+        one of them."""
+        return set(zip(*[[v for v, _ in column] for column in zip(*self.coset_table)]))
+
+    @cached_property
     def axis_radii(self) -> tuple[int, ...]:
         """Per coordinate, the smallest R_i >= 0 with supp f inside the product
         of the p^-R_i * o, read off the coset keys; the largest is the support
@@ -278,7 +285,9 @@ def _refine(entries, level: int, p: int, dim: int) -> dict:
     `_coset_key`s keys at level n <= `level`, (keys, n, w) in `entries`: the
     cosets counted before any is built, then refined on integer residues;
     sums at most 1e-14 times the largest |w| dropped (so cancellation, not
-    scale, empties a coset), the rest ordered by center."""
+    scale, empties a coset), the rest ordered by the text of their centers,
+    str(tuple(_key_ratio(key_i))), sorted as the tuple of each coordinate's
+    rank in the text order of the distinct coordinate centers."""
     cosets = sum(p ** (dim * (level - n)) for _, n, _ in entries)
     if cosets > _MAX_REFINEMENT:
         raise RepresentationError(
@@ -292,8 +301,13 @@ def _refine(entries, level: int, p: int, dim: int) -> dict:
         for key in itertools.product(*children):
             acc[key] = acc.get(key, 0j) + w
     floor = 1e-14 * max((abs(w) for _, _, w in entries), default=0.0)
-    kept = sorted(((key, w) for key, w in acc.items() if abs(w) > floor),
-                  key=lambda kw: str(tuple(_key_ratio(k, p) for k in kw[0])))
+    kept = [(key, w) for key, w in acc.items() if abs(w) > floor]
+    # each coordinate's text str((num, den)) ends in its only ')', so none is
+    # a prefix of another and str(tuple(...)) of the centres sorts as the
+    # tuple of each coordinate's rank in text order
+    coords = {k for key, _ in kept for k in key}
+    rank = {k: i for i, k in enumerate(sorted(coords, key=lambda k: str(_key_ratio(k, p))))}
+    kept.sort(key=lambda kw: tuple(map(rank.__getitem__, kw[0])))
     return dict(kept)
 
 
@@ -345,7 +359,11 @@ def _fourier_nd(f: BruhatFn, scales: tuple[int, ...]) -> BruhatFn:
     most 1e-12 times the input's mass, the sum of |w| vol over its entries:
     that is the rounding an input which cancels leaves.  On E^alpha data
     with torsor scale a = p^va ua the output is |a| hat(a y): the output
-    coset (v, res) at level M becomes (v - va, res / ua) at level M - va.
+    coset (v, res) at level M becomes (v - va, res / ua) at level M - va,
+    and each value w becomes w |a|.  The moduli are taken once; when none is
+    dropped the table is the whole grid zipped with its keys, and its
+    `axis_radii` and `coset_valuations` are read off the one key row every
+    coordinate shares.
     """
     ctx, entries = f.ctx, f.entries
     p, dim = ctx.p, f.dim
@@ -376,7 +394,8 @@ def _fourier_nd(f: BruhatFn, scales: tuple[int, ...]) -> BruhatFn:
         for j in range(sub ** (dim - 1)):
             at = slice(j * step * span, j * step * span + span, step)
             grid[at] = map(operator.add, grid[at], part[j * sub:(j + 1) * sub])
-    peak = max(map(abs, grid))
+    sizes = list(map(abs, grid))
+    peak = max(sizes)
     if peak <= 1e-12 * mass:
         return BruhatFn.zero(ctx, f.domain, f.torsor_scale)
     keys = [_residue_key(-n, r, out_level, p) for r in range(span)]  # of r p^-n
@@ -387,14 +406,18 @@ def _fourier_nd(f: BruhatFn, scales: tuple[int, ...]) -> BruhatFn:
         inv = pow(unit_mod(a, va, p, depth), -1, p ** depth)
         keys = [(v - va, res * inv % p ** (out_level - v)) for v, res in keys]
         out_level -= va
+        abs_a = float(Fraction(ctx.q) ** (-va))
+        grid = [w * abs_a for w in grid]
     index = zip(keys) if dim == 1 else itertools.product(keys, keys)
     thresh = 1e-12 * peak
-    kept = compress(zip(index, grid), map(thresh.__lt__, map(abs, grid)))
-    if a is None:
-        table = dict(kept)
-    else:
-        abs_a = float(Fraction(ctx.q) ** (-va))
-        table = {key: w * abs_a for key, w in kept}
+    if min(sizes) > thresh:  # nothing dropped: every coordinate reads the whole key row
+        out = BruhatFn.from_table(ctx, f.domain, out_level, dict(zip(index, grid)),
+                                  f.torsor_scale)
+        vals = {v for v, _ in keys}
+        out.__dict__.update(axis_radii=(max(0, -min(vals)),) * dim,
+                            coset_valuations=set(itertools.product(vals, repeat=dim)))
+        return out
+    table = dict(compress(zip(index, grid), map(thresh.__lt__, sizes)))
     return BruhatFn.from_table(ctx, f.domain, out_level, table, f.torsor_scale)
 
 

@@ -70,7 +70,15 @@ from .spaces import (
 
 
 def o_baby_split(phi: BruhatFn, xi) -> complex:
-    """O_xi(Phi) = int_{F^x} Phi(a*xi, 1/a) d^x a for Phi on F^2, exact."""
+    """O_xi(Phi) = int_{F^x} Phi(a*xi, 1/a) d^x a for Phi on F^2, exact.
+
+    a = u p^n runs shell by shell; a shell whose valuation pair is not among
+    `BruhatFn.coset_valuations` holds no coset of Phi and is skipped.  A
+    coordinate at val v < level L reads its unit mod p^k, k = L - v, and the
+    units mod p^m in increasing order run through the units mod p^k in order,
+    p^(m - k) times: so each coordinate's residues are one row of
+    `_unit_row(p, k)` repeated, and the sum adds hit * mass over the units in
+    increasing order."""
     if phi.domain != "F2":
         raise DomainError("o_baby_split expects data on F^2 = V x V*")
     xi = as_rational(xi)
@@ -80,7 +88,7 @@ def o_baby_split(phi: BruhatFn, xi) -> complex:
         raise IrregularPointError("xi = 0 is the irregular point")
     if phi.is_zero():
         return 0j
-    p, table = ctx.p, phi.coset_table
+    p, table, vals = ctx.p, phi.coset_table, phi.coset_valuations
     lvl, rad = phi.level, max(phi.axis_radii)
     # a = u p^n: a*xi has valuation n + vxi and unit u*xu, 1/a has -n and 1/u
     xu = unit_mod(xi, vxi, p, max(1, lvl + rad))
@@ -88,22 +96,24 @@ def o_baby_split(phi: BruhatFn, xi) -> complex:
     total = 0j
     # contributing valuations: |a xi| <= q^rad and |1/a| <= q^rad
     for n in range(-rad - vxi, rad + 1):
-        m = max(1, lvl - (vxi + n), lvl + n)
-        mass = float(ctx.q) ** (-m)
-        units = unit_reps(p, m)
         # both coordinates are units at val n + vxi and -n: a coordinate at
         # val >= lvl keys the ball, any other its unit mod p^(lvl - val)
         v1, v2 = n + vxi, -n
+        if (min(v1, lvl), min(v2, lvl)) not in vals:
+            continue
+        m = max(1, lvl - v1, lvl + n)
+        mass = float(ctx.q) ** (-m)
         if v1 < lvl:
-            mod1 = p ** (lvl - v1)
-            first = [(v1, u * xu % mod1) for u in units]
+            k = lvl - v1
+            mod1 = p ** k
+            first = [(v1, u * xu % mod1) for u in _unit_row(p, k)[0]] * p ** (m - k)
         else:
-            first = [ball] * len(units)
+            first = itertools.repeat(ball, (p - 1) * p ** (m - 1))
         if v2 < lvl:
-            mod2 = p ** (lvl - v2)
-            second = [(v2, pow(u, -1, mod2)) for u in units]
+            k = lvl - v2
+            second = list(zip(itertools.repeat(v2), _unit_row(p, k)[1])) * p ** (m - k)
         else:
-            second = [ball] * len(units)
+            second = itertools.repeat(ball)
         for hit in map(table.get, zip(first, second)):
             if hit is not None:
                 total += hit * mass
@@ -166,6 +176,15 @@ def norm_one_reps(ext: QuadExt, m: int) -> list[tuple[int, int]]:
 def _norm_one(p: int, m: int) -> list[tuple[int, int]]:
     """`norm_one_reps` of the inert extension of Q_p, which p alone fixes."""
     return norm_one_reps(QuadExt(LocalFieldCtx(p), "inert"), m)
+
+
+@lru_cache(maxsize=None)
+def _unit_row(p: int, k: int) -> tuple[list[int], list[int]]:
+    """The units mod p^k in increasing order, and their inverses mod p^k in
+    the same order."""
+    units = unit_reps(p, k)
+    mod = p ** k
+    return units, [pow(u, -1, mod) for u in units]
 
 
 def norm_lift(ext: QuadExt, target: Fraction, prec: int) -> tuple[int, int]:

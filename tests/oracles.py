@@ -29,14 +29,18 @@ read every term, window entries included, through a germ transform
 bit-for-bit reference.  The inert baby orbital enumerates the norm-one
 residues at the level its keys read; the enumeration one level deeper, every
 key pair read p times, is kept as `keyed_o_baby_nonsplit(deep=True)`, equal
-up to rounding.
+up to rounding.  The canonical refinement orders its cosets by the rank of
+each coordinate's center text (`bruhat._refine`); the sort by the text of
+the whole key tuple that it replaces is kept as `reference_refine`, equal
+bit for bit and in order.
 Nothing under `src/` imports this module (`tests/test_stdlib_only.py`).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
-from padicorb.bruhat import BruhatFn, _residue_key
+from padicorb.bruhat import _MAX_REFINEMENT, BruhatFn, _key_ratio, _residue_key
 from padicorb.errors import (
     DomainError,
     IrregularPointError,
@@ -344,6 +348,27 @@ def hensel_inert_rep(ext, xi, bs=None):
     if short:
         raise PrecisionError(f"square roots too short for a representative at xi={xi}")
     raise RepresentationError(f"no representative found for xi={xi}")
+
+
+def reference_refine(entries, level, p, dim):
+    """`bruhat._refine` sorting its cosets by the text of the tuple of their
+    centers, str(tuple(_key_ratio(k, p) for k in key)), one string per coset."""
+    cosets = sum(p ** (dim * (level - n)) for _, n, _ in entries)
+    if cosets > _MAX_REFINEMENT:
+        raise RepresentationError(
+            f"canonical form needs {cosets} cosets at level {level}, "
+            f"past the limit {_MAX_REFINEMENT}")
+    acc: dict[tuple, complex] = {}
+    for keys, n, w in entries:
+        # the coset (v, res) at level n holds the points (res + s p^(n - v)) p^v
+        children = [[_residue_key(v, res + s * p ** (n - v), level, p)
+                     for s in range(p ** (level - n))] for v, res in keys]
+        for key in itertools.product(*children):
+            acc[key] = acc.get(key, 0j) + w
+    floor = 1e-14 * max((abs(w) for _, _, w in entries), default=0.0)
+    kept = sorted(((key, w) for key, w in acc.items() if abs(w) > floor),
+                  key=lambda kw: str(tuple(_key_ratio(k, p) for k in kw[0])))
+    return dict(kept)
 
 
 def direct_fourier_nd(f, scales):

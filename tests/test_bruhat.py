@@ -100,6 +100,46 @@ def test_refine_drops_relative_to_the_largest_weight(ctx3):
     assert (g - g).coset_table == {} and (g - g).level == 0
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_refine_keeps_the_text_order(p):
+    """The canonical table, ordered by the rank of each coordinate's center
+    text, lists the same cosets and weights in the same order as the sort by
+    the text of the whole tuple of centers (`reference_refine`), on seeded
+    mixed-level data on F, F^2 and E.  The inputs reach centers whose text
+    order is not their numeric order: numerators of two digits or more sort
+    before single digits ("10" < "9"), and denominators reach two digits (p^3
+    at p = 3, p^2 above).  Negative input centers enter as their nonnegative
+    residues, so no key text holds a '-'."""
+    from oracles import reference_refine
+
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(3200 + p)
+    den_digits = 3 if p == 3 else 2
+    reversed_pairs = two_digit_dens = negative_centers = 0
+    for domain in ("F", "F2", "E"):
+        dim = 1 if domain == "F" else 2
+        for _ in range(6):
+            atoms = []
+            for j in range(rng.randint(3, 5)):  # levels 0, 1, 2, then any
+                center = tuple(Fraction(rng.randrange(-3 * p ** 2, 3 * p ** 2),
+                                        p ** rng.randrange(0, den_digits + 1))
+                               for _ in range(dim))
+                negative_centers += any(c < 0 for c in center)
+                atoms.append((center if dim > 1 else center[0], j % 3,
+                              complex(rng.gauss(0, 1), rng.gauss(0, 1))))
+            f = BruhatFn.from_atoms(ctx, domain, atoms)
+            level = 2
+            got = bruhat._refine(f.entries, level, p, dim)
+            want = reference_refine(f.entries, level, p, dim)
+            assert list(got.items()) == list(want.items())
+            assert list(f.coset_table.items()) == list(want.items())
+            firsts = [bruhat._key_ratio(key[0], p) for key in got]
+            two_digit_dens += any(den >= 10 for _, den in firsts)
+            reversed_pairs += any(Fraction(*a) > Fraction(*b) and a[1] == b[1]
+                                  for a, b in zip(firsts, firsts[1:]))
+    assert reversed_pairs > 0 and two_digit_dens > 0 and negative_centers > 0
+
+
 def test_canonical_form_memoized(ctx3):
     f = random_fn(ctx3, random.Random(5), domain="F2")
     fc = f.canonicalize()
@@ -482,6 +522,43 @@ def test_fourier_kernel_equals_direct_sum(p):
             (want.domain, want.level, want.torsor_scale)
         assert got.entries == want.entries
         assert list(got.coset_table.items()) == list(want.coset_table.items())
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_dense_fourier_table_seeds_its_axis_radii(p):
+    """A transform that drops no cell takes its whole grid as its table and
+    seeds `axis_radii` and `coset_valuations` from its key row; one that
+    drops cells keeps them out and leaves both memos to the table.  Either way
+    the table equals the direct sum's, items in order, and both memos equal
+    those `from_table` reads off the same table: on F, F^2, E and E^alpha,
+    for random data (dense outputs) and for the difference of two cosets at
+    level 1 whose first centers differ by 1 (its transform vanishes where y_1
+    is in o)."""
+    from oracles import direct_fourier_nd
+
+    ctx = LocalFieldCtx(p)
+    direct = _direct_transforms(ctx, direct_fourier_nd)
+    rng = random.Random(3300 + p)
+    for domain, transform, ts in _transforms(ctx):
+        dim = 1 if domain == "F" else 2
+        origin, shifted = ((0,), (1,)) if dim == 1 else ((0, 0), (1, 0))
+        cancel = BruhatFn.from_atoms(ctx, domain, [(origin if dim > 1 else 0, 1, 1.0),
+                                                   (shifted if dim > 1 else 1, 1, -1.0)], ts)
+        seeded = []
+        for f in [_random_on(ctx, rng, domain, ts, n_atoms=3, max_level=1) for _ in range(3)] \
+                + [cancel]:
+            got, want = transform(f), direct[domain](f)
+            memos = {"axis_radii", "coset_valuations"} & set(got.__dict__)
+            assert len(memos) in (0, 2)
+            seeded.append(bool(memos))
+            assert list(got.coset_table.items()) == list(want.coset_table.items())
+            assert got.level == want.level and got.entries == want.entries
+            read = BruhatFn.from_table(ctx, domain, got.level, got.coset_table, ts)
+            assert got.axis_radii == read.axis_radii
+            assert got.coset_valuations == read.coset_valuations
+            full = (p ** (got.level + max(read.axis_radii))) ** dim
+            assert (len(got.coset_table) == full) == seeded[-1]
+        assert seeded == [True, True, True, False], domain
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

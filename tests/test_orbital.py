@@ -194,27 +194,88 @@ def test_o_baby_split_matches_atom_scan(p):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (seed, xi)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_baby_orbitals_equal_keyed_reference(p):
-    """Both baby orbitals, keying their units inline (split) or by one lookup
-    per residue (inert), equal the references that key every coordinate with
-    `_residue_key`, bit for bit, on val -4..4 at the units 1 and 2, on Phi and
-    on Phi-hat."""
+def _mixed_level_baby_data(ctx, kind):
+    """Baby data with one atom at each of the levels 1, 0 and -1, at centers
+    of valuations -1..1 (the transform's grid stays p^2 per axis)."""
+    p = ctx.p
+    atoms = [((Fraction(p - 1, p), Fraction(1 + p)), 1, 1.5 - 0.5j),
+             ((Fraction(2, p), Fraction(p)), 0, -0.75 + 1j),
+             ((Fraction(1 + p), Fraction(p - 1, p)), -1, 0.25 + 0.5j)]
+    if kind == "split":
+        return BruhatFn.from_atoms(ctx, "F2", atoms)
+    phi0 = BruhatFn.from_atoms(ctx, "E", atoms)
+    return BabyInput(QuadExt(ctx, kind), phi0, phi0.scale(0.5 - 1j))
+
+
+def _assert_baby_orbitals_equal_keyed_reference(p, rng, samples):
     ctx = LocalFieldCtx(p)
-    rng = random.Random(70 + p)
     for kind, orbit, keyed in (("split", o_baby_split, keyed_o_baby_split),
                                ("inert", o_baby_nonsplit, keyed_o_baby_nonsplit)):
         nonzero = 0
-        for _ in range(3 if p < 7 else 1):
-            phi = random_baby_data(ctx, kind, rng)
+        phis = [random_baby_data(ctx, kind, rng) for _ in range(samples)]
+        for phi in phis + [_mixed_level_baby_data(ctx, kind)]:
             for data in (phi, fourier_baby(phi, kind)):
-                for v in range(-4, 5):
-                    for u in (1, 2):
+                for v in range(-6, 7):
+                    for u in (1, 2, p - 1, p + 1):
                         xi = Fraction(u) * Fraction(p) ** v
                         got = orbit(data, xi)
                         assert got == keyed(data, xi), (kind, v, u)
                         nonzero += got != 0
         assert nonzero > 0, kind
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_baby_orbitals_equal_keyed_reference(p):
+    """Both baby orbitals, reading their units off shared rows (split) or by
+    one lookup per residue (inert), equal the references that key every
+    coordinate with `_residue_key`, bit for bit, on val -6..6 at the units 1,
+    2, p - 1 and 1 + p, on Phi and on Phi-hat, for seeded Phi and a Phi with
+    atoms at three levels."""
+    _assert_baby_orbitals_equal_keyed_reference(p, random.Random(70 + p), 3 if p < 7 else 1)
+
+
+def test_baby_orbitals_equal_keyed_reference_across_primes():
+    """The split orbital's unit rows are memoized by (p, k): with the primes
+    interleaved 3, 5, 7, 3 in one run, rows kept by k alone would hand one
+    prime another's units, and the orbitals would leave the reference."""
+    for i, p in enumerate((3, 5, 7, 3)):
+        _assert_baby_orbitals_equal_keyed_reference(p, random.Random(170 + i), 1)
+
+
+class _CountingTable(dict):
+    lookups = 0
+
+    def get(self, key, default=None):
+        _CountingTable.lookups += 1
+        return super().get(key, default)
+
+
+def test_split_baby_orbital_skips_shells_without_a_coset(ctx3):
+    """Phi = 1 on one coset at level 3 whose coordinates have valuations -2
+    and 1: its cosets have the one valuation pair (-2, 1), so of the shells
+    a = u p^n that the support allows only n = -1 looks up residues, once
+    per unit mod p^5 (162 lookups), and only at val xi = -1; every other
+    shell is skipped, and the orbital equals the keyed reference."""
+    p, level = 3, 3
+    c1, c2 = Fraction(2, 9), Fraction(3)
+    phi = BruhatFn.from_atoms(ctx3, "F2", [((c1, c2), level, 2.0 - 1j)])
+    assert phi.coset_valuations == {(-2, 1)}
+    rad = max(phi.axis_radii)
+    phi.__dict__["coset_table"] = _CountingTable(phi.coset_table)
+    hits = 0
+    for vxi in range(-4, 5):
+        for xi in (Fraction(p) ** vxi, c1 * c2 * Fraction(p) ** (vxi + 1)):
+            _CountingTable.lookups = 0
+            got = o_baby_split(phi, xi)
+            lookups = _CountingTable.lookups
+            assert got == keyed_o_baby_split(phi, xi)
+            if vxi == -1:
+                assert len(range(-rad - vxi, rad + 1)) == 4
+                assert lookups == (p - 1) * p ** 4
+            else:
+                assert lookups == 0
+            hits += got != 0
+    assert hits == 1  # xi = c1 c2: a = 1/c2 puts both coordinates on the coset
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -2010,6 +2071,30 @@ def test_torus_group_reaches_no_chart_function(ctx3, kind):
     # the cosets are counted by valuation profile, never listed one by one
     oracles = (GroupElt.of, GroupElt.mul, double_coset_reps, coset_terms, enumerated_x1_count)
     assert [f for f in oracles if f.__code__ in seen] == []
+
+
+def test_pointwise_baby_orbitals_reach_no_chart_function():
+    """Criterion 4 compares the pointwise baby orbital of Phi-hat with the
+    chart path's G(O(Phi)): the pointwise orbitals, split and inert, on Phi
+    and on Phi-hat at p = 3, 5 and 7, build no chart image and read no image
+    shell."""
+    images = [name for name in CHART_FUNCTIONS if name.startswith("ChartImage.")
+              or name in ("chart_image", "split_image", "nonsplit_image", "_image_shell")]
+    cases = []
+    for kind, orbit in (("split", o_baby_split), ("inert", o_baby_nonsplit)):
+        for p in (3, 5, 7):
+            phi = random_baby_data(LocalFieldCtx(p), kind, random.Random(90 + p))
+            cases += [(orbit, p, phi), (orbit, p, fourier_baby(phi, kind))]
+
+    def run():
+        for orbit, p, data in cases:
+            for v in range(-4, 5):
+                orbit(data, Fraction(2) * Fraction(p) ** v)
+
+    seen = _called_code(run)
+    assert o_baby_split.__code__ in seen and o_baby_nonsplit.__code__ in seen
+    assert [name for name in images
+            if functools.reduce(getattr, name.split("."), orbital).__code__ in seen] == []
 
 
 def test_closed_kuznetsov_forms_never_reach_direct_engine(ctx3):
