@@ -701,40 +701,69 @@ def _pair_profile(p: int, a: int, e: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _row_min(p: int, a: int, d: int, x: int, vx: int, y: int, vy: int) -> tuple[int, int | None]:
-    """min(val(x p^a), val(x c + y p^d)) for the row (x, y) of B against the
-    coset [[p^a, c], [0, p^d]], as (w, None) when it does not depend on c and
-    as (vx, r) when it is vx + min(a, val(c - r)) for an integer r mod p^a."""
+def _row_min(d: int, vx: int, vy: int) -> tuple[int, int | None]:
+    """min(val(x p^a), val(x c + y p^d)) for a row (x, y) of B of valuations
+    (vx, vy) against the coset [[p^a, c], [0, p^d]], as (w, None) when it does
+    not depend on c and as (vx, rho) when it is vx + min(a, val(c - r)) for the
+    residue r = -y p^d / x, of valuation rho = vy + d - vx >= 0."""
     if vy + d < vx:  # also x = 0, vx = INF
         return vy + d, None
-    pa = p ** a
-    return vx, -(y * p ** d // p ** vx) * pow(x // p ** vx, -1, pa) % pa
+    return vx, vy + d - vx
 
 
-def _profile_count(p: int, a: int, rows, split: bool, need: int) -> int:
-    """#{c mod p^a : the rule holds for the row minima `rows` of `_row_min`}:
-    split, need <= w1 + w2; inert, need == 2 min(w1, w2)."""
+def _split_count(p: int, a: int, t: int, n: int, g: int) -> int:
+    """#{c mod p^a : k1 + k2 >= t}, the split rule's sum over `_pair_profile`
+    in closed form, for the distances k_i = min(a, val(c - r_i)) to the n = 0,
+    1 or 2 residues of the row minima (k_i = 0 for a row without one), with
+    val(r1 - r2) = g when n = 2.  With e = min(a, g) and k0 = max(0, ceil(t/2)):
+      n = 0:          p^a [t <= 0];
+      n = 1:          p^(a - max(t, 0)) [t <= a];
+      n = 2, e = a:   p^(a - k0) [k0 <= a]  (k1 = k2);
+      n = 2, e < a:   (p^(a - k0) - p^(a - e)) [k0 < e]       (k1 = k2 < e)
+                      + (p - 2) p^(a - e - 1) [2e >= t]        (k1 = k2 = e)
+                      + 2 p^(a - j) [j <= a], j = max(e + 1, t - e)
+                                                 (one distance k >= j past e),
+    as each run (p - 1) p^(a - k - 1), k = k0 .. top - 1, of the profile
+    telescopes to p^(a - k0) - p^(a - top), and 1 counts at k = a."""
+    if n == 0:
+        return p ** a if t <= 0 else 0
+    if n == 1:
+        return p ** (a - max(t, 0)) if t <= a else 0
+    k0 = max(0, -(-t // 2))
+    if g >= a:
+        return p ** (a - k0) if k0 <= a else 0
+    cnt = p ** (a - k0) - p ** (a - g) if k0 < g else 0
+    if 2 * g >= t:
+        cnt += (p - 2) * p ** (a - g - 1)
+    j = max(g + 1, t - g)
+    if j <= a:
+        cnt += 2 * p ** (a - j)
+    return cnt
+
+
+def _profile_count(p: int, a: int, rows, g: int, need: int) -> int:
+    """#{c mod p^a : need == 2 min(w1, w2)}, the inert rule, summed over the
+    distance profile (`_pair_profile`) of c against the residues of the row
+    minima `rows` of `_row_min`, with e = min(a, g), g = val(r1 - r2)."""
     (w1, r1), (w2, r2) = rows
     if r1 is None and r2 is None:
-        return p ** a * (need <= w1 + w2 if split else need == 2 * min(w1, w2))
-    e = a if r1 is None or r2 is None else min(a, _val_int(r1 - r2, p))
+        return p ** a * (need == 2 * min(w1, w2))
+    e = a if r1 is None or r2 is None else min(a, g)
     cnt = 0
     for k1, k2, n in _pair_profile(p, a, e):
         x1 = w1 if r1 is None else w1 + k1
         x2 = w2 if r2 is None else w2 + k2
-        if split:
-            cnt += n * (need <= x1 + x2)
-        else:
-            cnt += n * (need == 2 * min(x1, x2))
+        cnt += n * (need == 2 * min(x1, x2))
     return cnt
 
 
-def _in_p(p: int, w: int, r: int | None) -> tuple[int, int | None]:
+def _in_p(w: int, rho: int | None) -> tuple[int, int | None]:
     """A row minimum of `_row_min` read on c = p c' as a function of c' mod p^(a-1):
-    the distance to a unit r is 0, to r = p r' it is 1 + that of c' to r'."""
-    if r is None or r % p:
+    the distance to a unit residue (rho = 0) is 0, to r = p r' it is 1 + that
+    of c' to r', of valuation rho - 1."""
+    if not rho:  # None or 0
         return w, None
-    return w + 1, r // p
+    return w + 1, rho - 1
 
 
 def _matrix_vals(p: int, b11: int, b12: int, b21: int, b22: int) -> tuple[int, ...]:
@@ -744,12 +773,11 @@ def _matrix_vals(p: int, b11: int, b12: int, b21: int, b22: int) -> tuple[int, .
             _val_int(b11 * b22 - b12 * b21, p))
 
 
-def _x1_count(p: int, split: bool, dc: dict[int, complex],
-              b: tuple[int, int, int, int], vals: tuple[int, ...]) -> complex:
+def _x1_count(p: int, split: bool, dc: dict[int, complex], vals: tuple[int, ...]) -> complex:
     """sum_m c_m #{cosets of K diag(pi^m,1) K / K that B carries into T(F)K}
-    for the integer matrix B = [[b11, b12], [b21, b22]], b = (b11, b12, b21, b22),
-    with the valuations vals of its entries and of det B (`_matrix_vals`), and
-    dc = {m: c_m}.
+    for an integer matrix B = [[b11, b12], [b21, b22]] of which only the
+    valuations vals = (v11, v12, v21, v22, vdet) of its entries and of det B
+    are read (`_matrix_vals`), and dc = {m: c_m}.
 
     The cosets are [[p^a, c], [0, p^d]]K with a + d = m, c mod p^a, and c a
     unit when a, d > 0 (q^m + q^(m-1) of them for m >= 1).  Membership is read
@@ -758,25 +786,49 @@ def _x1_count(p: int, split: bool, dc: dict[int, complex],
       split, T(F)K = A(F)K:  val det <= w1 + w2
                              (a diag(pi^s, 1) shift carries B rep into K);
       inert, T(F) in K:      val det == 2 min(w1, w2).
-    Each wi reads c only through its distance to one residue ri (`_row_min`),
-    so the cosets of one a are counted by their distances to r1 and r2
-    (`_pair_profile`), and the units as all residues less the multiples of p
-    (`_in_p`): O(m^2) profile entries, not q^m cosets.  Both rules are
-    invariant under scaling B, so B needs no normalization.
+    Each wi reads c only through its distance to one residue
+    ri = -b_i2 p^d / b_i1 (`_row_min`), of valuation rho_i = v_i2 + d - v_i1,
+    and r1 - r2 = p^d (b22/b21 - b12/b11) = p^d det B / (b11 b21) has
+    valuation g = d + vdet - v11 - v21.  So the cosets of one a are counted by
+    their distances to r1 and r2 (Serre, *Trees*, ch. II; `_pair_profile`),
+    and the units as all residues less the multiples of p (`_in_p`, with g - 1
+    for the residues r_i / p): the split rule in closed form (`_split_count`),
+    the inert one summed over the profile (`_profile_count`).  Every input is
+    a valuation, so no residue is formed, and each (m, a) costs O(1) split.
+    Both rules are invariant under scaling B, so B needs no normalization.
     """
-    b11, b12, b21, b22 = b
     v11, v12, v21, v22, vdet = vals
+    # at d = 0: rho_i = v_i2 - v_i1, g = val(r1 - r2) = vdet - v11 - v21
+    s1, s2, g0 = v12 - v11, v22 - v21, vdet - v11 - v21
     tot = 0j
     for m, cm in dc.items():
+        need = vdet + m
         # a = 0: the one coset diag(1, p^m)
         w1, w2 = min(v11, v12 + m), min(v21, v22 + m)
-        cnt = vdet + m <= w1 + w2 if split else vdet + m == 2 * min(w1, w2)
+        cnt = need <= w1 + w2 if split else need == 2 * min(w1, w2)
         for a in range(1, m + 1):
             d = m - a
-            rows = (_row_min(p, a, d, b11, v11, b12, v12), _row_min(p, a, d, b21, v21, b22, v22))
-            cnt += _profile_count(p, a, rows, split, vdet + m)
-            if a < m:
-                cnt -= _profile_count(p, a - 1, [_in_p(p, *row) for row in rows], split, vdet + m)
+            g = g0 + d
+            if split:
+                # row i has a residue when rho_i >= 0, and w_i = v_i1 + min(rho_i, 0),
+                # so t = need - w1 - w2 = g + a - min(rho1, 0) - min(rho2, 0); on
+                # c = p c' (`_in_p`) a residue with rho_i > 0 adds 1 to w_i and
+                # one with rho_i = 0 drops
+                rho1, rho2 = s1 + d, s2 + d
+                t = g + a
+                if rho1 < 0:
+                    t -= rho1
+                if rho2 < 0:
+                    t -= rho2
+                cnt += _split_count(p, a, t, (rho1 >= 0) + (rho2 >= 0), g)
+                if a < m:
+                    n = (rho1 > 0) + (rho2 > 0)
+                    cnt -= _split_count(p, a - 1, t - n, n, g - 1)
+            else:
+                rows = (_row_min(d, v11, v12), _row_min(d, v21, v22))
+                cnt += _profile_count(p, a, rows, g, need)
+                if a < m:
+                    cnt -= _profile_count(p, a - 1, [_in_p(*row) for row in rows], g - 1, need)
         tot += cm * cnt
     return tot
 
@@ -790,19 +842,16 @@ def _split_interval(vals: tuple[int, int, int], depth: int) -> tuple[int, int]:
     return -depth, max(vx, vz) - ed + depth
 
 
-def _integral_translate(p: int, num: int, den: int, vals: tuple[int, int, int],
-                        n: int) -> tuple[tuple[int, int, int, int], tuple[int, ...]]:
-    """The split translate g_xi diag(p^n, 1) = [[p^n, x], [p^n, 1 + x]], x = -1 - xi
-    = num/den, made integral: B = [[t den, s num], [t den, s (num + den)]] with
-    s = p^max(-n, 0), t = p^max(n, 0), and its `_matrix_vals`, read off
-    vals = (val den, val num, val(num + den)).  det B = s t den^2, so
-    val det B = |n| + 2 val den."""
+def _integral_translate(vals: tuple[int, int, int], n: int) -> tuple[int, ...]:
+    """The `_matrix_vals` of the split translate g_xi diag(p^n, 1) =
+    [[p^n, x], [p^n, 1 + x]], x = -1 - xi = num/den, made integral as
+    B = [[t den, s num], [t den, s (num + den)]] with s = p^max(-n, 0),
+    t = p^max(n, 0), read off vals = (val den, val num, val(num + den)).
+    det B = s t den^2, so val det B = |n| + 2 val den."""
     ed, vx, vz = vals
     if n >= 0:
-        t = p ** n
-        return (t * den, num, t * den, num + den), (n + ed, vx, n + ed, vz, n + 2 * ed)
-    s = p ** -n
-    return (den, s * num, den, s * (num + den)), (ed, vx - n, ed, vz - n, 2 * ed - n)
+        return n + ed, vx, n + ed, vz, n + 2 * ed
+    return ed, vx - n, ed, vz - n, 2 * ed - n
 
 
 def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
@@ -813,8 +862,11 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
     Split: vol(K) * sum over T(F)/T(o) of (h*Phi1)(T g_xi diag(pi^n,1)) with
     g_xi = iota(-1-xi, 1); inert: vol(K) * (h*Phi1)(T g_xi), zero on
     nontrivial-torsor fibers.  (h*Phi1)(T g) counts the cosets of
-    K diag(pi^m,1) K / K that g carries into T(F)K (`_x1_count`).  `dc` is h
-    in the double-coset basis, `hecke_to_coset_basis(ctx, h)`; a caller that
+    K diag(pi^m,1) K / K that g carries into T(F)K (`_x1_count`), which reads
+    only the valuations of g's entries and determinant: the inert
+    representative's, and each split translate's off the three of xi
+    (`_integral_translate`), so no split translate is formed.  `dc` is h in
+    the double-coset basis, `hecke_to_coset_basis(ctx, h)`; a caller that
     reads many xi builds it once.
 
     The split sum runs over lo <= n <= hi, lo = -deg h and hi =
@@ -848,10 +900,11 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
     p = ctx.p
     if dc is None:
         dc = hecke_to_coset_basis(ctx, h)
-    volK = float(ctx.vol_K)
+    q = ctx.q
+    volK = (q * q - 1) / (q * q)  # float(ctx.vol_K): int true division rounds correctly
 
     if kind == "inert":
-        return volK * _x1_count(p, False, dc, rep, _matrix_vals(p, *rep))
+        return volK * _x1_count(p, False, dc, _matrix_vals(p, *rep))
 
     # every translate's valuations come from these three, read once per xi;
     # none is INF, as xi != 0, -1
@@ -861,10 +914,10 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
     lo, hi = _split_interval(vals, h.max_degree())
     total = 0j
     for n in range(lo, hi + 1):
-        total += _x1_count(p, True, dc, *_integral_translate(p, num, den, vals, n))
+        total += _x1_count(p, True, dc, _integral_translate(vals, n))
     counts = dict.fromkeys(dc, 1)
     for n in (lo - 1, hi + 1):
-        if _x1_count(p, True, counts, *_integral_translate(p, num, den, vals, n)) != 0:
+        if _x1_count(p, True, counts, _integral_translate(vals, n)) != 0:
             raise RepresentationError("T(F)/T(o) sum not stabilized")
     return volK * total
 

@@ -10,9 +10,13 @@ builders read their shell levels, germs and cross-terms off the chart image
 a hand-derived safe level (`baby_xi_level`), fit each germ on four deep
 shells of the image (`fitted_chart_germ`) and read each cross-term off the
 pointwise orbital next to -1.  The torus
-engine counts cosets by their valuation profile (`orbital._x1_count`); the
-count that visits the cosets of `double_coset_reps` one by one is kept here
-as its bit-for-bit reference, and the inert representative built from
+engine counts cosets on the five valuations of a translate alone
+(`orbital._x1_count`), the split rule's profile sums in closed form; the
+count that formed the two residues r1, r2 mod p^a of every (m, a) and summed
+the split rule over their distance profile (`reference_x1_count`, with the
+integer translate `reference_integral_translate`) is kept here as its
+bit-for-bit reference, the count that visits the cosets of
+`double_coset_reps` one by one (`enumerated_x1_count`) as a second, and the inert representative built from
 28-digit Hensel square roots (`hensel_inert_rep`, with the GIT invariant
 `torus_pair_invariant` and the fiber test it uses) as the reference for the
 integer leading-digit one (`orbital.inert_rep_for`).  The Fourier kernel
@@ -64,6 +68,7 @@ from padicorb.orbital import (
     _baby_ctx,
     _certified_onset,
     _norm_one,
+    _pair_profile,
     _same_value,
     baby_orbital,
     baby_support_floor,
@@ -278,6 +283,94 @@ def enumerated_x1_count(p, split, terms, b11, b12, b21, b22):
                 cnt += vdet + m == 2 * min(w1, w2)
         tot += cm * cnt
     return tot
+
+
+def reference_x1_count(p: int, split: bool, dc: dict[int, complex],
+                       b: tuple[int, int, int, int], vals: tuple[int, ...]) -> complex:
+    """sum_m c_m #{cosets of K diag(pi^m,1) K / K that B carries into T(F)K}
+    for the integer matrix B = [[b11, b12], [b21, b22]], b = (b11, b12, b21, b22),
+    with the valuations vals of its entries and of det B (`_matrix_vals`), and
+    dc = {m: c_m}.
+
+    The cosets are [[p^a, c], [0, p^d]]K with a + d = m, c mod p^a, and c a
+    unit when a, d > 0 (q^m + q^(m-1) of them for m >= 1).  Membership is read
+    off the valuations of det(B rep) = det B p^m and of the row minima w1, w2
+    of B rep = [[b11 p^a, b11 c + b12 p^d], [b21 p^a, b21 c + b22 p^d]]:
+      split, T(F)K = A(F)K:  val det <= w1 + w2
+                             (a diag(pi^s, 1) shift carries B rep into K);
+      inert, T(F) in K:      val det == 2 min(w1, w2).
+    Each wi reads c only through its distance to one residue ri (`_row_min`),
+    so the cosets of one a are counted by their distances to r1 and r2
+    (`_pair_profile`), and the units as all residues less the multiples of p
+    (`_in_p`): O(m^2) profile entries, not q^m cosets.  Both rules are
+    invariant under scaling B, so B needs no normalization.
+    """
+    b11, b12, b21, b22 = b
+    v11, v12, v21, v22, vdet = vals
+    tot = 0j
+    for m, cm in dc.items():
+        # a = 0: the one coset diag(1, p^m)
+        w1, w2 = min(v11, v12 + m), min(v21, v22 + m)
+        cnt = vdet + m <= w1 + w2 if split else vdet + m == 2 * min(w1, w2)
+        for a in range(1, m + 1):
+            d = m - a
+            rows = (_row_min(p, a, d, b11, v11, b12, v12), _row_min(p, a, d, b21, v21, b22, v22))
+            cnt += _profile_count(p, a, rows, split, vdet + m)
+            if a < m:
+                cnt -= _profile_count(p, a - 1, [_in_p(p, *row) for row in rows], split, vdet + m)
+        tot += cm * cnt
+    return tot
+
+
+def _row_min(p: int, a: int, d: int, x: int, vx: int, y: int, vy: int) -> tuple[int, int | None]:
+    """min(val(x p^a), val(x c + y p^d)) for the row (x, y) of B against the
+    coset [[p^a, c], [0, p^d]], as (w, None) when it does not depend on c and
+    as (vx, r) when it is vx + min(a, val(c - r)) for an integer r mod p^a."""
+    if vy + d < vx:  # also x = 0, vx = INF
+        return vy + d, None
+    pa = p ** a
+    return vx, -(y * p ** d // p ** vx) * pow(x // p ** vx, -1, pa) % pa
+
+
+def _profile_count(p: int, a: int, rows, split: bool, need: int) -> int:
+    """#{c mod p^a : the rule holds for the row minima `rows` of `_row_min`}:
+    split, need <= w1 + w2; inert, need == 2 min(w1, w2)."""
+    (w1, r1), (w2, r2) = rows
+    if r1 is None and r2 is None:
+        return p ** a * (need <= w1 + w2 if split else need == 2 * min(w1, w2))
+    e = a if r1 is None or r2 is None else min(a, _val_int(r1 - r2, p))
+    cnt = 0
+    for k1, k2, n in _pair_profile(p, a, e):
+        x1 = w1 if r1 is None else w1 + k1
+        x2 = w2 if r2 is None else w2 + k2
+        if split:
+            cnt += n * (need <= x1 + x2)
+        else:
+            cnt += n * (need == 2 * min(x1, x2))
+    return cnt
+
+
+def _in_p(p: int, w: int, r: int | None) -> tuple[int, int | None]:
+    """A row minimum of `_row_min` read on c = p c' as a function of c' mod p^(a-1):
+    the distance to a unit r is 0, to r = p r' it is 1 + that of c' to r'."""
+    if r is None or r % p:
+        return w, None
+    return w + 1, r // p
+
+
+def reference_integral_translate(p: int, num: int, den: int, vals: tuple[int, int, int],
+                                 n: int) -> tuple[tuple[int, int, int, int], tuple[int, ...]]:
+    """The split translate g_xi diag(p^n, 1) = [[p^n, x], [p^n, 1 + x]], x = -1 - xi
+    = num/den, made integral: B = [[t den, s num], [t den, s (num + den)]] with
+    s = p^max(-n, 0), t = p^max(n, 0), and its `_matrix_vals`, read off
+    vals = (val den, val num, val(num + den)).  det B = s t den^2, so
+    val det B = |n| + 2 val den."""
+    ed, vx, vz = vals
+    if n >= 0:
+        t = p ** n
+        return (t * den, num, t * den, num + den), (n + ed, vx, n + ed, vz, n + 2 * ed)
+    s = p ** -n
+    return (den, s * num, den, s * (num + den)), (ed, vx - n, ed, vz - n, 2 * ed - n)
 
 
 def torus_pair_invariant(m, ext):

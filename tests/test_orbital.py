@@ -44,6 +44,7 @@ from padicorb.orbital import (
     _integral_translate,
     _matrix_vals,
     _pair_profile,
+    _split_count,
     _split_interval,
     _x1_count,
     baby_orbital,
@@ -96,6 +97,8 @@ from oracles import (
     inert_fiber_is_trivial,
     keyed_o_baby_nonsplit,
     keyed_o_baby_split,
+    reference_integral_translate,
+    reference_x1_count,
     sampled_hecke_apply_W_elem,
     sampled_hecke_apply_Z,
     sampled_sx_from_baby,
@@ -557,8 +560,9 @@ def _seeded_xis(rng, p: int, count: int) -> list[Fraction]:
 
 @pytest.mark.parametrize("p,m_max", [(3, 3), (5, 3), (7, 2)])
 def test_x1_count_matches_groupelt_oracle(p, m_max):
-    """The profile count equals the GroupElt count and the enumerating count,
-    coset by coset summed, on seeded rational bases, on the 28-digit reference
+    """The valuation count, which reads only `_matrix_vals` of the integer
+    matrix, equals the GroupElt count and the enumerating count, coset by
+    coset summed, on seeded rational bases, on the 28-digit reference
     inert representatives, on inert_rep_for's leading-digit ones and on the
     split boundary translates lo - 1 and hi + 1."""
     ctx = LocalFieldCtx(p)
@@ -590,7 +594,7 @@ def test_x1_count_matches_groupelt_oracle(p, m_max):
         split, b = kind == "split", _integer_matrix(g)
         for m in range(m_max + 1):
             want = _oracle_count(ext, g, m)
-            assert _x1_count(p, split, {m: 1}, b, _matrix_vals(p, *b)) == want, (kind, g, m)
+            assert _x1_count(p, split, {m: 1}, _matrix_vals(p, *b)) == want, (kind, g, m)
             assert enumerated_x1_count(p, split, coset_terms(ctx, {m: 1}), *b) == want, (kind, g, m)
             hits += want
     assert hits > 0
@@ -675,11 +679,12 @@ def test_split_interval_holds_every_counting_translate(p, count):
 
 @pytest.mark.parametrize("p,n_xi", [(3, 8), (5, 2)])
 def test_x1_count_matches_enumeration_on_translates(p, n_xi):
-    """Degree by degree up to 6, the profile count equals the enumerating count
-    on every translate o_torus_group reads for h0 ... h6: the split translates
-    lo - 1 .. hi + 1 of deg h = 6 (which hold those of lower degree), with the
-    valuations `_integral_translate` reads off the three of xi, and the inert
-    representative.  Each translate's valuations are its `_matrix_vals`."""
+    """Degree by degree up to 6, the valuation count equals the enumerating
+    count on every translate o_torus_group reads for h0 ... h6: the split
+    translates lo - 1 .. hi + 1 of deg h = 6 (which hold those of lower
+    degree), with the valuations `_integral_translate` reads off the three of
+    xi, and the inert representative.  Each translate's valuations are the
+    `_matrix_vals` of the integer translate."""
     ctx = LocalFieldCtx(p)
     ext = QuadExt(ctx, "inert")
     rng = random.Random(600 + p)
@@ -687,11 +692,11 @@ def test_x1_count_matches_enumeration_on_translates(p, n_xi):
     xis = _seeded_xis(rng, p, n_xi) + [Fraction(1, p), -1 + Fraction(p ** 2)]
     cases = []
     for xi in xis:
-        x, vals = -1 - xi, _xi_vals(p, xi)
+        vals = _xi_vals(p, xi)
         lo, hi = _split_interval(vals, 6)
         for n in range(lo - 1, hi + 2):
-            b, bvals = _integral_translate(p, x.numerator, x.denominator, vals, n)
-            assert list(b) == _split_integer_translate(p, xi, n), (xi, n)
+            b = _split_integer_translate(p, xi, n)
+            bvals = _integral_translate(vals, n)
             assert bvals == _matrix_vals(p, *b), (xi, n)
             cases.append((True, b, bvals))
     for xi in _seeded_xis(rng, p, 6 * n_xi):
@@ -703,9 +708,114 @@ def test_x1_count_matches_enumeration_on_translates(p, n_xi):
     for split, b, vals in cases:
         for m, t in enumerate(terms):
             want = enumerated_x1_count(p, split, t, *b)
-            assert _x1_count(p, split, {m: 1}, b, vals) == want, (split, b, m)
+            assert _x1_count(p, split, {m: 1}, vals) == want, (split, b, m)
             hits += want != 0
     assert hits > 0
+
+
+def _same_bits(got: complex, want: complex) -> bool:
+    return got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("p,top,n_xi", [(3, 20, 10), (5, 12, 16)])
+def test_x1_count_equals_residue_reference_on_hecke_grid(p, top, n_xi):
+    """On a seeded xi grid, the valuation count equals the residue count it
+    replaced (`reference_x1_count`) bit for bit, with == and repr, for every
+    h0 ... h_top: on every split translate lo - 1 .. hi + 1 of that degree,
+    whose valuations equal the reference's (`reference_integral_translate`),
+    and on the inert representative of every xi on a trivial fiber."""
+    ctx = LocalFieldCtx(p)
+    ext = QuadExt(ctx, "inert")
+    xis = _seeded_xis(random.Random(1100 + p), p, n_xi) + [Fraction(1), -1 + Fraction(p ** 3)]
+    dcs = [hecke_to_coset_basis(ctx, HeckeElt.basis(n)) for n in range(top + 1)]
+    translates = inert = 0
+    for xi in xis:
+        x, vals = -1 - xi, _xi_vals(p, xi)
+        for n_h, dc in enumerate(dcs):
+            lo, hi = _split_interval(vals, n_h)
+            for n in range(lo - 1, hi + 2):
+                b, bvals = reference_integral_translate(p, x.numerator, x.denominator, vals, n)
+                assert _integral_translate(vals, n) == bvals, (xi, n)
+                got, want = _x1_count(p, True, dc, bvals), reference_x1_count(p, True, dc, b, bvals)
+                assert _same_bits(got, want), (xi, n_h, n, got, want)
+                translates += 1
+        if inert_fiber_is_trivial(ext, xi):
+            b = inert_rep_for(ctx, xi)
+            bvals = _matrix_vals(p, *b)
+            for n_h, dc in enumerate(dcs):
+                got, want = _x1_count(p, False, dc, bvals), reference_x1_count(p, False, dc, b, bvals)
+                assert _same_bits(got, want), (xi, n_h, got, want)
+            inert += 1
+    assert translates > 40 * len(xis) and inert >= 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_x1_count_equals_both_references_on_random_matrices(p):
+    """On seeded integer matrices with entries of every valuation, zero
+    entries included, under both rules and at every degree m <= 3, the
+    valuation count equals the residue count bit for bit and the enumerating
+    count."""
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(1200 + p)
+    terms = [coset_terms(ctx, {m: 1}) for m in range(4)]
+    zeros = hits = 0
+    for _ in range(800):
+        b = tuple(rng.choice([0, rng.randrange(-60, 61) * p ** rng.randrange(4)])
+                  for _ in range(4))
+        if b[0] * b[3] == b[1] * b[2]:
+            continue
+        zeros += 0 in b
+        vals = _matrix_vals(p, *b)
+        for split in (True, False):
+            for m, t in enumerate(terms):
+                got = _x1_count(p, split, {m: 1}, vals)
+                assert _same_bits(got, reference_x1_count(p, split, {m: 1}, b, vals)), (split, b, m)
+                assert got == enumerated_x1_count(p, split, t, *b), (split, b, m)
+                hits += got != 0
+    assert zeros > 20 and hits > 100
+
+
+def test_split_count_matches_residue_scan():
+    """The split rule's closed form equals the scan over every c mod p^a of
+    #{c : k1 + k2 >= t}, k_i = min(a, val(c - r_i)), for 0, 1 or 2 residues,
+    at every e = min(a, val(r1 - r2)) and every t that can decide a count."""
+    rng = random.Random(1300)
+    for p in (3, 5, 7):
+        for a in range(5):
+            for _ in range(4):
+                r1 = rng.randrange(p ** a)
+                r2 = (r1 + rng.randrange(p ** a) * p ** rng.randrange(a + 1)) % p ** a
+                g = _val_int(r1 - r2, p)  # INF when r1 == r2: e = a
+                ks = [(min(a, _val_int(c - r1, p)), min(a, _val_int(c - r2, p)))
+                      for c in range(p ** a)]
+                for t in range(-2, 2 * a + 3):
+                    assert _split_count(p, a, t, 0, g) == p ** a * (t <= 0)
+                    assert _split_count(p, a, t, 1, g) == sum(k1 >= t for k1, _ in ks), (p, a, t)
+                    assert _split_count(p, a, t, 2, g) == sum(k1 + k2 >= t for k1, k2 in ks), \
+                        (p, a, r1, r2, t)
+
+
+def test_split_torus_count_forms_no_pair_profile(monkeypatch):
+    """One split o_torus_group call at p = 3 and h20 sums every profile in
+    closed form: it builds no `_pair_profile` (the residue count built
+    thousands)."""
+    calls = []
+    real = orbital._pair_profile
+    monkeypatch.setattr(orbital, "_pair_profile", lambda *args: calls.append(args) or real(*args))
+    ctx = LocalFieldCtx(3)
+    assert o_torus_group(ctx, "split", HeckeElt.basis(20), Fraction(2, 9)) != 0
+    assert calls == []
+    o_torus_group(ctx, "inert", HeckeElt.basis(4), Fraction(1))
+    assert calls  # the inert rule keeps its profile sum
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_o_torus_group_reads_vol_K_exactly(p):
+    """o_torus_group's vol K is float(ctx.vol_K) bit for bit: the inert count
+    at xi = 1 is one coset of degree 0, so h0 gives vol K times 1."""
+    ctx = LocalFieldCtx(p)
+    got = o_torus_group(ctx, "inert", HeckeElt.basis(0), Fraction(1))
+    assert _same_bits(got, complex(float(ctx.vol_K))), (p, got)
 
 
 def _tree_count(delta: int, m: int) -> int:
@@ -1139,7 +1249,7 @@ def test_inert_rep_lies_in_the_reference_coset(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_o_torus_group_inert_equals_reference_count(p):
-    """o_torus_group's inert value is vol K times the profile count at the
+    """o_torus_group's inert value is vol K times the valuation count at the
     28-digit reference representative, bit for bit, for h0 ... h4 and a mixed
     element on a seeded grid, and 0 on every nontrivial-torsor fiber."""
     ctx = LocalFieldCtx(p)
@@ -1152,8 +1262,7 @@ def test_o_torus_group_inert_equals_reference_count(p):
         ref = hensel_inert_rep(ext, xi) if inert_fiber_is_trivial(ext, xi) else None
         trivial += ref is not None
         for h, dc in zip(hs, dcs):
-            want = 0j if ref is None else volK * _x1_count(p, False, dc, ref,
-                                                            _matrix_vals(p, *ref))
+            want = 0j if ref is None else volK * _x1_count(p, False, dc, _matrix_vals(p, *ref))
             assert o_torus_group(ctx, "inert", h, xi) == want, (xi, h)
     assert 0 < trivial < 80
 
