@@ -1,7 +1,7 @@
 """PGL2 over o/p^N: cosets, Hecke algebra, Satake, Casselman-Shalika, Whittaker.
 
 `double_coset_reps` lists the left cosets of K diag(pi^m,1) K as integer
-lattice forms; the torus engine in `orbital` counts them by valuation profile
+lattice forms; the torus engine in `orbital` counts them on valuations alone,
 without listing them, and the tests hold it to this list.  `GroupElt`, a
 content-normalized matrix over exact rationals, is the oracles' type only: the
 Satake transform, the Iwasawa decomposition and the brute-force convolutions,

@@ -684,38 +684,15 @@ def inert_rep_for(ctx: LocalFieldCtx, xi) -> tuple[int, int, int, int] | None:
     return s, 0, sg, sd
 
 
-def _pair_profile(p: int, a: int, e: int) -> list[tuple[int, int, int]]:
-    """[(k1, k2, count)]: the residues c mod p^a by their distances
-    k_i = min(a, val(c - r_i)) to two residues r1, r2 with
-    min(a, val(r1 - r2)) = e.  The balls about r1 of radius p^-k, k <= e, hold
-    r2 (Serre, *Trees*, ch. II), so below e both distances agree, and past e
-    at most one of them exceeds e."""
-    out = [(k, k, (p - 1) * p ** (a - k - 1)) for k in range(e)]
-    if e == a:
-        out.append((a, a, 1))
-        return out
-    out.append((e, e, (p - 2) * p ** (a - e - 1)))
-    for k in range(e + 1, a + 1):
-        n = (p - 1) * p ** (a - k - 1) if k < a else 1
-        out += [(k, e, n), (e, k, n)]
-    return out
-
-
-def _row_min(d: int, vx: int, vy: int) -> tuple[int, int | None]:
-    """min(val(x p^a), val(x c + y p^d)) for a row (x, y) of B of valuations
-    (vx, vy) against the coset [[p^a, c], [0, p^d]], as (w, None) when it does
-    not depend on c and as (vx, rho) when it is vx + min(a, val(c - r)) for the
-    residue r = -y p^d / x, of valuation rho = vy + d - vx >= 0."""
-    if vy + d < vx:  # also x = 0, vx = INF
-        return vy + d, None
-    return vx, vy + d - vx
-
-
 def _split_count(p: int, a: int, t: int, n: int, g: int) -> int:
-    """#{c mod p^a : k1 + k2 >= t}, the split rule's sum over `_pair_profile`
-    in closed form, for the distances k_i = min(a, val(c - r_i)) to the n = 0,
-    1 or 2 residues of the row minima (k_i = 0 for a row without one), with
-    val(r1 - r2) = g when n = 2.  With e = min(a, g) and k0 = max(0, ceil(t/2)):
+    """#{c mod p^a : k1 + k2 >= t}, the split rule in closed form, for the
+    distances k_i = min(a, val(c - r_i)) to the n = 0, 1 or 2 residues of the
+    row minima (k_i = 0 for a row without one), with val(r1 - r2) = g when
+    n = 2.  The balls about r1 of radius p^-k, k <= e = min(a, g), hold r2
+    (Serre, *Trees*, ch. II), so k1 = k2 = k < e on (p - 1) p^(a - k - 1)
+    residues, k1 = k2 = e on (p - 2) p^(a - e - 1) when e < a, and past e one
+    distance k > e on (p - 1) p^(a - k - 1) residues each (1 at k = a).  With
+    k0 = max(0, ceil(t/2)):
       n = 0:          p^a [t <= 0];
       n = 1:          p^(a - max(t, 0)) [t <= a];
       n = 2, e = a:   p^(a - k0) [k0 <= a]  (k1 = k2);
@@ -723,8 +700,8 @@ def _split_count(p: int, a: int, t: int, n: int, g: int) -> int:
                       + (p - 2) p^(a - e - 1) [2e >= t]        (k1 = k2 = e)
                       + 2 p^(a - j) [j <= a], j = max(e + 1, t - e)
                                                  (one distance k >= j past e),
-    as each run (p - 1) p^(a - k - 1), k = k0 .. top - 1, of the profile
-    telescopes to p^(a - k0) - p^(a - top), and 1 counts at k = a."""
+    as each run (p - 1) p^(a - k - 1), k = k0 .. top - 1, telescopes to
+    p^(a - k0) - p^(a - top), and 1 counts at k = a."""
     if n == 0:
         return p ** a if t <= 0 else 0
     if n == 1:
@@ -741,29 +718,28 @@ def _split_count(p: int, a: int, t: int, n: int, g: int) -> int:
     return cnt
 
 
-def _profile_count(p: int, a: int, rows, g: int, need: int) -> int:
-    """#{c mod p^a : need == 2 min(w1, w2)}, the inert rule, summed over the
-    distance profile (`_pair_profile`) of c against the residues of the row
-    minima `rows` of `_row_min`, with e = min(a, g), g = val(r1 - r2)."""
-    (w1, r1), (w2, r2) = rows
-    if r1 is None and r2 is None:
-        return p ** a * (need == 2 * min(w1, w2))
-    e = a if r1 is None or r2 is None else min(a, g)
+def _inert_count(p: int, a: int, need: int, w1: int, rho1: int, w2: int, rho2: int,
+                 g: int) -> int:
+    """#{c mod p^a : need == 2 min(x1, x2)}, the inert rule in closed form, for
+    the row minima x_i = w_i when rho_i < 0 and x_i = w_i + min(a, val(c - r_i))
+    about a residue r_i when rho_i >= 0, with val(r1 - r2) = g when both rows
+    have one.  Odd need counts 0, and otherwise the count is B(T) - B(T + 1),
+    T = need/2, B(s) = #{c : x1 >= s and x2 >= s}.  A row without a residue
+    holds on every c or on none; one with a residue holds on the ball
+    val(c - r_i) >= j_i = max(0, s - w_i) of p^(a - j_i) residues, empty when
+    j_i > a.  Two balls meet iff min(j1, j2) <= g, and then the smaller lies in
+    the larger (Serre, *Trees*, ch. II), so B(s) = p^(a - max(j1, j2)) or 0."""
+    if need % 2:
+        return 0
     cnt = 0
-    for k1, k2, n in _pair_profile(p, a, e):
-        x1 = w1 if r1 is None else w1 + k1
-        x2 = w2 if r2 is None else w2 + k2
-        cnt += n * (need == 2 * min(x1, x2))
+    for s, sign in ((need // 2, 1), (need // 2 + 1, -1)):
+        j1, j2 = max(0, s - w1), max(0, s - w2)
+        if (rho1 < 0 and j1) or (rho2 < 0 and j2) or max(j1, j2) > a:
+            continue
+        if rho1 >= 0 and rho2 >= 0 and min(j1, j2) > g:
+            continue
+        cnt += sign * p ** (a - max(j1, j2))
     return cnt
-
-
-def _in_p(w: int, rho: int | None) -> tuple[int, int | None]:
-    """A row minimum of `_row_min` read on c = p c' as a function of c' mod p^(a-1):
-    the distance to a unit residue (rho = 0) is 0, to r = p r' it is 1 + that
-    of c' to r', of valuation rho - 1."""
-    if not rho:  # None or 0
-        return w, None
-    return w + 1, rho - 1
 
 
 def _matrix_vals(p: int, b11: int, b12: int, b21: int, b22: int) -> tuple[int, ...]:
@@ -786,16 +762,18 @@ def _x1_count(p: int, split: bool, dc: dict[int, complex], vals: tuple[int, ...]
       split, T(F)K = A(F)K:  val det <= w1 + w2
                              (a diag(pi^s, 1) shift carries B rep into K);
       inert, T(F) in K:      val det == 2 min(w1, w2).
-    Each wi reads c only through its distance to one residue
-    ri = -b_i2 p^d / b_i1 (`_row_min`), of valuation rho_i = v_i2 + d - v_i1,
-    and r1 - r2 = p^d (b22/b21 - b12/b11) = p^d det B / (b11 b21) has
-    valuation g = d + vdet - v11 - v21.  So the cosets of one a are counted by
-    their distances to r1 and r2 (Serre, *Trees*, ch. II; `_pair_profile`),
-    and the units as all residues less the multiples of p (`_in_p`, with g - 1
-    for the residues r_i / p): the split rule in closed form (`_split_count`),
-    the inert one summed over the profile (`_profile_count`).  Every input is
-    a valuation, so no residue is formed, and each (m, a) costs O(1) split.
-    Both rules are invariant under scaling B, so B needs no normalization.
+    Each wi reads c only through its distance to one residue: row i's minimum
+    is v_i2 + d, free of c, when rho_i = v_i2 + d - v_i1 < 0, and otherwise
+    v_i1 + min(a, val(c - ri)) for ri = -b_i2 p^d / b_i1, of valuation rho_i.
+    r1 - r2 = p^d (b22/b21 - b12/b11) = p^d det B / (b11 b21) has valuation
+    g = d + vdet - v11 - v21.  So the cosets of one a are counted by their
+    distances to r1 and r2 (Serre, *Trees*, ch. II), each rule in closed form
+    (`_split_count`, `_inert_count`), and the units as all residues less the
+    multiples of p: on c = p c' a residue with rho_i > 0 adds 1 to w_i and
+    becomes one of valuation rho_i - 1, one with rho_i = 0 drops, and g falls
+    by 1.  Every input is a valuation, so no residue is formed, and each
+    (m, a) costs O(1).  Both rules are invariant under scaling B, so B needs
+    no normalization.
     """
     v11, v12, v21, v22, vdet = vals
     # at d = 0: rho_i = v_i2 - v_i1, g = val(r1 - r2) = vdet - v11 - v21
@@ -809,12 +787,11 @@ def _x1_count(p: int, split: bool, dc: dict[int, complex], vals: tuple[int, ...]
         for a in range(1, m + 1):
             d = m - a
             g = g0 + d
+            rho1, rho2 = s1 + d, s2 + d
             if split:
-                # row i has a residue when rho_i >= 0, and w_i = v_i1 + min(rho_i, 0),
-                # so t = need - w1 - w2 = g + a - min(rho1, 0) - min(rho2, 0); on
-                # c = p c' (`_in_p`) a residue with rho_i > 0 adds 1 to w_i and
-                # one with rho_i = 0 drops
-                rho1, rho2 = s1 + d, s2 + d
+                # w_i = v_i1 + min(rho_i, 0), so t = need - w1 - w2 =
+                # g + a - min(rho1, 0) - min(rho2, 0); on c = p c' a residue
+                # with rho_i > 0 adds 1 to w_i and one with rho_i = 0 drops
                 t = g + a
                 if rho1 < 0:
                     t -= rho1
@@ -825,10 +802,11 @@ def _x1_count(p: int, split: bool, dc: dict[int, complex], vals: tuple[int, ...]
                     n = (rho1 > 0) + (rho2 > 0)
                     cnt -= _split_count(p, a - 1, t - n, n, g - 1)
             else:
-                rows = (_row_min(d, v11, v12), _row_min(d, v21, v22))
-                cnt += _profile_count(p, a, rows, g, need)
+                w1, w2 = v11 + min(rho1, 0), v21 + min(rho2, 0)
+                cnt += _inert_count(p, a, need, w1, rho1, w2, rho2, g)
                 if a < m:
-                    cnt -= _profile_count(p, a - 1, [_in_p(*row) for row in rows], g - 1, need)
+                    cnt -= _inert_count(p, a - 1, need, w1 + (rho1 > 0), rho1 - 1,
+                                        w2 + (rho2 > 0), rho2 - 1, g - 1)
         tot += cm * cnt
     return tot
 
@@ -1071,9 +1049,10 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     m = 0 term of sum_m d(m) O_closed(m, xi) survives, so the value is exactly
     C KL(xi) there; on val -1 .. depth - 1 it depends on val(xi) only, one
     window shell each at level 1; deeper lies the |xi|^{s+1}-weighted zero
-    germ, fitted with residuals."""
+    germ, fitted with residuals.  The norm is h's largest coefficient in the
+    double-coset basis, which carries h_n's q^(-n/2) as the values do."""
     value = hecke_apply_W(ctx, kind, h, s)
-    q, norm = ctx.q, _norm(h.as_dict().values())
+    q, norm = ctx.q, _norm(hecke_to_coset_basis(ctx, h).values())
     depth = h.max_degree() + 3
     germ = _deep_germ(kind, lambda u, v: value(u * Fraction(ctx.p) ** v) * q ** (v * (s + 1)),
                       depth, norm)
@@ -1111,12 +1090,13 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt) -> SZElem:
     per valuation class of each shell (`_class_shell`), with h in the
     double-coset basis built once; the germs at 0 and -1
     are fitted on deep shells with residual certificates and start at their
-    certified onset.
+    certified onset.  The norm is h's largest coefficient in that basis,
+    which carries h_n's q^(-n/2) as the values do.
     """
     depth = 2 * h.max_degree() + 3
     lo = -(2 * h.max_degree() + 1)
     dc = hecke_to_coset_basis(ctx, h)
-    norm = _norm(h.as_dict().values())
+    norm = _norm(dc.values())
 
     def raw(xi) -> complex:
         return o_torus_group(ctx, kind, h, xi, dc)

@@ -11,9 +11,9 @@ a hand-derived safe level (`baby_xi_level`), fit each germ on four deep
 shells of the image (`fitted_chart_germ`) and read each cross-term off the
 pointwise orbital next to -1.  The torus
 engine counts cosets on the five valuations of a translate alone
-(`orbital._x1_count`), the split rule's profile sums in closed form; the
-count that formed the two residues r1, r2 mod p^a of every (m, a) and summed
-the split rule over their distance profile (`reference_x1_count`, with the
+(`orbital._x1_count`), each rule in closed form; the count that formed the
+two residues r1, r2 mod p^a of every (m, a) and summed either rule over
+their distance profile (`_pair_profile`; `reference_x1_count`, with the
 integer translate `reference_integral_translate`) is kept here as its
 bit-for-bit reference, the count that visits the cosets of
 `double_coset_reps` one by one (`enumerated_x1_count`) as a second, and the inert representative built from
@@ -68,7 +68,6 @@ from padicorb.orbital import (
     _baby_ctx,
     _certified_onset,
     _norm_one,
-    _pair_profile,
     _same_value,
     baby_orbital,
     baby_support_floor,
@@ -320,6 +319,23 @@ def reference_x1_count(p: int, split: bool, dc: dict[int, complex],
                 cnt -= _profile_count(p, a - 1, [_in_p(p, *row) for row in rows], split, vdet + m)
         tot += cm * cnt
     return tot
+
+
+def _pair_profile(p: int, a: int, e: int) -> list[tuple[int, int, int]]:
+    """[(k1, k2, count)]: the residues c mod p^a by their distances
+    k_i = min(a, val(c - r_i)) to two residues r1, r2 with
+    min(a, val(r1 - r2)) = e.  The balls about r1 of radius p^-k, k <= e, hold
+    r2 (Serre, *Trees*, ch. II), so below e both distances agree, and past e
+    at most one of them exceeds e."""
+    out = [(k, k, (p - 1) * p ** (a - k - 1)) for k in range(e)]
+    if e == a:
+        out.append((a, a, 1))
+        return out
+    out.append((e, e, (p - 2) * p ** (a - e - 1)))
+    for k in range(e + 1, a + 1):
+        n = (p - 1) * p ** (a - k - 1) if k < a else 1
+        out += [(k, e, n), (e, k, n)]
+    return out
 
 
 def _row_min(p: int, a: int, d: int, x: int, vx: int, y: int, vy: int) -> tuple[int, int | None]:

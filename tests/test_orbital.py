@@ -1,9 +1,11 @@
 import functools
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from padicorb.groups import (
     hecke_to_coset_basis,
 )
 from padicorb.localfield import (
+    INF,
     LocalFieldCtx,
     QuadExt,
     _val_int,
@@ -42,8 +45,8 @@ from padicorb.orbital import (
     BabyInput,
     _ONSET_RTOL,
     _integral_translate,
+    _inert_count,
     _matrix_vals,
-    _pair_profile,
     _split_count,
     _split_interval,
     _x1_count,
@@ -74,6 +77,7 @@ from padicorb.orbital import (
     whittaker_unfolding_check,
 )
 from padicorb.spaces import (
+    _DROP,
     Germ,
     SXElem,
     SZElem,
@@ -88,6 +92,7 @@ from padicorb.spaces import (
 
 import oracles
 from oracles import (
+    _pair_profile,
     _shell_values,
     baby_xi_level,
     coset_terms,
@@ -632,8 +637,9 @@ def test_o_torus_group_equals_groupelt_sum(p):
 
 
 def test_pair_profile_matches_residue_scan():
-    """The distance profile of c mod p^a against two residues equals the scan
-    over every c, at every e = min(a, val(r1 - r2))."""
+    """The distance profile of c mod p^a against two residues that the
+    residue count sums over (`oracles._pair_profile`) equals the scan over
+    every c, at every e = min(a, val(r1 - r2))."""
     rng = random.Random(700)
     for p in (3, 5, 7):
         for a in range(5):
@@ -717,18 +723,23 @@ def _same_bits(got: complex, want: complex) -> bool:
     return got == want and repr(got) == repr(want)
 
 
+_INERT_TOP = {3: 30, 5: 20}  # the inert leg's top degree at each prime of the grid
+
+
 @pytest.mark.parametrize("p,top,n_xi", [(3, 20, 10), (5, 12, 16)])
 def test_x1_count_equals_residue_reference_on_hecke_grid(p, top, n_xi):
     """On a seeded xi grid, the valuation count equals the residue count it
     replaced (`reference_x1_count`) bit for bit, with == and repr, for every
-    h0 ... h_top: on every split translate lo - 1 .. hi + 1 of that degree,
+    h0 ... h_top on every split translate lo - 1 .. hi + 1 of that degree,
     whose valuations equal the reference's (`reference_integral_translate`),
-    and on the inert representative of every xi on a trivial fiber."""
+    and for every h0 ... h30 (p = 3) or h0 ... h20 (p = 5) on the inert
+    representatives of those xi on trivial fibers, topped up to 40 seeded
+    ones."""
     ctx = LocalFieldCtx(p)
     ext = QuadExt(ctx, "inert")
     xis = _seeded_xis(random.Random(1100 + p), p, n_xi) + [Fraction(1), -1 + Fraction(p ** 3)]
     dcs = [hecke_to_coset_basis(ctx, HeckeElt.basis(n)) for n in range(top + 1)]
-    translates = inert = 0
+    translates = 0
     for xi in xis:
         x, vals = -1 - xi, _xi_vals(p, xi)
         for n_h, dc in enumerate(dcs):
@@ -739,14 +750,20 @@ def test_x1_count_equals_residue_reference_on_hecke_grid(p, top, n_xi):
                 got, want = _x1_count(p, True, dc, bvals), reference_x1_count(p, True, dc, b, bvals)
                 assert _same_bits(got, want), (xi, n_h, n, got, want)
                 translates += 1
-        if inert_fiber_is_trivial(ext, xi):
-            b = inert_rep_for(ctx, xi)
-            bvals = _matrix_vals(p, *b)
-            for n_h, dc in enumerate(dcs):
-                got, want = _x1_count(p, False, dc, bvals), reference_x1_count(p, False, dc, b, bvals)
-                assert _same_bits(got, want), (xi, n_h, got, want)
-            inert += 1
-    assert translates > 40 * len(xis) and inert >= 2
+    assert translates > 40 * len(xis)
+    rng, inert_xis = random.Random(1150 + p), {xi for xi in xis if inert_fiber_is_trivial(ext, xi)}
+    while len(inert_xis) < 40:
+        inert_xis |= {xi for xi in _seeded_xis(rng, p, 1) if inert_fiber_is_trivial(ext, xi)}
+    dcs = [hecke_to_coset_basis(ctx, HeckeElt.basis(n)) for n in range(_INERT_TOP[p] + 1)]
+    hits = 0
+    for xi in sorted(inert_xis):
+        b = inert_rep_for(ctx, xi)
+        bvals = _matrix_vals(p, *b)
+        for n_h, dc in enumerate(dcs):
+            got, want = _x1_count(p, False, dc, bvals), reference_x1_count(p, False, dc, b, bvals)
+            assert _same_bits(got, want), (xi, n_h, got, want)
+            hits += got != 0
+    assert hits > 5 * len(inert_xis)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -795,18 +812,62 @@ def test_split_count_matches_residue_scan():
                         (p, a, r1, r2, t)
 
 
-def test_split_torus_count_forms_no_pair_profile(monkeypatch):
-    """One split o_torus_group call at p = 3 and h20 sums every profile in
-    closed form: it builds no `_pair_profile` (the residue count built
-    thousands)."""
-    calls = []
-    real = orbital._pair_profile
-    monkeypatch.setattr(orbital, "_pair_profile", lambda *args: calls.append(args) or real(*args))
-    ctx = LocalFieldCtx(3)
-    assert o_torus_group(ctx, "split", HeckeElt.basis(20), Fraction(2, 9)) != 0
-    assert calls == []
-    o_torus_group(ctx, "inert", HeckeElt.basis(4), Fraction(1))
-    assert calls  # the inert rule keeps its profile sum
+def test_inert_count_matches_residue_scan():
+    """The inert rule's closed form equals the scan over every c mod p^a of
+    #{c : need == 2 min(x1, x2)}, x_i = w_i for a row without a residue and
+    w_i + min(a, val(c - r_i)) for one with a residue r_i, for 0, 1 or 2
+    residues, at every g = val(r1 - r2) (r1 = r2 mod p^a at g >= a, INF
+    included) and every need that can decide a count."""
+    rng = random.Random(1400)
+    hits = 0
+    for p in (3, 5, 7):
+        for a in range(5):
+            r1 = rng.randrange(p ** a)
+            pairs = [(g, (r1 + rng.choice(unit_reps(p, 1)) * p ** g) % p ** a) for g in range(a)]
+            pairs += [(g, r1) for g in (a, a + 1, INF)]
+            for g, r2 in pairs:
+                assert min(a, g) == min(a, _val_int(r1 - r2, p)), (p, a, g)
+                for w1, w2 in ((0, 0), (1, 0), (0, 2), (3, -1)):
+                    for has1, has2 in itertools.product((False, True), repeat=2):
+                        rho1 = _val_int(r1, p) if has1 else -1
+                        rho2 = _val_int(r2, p) if has2 else -1
+                        mins = Counter(
+                            min(w1 + min(a, _val_int(c - r1, p)) if has1 else w1,
+                                w2 + min(a, _val_int(c - r2, p)) if has2 else w2)
+                            for c in range(p ** a))
+                        for need in range(2 * min(w1, w2) - 2, 2 * (max(w1, w2) + a) + 3):
+                            want = mins[need // 2] if need % 2 == 0 else 0
+                            got = _inert_count(p, a, need, w1, rho1, w2, rho2, g)
+                            assert got == want, (p, a, g, r1, r2, w1, w2, has1, has2, need)
+                            hits += want != 0
+    assert hits > 1000
+
+
+def test_torus_count_makes_one_rule_call_per_coset_shape(monkeypatch):
+    """One o_torus_group call of either kind, p = 3 and h20, reads each
+    (m, a) of every translate it counts through one closed-form rule call
+    (`_split_count` or `_inert_count`) and each unit correction through one
+    more, the split kind on lo - 1 .. hi + 1 and the inert kind on its one
+    representative; the inert rule once summed a profile of O(a) entries."""
+    calls = {"split": [], "inert": []}
+    for kind, name in (("split", "_split_count"), ("inert", "_inert_count")):
+        def spy(p, a, *rest, real=getattr(orbital, name), seen=calls[kind]):
+            seen.append(a)
+            return real(p, a, *rest)
+        monkeypatch.setattr(orbital, name, spy)
+    ctx, h = LocalFieldCtx(3), HeckeElt.basis(20)
+    dc = hecke_to_coset_basis(ctx, h)
+    shapes = ([a for m in dc for a in range(1, m + 1)]
+              + [a - 1 for m in dc for a in range(1, m)])
+    xi = Fraction(2, 9)
+    lo, hi = _split_interval(_xi_vals(3, xi), 20)
+    assert o_torus_group(ctx, "split", h, xi) != 0
+    assert calls["inert"] == []
+    assert sorted(calls["split"]) == sorted(shapes * (hi - lo + 3))
+    calls["split"].clear()
+    assert o_torus_group(ctx, "inert", h, Fraction(9)) != 0
+    assert calls["split"] == []
+    assert sorted(calls["inert"]) == sorted(shapes)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -1414,6 +1475,41 @@ def test_hecke_apply_W_elem_packaging(ctx3):
     fw = basic_fW0(ctx3, "split", 0.0)
     for v in range(-4, 4):
         assert abs(b.eval(Fraction(3) ** v) - fw(Fraction(3) ** v)) < 1e-10
+
+
+def _kept_past_drop(elem, raw, points) -> int:
+    """The points of `points` whose |raw| exceeds _DROP times the largest |raw|
+    there, after checking that `elem` holds each of them to 1e-9 relative."""
+    values = {xi: raw(xi) for xi in points}
+    top = max(map(abs, values.values()))
+    kept = 0
+    for xi, want in values.items():
+        if abs(want) > _DROP * top:
+            assert abs(elem.eval(xi) - want) <= 1e-9 * abs(want), (xi, elem.eval(xi), want)
+            kept += 1
+    return kept
+
+
+@pytest.mark.parametrize("p,n", [(5, 36), (7, 12)])
+def test_hecke_builders_keep_every_window_coset_past_drop(p, n):
+    """Both Hecke builders scale their drop with h in the coset basis, whose
+    h_n carries q^(-n/2): at p = 5 inert h36 and p = 7 inert h12 they keep
+    every window coset whose raw value exceeds _DROP times the element's
+    largest value (a norm of max |c_n| dropped every S(Z) window value of
+    p = 5 h36 and whole S(W) shells), and the fundamental lemma holds."""
+    from padicorb.orbital import hecke_apply_W_elem
+
+    ctx, h = LocalFieldCtx(p), HeckeElt.basis(n)
+    units = [Fraction(u) for u in unit_reps(p, 1)]
+    fz = hecke_apply_Z(ctx, "inert", h)
+    points = [u * Fraction(p) ** v for v in range(-(2 * n + 1), fz.germ0.level) for u in units]
+    points += [-1 + u * Fraction(p) ** v for v in range(1, fz.germ_m1.level) for u in units]
+    kept = _kept_past_drop(fz, lambda xi: o_torus_group(ctx, "inert", h, xi), points)
+    assert kept > 2 * n
+    fw = hecke_apply_W_elem(ctx, "inert", h)
+    points = [u * Fraction(p) ** v for v in range(-1, n + 3) for u in units]
+    assert _kept_past_drop(fw, hecke_apply_W(ctx, "inert", h), points) > n
+    assert verify_fl(ctx, "inert", h).passed
 
 
 def test_baby_windows_reach_the_support_floor(ctx3):
