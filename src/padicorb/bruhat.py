@@ -33,6 +33,7 @@ from .localfield import (
     LocalFieldCtx,
     QuadExt,
     as_rational,
+    q_power,
     rational_valuation,
     unit_mod,
 )
@@ -381,7 +382,7 @@ def _fourier_nd(f: BruhatFn, scales: tuple[int, ...]) -> BruhatFn:
             f"past the limit {_MAX_REFINEMENT}")
     grid, mass = [], 0.0
     for m in sorted(by_level, reverse=True):
-        group, vol = by_level[m], float(Fraction(ctx.q) ** (-m * dim))
+        group, vol = by_level[m], q_power(ctx.q, -m * dim)
         mass += vol * sum(abs(w) for _, _, w in group)
         sub = p ** (out_level + m)
         part = _level_grid(group, m, sub, scales, p, vol, dim)
@@ -406,7 +407,7 @@ def _fourier_nd(f: BruhatFn, scales: tuple[int, ...]) -> BruhatFn:
         inv = pow(unit_mod(a, va, p, depth), -1, p ** depth)
         keys = [(v - va, res * inv % p ** (out_level - v)) for v, res in keys]
         out_level -= va
-        abs_a = float(Fraction(ctx.q) ** (-va))
+        abs_a = q_power(ctx.q, -va)
         grid = [w * abs_a for w in grid]
     index = zip(keys) if dim == 1 else itertools.product(keys, keys)
     thresh = 1e-12 * peak
@@ -499,7 +500,7 @@ def inner_product(f: BruhatFn, g: BruhatFn) -> complex:
         return 0j
     level = max(f.level, g.level)
     gmap = _table_at(g, level)
-    vol = float(Fraction(f.ctx.q) ** (-level * f.dim))
+    vol = q_power(f.ctx.q, -level * f.dim)
     total = 0j
     for key, coef in _table_at(f, level).items():
         if key in gmap:
@@ -508,7 +509,7 @@ def inner_product(f: BruhatFn, g: BruhatFn) -> complex:
 
 
 def integral(f: BruhatFn) -> complex:
-    return sum(f.coset_table.values(), 0j) * float(Fraction(f.ctx.q) ** (-f.level * f.dim))
+    return sum(f.coset_table.values(), 0j) * q_power(f.ctx.q, -f.level * f.dim)
 
 
 def _table_at(f: BruhatFn, level: int) -> dict:
@@ -566,12 +567,12 @@ def tate_zeta(f: BruhatFn, chi: MellinCharacter) -> RationalFnT:
     ctx, level = f.ctx, f.level
     laurent: dict[int, complex] = {}
     tails = RationalFnT.zero()
-    vol_shell = float(ctx.vol_Ox)
+    vol_shell = (ctx.q - 1) / ctx.q  # float(ctx.vol_Ox)
     for ((vc, _),), coef in f.coset_table.items():
         if vc < level:
             # the coset sits inside the shell |x| = q^-vc
             sign = chi.sign_of_val(vc)
-            mass = float(Fraction(ctx.q) ** (vc - level))  # d^x-volume of the coset
+            mass = q_power(ctx.q, vc - level)  # d^x-volume of the coset
             laurent[vc] = laurent.get(vc, 0j) + coef * sign * mass
         else:
             # full ball p^level * o around zero: geometric sum over deep shells
@@ -597,7 +598,7 @@ def mellin_component(f_window: BruhatFn, chi: MellinCharacter) -> RationalFnT:
         if vc >= n:
             raise UnsupportedAtomError("window atom touches 0; put it in the germ")
         sign = chi.sign_of_val(vc)
-        mass = float(Fraction(ctx.q) ** (vc - n)) * qh ** (-vc)
+        mass = q_power(ctx.q, vc - n) * qh ** (-vc)
         laurent[vc] = laurent.get(vc, 0j) + w * sign * mass
     return _laurent_to_rational(laurent)
 

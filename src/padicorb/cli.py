@@ -22,11 +22,10 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .errors import PadicOrbError
 from .groups import HeckeElt, KSection
-from .localfield import LocalFieldCtx, is_prime
+from .localfield import LocalFieldCtx, is_prime, shell_point
 from .orbital import (
     basic_fW0,
     hecke_apply_W,
@@ -213,6 +212,18 @@ def _write_report(cfg: dict, doc: dict, csv_rows: list[dict], name: str) -> str:
     return path
 
 
+def _say(text: str) -> None:
+    """Print a console line.  Once the reader of stdout has gone (`| head -1`),
+    stdout's descriptor is pointed at os.devnull: this line, later ones and
+    the flush at exit are dropped, and the command still returns its verdict."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _fl_single(task):
     p, kind, hdict, window, tol = task
     ctx = LocalFieldCtx(p)
@@ -261,10 +272,10 @@ def cmd_verify_fl(cfg: dict) -> int:
     path = _write_report(cfg, doc, rows, "fl_report")
     for r in reports:
         hstr = _hecke_label(r.hecke)
-        print(f"[{'PASS' if r.passed else 'FAIL'}] fl p={r.p} {r.kind} h={{{hstr}}} "
-              f"maxErr={r.max_error:.3e} const={r.fitted_constant:.10f} "
-              f"({r.elapsed:.1f}s)")
-    print(f"report: {path}  (total {time.perf_counter() - start:.1f}s)")
+        _say(f"[{'PASS' if r.passed else 'FAIL'}] fl p={r.p} {r.kind} h={{{hstr}}} "
+             f"maxErr={r.max_error:.3e} const={r.fitted_constant:.10f} "
+             f"({r.elapsed:.1f}s)")
+    _say(f"report: {path}  (total {time.perf_counter() - start:.1f}s)")
     return 0 if all_pass else 1
 
 
@@ -287,10 +298,10 @@ def cmd_verify_matching(cfg: dict) -> int:
         "ipError": c.ip_error,
     } for c in rep.cases]
     path = _write_report(cfg, doc, rows, "matching_report")
-    print(f"[{'PASS' if rep.passed else 'FAIL'}] matching p={rep.p} {rep.kind} "
-          f"samples={rep.samples} shape={rep.max_shape_residual:.3e} "
-          f"ip={rep.max_ip_error:.3e} ({time.perf_counter() - start:.1f}s)")
-    print(f"report: {path}")
+    _say(f"[{'PASS' if rep.passed else 'FAIL'}] matching p={rep.p} {rep.kind} "
+         f"samples={rep.samples} shape={rep.max_shape_residual:.3e} "
+         f"ip={rep.max_ip_error:.3e} ({time.perf_counter() - start:.1f}s)")
+    _say(f"report: {path}")
     return 0 if rep.passed else 1
 
 
@@ -304,7 +315,7 @@ def cmd_tables(cfg: dict) -> int:
     max_delta = 0.0
     for m in range(0, 5):
         for v in range(lo, hi + 1):
-            xi = Fraction(ctx.p) ** v
+            xi = shell_point(ctx.p, 1, v)
             closed = o_kuz_closed(ctx, m, xi)
             direct = o_kuz_direct(ctx, KSection.of({m: 1.0}), KSection.basic(), xi)
             delta = abs(closed - direct)
@@ -318,7 +329,7 @@ def cmd_tables(cfg: dict) -> int:
     fw = basic_fW0(ctx, cfg["ext"], 1.0)
     fw_series = hecke_apply_W(ctx, cfg["ext"], HeckeElt.basis(0), 1.0)
     for v in range(lo, hi + 1):
-        xi = Fraction(ctx.p) ** v
+        xi = shell_point(ctx.p, 1, v)
         closed = fw(xi)
         series = fw_series(xi)
         delta = abs(closed - series)
@@ -338,9 +349,9 @@ def cmd_tables(cfg: dict) -> int:
         "pass": max_delta <= cfg["tolerance"],
     }
     path = _write_report(cfg, doc, rows, "tables")
-    print(f"[{'PASS' if doc['pass'] else 'FAIL'}] tables p={ctx.p} "
-          f"maxDelta={max_delta:.3e} ({time.perf_counter() - start:.1f}s)")
-    print(f"report: {path}")
+    _say(f"[{'PASS' if doc['pass'] else 'FAIL'}] tables p={ctx.p} "
+         f"maxDelta={max_delta:.3e} ({time.perf_counter() - start:.1f}s)")
+    _say(f"report: {path}")
     return 0 if doc["pass"] else 1
 
 
@@ -397,7 +408,7 @@ def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else list(argv))
         if "help" in args:
-            print(usage(args["help"]))
+            _say(usage(args["help"]))
             return 0
         return COMMANDS[args["command"]][0](resolve_config(args))
     except UsageError as exc:

@@ -3,9 +3,11 @@
 Points of F are exact rationals: a `Fraction` or an int, taken as it is
 (`as_rational`).  The engines work on them through integer residue helpers:
 valuations memoized on (numerator, denominator, p), units mod p^m
-(`unit_mod`) and Hensel square roots (`sqrt_unit_mod`, `padic_sqrt`).  The
-additive character psi, the quadratic character eta and the Weil-measure
-constants also live here.
+(`unit_mod`) and Hensel square roots (`sqrt_unit_mod`, `padic_sqrt`).  A point
+the library forms itself, c + u p^v, comes from integers (`shell_point`), and
+a power of q as a float from one int quotient (`q_power`), so the
+verification paths apply no Fraction operator.  The additive character psi,
+the quadratic character eta and the Weil-measure constants also live here.
 """
 
 from __future__ import annotations
@@ -53,6 +55,24 @@ def as_rational(x) -> Fraction | int:
         return Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise DomainError(f"{x!r} is not a rational point") from None
+
+
+def shell_point(p: int, u: int, v: int, c: int = 0) -> Fraction | int:
+    """The exact point c + u p^v from integers: an int when v >= 0, else one
+    Fraction(c p^-v + u, p^-v), with no Fraction operator.  With c = 0 and u
+    prime to p it is the point of unit u on the shell val = v; with c = -1,
+    that of val(xi + 1) = v."""
+    if v >= 0:
+        return c + u * p ** v
+    den = p ** -v
+    return Fraction(c * den + u, den)
+
+
+def q_power(q: int, e: int) -> float:
+    """q^e as a float, by one int conversion or quotient: both round
+    correctly, so this is float(Fraction(q) ** e) bit for bit, where
+    float(q) ** e may differ in the last bit."""
+    return float(q ** e) if e >= 0 else 1 / q ** -e
 
 
 @lru_cache(maxsize=1 << 18)

@@ -40,6 +40,7 @@ from .localfield import (
     _val_int,
     as_rational,
     rational_valuation,
+    shell_point,
     smallest_nonresidue,
     sqrt_unit_mod,
     unit_mod,
@@ -215,11 +216,10 @@ def o_baby_nonsplit(inp: BabyInput, xi) -> complex:
     vxi = rational_valuation(xi, ctx.p)
     if vxi >= INF:
         raise IrregularPointError("xi = 0 is the irregular point")
-    a0 = torsor_scale(ctx)
     if vxi % 2 == 0:
         data, target = inp.phi0, xi
-    else:
-        data, target = inp.phi_alpha, xi / a0
+    else:  # xi over the torsor scale p, read off xi's integers
+        data, target = inp.phi_alpha, Fraction(xi.numerator, xi.denominator * ctx.p)
     if data.is_zero():
         return 0j
     p, table, level = ctx.p, data.coset_table, data.level
@@ -304,8 +304,8 @@ def sx_from_baby(data, kind: str) -> SXElem:
     entries = [e for v in range(lo, germ.level)
                for e in _value_atoms(ctx, 0, v, *shells[v], image.norm)]
     out = SXElem(ctx, kind, BruhatFn(ctx, "F", tuple(entries)), germ)
-    for x in (Fraction(1 + p ** level), Fraction(p) ** (germ.level + 1),
-              2 * Fraction(p) ** germ.level, Fraction(1 + p ** level, p)):
+    for x in (shell_point(p, 1 + p ** level, 0), shell_point(p, 1, germ.level + 1),
+              shell_point(p, 2, germ.level), shell_point(p, 1 + p ** level, -1)):
         _certify(out.eval(x), raw(x), 1e-9, f"S(X) representation mismatch at {x}", image.norm)
     _certify_floor(ctx, raw, lo, image.norm)
     return out
@@ -413,7 +413,7 @@ def split_image(phi: BruhatFn) -> ChartImage:
             v = min(v1, v2)
             _add(deep, (L + v, 1, 0), w * q ** (v - L))
         else:
-            _add(deep, (2 * L - 1, 1, 1), w * float(ctx.vol_Ox))
+            _add(deep, (2 * L - 1, 1, 1), w * ((p - 1) / p))  # float(ctx.vol_Ox)
     return ChartImage(p, units, deep, _norm(phi.coset_table.values()))
 
 
@@ -438,7 +438,7 @@ def nonsplit_image(inp: BabyInput) -> ChartImage:
         for ((v1, r1), (v2, r2)), w in data.coset_table.items():
             wv = min(v1, v2)
             if wv >= L:
-                _add(deep, (2 * L + parity, 2, 0), w * float(ctx.vol_T_inert()))
+                _add(deep, (2 * L + parity, 2, 0), w * ((p + 1) / p))  # vol T(F)
                 continue
             k = L - wv
             a, b = r1 * p ** (v1 - wv), r2 * p ** (v2 - wv)  # a key (L, 0) has r = 0
@@ -538,7 +538,7 @@ def _certify_floor(ctx: LocalFieldCtx, raw, lo: int, norm: float):
     below the window floor, one of each parity (a support may skip a parity)."""
     for v in (lo - 1, lo - 2):
         for u in (1, ctx.p - 1):
-            if abs(raw(Fraction(u) * Fraction(ctx.p) ** v)) > _DROP * norm:
+            if abs(raw(shell_point(ctx.p, u, v))) > _DROP * norm:
                 raise RepresentationError("window floor too high; support leaked")
 
 
@@ -591,8 +591,11 @@ def sz_from_charts(phi1, phi2, kind: str) -> SZElem:
     image2, image1 = chart_image(kind, phi2), chart_image(kind, phi1)
     lo = min(baby_support_floor(kind, phi2), baby_support_floor(kind, phi1)) - 1
 
-    def raw(xi: Fraction) -> complex:
-        return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, -1 - xi)
+    def raw(xi) -> complex:
+        # -1 - xi off xi's integers: an int xi stays an int
+        num, den = xi.numerator, xi.denominator
+        x1 = -num - 1 if den == 1 else Fraction(-num - den, den)
+        return baby_orbital(kind, phi2, xi) + baby_orbital(kind, phi1, x1)
 
     # chart 2 reads xi, chart 1 reads -1 - xi
     charts = ((image2, 1, 0), (image1, -1, -1))
@@ -605,14 +608,14 @@ def _certify_sz(f: SZElem, raw, lo: int, norm: float):
     p = f.ctx.p
     level = _FIRST_LEVEL
     z0, g0 = f.germ_m1.level, f.germ0.level
-    probes = [Fraction(1 + p ** level) * Fraction(p) ** v for v in (-1, 0, 1)]
-    probes += [Fraction(p) ** (g0 + 1), 2 * Fraction(p) ** g0,
-               Fraction(-1) + Fraction(p) ** (z0 + 1),
-               Fraction(-1) + 2 * Fraction(p) ** z0,
-               Fraction(-1) + Fraction(1 + p) * Fraction(p) ** z0,
-               Fraction(-1) + Fraction(1 + p ** level) * Fraction(p) ** max(1, level - 1),
-               Fraction(-1) + Fraction(p) ** level,
-               Fraction(2 * p ** level - 1)]
+    probes = [shell_point(p, 1 + p ** level, v) for v in (-1, 0, 1)]
+    probes += [shell_point(p, 1, g0 + 1), shell_point(p, 2, g0),
+               shell_point(p, 1, z0 + 1, -1),
+               shell_point(p, 2, z0, -1),
+               shell_point(p, 1 + p, z0, -1),
+               shell_point(p, 1 + p ** level, max(1, level - 1), -1),
+               shell_point(p, 1, level, -1),
+               shell_point(p, 2, level, -1)]
     for x in probes:
         if x != 0 and x != -1:
             _certify(f.eval(x), raw(x), 1e-9, f"S(Z) representation mismatch at {x}", norm)
@@ -845,11 +848,14 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
     representative's, and each split translate's off the three of xi
     (`_integral_translate`), so no split translate is formed.  `dc` is h in
     the double-coset basis, `hecke_to_coset_basis(ctx, h)`; a caller that
-    reads many xi builds it once.
+    reads many xi builds it once.  Its keys decrease and its top one cannot
+    cancel (h_n alone reaches 1_{K pi^n K}), so deg h is its first key.  xi
+    is read only through its numerator and denominator.
 
     The split sum runs over lo <= n <= hi, lo = -deg h and hi =
     max(val xi, val(1+xi)) + deg h, and no coset of any degree may count at
-    lo - 1 and hi + 1 (with every c_m = 1 the counts are summed exactly).
+    lo - 1 and hi + 1 (with every c_m = 1 the counts are summed exactly):
+    one loop over lo - 1 .. hi + 1 counts each translate once.
     No coset counts outside [lo, hi].  With x = -1 - xi = num/den, the
     translate made integral is B = [[t den, s num], [t den, s (num + den)]],
     s = p^max(-n,0), t = p^max(n,0), so val det B + m = |n| + 2 val den + m;
@@ -865,7 +871,8 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
         val xi + d >= n, and d <= m <= deg h.
     """
     xi = as_rational(xi)
-    if xi == 0 or xi == -1:
+    num, den = xi.numerator, xi.denominator
+    if num == 0 or num == -den:
         raise IrregularPointError(f"xi = {xi} is irregular")
     if kind not in ("split", "inert"):
         raise KindError(f"kind must be split or inert, got {kind!r}")
@@ -884,18 +891,15 @@ def o_torus_group(ctx: LocalFieldCtx, kind: str, h: HeckeElt, xi,
     if kind == "inert":
         return volK * _x1_count(p, False, dc, _matrix_vals(p, *rep))
 
-    # every translate's valuations come from these three, read once per xi;
-    # none is INF, as xi != 0, -1
-    x = -1 - xi
-    num, den = x.numerator, x.denominator
-    vals = (_val_int(den, p), _val_int(num, p), _val_int(num + den, p))
-    lo, hi = _split_interval(vals, h.max_degree())
-    total = 0j
-    for n in range(lo, hi + 1):
-        total += _x1_count(p, True, dc, _integral_translate(vals, n))
-    counts = dict.fromkeys(dc, 1)
-    for n in (lo - 1, hi + 1):
-        if _x1_count(p, True, counts, _integral_translate(vals, n)) != 0:
+    # every translate's valuations come from these three of x = -1 - xi =
+    # (-num - den)/den, read once per xi; none is INF, as xi != 0, -1
+    vals = (_val_int(den, p), _val_int(num + den, p), _val_int(num, p))
+    lo, hi = _split_interval(vals, next(iter(dc)))
+    total, edge = 0j, dict.fromkeys(dc, 1)
+    for n in range(lo - 1, hi + 2):
+        if lo <= n <= hi:
+            total += _x1_count(p, True, dc, _integral_translate(vals, n))
+        elif _x1_count(p, True, edge, _integral_translate(vals, n)) != 0:
             raise RepresentationError("T(F)/T(o) sum not stabilized")
     return volK * total
 
@@ -915,7 +919,8 @@ def o_kuz_closed(ctx: LocalFieldCtx, m: int, xi) -> complex:
     v = rational_valuation(xi, ctx.p)
     if v >= INF:
         raise DomainError("xi = 0")
-    volX = float(ctx.vol_X2)
+    q = ctx.q
+    volX = (q * q - 1) / (q * q)  # float(ctx.vol_X2)
     if v == m:
         return volX + 0j
     if m >= 1 and v == m - 2:
@@ -943,7 +948,8 @@ def o_kuz_direct(ctx: LocalFieldCtx, sec1: KSection, sec2: KSection, xi) -> comp
     c2 = d2.get(0, 0j)
     if c2 == 0 or sec1.is_zero():
         return 0j
-    volX = float(ctx.vol_X2)
+    q = ctx.q
+    volX = (q * q - 1) / (q * q)  # float(ctx.vol_X2)
     total = 0j
     for m, c1 in sec1.coeffs:
         piece = 0j
@@ -970,7 +976,7 @@ def basic_fW0(ctx: LocalFieldCtx, kind: str, s: complex = 0.0):
     if abs(denom) < 1e-12:
         raise PoleError("L(eta, 2s+1) pole")
     L_eta = 1.0 / denom
-    volX = float(ctx.vol_X2)
+    volX = (q * q - 1) / (q * q)  # float(ctx.vol_X2)
 
     def f_interior(v: int) -> complex:
         if v < 0:
@@ -1040,7 +1046,8 @@ def hecke_apply_W(ctx: LocalFieldCtx, kind: str, h: HeckeElt, s: complex = 0.0):
 def hecke_apply_W_tail(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
                        s: complex = 0.0) -> complex:
     """Kloosterman-tail constant of h * f_W^s: Vol X(o) times the x_0-coefficient."""
-    return _hs_expansion_coeff(ctx, kind, h, s, 0) * float(ctx.vol_X2)
+    q = ctx.q
+    return _hs_expansion_coeff(ctx, kind, h, s, 0) * ((q * q - 1) / (q * q))  # vol_X2
 
 
 def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
@@ -1052,19 +1059,18 @@ def hecke_apply_W_elem(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     germ, fitted with residuals.  The norm is h's largest coefficient in the
     double-coset basis, which carries h_n's q^(-n/2) as the values do."""
     value = hecke_apply_W(ctx, kind, h, s)
-    q, norm = ctx.q, _norm(hecke_to_coset_basis(ctx, h).values())
+    p, q, norm = ctx.p, ctx.q, _norm(hecke_to_coset_basis(ctx, h).values())
     depth = h.max_degree() + 3
-    germ = _deep_germ(kind, lambda u, v: value(u * Fraction(ctx.p) ** v) * q ** (v * (s + 1)),
+    germ = _deep_germ(kind, lambda u, v: value(shell_point(p, u, v)) * q ** (v * (s + 1)),
                       depth, norm)
     C = hecke_apply_W_tail(ctx, kind, h, s)
     _certify_kl_tail(ctx, value, C, (-2, -4), (1, 2), 1e-9, norm)
     entries = []
     for v in range(-1, depth):
-        w = value(Fraction(ctx.p) ** v)
-        entries += _value_atoms(ctx, 0, v, dict.fromkeys(unit_reps(ctx.p, 1), w), 1, norm)
+        w = value(shell_point(p, 1, v))
+        entries += _value_atoms(ctx, 0, v, dict.fromkeys(unit_reps(p, 1), w), 1, norm)
     out = SWElem(ctx, kind, s, BruhatFn(ctx, "F", tuple(entries)), germ, KLTail(C, 2))
-    for xi in (Fraction(1 + ctx.p), Fraction(ctx.p) ** (depth + 1),
-               Fraction(2) * Fraction(ctx.p) ** -6):
+    for xi in (1 + p, shell_point(p, 1, depth + 1), shell_point(p, 2, -6)):
         _certify(out.eval(xi), value(xi), 1e-9,
                  f"assembled SWElem disagrees with the evaluator at {xi}", norm)
     return out
@@ -1101,8 +1107,9 @@ def hecke_apply_Z(ctx: LocalFieldCtx, kind: str, h: HeckeElt) -> SZElem:
     def raw(xi) -> complex:
         return o_torus_group(ctx, kind, h, xi, dc)
 
-    germ0 = _deep_germ(kind, lambda u, j: raw(u * Fraction(ctx.p) ** j), depth, norm)
-    germ_m1 = _deep_germ(kind, lambda u, j: raw(-1 + u * Fraction(ctx.p) ** j), depth, norm)
+    p = ctx.p
+    germ0 = _deep_germ(kind, lambda u, j: raw(shell_point(p, u, j)), depth, norm)
+    germ_m1 = _deep_germ(kind, lambda u, j: raw(shell_point(p, u, j, -1)), depth, norm)
     return _assemble_sz(ctx, kind, raw, germ0, germ_m1, lo, partial(_class_shell, ctx, raw),
                         norm)
 
@@ -1133,7 +1140,7 @@ def _class_shell(ctx: LocalFieldCtx, raw, center: int, v: int, cut: int | None):
             classes.setdefault((_val_int(num, p) - e, vz), []).append(u)
     vals = {}
     for (vx, vz), units in classes.items():
-        first, last = (raw(Fraction(base + u * step, den)) for u in (units[0], units[-1]))
+        first, last = (raw(shell_point(p, u, v, center)) for u in (units[0], units[-1]))
         if not _same_value(first, last):
             raise RepresentationError(
                 f"orbital not constant on the class val xi = {vx}, val(xi + 1) = {vz}")
@@ -1226,7 +1233,7 @@ def verify_fl(ctx: LocalFieldCtx, kind: str, h: HeckeElt,
     pts: list[FLPoint] = []
     for v in range(lo, hi + 1):
         for u in unit_reps(ctx.p, 1)[:2]:
-            xi = Fraction(u) * Fraction(ctx.p) ** v
+            xi = shell_point(ctx.p, u, v)
             pts.append(FLPoint(u, v, g_value_Z_to_W(fz, xi), rhs_eval(xi)))
     # the constant is read at the first point that is not small next to the window
     scale = max(abs(pt.rhs) for pt in pts)
@@ -1324,7 +1331,7 @@ def verify_matching(ctx: LocalFieldCtx, kind: str, samples: int = 10,
         resid = 0.0
         for v in (-4, 0, 1, w.zero_germ.level + 1, -w.inf_tail.M - 2):
             for u in (1, max(2, ctx.p - 1)):
-                xi = Fraction(u) * Fraction(ctx.p) ** v
+                xi = shell_point(ctx.p, u, v)
                 got = w.eval(xi)
                 want = g_value_Z_to_W(f, xi)
                 resid = max(resid, abs(got - want) / max(1.0, abs(want)))
@@ -1343,7 +1350,7 @@ def whittaker_unfolding_check(ctx: LocalFieldCtx, alpha: complex, s: complex,
     if n_terms is None:
         # geometric tail bound: |alpha|^n q^{-n(1/2+Re s)} * (n+1)
         n_terms = 40 + int(60 / max(0.25, s.real + 0.5))
-    vol = float(ctx.vol_Ox)
+    vol = (ctx.q - 1) / ctx.q  # float(ctx.vol_Ox)
     lhs = 0j
     for n in range(n_terms):
         lhs += vol * whittaker_eval(ctx, alpha, n) * ctx.q ** (-n * s)

@@ -42,9 +42,12 @@ from .localfield import (
     INF,
     LocalFieldCtx,
     QuadExt,
+    _rational_valuation_cached,
     _val_int,
     as_rational,
+    q_power,
     rational_valuation,
+    shell_point,
     sqrt_unit_mod,
     unit_reps,
 )
@@ -189,10 +192,11 @@ def _germ_transform(ctx: LocalFieldCtx, kind: str, g: Germ) -> _GermTransform:
     q = ctx.q
     L = g.level
     if kind == "split":
+        vol = (q - 1) / q  # float(ctx.vol_Ox)
         const = g.a * float(q) ** (-L) + g.b * (
-            L * float(q) ** (-L) + float(q) ** (-(L + 1)) / float(ctx.vol_Ox)
+            L * float(q) ** (-L) + float(q) ** (-(L + 1)) / vol
         )
-        c_tail = g.b / float(ctx.vol_Ox)
+        c_tail = g.b / vol
     else:
         const = g.a * float(q) ** (-L) + g.b * (
             (-1) ** L * float(q) ** (-L)
@@ -270,7 +274,9 @@ class SZElem(_Frozen):
     def eval(self, xi) -> complex:
         xi = as_rational(xi)
         v = rational_valuation(xi, self.ctx.p)
-        vz = rational_valuation(xi + 1, self.ctx.p)
+        # val(xi + 1) off xi's integers: xi + 1 = (num + den)/den
+        vz = _rational_valuation_cached(xi.numerator + xi.denominator, xi.denominator,
+                                        self.ctx.p)
         if v >= INF or vz >= INF:
             raise DomainError("irregular point")
         out = self.window.eval(xi)
@@ -336,7 +342,7 @@ def _certify_kl_tail(ctx: LocalFieldCtx, value, C: complex, shells, units,
     """value(xi) == C * KL(xi) on the given tail shells and units."""
     for v in shells:
         for u in units:
-            xi = Fraction(u) * Fraction(ctx.p) ** v
+            xi = shell_point(ctx.p, u, v)
             _certify(value(xi), C * kloosterman_germ(ctx, xi), tol,
                      f"Kloosterman tail mismatch at {xi}", norm)
 
@@ -367,7 +373,7 @@ def iota_window(ext: QuadExt, f: BruhatFn) -> BruhatFn:
             raise UnsupportedAtomError("window atom touches 0; iota needs F^x support")
         # the inverse of c + p^n o (n > val c) is 1/c + p^{n - 2 val c} o, keyed
         # (-val c, 1/res); |x|^{-1} = q^{-val c} and eta is constant on the shell
-        w = w * ext.eta_of_val(vc) * float(Fraction(f.ctx.q) ** (-vc))
+        w = w * ext.eta_of_val(vc) * q_power(f.ctx.q, -vc)
         entries.append((((-vc, pow(res, -1, f.ctx.p ** (n - vc))),), n - 2 * vc, w))
     return BruhatFn(f.ctx, "F", tuple(entries))
 
@@ -378,7 +384,8 @@ def iota_eval(ext: QuadExt, f_eval, xi) -> complex:
     if v >= INF:
         raise DomainError("iota at 0")
     ext.ctx.check_float_power(v, f"|xi|^-1 at val xi = {v}")
-    return ext.eta_of_val(v) * float(Fraction(ext.ctx.q) ** v) * f_eval(Fraction(1) / xi)
+    inv = Fraction(xi.denominator, xi.numerator)  # 1/xi
+    return ext.eta_of_val(v) * q_power(ext.ctx.q, v) * f_eval(inv)
 
 
 # --- the transform engine ----------------------------------------------------------
@@ -642,12 +649,12 @@ def g_transform_SX(f: SXElem) -> SXElem:
     terms, norm = f._terms, _elem_norm(f)
     vmin = _support_bound(terms)
     depth = _germ_depth(terms)
-    germ = _deep_germ(kind, lambda u, v: _g_value(f, u * Fraction(ctx.p) ** v), depth, norm)
+    germ = _deep_germ(kind, lambda u, v: _g_value(f, shell_point(ctx.p, u, v)), depth, norm)
     window = _window(f, range(vmin, depth), norm, weighted=False)
     out = SXElem(ctx, kind, window, germ)
     # representation guard: window+germ reproduces the engine at sample points
     for v in (vmin, depth - 1, depth + 1):
-        x = Fraction(ctx.p) ** v
+        x = shell_point(ctx.p, 1, v)
         _certify(out.eval(x), _g_value(f, x), 1e-8,
                  f"assembled S(X) element disagrees with the engine at {x}", norm)
     return out
@@ -666,7 +673,7 @@ def g_transform_Z_to_W(f: SZElem) -> SWElem:
 
     depth = _germ_depth(terms)
     # germ of G f (before the |xi| factor)
-    germ = _deep_germ(kind, lambda u, v: _g_value(f, u * Fraction(ctx.p) ** v), depth, norm)
+    germ = _deep_germ(kind, lambda u, v: _g_value(f, shell_point(ctx.p, u, v)), depth, norm)
 
     def abs_g_value(xi: Fraction) -> complex:  # (|.|G f)(xi)
         return float(q) ** (-rational_valuation(xi, ctx.p)) * _g_value(f, xi)
@@ -760,7 +767,7 @@ def sx_mellin(f: SXElem, chi: MellinCharacter) -> RationalFnT:
         return window
     ctx = f.ctx
     qh = ctx.q ** 0.5
-    vol = float(ctx.vol_Ox)
+    vol = (ctx.q - 1) / ctx.q  # float(ctx.vol_Ox)
     head = {k: vol * chi.sign_of_val(k) * g.eval(f.kind, k) * qh ** (-k)
             for k in range(g.level, 0)}
     L0 = max(g.level, 0)

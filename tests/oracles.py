@@ -19,7 +19,11 @@ bit-for-bit reference, the count that visits the cosets of
 `double_coset_reps` one by one (`enumerated_x1_count`) as a second, and the inert representative built from
 28-digit Hensel square roots (`hensel_inert_rep`, with the GIT invariant
 `torus_pair_invariant` and the fiber test it uses) as the reference for the
-integer leading-digit one (`orbital.inert_rep_for`).  The Fourier kernel
+integer leading-digit one (`orbital.inert_rep_for`).  The split torus sum
+reads deg h off the double-coset basis and counts the translates lo - 1 ..
+hi + 1 in one loop; the sum that took deg h from `HeckeElt.max_degree`,
+summed lo .. hi and then checked lo - 1 and hi + 1
+(`reference_o_torus_group_split`) is kept as its bit-for-bit reference.  The Fourier kernel
 sums rows of cached powers of its root of unity, level by level on a
 function's own entries, and the baby orbitals key their units inline; the
 direct sums they replace, one generator per output value and one
@@ -67,8 +71,11 @@ from padicorb.orbital import (
     _assemble_sz,
     _baby_ctx,
     _certified_onset,
+    _integral_translate,
     _norm_one,
     _same_value,
+    _split_interval,
+    _x1_count,
     baby_orbital,
     baby_support_floor,
     chart_image,
@@ -387,6 +394,26 @@ def reference_integral_translate(p: int, num: int, den: int, vals: tuple[int, in
         return (t * den, num, t * den, num + den), (n + ed, vx, n + ed, vz, n + 2 * ed)
     s = p ** -n
     return (den, s * num, den, s * (num + den)), (ed, vx - n, ed, vz - n, 2 * ed - n)
+
+
+def reference_o_torus_group_split(ctx, h, xi, dc) -> complex:
+    """The split `o_torus_group` summed translate by translate: x = -1 - xi by
+    Fraction arithmetic, the translates lo .. hi of `_split_interval` at
+    deg h = `h.max_degree()`, then the stabilization translates lo - 1 and
+    hi + 1 with every c_m = 1, and vol K as float(ctx.vol_K)."""
+    p = ctx.p
+    x = -1 - Fraction(xi)
+    num, den = x.numerator, x.denominator
+    vals = (_val_int(den, p), _val_int(num, p), _val_int(num + den, p))
+    lo, hi = _split_interval(vals, h.max_degree())
+    total = 0j
+    for n in range(lo, hi + 1):
+        total += _x1_count(p, True, dc, _integral_translate(vals, n))
+    counts = dict.fromkeys(dc, 1)
+    for n in (lo - 1, hi + 1):
+        if _x1_count(p, True, counts, _integral_translate(vals, n)) != 0:
+            raise RepresentationError("T(F)/T(o) sum not stabilized")
+    return float(ctx.vol_K) * total
 
 
 def torus_pair_invariant(m, ext):

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import re
+import sys
 
 import pytest
 
@@ -255,3 +257,33 @@ def test_matching_tightened_tolerance(tmp_path):
     assert run(["verify-matching", "--p", "3", "--ext", "split", "--samples", "2",
                 "--seed", "3", "--tolerance", "1e-12", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["pass"]
+
+
+def test_a_closed_stdout_keeps_the_verdict_and_the_report(tmp_path, monkeypatch):
+    """With stdout a pipe whose reader has gone (`| head -1`), every console
+    line raises BrokenPipeError: the command still exits with its verdict (0
+    pass, 1 fail, 3 computation failure) and writes the whole report, the
+    same bytes as with a live stdout, and later lines go to os.devnull."""
+    fl = ["verify-fl", "--p", "3", "--hecke", "0:1", "--format", "json"]
+    cases = ((fl, 0), (["tables", "--p", "3", "--val-window", "0:0", "--tolerance", "1e-30"], 1),
+             (fl + ["--val-window", "-2000:0"], 3))
+    for i, (argv, code) in enumerate(cases):
+        live = tmp_path / f"live{i}.json"
+        assert main([*argv, "--out", str(live)]) == code
+        read, write = os.pipe()
+        os.close(read)
+        stdout = os.fdopen(write, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            with pytest.raises(BrokenPipeError):  # the pipe is closed, not stdout
+                os.write(write, b"x")
+            piped = tmp_path / f"piped{i}.json"
+            assert main([*argv, "--out", str(piped)]) == code
+            if code != 3:  # a failed computation prints to stderr only
+                print("after the verdict", flush=True)  # stdout's descriptor is os.devnull
+        finally:
+            monkeypatch.undo()
+            stdout.close()
+        if code != 3:
+            assert piped.read_bytes() == live.read_bytes()
+            assert json.loads(piped.read_text())["pass"] is (code == 0)

@@ -766,6 +766,29 @@ def test_x1_count_equals_residue_reference_on_hecke_grid(p, top, n_xi):
     assert hits > 5 * len(inert_xis)
 
 
+@pytest.mark.parametrize("p,top,n_xi", [(3, 20, 10), (5, 12, 16)])
+def test_o_torus_group_split_equals_the_per_translate_reference(p, top, n_xi):
+    """The one-loop split sum, with deg h read off the double-coset basis and
+    xi read off its integers, equals the sum it replaced
+    (`reference_o_torus_group_split`) bit for bit, with == and repr, for
+    h0 ... h_top and for seeded elements of degree top - 1 and top with every
+    lower coefficient, on seeded xi with val(1 + xi) of both signs."""
+    ctx = LocalFieldCtx(p)
+    rng = random.Random(3500 + p)
+    xis = _seeded_xis(rng, p, n_xi)
+    xis += [-1 + rng.randrange(1, 40) * Fraction(p) ** rng.randrange(1, 4) for _ in range(4)]
+    vz = [rational_valuation(xi + 1, p) for xi in xis]
+    assert min(vz) < 0 < max(vz)
+    hs = [HeckeElt.basis(n) for n in range(top + 1)]
+    hs += [HeckeElt.of({k: rng.randint(1, 9) for k in range(n + 1)}) for n in (top - 1, top)]
+    for h in hs:
+        dc = hecke_to_coset_basis(ctx, h)
+        for xi in xis:
+            got = o_torus_group(ctx, "split", h, xi, dc)
+            want = oracles.reference_o_torus_group_split(ctx, h, xi, dc)
+            assert _same_bits(got, want), (h, xi, got, want)
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_x1_count_equals_both_references_on_random_matrices(p):
     """On seeded integer matrices with entries of every valuation, zero

@@ -4,7 +4,10 @@ A `Fraction` or an int is taken as it is; anything else goes through
 `Fraction(x)` once (`localfield.as_rational`), and what `Fraction` refuses is a
 `DomainError` at every public entry.  Valuations and unit keys are memoized
 on the integers (numerator, denominator, p), so the hot paths hash no
-`Fraction` at all.
+`Fraction` at all.  The points the library forms itself come from integers
+(`localfield.shell_point`), and the engines read a point only through its
+numerator and denominator, so the verification paths apply no Fraction
+operator, and an int point gives the bits of the equal Fraction.
 """
 
 import random
@@ -23,10 +26,12 @@ from padicorb.localfield import (
     is_rational_square,
     padic_sqrt,
     rational_valuation,
+    shell_point,
 )
 from padicorb.orbital import (
     baby_orbital,
     fourier_baby,
+    hecke_apply_W,
     o_baby_nonsplit,
     o_baby_split,
     o_kuz_closed,
@@ -34,6 +39,7 @@ from padicorb.orbital import (
     random_baby_data,
     sx_from_baby,
     sz_from_charts,
+    verify_fl,
 )
 from padicorb.spaces import _val_and_unit_key, g_transform_Z_to_W, g_value_SX, g_value_Z_to_W
 
@@ -57,9 +63,12 @@ def entries():
     return {
         "o_baby_split": lambda x: o_baby_split(split, x),
         "o_baby_nonsplit": lambda x: o_baby_nonsplit(inert, x),
+        "baby_orbital split": lambda x: baby_orbital("split", split, x),
+        "baby_orbital inert": lambda x: baby_orbital("inert", inert, x),
         "o_torus_group split": lambda x: o_torus_group(ctx, "split", h, x),
         "o_torus_group inert": lambda x: o_torus_group(ctx, "inert", h, x),
         "o_kuz_closed": lambda x: o_kuz_closed(ctx, 0, x),
+        "hecke_apply_W": hecke_apply_W(ctx, "split", h),
         "g_value_Z_to_W": lambda x: g_value_Z_to_W(sz, x),
         "g_value_SX": lambda x: g_value_SX(sx, x),
         "SXElem.eval": sx.eval,
@@ -74,11 +83,11 @@ def entries():
     }
 
 
-ENTRY_NAMES = ("o_baby_split", "o_baby_nonsplit", "o_torus_group split",
-               "o_torus_group inert", "o_kuz_closed", "g_value_Z_to_W", "g_value_SX",
-               "SXElem.eval", "SZElem.eval", "SWElem.eval", "BruhatFn.eval F",
-               "BruhatFn.eval F2", "BruhatFn.from_atoms F", "BruhatFn.from_atoms F2",
-               "padic_sqrt", "is_rational_square")
+VALUE_NAMES = ("o_baby_split", "o_baby_nonsplit", "baby_orbital split", "baby_orbital inert",
+               "o_torus_group split", "o_torus_group inert", "o_kuz_closed", "hecke_apply_W",
+               "g_value_Z_to_W", "g_value_SX", "SXElem.eval", "SZElem.eval", "SWElem.eval")
+ENTRY_NAMES = VALUE_NAMES + ("BruhatFn.eval F", "BruhatFn.eval F2", "BruhatFn.from_atoms F",
+                             "BruhatFn.from_atoms F2", "padic_sqrt", "is_rational_square")
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
@@ -165,3 +174,70 @@ def test_the_hot_paths_hash_no_fraction(monkeypatch, tmp_path, capsys):
         for v in range(-4, 5):
             baby_orbital(kind, phihat, Fraction(2) * Fraction(3) ** v)
         assert hashes == [], kind
+
+
+@pytest.mark.parametrize("name", VALUE_NAMES)
+def test_an_int_point_gives_the_bits_of_its_fraction(entries, name):
+    """Every engine and `eval` gives an int point and the equal Fraction
+    repr-equal values, at u 3^v and -1 + u 3^v for u = 1, 2, -2, 5, 10 and
+    v = 0 .. 6: points of both signs next to 0, next to -1 and away from both."""
+    points = [shell_point(3, u, v, c) for c in (0, -1) for u in (1, 2, -2, 5, 10)
+              for v in range(0, 7)]
+    points = [x for x in points if x not in (0, -1)]
+    assert all(type(x) is int for x in points)
+    for x in points:
+        assert repr(entries[name](x)) == repr(entries[name](Fraction(x))), (name, x)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_shell_point_is_the_fraction_arithmetic(p):
+    """shell_point(p, u, v, c) equals c + Fraction(u) * Fraction(p) ** v for
+    c = 0, -1, the units u up to p^3 and v = -6 .. 6: an int on v >= 0, else a
+    Fraction in lowest terms with the same numerator and denominator."""
+    for c in (0, -1):
+        for u in range(1, p ** 3 + 1):
+            if u % p == 0:
+                continue
+            for v in range(-6, 7):
+                got, want = shell_point(p, u, v, c), c + Fraction(u) * Fraction(p) ** v
+                assert type(got) is (int if v >= 0 else Fraction), (c, u, v)
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+                assert got == want
+
+
+class _FractionOperator(Exception):
+    """A Fraction arithmetic operator ran where none should."""
+
+
+_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__pow__", "__neg__")
+
+
+def test_the_verification_paths_apply_no_fraction_operator(monkeypatch):
+    """With every Fraction arithmetic operator refused, verify_fl runs at both
+    benchmark shapes (p = 3 split a h0 + b h1, p = 5 inert h0 .. h2), and at
+    p = 3 of both kinds the chart builder with the transform to S(W), and the
+    baby builder, the Fourier transform and the G value: every point they
+    form comes from integers and every engine reads its integers."""
+    ctx3, ctx5 = LocalFieldCtx(3), LocalFieldCtx(5)
+    rng = random.Random(35)
+    charts = {kind: [random_baby_data(ctx3, kind, rng) for _ in range(2)]
+              for kind in ("split", "inert")}
+    points = [shell_point(3, u, v, c) for c in (0, -1) for u in (1, 2) for v in range(-4, 5)]
+
+    def refuse(*args):
+        raise _FractionOperator(args)
+
+    for name in _OPERATORS:
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(_FractionOperator):
+        Fraction(1, 3) + 1
+    assert verify_fl(ctx3, "split", HeckeElt.of({0: 3, 1: 7})).passed
+    assert verify_fl(ctx5, "inert", HeckeElt.of({0: 2, 1: 5, 2: 8})).passed
+    for kind, (phi1, phi2) in charts.items():
+        g_transform_Z_to_W(sz_from_charts(phi1, phi2, kind))
+        sx = sx_from_baby(phi1, kind)
+        fourier_baby(phi1, kind)
+        for x in points:
+            if x not in (0, -1):
+                g_value_SX(sx, x)
